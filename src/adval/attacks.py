@@ -9,7 +9,6 @@ differs from the prediction at the starting point.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ class AdversarialResult:
     iterations: int
     success: bool
     adversarial_label: int | None
-    original_label: int
+    original_label: int | None  # None when the starting point's logits are non-finite
 
     def score(self) -> float:
         """Selection score: perturbation size, +inf for failed attacks."""
@@ -100,8 +99,9 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
 
     The returned perturbation includes the (1 + overshoot) factor: when the
     attack succeeds, ``argmax f(x + perturbation)`` differs from
-    ``argmax f(x)``. Non-finite gradients yield a failure result with
-    norm=+inf rather than raising.
+    ``argmax f(x)``. Non-finite logits or gradients yield a failure result
+    with norm=+inf rather than raising; when that happens at ``x`` itself no
+    class was predicted and ``original_label`` is None.
     """
     p = float(cfg.p)
     x0 = np.asarray(x, dtype=DTYPE)
@@ -109,7 +109,7 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
 
     logits, jac = _eval(net, x0)
     if logits is None:
-        return _failure(np.zeros_like(x0), 0)
+        return _failure(np.zeros_like(x0), 0, None)
     orig = int(np.argmax(logits))
     others = [k for k in range(len(logits)) if k != orig]
 
@@ -149,7 +149,7 @@ def _eval(net, point):
     return logits, jac
 
 
-def _failure(perturbation, iterations, original_label=0):
+def _failure(perturbation, iterations, original_label):
     return AdversarialResult(
         perturbation=np.asarray(perturbation, dtype=DTYPE),
         norm=float("inf"),
@@ -164,13 +164,12 @@ def batch_deepfool(
     net: NetworkState,
     xs,
     cfg: AttackConfig = AttackConfig(),
-    workers: int = 1,
 ) -> list[AdversarialResult]:
     """Per-sample DeepFool over a collection; order preserved.
 
-    Each element equals the single-call result exactly, whatever the worker
-    count: the attack is a pure function of (net, x, cfg). Per-sample errors
-    become failure results instead of aborting the batch.
+    Each element equals the single-call result exactly: the attack is a pure
+    function of (net, x, cfg). Per-sample errors become failure results
+    instead of aborting the batch.
     """
 
     def attack(x):
@@ -178,10 +177,6 @@ def batch_deepfool(
             return deepfool(net, x, cfg)
         except Exception:  # noqa: BLE001 - per-element isolation is the contract
             logger.warning("attack raised; recording failure result", exc_info=True)
-            return _failure(np.zeros_like(np.asarray(x, dtype=DTYPE)), 0)
+            return _failure(np.zeros_like(np.asarray(x, dtype=DTYPE)), 0, None)
 
-    items = list(xs)
-    if workers <= 1:
-        return [attack(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(attack, items))
+    return [attack(x) for x in xs]

@@ -180,6 +180,15 @@ class _SectionReader:
     def text(self, key, default=None):
         return self._fetch(key, str, default)
 
+    def norm_order(self, key, default):
+        """An L_p norm order; only 2 and inf are supported."""
+        p = self.number(key, default)
+        if p not in (2.0, np.inf):
+            raise ConfigError(
+                f"{self.section}.{key} must be 2 or inf, got {self.raw[key].strip()!r}"
+            )
+        return p
+
     def path(self, key, default=_REQUIRED):
         value = self._fetch(key, str, default)
         if value is None:
@@ -278,9 +287,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
     train_sec.reject_unknown()
 
-    p_text = attack_sec.text("p", "2")
     attack_cfg = AttackConfig(
-        p=np.inf if p_text in ("inf", "Inf") else float(p_text),
+        p=attack_sec.norm_order("p", 2.0),
         overshoot=attack_sec.number("overshoot", 0.02),
         max_iter=attack_sec.integer("max_iter", 50),
     )

@@ -144,7 +144,8 @@ def init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
         chosen.extend(int(i) for i in rng.choice(rest, size=extra, replace=False))
     chosen_sorted = sorted(chosen)
     labeled = tuple((i, int(dataset.labels[i])) for i in chosen_sorted)
-    unlabeled = tuple(i for i in range(len(dataset)) if i not in set(chosen_sorted))
+    chosen_set = set(chosen_sorted)
+    unlabeled = tuple(i for i in range(len(dataset)) if i not in chosen_set)
     return PoolState(labeled=labeled, unlabeled=unlabeled, synthetic=())
 
 

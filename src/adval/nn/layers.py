@@ -3,9 +3,11 @@
 All kernels operate on batched float64 arrays. Inputs use row-major layout:
 dense activations are (N, features), convolutional activations are
 (N, channels, height, width). Each forward kernel returns the output plus a
-cache consumed by the matching backward kernel; backward kernels return the
-gradient w.r.t. the layer input and, for parameterized layers, gradients
-shaped exactly like the parameters.
+cache consumed by the matching backward kernel. A backward kernel computes
+only the gradients its caller requests: the gradient w.r.t. the layer input
+(``input_grad``) and, for parameterized layers, gradients shaped exactly like
+the parameters (``param_grads``). Whatever is not requested comes back as None
+and costs nothing.
 """
 
 from __future__ import annotations
@@ -179,12 +181,31 @@ def forward(layer, params, x, *, rng=None, dropout_active=False):
     raise TypeError(f"unknown layer {layer!r}")
 
 
-def backward(layer, params, cache, dy):
-    """Backward pass; returns (dx, param_grads_or_None)."""
+def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True):
+    """Backward pass; returns (dx, param_grads).
+
+    ``dx`` is the gradient w.r.t. the layer input, or None unless
+    ``input_grad`` is set. The second item is a dict of gradients shaped like
+    ``params`` for Dense and Conv2D when ``param_grads`` is set, and None
+    otherwise (always None for parameterless layers). Each result is computed
+    the same way whether or not the other one is requested.
+    """
     if isinstance(layer, Dense):
         x = cache
-        dx = dy @ params["W"].T
-        return dx, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+        dx = dy @ params["W"].T if input_grad else None
+        grads = {"W": x.T @ dy, "b": dy.sum(axis=0)} if param_grads else None
+        return dx, grads
+    if isinstance(layer, Conv2D):
+        x, windows = cache
+        dx = _conv_input_grad(layer, params["W"], x, dy) if input_grad else None
+        grads = None
+        if param_grads:
+            # (F, C, k, k) <- contract batch and output positions
+            dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+            grads = {"W": dw, "b": dy.sum(axis=(0, 2, 3))}
+        return dx, grads
+    if not input_grad:
+        return None, None
     if isinstance(layer, ReLU):
         return dy * cache, None
     if isinstance(layer, Flatten):
@@ -193,22 +214,6 @@ def backward(layer, params, cache, dy):
         if cache is None:
             return dy, None
         return dy * cache, None
-    if isinstance(layer, Conv2D):
-        x, windows = cache
-        k, s = layer.kernel, layer.stride
-        n, f, ho, wo = dy.shape
-        # (F, C, k, k) <- contract batch and output positions
-        dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
-        db = dy.sum(axis=(0, 2, 3))
-        dx = np.zeros_like(x)
-        # scatter-add each kernel tap; receptive fields may overlap when stride < k
-        for ki in range(k):
-            for kj in range(k):
-                contrib = np.tensordot(dy, params["W"][:, :, ki, kj], axes=([1], [0]))
-                dx[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += contrib.transpose(
-                    0, 3, 1, 2
-                )
-        return dx, {"W": dw, "b": db}
     if isinstance(layer, MaxPool2D):
         x_shape, idx = cache
         n, c, h, w = x_shape
@@ -221,3 +226,21 @@ def backward(layer, params, cache, dy):
         )
         return dx, None
     raise TypeError(f"unknown layer {layer!r}")
+
+
+def _conv_input_grad(layer: Conv2D, w: np.ndarray, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Conv2D gradient w.r.t. its input: one (N*Ho*Wo, F) @ (F, C) product per tap.
+
+    ``dy`` is laid out as rows of output positions once per call; the taps
+    are then scatter-added in row-major order, since receptive fields overlap
+    when stride < kernel.
+    """
+    k, s = layer.kernel, layer.stride
+    n, f, ho, wo = dy.shape
+    rows = dy.transpose(0, 2, 3, 1).reshape(-1, f)
+    dx = np.zeros_like(x)
+    for ki in range(k):
+        for kj in range(k):
+            contrib = (rows @ w[:, :, ki, kj]).reshape(n, ho, wo, -1)
+            dx[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += contrib.transpose(0, 3, 1, 2)
+    return dx

@@ -2,8 +2,11 @@
 
 A network is a sequence of layer descriptors applied to a fixed input shape.
 ``NetworkState`` couples a spec with concrete parameter arrays; states are
-treated as immutable once created, so a trained state is safe to share across
-parallel read-only scoring workers.
+treated as immutable once created.
+
+Each backward pass computes only what its caller reads: training and EGL get
+parameter gradients and no gradient w.r.t. the network input, while the input
+gradients and Jacobians used by DeepFool get no parameter gradients.
 """
 
 from __future__ import annotations
@@ -114,13 +117,27 @@ def _forward_caches(state, x, *, rng=None, dropout_active=False):
     return x, caches
 
 
-def _backward(state, caches, dlogits):
-    grads = [None] * len(state.spec.layers)
+def _param_grads(state, caches, dlogits):
+    """Per-layer parameter gradients; None for parameterless layers.
+
+    Backpropagation stops at the lowest layer that has parameters, so the
+    gradient w.r.t. that layer's input (which nothing reads) is never formed.
+    """
+    layers = state.spec.layers
+    lowest = next((i for i, p in enumerate(state.params) if p is not None), len(layers))
+    grads = [None] * len(layers)
+    dy = dlogits
+    for i in range(len(layers) - 1, lowest - 1, -1):
+        dy, grads[i] = L.backward(layers[i], state.params[i], caches[i], dy, input_grad=i > lowest)
+    return tuple(grads)
+
+
+def _input_grad(state, caches, dlogits):
+    """Gradient w.r.t. the network input, with no parameter gradients formed."""
     dy = dlogits
     for i in range(len(state.spec.layers) - 1, -1, -1):
-        dy, g = L.backward(state.spec.layers[i], state.params[i], caches[i], dy)
-        grads[i] = g
-    return dy, tuple(grads)
+        dy, _ = L.backward(state.spec.layers[i], state.params[i], caches[i], dy, param_grads=False)
+    return dy
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -152,8 +169,7 @@ def loss_and_param_grads(state, x, labels, *, rng=None, dropout_active=False):
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    _, grads = _backward(state, caches, dlogits)
-    return cross_entropy(logits, labels), grads
+    return cross_entropy(logits, labels), _param_grads(state, caches, dlogits)
 
 
 def _check_label(spec: NetworkSpec, label: int) -> int:
@@ -184,8 +200,7 @@ def grad_input_logit(state: NetworkState, x: np.ndarray, k: int) -> np.ndarray:
     _, caches = _forward_caches(state, x[None])
     seed = np.zeros((1, state.spec.class_count), dtype=DTYPE)
     seed[0, k] = 1.0
-    dx, _ = _backward(state, caches, seed)
-    return dx[0]
+    return _input_grad(state, caches, seed)[0]
 
 
 def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
@@ -198,8 +213,7 @@ def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
     c = state.spec.class_count
     rep = np.broadcast_to(x, (c, *x.shape))
     logits, caches = _forward_caches(state, np.ascontiguousarray(rep))
-    dx, _ = _backward(state, caches, np.eye(c, dtype=DTYPE))
-    return logits[0], dx
+    return logits[0], _input_grad(state, caches, np.eye(c, dtype=DTYPE))
 
 
 def _last_dense_index(spec: NetworkSpec) -> int:

@@ -106,6 +106,8 @@ class TestResultContract:
         assert not res.success
         assert res.norm == np.inf
         assert res.adversarial_label is None
+        # the starting logits are non-finite, so no class was ever predicted
+        assert res.original_label is None
 
     def test_failed_attack_scores_infinity(self):
         res = AdversarialResult(np.zeros(2), 0.5, 3, False, None, 0)
@@ -142,14 +144,6 @@ class TestBatch:
         np.testing.assert_array_equal(single.perturbation, batch.perturbation)
         assert single.norm == batch.norm
         assert single.iterations == batch.iterations
-
-    def test_workers_do_not_change_results(self, trained3, blobs3):
-        xs = list(blobs3.inputs[:16])
-        seq = batch_deepfool(trained3, xs, workers=1)
-        par = batch_deepfool(trained3, xs, workers=4)
-        for a, b in zip(seq, par):
-            np.testing.assert_array_equal(a.perturbation, b.perturbation)
-            assert a.adversarial_label == b.adversarial_label
 
     def test_batch_matches_sequential_calls(self, trained3, blobs3):
         xs = list(blobs3.inputs[:50])

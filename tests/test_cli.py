@@ -75,6 +75,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="data.classes"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("p", ["abc", "3", "nan"])
+    def test_bad_attack_norm_is_config_error(self, tmp_path, p):
+        config = write_config(tmp_path, extra=f"\n[attack]\np = {p}\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("E_CONFIG: ") and "attack.p" in err[0]
+
+    def test_attack_norm_inf_accepted(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path, extra="\n[attack]\np = inf\n"))
+        assert cfg.attack.p == np.inf
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, extra="\n[attack]\nstrength = 9\n")
         with pytest.raises(ConfigError, match="strength"):

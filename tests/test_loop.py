@@ -77,6 +77,12 @@ class TestInitPools:
         pools.check_conservation(len(ds))
         assert len(pools.labeled) + len(pools.unlabeled) == len(ds)
 
+    def test_unlabeled_is_sorted_complement(self):
+        ds, _ = blob_pair()
+        pools = init_pools(ds, 9, seed=4)
+        labeled = {i for i, _ in pools.labeled}
+        assert pools.unlabeled == tuple(i for i in range(len(ds)) if i not in labeled)
+
     def test_labels_match_ground_truth(self):
         ds, _ = blob_pair()
         pools = init_pools(ds, 9, seed=3)

@@ -1,0 +1,64 @@
+"""Golden digests: trained parameters and DeepFool perturbations, bit for bit.
+
+The digests pin results computed with full backward passes, in which every
+layer forms both its input and its parameter gradients. Restricting which
+gradients a caller requests, or rewriting a kernel's layout, must leave them
+bit-identical. They are tied to float64 numpy with OpenBLAS; another BLAS
+build may round differently and would need new digests.
+"""
+
+import hashlib
+
+import numpy as np
+
+from adval import nn
+from adval.attacks import AttackConfig, batch_deepfool
+from adval.nn import TrainConfig, build_network
+
+TRAINED_DIGESTS = {
+    "arch-A": "f9b4810872f9baff",
+    "arch-B": "6547bf764c4228e5",
+}
+DEEPFOOL_DIGEST = "140929ce1ac32dc1"
+
+
+def digest_arrays(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def image_data(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, 1, 28, 28))
+    y = rng.integers(0, 10, size=n)
+    return x, y
+
+
+def trained(arch):
+    x, y = image_data(96)
+    spec = build_network(arch, x.shape[1:], 10, seed=3)
+    cfg = TrainConfig(epochs=2, seed=4)
+    return nn.train(nn.init_network(spec), list(zip(x, y)), cfg)
+
+
+def param_arrays(state):
+    return [p[k] for p in state.params if p is not None for k in sorted(p)]
+
+
+def test_trained_parameters_match_golden():
+    got = {arch: digest_arrays(param_arrays(trained(arch))) for arch in TRAINED_DIGESTS}
+    assert got == TRAINED_DIGESTS
+
+
+def test_deepfool_perturbations_match_golden():
+    net = trained("arch-A")
+    xs, _ = image_data(12, seed=1)
+    results = batch_deepfool(net, xs, AttackConfig(max_iter=20))
+    got = digest_arrays(
+        [r.perturbation for r in results] + [np.array([r.iterations for r in results])]
+    )
+    assert got == DEEPFOOL_DIGEST

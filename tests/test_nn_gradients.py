@@ -19,8 +19,9 @@ from adval.nn import Dense, NetworkSpec, ReLU
 class TestGradParams:
     def test_matches_finite_differences_random_net(self):
         rng = np.random.default_rng(42)
-        for trial in range(6):
-            state = nn.init_network(random_dense_spec(rng))
+        for trial in range(12):
+            make_spec = random_conv_spec if trial % 2 else random_dense_spec
+            state = nn.init_network(make_spec(rng))
             x = rng.standard_normal(state.spec.input_shape)
             label = int(rng.integers(state.spec.class_count))
             grads = nn.grad_params(state, x, label)
@@ -119,9 +120,10 @@ class TestGradInputLogit:
 class TestJacobian:
     def test_jacobian_rows_match_single_grads(self):
         rng = np.random.default_rng(11)
-        state = nn.init_network(random_dense_spec(rng))
-        x = rng.standard_normal(state.spec.input_shape)
-        logits, jac = nn.logits_and_input_jacobian(state, x)
-        np.testing.assert_allclose(logits, nn.forward(state, x), rtol=1e-12)
-        for k in range(state.spec.class_count):
-            np.testing.assert_allclose(jac[k], nn.grad_input_logit(state, x, k), rtol=1e-12)
+        for make_spec in (random_dense_spec, random_conv_spec):
+            state = nn.init_network(make_spec(rng))
+            x = rng.standard_normal(state.spec.input_shape)
+            logits, jac = nn.logits_and_input_jacobian(state, x)
+            np.testing.assert_allclose(logits, nn.forward(state, x), rtol=1e-12)
+            for k in range(state.spec.class_count):
+                np.testing.assert_allclose(jac[k], nn.grad_input_logit(state, x, k), rtol=1e-12)

@@ -1,4 +1,4 @@
-"""Forward-pass contracts: shapes, identity cases, conv/pool against naive loops."""
+"""Layer contracts: shapes, identity cases, conv/pool against naive loops, backward requests."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from adval.nn import (
     NetworkSpec,
     ReLU,
 )
+from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
 
 
@@ -114,6 +115,72 @@ class TestConvAndPool:
     def test_final_width_must_match_class_count(self):
         with pytest.raises(ConfigError):
             NetworkSpec((2,), (Dense(2, 3),), 2)
+
+
+def naive_conv_backward(x, w, dy, stride):
+    """dx, dW, db of a valid convolution by explicit loops over every product."""
+    n, f, ho, wo = dy.shape
+    k = w.shape[2]
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for b in range(n):
+        for o in range(f):
+            for i in range(ho):
+                for j in range(wo):
+                    rows = slice(stride * i, stride * i + k)
+                    cols = slice(stride * j, stride * j + k)
+                    dx[b, :, rows, cols] += dy[b, o, i, j] * w[o]
+                    dw[o] += dy[b, o, i, j] * x[b, :, rows, cols]
+    return dx, dw, dy.sum(axis=(0, 2, 3))
+
+
+def layer_cases(rng):
+    """(layer, params, input batch) for one instance of every layer kind."""
+    dense = {"W": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
+    conv = {"W": rng.standard_normal((3, 2, 3, 3)), "b": rng.standard_normal(3)}
+    return [
+        (Dense(4, 3), dense, rng.standard_normal((5, 4))),
+        (Conv2D(filters=3, kernel=3, stride=2), conv, rng.standard_normal((2, 2, 7, 7))),
+        (MaxPool2D(2), None, rng.standard_normal((2, 3, 4, 6))),
+        (ReLU(), None, rng.standard_normal((4, 5))),
+        (Dropout(0.5), None, rng.standard_normal((4, 5))),
+        (Flatten(), None, rng.standard_normal((2, 3, 2, 2))),
+    ]
+
+
+class TestBackward:
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_matches_naive_loops(self, stride):
+        # a 3-wide kernel overlaps its neighbours at both strides
+        rng = np.random.default_rng(stride)
+        x = rng.standard_normal((2, 3, 9, 8))
+        layer = Conv2D(filters=4, kernel=3, stride=stride)
+        params = {"W": rng.standard_normal((4, 3, 3, 3)), "b": rng.standard_normal(4)}
+        y, cache = layer_forward(layer, params, x)
+        dy = rng.standard_normal(y.shape)
+        dx, grads = layer_backward(layer, params, cache, dy)
+        want_dx, want_dw, want_db = naive_conv_backward(x, params["W"], dy, stride)
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads["W"], want_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads["b"], want_db, rtol=1e-12, atol=1e-12)
+
+    def test_partial_requests_equal_full_backward(self):
+        rng = np.random.default_rng(8)
+        for layer, params, x in layer_cases(rng):
+            y, cache = layer_forward(layer, params, x, rng=rng, dropout_active=True)
+            dy = rng.standard_normal(y.shape)
+            full_dx, full_grads = layer_backward(layer, params, cache, dy)
+            dx, none = layer_backward(layer, params, cache, dy, param_grads=False)
+            np.testing.assert_array_equal(dx, full_dx)
+            assert none is None
+            none, grads = layer_backward(layer, params, cache, dy, input_grad=False)
+            assert none is None
+            if params is None:
+                assert grads is None and full_grads is None
+            else:
+                assert grads.keys() == full_grads.keys() == params.keys()
+                for key in params:
+                    np.testing.assert_array_equal(grads[key], full_grads[key])
 
 
 class TestSoftmax:
