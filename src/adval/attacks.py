@@ -33,7 +33,7 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.p not in (2.0, 2, np.inf, float("inf")):
-            raise ConfigError(f"only p=2 and p=inf are supported, got {self.p}")
+            raise ConfigError(f"p must be 2 or inf, got {self.p}")
         if self.overshoot < 0:
             raise ConfigError(f"overshoot must be >= 0, got {self.overshoot}")
         if self.max_iter < 1:

@@ -9,17 +9,26 @@ A config file has one section per concern::
     [attack]      p, overshoot, max_iter
     [experiment]  strategies, seeds, ceal_delta, bald_samples
 
-Every key is optional except data.kind; defaults match the module dataclasses.
-Validation happens at load time and reports ``section.key`` names.
+Every key is optional except data.kind and the paths of csv and idx data. The
+keys of [active], [train], [attack], ceal_delta, bald_samples and the blobs
+shape keys are fields of ``ActiveSettings``, ``TrainConfig``, ``AttackConfig``
+and ``SyntheticSpec``; a key left out takes the field's default, which is
+declared only there.
+
+Loading checks what needs no data: value syntax, unknown keys, strategy and
+architecture names, paths, and the rules of those dataclasses. A breach of an
+``ActiveSettings``, ``TrainConfig`` or ``AttackConfig`` rule (such as
+n_query <= candidates or batch_size >= 1) names its ``section.key``. What
+depends on the data is checked when a run starts: input shape and class count
+against the network, initial_labeled against the class count and the pool
+size, and test labels against the network's classes.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from adval.attacks import AttackConfig
 from adval.data import (
@@ -32,7 +41,7 @@ from adval.data import (
     stratified_subsample,
 )
 from adval.errors import ConfigError
-from adval.loop import ActiveConfig, derive_seed
+from adval.loop import ActiveConfig, ActiveSettings, derive_seed
 from adval.nn.architectures import ARCHITECTURES, build_network, conv_input_shape
 from adval.nn.training import TrainConfig
 from adval.strategies import STRATEGY_IDS
@@ -49,21 +58,9 @@ class DataSource:
         """Build (train pool, test set)."""
         o = self.options
         if self.kind == "blobs":
-            spec = SyntheticSpec(
-                class_count=o["classes"],
-                points_per_class=o["points_per_class"],
-                dimension=o["dimension"],
-                cov_scale=o["cov_scale"],
-                center_radius=o["center_radius"],
-                seed=o["seed"],
-            )
-            test_spec = SyntheticSpec(
-                class_count=o["classes"],
-                points_per_class=o["test_points_per_class"],
-                dimension=o["dimension"],
-                cov_scale=o["cov_scale"],
-                center_radius=o["center_radius"],
-                seed=o["seed"] + 10_000,
+            spec = o["spec"]
+            test_spec = replace(
+                spec, points_per_class=o["test_points_per_class"], seed=spec.seed + 10_000
             )
             return gen_blobs(spec), gen_blobs(test_spec)
         if self.kind == "csv":
@@ -91,15 +88,7 @@ class ExperimentConfig:
     arch: str
     strategies: tuple[str, ...]
     seeds: tuple[int, ...]
-    candidates: int = 200
-    n_query: int = 10
-    initial_labeled: int = 20
-    budget: int = 1020
-    base_steps: int = 2000
-    train: TrainConfig = field(default_factory=TrainConfig)
-    attack: AttackConfig = field(default_factory=AttackConfig)
-    ceal_delta: float = 0.05
-    bald_samples: int = 10
+    active: ActiveSettings = field(default_factory=ActiveSettings)
 
     def __post_init__(self):
         if not self.strategies:
@@ -121,20 +110,7 @@ class ExperimentConfig:
             dataset.class_count,
             seed=derive_seed(seed, 0, _NETWORK_SEED_STREAM),
         )
-        return ActiveConfig(
-            network=network,
-            strategy=strategy,
-            candidates=self.candidates,
-            n_query=self.n_query,
-            budget=self.budget,
-            initial_labeled=self.initial_labeled,
-            base_steps=self.base_steps,
-            train=self.train,
-            attack=self.attack,
-            ceal_delta=self.ceal_delta,
-            bald_samples=self.bald_samples,
-            seed=seed,
-        )
+        return ActiveConfig(network=network, strategy=strategy, seed=seed, **vars(self.active))
 
 
 def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Dataset]:
@@ -150,6 +126,20 @@ def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Da
 
 
 _REQUIRED = object()
+
+
+def _plain_fields(cls, *exclude) -> tuple[str, ...]:
+    """Fields of ``cls`` with a plain default value, less ``exclude``."""
+    return tuple(f.name for f in fields(cls) if f.default is not MISSING and f.name not in exclude)
+
+
+# The config keys that set dataclass fields. Two ActiveSettings fields live in
+# [experiment]; the loop sets TrainConfig's epochs and seed each round.
+_EXPERIMENT_KEYS = ("ceal_delta", "bald_samples")
+_ACTIVE_KEYS = _plain_fields(ActiveSettings, *_EXPERIMENT_KEYS)
+_TRAIN_KEYS = _plain_fields(TrainConfig, "epochs", "seed")
+_ATTACK_KEYS = _plain_fields(AttackConfig)
+_BLOBS_KEYS = _plain_fields(SyntheticSpec)
 
 
 class _SectionReader:
@@ -180,14 +170,23 @@ class _SectionReader:
     def text(self, key, default=None):
         return self._fetch(key, str, default)
 
-    def norm_order(self, key, default):
-        """An L_p norm order; only 2 and inf are supported."""
-        p = self.number(key, default)
-        if p not in (2.0, np.inf):
-            raise ConfigError(
-                f"{self.section}.{key} must be 2 or inf, got {self.raw[key].strip()!r}"
-            )
-        return p
+    def fields_of(self, cls, names) -> dict:
+        """Values of the keys in ``names``, fields of ``cls``, each cast like its default.
+
+        Absent keys are left out, so ``cls`` keeps the only copy of each default.
+        """
+        defaults = {f.name: f.default for f in fields(cls)}
+        return {n: self._fetch(n, type(defaults[n]), None) for n in names if n in self.raw}
+
+    def build(self, cls, **values):
+        """``cls(**values)``; a value it rejects is reported as ``section.field``.
+
+        Relies on each of the class's error messages starting with its field.
+        """
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.section}.{exc}") from exc
 
     def path(self, key, default=_REQUIRED):
         value = self._fetch(key, str, default)
@@ -239,12 +238,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     kind = data_sec.text("kind", _REQUIRED)
     if kind == "blobs":
         options = {
-            "classes": data_sec.integer("classes", 4),
-            "points_per_class": data_sec.integer("points_per_class", 1000),
-            "dimension": data_sec.integer("dimension", 2),
-            "cov_scale": data_sec.number("cov_scale", 0.35),
-            "center_radius": data_sec.number("center_radius", 2.0),
-            "seed": data_sec.integer("seed", 0),
+            "spec": SyntheticSpec(
+                class_count=data_sec.integer("classes", 4),
+                points_per_class=data_sec.integer("points_per_class", 1000),
+                **data_sec.fields_of(SyntheticSpec, _BLOBS_KEYS),
+            ),
             "test_points_per_class": data_sec.integer("test_points_per_class", 250),
         }
     elif kind == "csv":
@@ -278,37 +276,20 @@ def load_experiment_config(path) -> ExperimentConfig:
     attack_sec = _SectionReader(parser, "attack")
     exp_sec = _SectionReader(parser, "experiment")
 
-    train_cfg = TrainConfig(
-        learning_rate=train_sec.number("learning_rate", 0.001),
-        beta1=train_sec.number("beta1", 0.9),
-        beta2=train_sec.number("beta2", 0.999),
-        epsilon=train_sec.number("epsilon", 1e-8),
-        batch_size=train_sec.integer("batch_size", 32),
+    active = active_sec.build(
+        ActiveSettings,
+        **active_sec.fields_of(ActiveSettings, _ACTIVE_KEYS),
+        **exp_sec.fields_of(ActiveSettings, _EXPERIMENT_KEYS),
+        train=train_sec.build(TrainConfig, **train_sec.fields_of(TrainConfig, _TRAIN_KEYS)),
+        attack=attack_sec.build(AttackConfig, **attack_sec.fields_of(AttackConfig, _ATTACK_KEYS)),
     )
-    train_sec.reject_unknown()
-
-    attack_cfg = AttackConfig(
-        p=attack_sec.norm_order("p", 2.0),
-        overshoot=attack_sec.number("overshoot", 0.02),
-        max_iter=attack_sec.integer("max_iter", 50),
-    )
-    attack_sec.reject_unknown()
-
     cfg = ExperimentConfig(
         data=DataSource(kind, options),
         arch=arch,
         strategies=parse_strategy_list(exp_sec.text("strategies", "dfal,random")),
         seeds=parse_int_list(exp_sec.text("seeds", "0,1,2,3,4"), "experiment.seeds"),
-        candidates=active_sec.integer("candidates", 200),
-        n_query=active_sec.integer("n_query", 10),
-        initial_labeled=active_sec.integer("initial_labeled", 20),
-        budget=active_sec.integer("budget", 1020),
-        base_steps=active_sec.integer("base_steps", 2000),
-        train=train_cfg,
-        attack=attack_cfg,
-        ceal_delta=exp_sec.number("ceal_delta", 0.05),
-        bald_samples=exp_sec.integer("bald_samples", 10),
+        active=active,
     )
-    active_sec.reject_unknown()
-    exp_sec.reject_unknown()
+    for sec in (train_sec, attack_sec, active_sec, exp_sec):
+        sec.reject_unknown()
     return cfg

@@ -18,16 +18,16 @@ import numpy as np
 from adval.config import ExperimentConfig, prepare_for_archs
 from adval.errors import ConfigError, FormatError
 from adval.loop import (
+    STRATEGIES,
+    candidate_pool,
     derive_seed,
     init_pools,
     run_active_learning,
-    sample_candidates,
+    train_fresh,
     training_examples,
 )
 from adval.nn.architectures import build_network
-from adval.nn.network import accuracy, init_network
-from adval.nn.training import epochs_for_budget, train
-from adval.strategies import CandidateSet, select_coreset_greedy, select_dfal
+from adval.nn.network import accuracy
 
 METRICS_HEADER = (
     "strategy",
@@ -235,13 +235,9 @@ def run_transfer(
 
             def consumer_hook(round_index, net, pools, record):
                 examples = training_examples(pools, train_ds)
-                epochs = epochs_for_budget(
-                    cfg.base_steps, cfg.train.batch_size, len(examples)
+                consumer = train_fresh(
+                    consumer_spec, examples, cfg.active, derive_seed(seed, round_index, 29)
                 )
-                tcfg = replace(
-                    cfg.train, epochs=epochs, seed=derive_seed(seed, round_index, 29)
-                )
-                consumer = train(init_network(consumer_spec), examples, tcfg)
                 run_rows.append(
                     (
                         strategy,
@@ -278,40 +274,39 @@ def run_timing(
         raise ConfigError("labeled sizes must be ascending")
     if repetitions < 1:
         raise ConfigError("repetitions must be positive")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ConfigError(f"unknown strategies {unknown}; expected {tuple(STRATEGIES)}")
     train_ds, test_ds = cfg.data.load()
     train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
+
+    settings = cfg.active
+    trained = {}
+    for size in labeled_sizes:
+        if size >= len(train_ds):
+            raise ConfigError(f"labeled size {size} must be below pool size {len(train_ds)}")
+        pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, 31))
+        network = build_network(
+            cfg.arch,
+            train_ds.input_shape,
+            train_ds.class_count,
+            seed=derive_seed(cfg.seeds[0], size, 37),
+        )
+        examples = training_examples(pools, train_ds)
+        net = train_fresh(network, examples, settings, derive_seed(cfg.seeds[0], size, 41))
+        trained[size] = pools, net
 
     rows = []
     for strategy in strategies:
         for size in labeled_sizes:
-            if size >= len(train_ds):
-                raise ConfigError(
-                    f"labeled size {size} must be below pool size {len(train_ds)}"
-                )
-            pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, 31))
-            network = build_network(
-                cfg.arch,
-                train_ds.input_shape,
-                train_ds.class_count,
-                seed=derive_seed(cfg.seeds[0], size, 37),
-            )
-            examples = training_examples(pools, train_ds)
-            epochs = epochs_for_budget(cfg.base_steps, cfg.train.batch_size, len(examples))
-            tcfg = replace(cfg.train, epochs=epochs, seed=derive_seed(cfg.seeds[0], size, 41))
-            net = train(init_network(network), examples, tcfg)
-            labeled_inputs = train_ds.inputs[list(pools.labeled_indices())]
-
+            pools, net = trained[size]
             elapsed = []
             for rep in range(repetitions):
-                indices = sample_candidates(pools, cfg.candidates, round_seed=rep)
-                pool = CandidateSet(indices, train_ds.inputs[indices])
+                pool = candidate_pool(strategy, pools, train_ds, settings.candidates, rep)
                 t0 = time.monotonic()
-                if strategy == "dfal":
-                    select_dfal(net, pool, cfg.n_query, cfg.attack)
-                elif strategy == "coreset":
-                    select_coreset_greedy(net, labeled_inputs, pool, cfg.n_query)
-                else:
-                    raise ConfigError(f"timing supports dfal and coreset, got {strategy!r}")
+                STRATEGIES[strategy].select(
+                    settings, net, pool, settings.n_query, rep, pools, train_ds
+                )
                 elapsed.append(time.monotonic() - t0)
             rows.append((strategy, size, repetitions, float(np.mean(elapsed))))
     return rows

@@ -14,6 +14,7 @@ annotation while charging one.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,13 +22,13 @@ import numpy as np
 from adval.attacks import AttackConfig
 from adval.data import Dataset
 from adval.errors import ConfigError, PoolInvariantError
-from adval.nn.network import NetworkSpec, accuracy, init_network
+from adval.nn.network import NetworkSpec, NetworkState, accuracy, init_network
 from adval.nn.training import TrainConfig, epochs_for_budget, train
 from adval.strategies import (
     ADVERSARIAL_TWIN,
+    BALD_SAMPLES,
     CEAL_PSEUDO,
     STRATEGY_IDS,
-    SUBSET_STRATEGIES,
     CandidateSet,
     QueryBatch,
     SyntheticAddition,
@@ -72,14 +73,6 @@ class PoolState:
 
 
 @dataclass(frozen=True)
-class BudgetLedger:
-    annotations_used: int
-    training_set_size: int
-    pseudo_additions: int
-    corrupted_pseudo: int
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     round_index: int
     annotations_used: int
@@ -91,10 +84,14 @@ class RoundRecord:
     pseudo_corruptions: int = 0
 
 
-@dataclass(frozen=True)
-class ActiveConfig:
-    network: NetworkSpec
-    strategy: str
+@dataclass(frozen=True, kw_only=True)
+class ActiveSettings:
+    """The settings of a run that need no data: ActiveConfig less network, strategy and seed.
+
+    Its checks run when an experiment config loads. Each error message starts
+    with the field it rejects, so the loader can name the ``section.key``.
+    """
+
     candidates: int = 200  # size of the random candidate pool drawn each round
     n_query: int = 10
     budget: int = 1020  # total annotations, initial labels included
@@ -103,20 +100,33 @@ class ActiveConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     attack: AttackConfig = field(default_factory=AttackConfig)
     ceal_delta: float = 0.05
-    bald_samples: int = 10
+    bald_samples: int = BALD_SAMPLES
+
+    def __post_init__(self):
+        if not 1 <= self.n_query <= self.candidates:
+            raise ConfigError(
+                f"n_query must lie in [1, candidates={self.candidates}], got {self.n_query}"
+            )
+        if self.budget < self.initial_labeled:
+            raise ConfigError(
+                f"budget must be >= initial_labeled={self.initial_labeled}, got {self.budget}"
+            )
+        if self.base_steps < 1:
+            raise ConfigError(f"base_steps must be >= 1, got {self.base_steps}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ActiveConfig(ActiveSettings):
+    network: NetworkSpec
+    strategy: str
     seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_IDS:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected {STRATEGY_IDS}")
-        if self.n_query < 1 or self.n_query > self.candidates:
-            raise ConfigError("need 1 <= n_query <= candidates")
+        super().__post_init__()
         if self.initial_labeled < self.network.class_count:
             raise ConfigError("initial_labeled must cover at least one sample per class")
-        if self.budget < self.initial_labeled:
-            raise ConfigError("budget must be >= initial_labeled")
-        if self.base_steps < 1:
-            raise ConfigError("base_steps must be positive")
 
 
 def init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
@@ -159,16 +169,15 @@ def sample_candidates(pool_state: PoolState, k: int, round_seed: int) -> np.ndar
     return np.sort(rng.choice(unlabeled, size=take, replace=False))
 
 
-def apply_query(pool_state: PoolState, batch: QueryBatch, oracle) -> tuple[PoolState, BudgetLedger]:
-    """Label the queried indices and absorb synthetic additions.
+def apply_query(pool_state: PoolState, batch: QueryBatch, oracle) -> PoolState:
+    """Label the queried indices and absorb synthetic additions; returns the new state.
 
     Twins inherit the oracle label of their source (the very label just paid
     for), so they can never corrupt the training set. Pseudo-labeled items are
     recomputed from the current model each round: the previous pseudo set is
-    dropped before the new one is appended. Corruption of pseudo labels is
-    counted against the oracle but deliberately left in place.
-
-    Returns the new pool state and its ledger snapshot.
+    dropped before the new one is appended. Wrong pseudo labels are left in
+    place; ``pseudo_label_counts`` counts them from the state when the round
+    is recorded.
     """
     unlabeled = set(pool_state.unlabeled)
     dupes = [i for i in batch.queried if i not in unlabeled]
@@ -183,24 +192,14 @@ def apply_query(pool_state: PoolState, batch: QueryBatch, oracle) -> tuple[PoolS
 
     kept = tuple(s for s in pool_state.synthetic if s.provenance != CEAL_PSEUDO)
     fresh: list[SyntheticAddition] = []
-    corrupted = 0
     for add in batch.synthetic_additions:
         if add.provenance == ADVERSARIAL_TWIN:
             fresh.append(replace(add, label=labels[add.source_index]))
         elif add.provenance == CEAL_PSEUDO:
-            if add.label != int(oracle(add.source_index)):
-                corrupted += 1
             fresh.append(add)
         else:
             raise PoolInvariantError(f"unknown provenance {add.provenance!r}")
-    new_state = PoolState(labeled, remaining, kept + tuple(fresh))
-    ledger = BudgetLedger(
-        annotations_used=len(labeled),
-        training_set_size=len(labeled) + len(new_state.synthetic),
-        pseudo_additions=sum(1 for s in new_state.synthetic if s.provenance == CEAL_PSEUDO),
-        corrupted_pseudo=corrupted,
-    )
-    return new_state, ledger
+    return PoolState(labeled, remaining, kept + tuple(fresh))
 
 
 def training_examples(pool_state: PoolState, dataset: Dataset):
@@ -213,41 +212,76 @@ def training_examples(pool_state: PoolState, dataset: Dataset):
     return examples
 
 
-def count_pseudo_corruptions(pool_state: PoolState, dataset: Dataset) -> int:
-    return sum(
-        1
-        for s in pool_state.synthetic
-        if s.provenance == CEAL_PSEUDO and s.label != int(dataset.labels[s.source_index])
-    )
+def pseudo_label_counts(pool_state: PoolState, dataset: Dataset) -> tuple[int, int]:
+    """(pseudo-labeled items, those whose label differs from the dataset's) in the state."""
+    pseudo = [s for s in pool_state.synthetic if s.provenance == CEAL_PSEUDO]
+    return len(pseudo), sum(s.label != int(dataset.labels[s.source_index]) for s in pseudo)
+
+
+def train_fresh(spec: NetworkSpec, examples, settings: ActiveSettings, seed: int) -> NetworkState:
+    """Train a newly initialized ``spec`` on ``examples`` for about ``base_steps`` steps."""
+    epochs = epochs_for_budget(settings.base_steps, settings.train.batch_size, len(examples))
+    return train(init_network(spec), examples, replace(settings.train, epochs=epochs, seed=seed))
+
+
+@dataclass(frozen=True)
+class Strategy:
+    scores_subset: bool  # scores a random candidate subset, not the whole unlabeled pool
+    # (settings, net, pool, n_query, seed, pool state, dataset) -> QueryBatch
+    select: Callable[..., QueryBatch]
+
+
+# The adapters look the select functions up in this module when they run, so
+# a wrapper installed on ``adval.loop.select_*`` sees every dispatch.
+STRATEGIES = {
+    "dfal": Strategy(
+        True,
+        lambda s, net, pool, n, seed, pools, ds: select_dfal(
+            net, pool, n, s.attack, fallback_seed=seed
+        ),
+    ),
+    "uncertainty": Strategy(
+        False, lambda s, net, pool, n, seed, pools, ds: select_uncertainty(net, pool, n)
+    ),
+    "ceal": Strategy(
+        False, lambda s, net, pool, n, seed, pools, ds: select_ceal(net, pool, n, s.ceal_delta)
+    ),
+    "egl": Strategy(True, lambda s, net, pool, n, seed, pools, ds: select_egl(net, pool, n)),
+    "bald": Strategy(
+        True,
+        lambda s, net, pool, n, seed, pools, ds: select_bald(
+            net, pool, n, samples=s.bald_samples, seed=seed
+        ),
+    ),
+    "coreset": Strategy(
+        True,
+        lambda s, net, pool, n, seed, pools, ds: select_coreset_greedy(
+            net, ds.inputs[list(pools.labeled_indices())], pool, n
+        ),
+    ),
+    "random": Strategy(
+        False, lambda s, net, pool, n, seed, pools, ds: select_random(pool, n, seed=seed)
+    ),
+}
+
+
+def candidate_pool(
+    strategy: str, pool_state: PoolState, dataset: Dataset, k: int, round_seed: int
+) -> CandidateSet:
+    """The pool ``strategy`` scores: ``k`` random unlabeled samples, or all of them."""
+    if STRATEGIES[strategy].scores_subset:
+        indices = sample_candidates(pool_state, k, round_seed)
+    else:
+        indices = np.asarray(pool_state.unlabeled)
+    return CandidateSet(indices, dataset.inputs[indices])
 
 
 def _select(cfg: ActiveConfig, net, pool_state: PoolState, dataset: Dataset, round_index: int) -> QueryBatch:
-    if cfg.strategy in SUBSET_STRATEGIES:
-        indices = sample_candidates(
-            pool_state, cfg.candidates, derive_seed(cfg.seed, round_index, _STREAM_CANDIDATES)
-        )
-    else:
-        indices = np.asarray(pool_state.unlabeled)
-    pool = CandidateSet(indices, dataset.inputs[indices])
-    remaining_budget = cfg.budget - len(pool_state.labeled)
-    n_query = min(cfg.n_query, remaining_budget, len(pool))
+    candidate_seed = derive_seed(cfg.seed, round_index, _STREAM_CANDIDATES)
+    pool = candidate_pool(cfg.strategy, pool_state, dataset, cfg.candidates, candidate_seed)
+    n_query = min(cfg.n_query, cfg.budget - len(pool_state.labeled), len(pool))
     strategy_seed = derive_seed(cfg.seed, round_index, _STREAM_STRATEGY)
-    if cfg.strategy == "dfal":
-        return select_dfal(net, pool, n_query, cfg.attack, fallback_seed=strategy_seed)
-    if cfg.strategy == "uncertainty":
-        return select_uncertainty(net, pool, n_query)
-    if cfg.strategy == "ceal":
-        return select_ceal(net, pool, n_query, cfg.ceal_delta)
-    if cfg.strategy == "egl":
-        return select_egl(net, pool, n_query)
-    if cfg.strategy == "bald":
-        return select_bald(net, pool, n_query, samples=cfg.bald_samples, seed=strategy_seed)
-    if cfg.strategy == "coreset":
-        labeled_inputs = dataset.inputs[list(pool_state.labeled_indices())]
-        return select_coreset_greedy(net, labeled_inputs, pool, n_query)
-    if cfg.strategy == "random":
-        return select_random(pool, n_query, seed=strategy_seed)
-    raise ConfigError(f"unknown strategy {cfg.strategy!r}")
+    return STRATEGIES[cfg.strategy].select(cfg, net, pool, n_query, strategy_seed, pool_state, dataset)
 
 
 def run_active_learning(
@@ -269,6 +303,11 @@ def run_active_learning(
         )
     if dataset.class_count != cfg.network.class_count:
         raise ConfigError("dataset and network disagree on class count")
+    if len(test_set) and int(test_set.labels.max()) >= cfg.network.class_count:
+        raise ConfigError(
+            f"test set has label {int(test_set.labels.max())}, but the network "
+            f"outputs {cfg.network.class_count} classes"
+        )
     if not dataset.classes_present():
         raise ConfigError("dataset is missing at least one class")
 
@@ -281,12 +320,10 @@ def run_active_learning(
     while True:
         pools.check_conservation(len(dataset))
         examples = training_examples(pools, dataset)
-        epochs = epochs_for_budget(cfg.base_steps, cfg.train.batch_size, len(examples))
-        tcfg = replace(
-            cfg.train, epochs=epochs, seed=derive_seed(cfg.seed, round_index, _STREAM_TRAIN)
-        )
         t0 = time.monotonic()
-        net = train(init_network(cfg.network), examples, tcfg)
+        net = train_fresh(
+            cfg.network, examples, cfg, derive_seed(cfg.seed, round_index, _STREAM_TRAIN)
+        )
         train_seconds = time.monotonic() - t0
 
         test_accuracy = accuracy(net, test_set.inputs, test_set.labels)
@@ -300,6 +337,7 @@ def run_active_learning(
             batch = _select(cfg, net, pools, dataset, round_index)
             selection_seconds = time.monotonic() - t0
 
+        pseudo_additions, pseudo_corruptions = pseudo_label_counts(pools, dataset)
         record = RoundRecord(
             round_index=round_index,
             annotations_used=annotations,
@@ -307,16 +345,14 @@ def run_active_learning(
             test_accuracy=test_accuracy,
             selection_seconds=selection_seconds,
             train_seconds=train_seconds,
-            pseudo_additions=sum(
-                1 for s in pools.synthetic if s.provenance == CEAL_PSEUDO
-            ),
-            pseudo_corruptions=count_pseudo_corruptions(pools, dataset),
+            pseudo_additions=pseudo_additions,
+            pseudo_corruptions=pseudo_corruptions,
         )
         records.append(record)
         if round_hook is not None:
             round_hook(round_index, net, pools, record)
         if done:
             break
-        pools, _ = apply_query(pools, batch, oracle)
+        pools = apply_query(pools, batch, oracle)
         round_index += 1
     return records

@@ -10,6 +10,10 @@ Adversarial-margin selection queries the candidates with the smallest
 perturbation norm and pairs each queried sample with its perturbed twin; the
 twin's label is filled in from the same oracle call as its source when the
 batch is applied, so twins can never be mislabeled.
+
+``STRATEGIES`` in ``adval.loop`` registers each strategy: whether it scores a
+random candidate subset or the whole unlabeled pool, and how the round loop
+calls its select function.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ CEAL_PSEUDO = "ceal_pseudo"
 SMALLER_BETTER = "smaller_better"
 LARGER_BETTER = "larger_better"
 
+BALD_SAMPLES = 10  # dropout passes per BALD score
+
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -54,14 +60,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    pool_index: int
-    score: float
-    direction: str
-    attachment: np.ndarray | int | None = None
 
 
 @dataclass(frozen=True)
@@ -153,31 +151,11 @@ def bald_probability_samples(
 
 
 def bald_scores(
-    net: NetworkState, inputs: np.ndarray, samples: int = 10, seed: int = 0
+    net: NetworkState, inputs: np.ndarray, samples: int = BALD_SAMPLES, seed: int = 0
 ) -> np.ndarray:
     """Mutual information between the prediction and the dropout posterior."""
     p = bald_probability_samples(net, inputs, samples, seed)
     return prediction_entropy(p.mean(axis=0)) - prediction_entropy(p).mean(axis=0)
-
-
-def dfal_scored_candidates(
-    net: NetworkState, pool: CandidateSet, attack_cfg: AttackConfig = AttackConfig()
-) -> list[ScoredCandidate]:
-    """Attack every candidate; score is the perturbation norm, +inf on failure.
-
-    The attachment carries the perturbed twin (source plus perturbation),
-    ready to enter the training set alongside its source.
-    """
-    results = batch_deepfool(net, pool.inputs, attack_cfg)
-    return [
-        ScoredCandidate(
-            pool_index=int(idx),
-            score=res.score(),
-            direction=SMALLER_BETTER,
-            attachment=x + res.perturbation,
-        )
-        for idx, x, res in zip(pool.indices, pool.inputs, results)
-    ]
 
 
 def select_dfal(
@@ -194,8 +172,8 @@ def select_dfal(
     training items. Failed attacks score +inf; if every attack fails the batch
     falls back to a seeded random pick.
     """
-    candidates = dfal_scored_candidates(net, pool, attack_cfg)
-    scores = np.array([c.score for c in candidates], dtype=DTYPE)
+    results = batch_deepfool(net, pool.inputs, attack_cfg)
+    scores = np.array([r.score() for r in results], dtype=DTYPE)
     if not np.isfinite(scores).any():
         logger.warning(
             "all %d adversarial attacks failed; falling back to random selection",
@@ -205,15 +183,16 @@ def select_dfal(
         chosen = rng.choice(pool.indices, size=min(n_query, len(pool)), replace=False)
     else:
         chosen = rank_extremes(pool.indices, scores, n_query, SMALLER_BETTER)
-    by_index = {c.pool_index: c for c in candidates}
+    row_of = {int(idx): row for row, idx in enumerate(pool.indices)}
+    rows = [row_of[int(idx)] for idx in chosen]
     additions = tuple(
         SyntheticAddition(
-            values=by_index[int(idx)].attachment,
+            values=pool.inputs[row] + results[row].perturbation,
             provenance=ADVERSARIAL_TWIN,
             label=None,
-            source_index=int(idx),
+            source_index=int(pool.indices[row]),
         )
-        for idx in chosen
+        for row in rows
     )
     return QueryBatch(tuple(int(i) for i in chosen), additions, len(chosen))
 
@@ -267,7 +246,7 @@ def select_bald(
     net: NetworkState,
     pool: CandidateSet,
     n_query: int,
-    samples: int = 10,
+    samples: int = BALD_SAMPLES,
     seed: int = 0,
 ) -> QueryBatch:
     """Query the candidates with the highest dropout-posterior mutual information."""
@@ -329,7 +308,3 @@ def select_random(pool: CandidateSet, n_query: int, seed: int) -> QueryBatch:
 
 
 STRATEGY_IDS = ("dfal", "uncertainty", "ceal", "egl", "bald", "coreset", "random")
-
-# Strategies scored on the random candidate subset S_k; the others scan the
-# whole unlabeled set each round.
-SUBSET_STRATEGIES = frozenset({"dfal", "bald", "egl", "coreset"})

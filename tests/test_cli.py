@@ -16,8 +16,10 @@ from adval.experiments import (
     compare_metrics,
     read_metrics,
     run_grid,
+    run_timing,
     write_table,
 )
+from adval.strategies import STRATEGY_IDS
 
 QUICK_BLOBS = """
 [data]
@@ -59,9 +61,9 @@ class TestConfigParsing:
     def test_defaults_fill_in(self, tmp_path):
         cfg = load_experiment_config(write_config(tmp_path))
         assert cfg.arch == "arch-B"
-        assert cfg.train.learning_rate == 0.001
-        assert cfg.attack.overshoot == 0.02
-        assert cfg.candidates == 30
+        assert cfg.active.train.learning_rate == 0.001
+        assert cfg.active.attack.overshoot == 0.02
+        assert cfg.active.candidates == 30
 
     def test_missing_data_section(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -84,9 +86,30 @@ class TestConfigParsing:
         assert len(err) == 1
         assert err[0].startswith("E_CONFIG: ") and "attack.p" in err[0]
 
+    # key -> (text in QUICK_BLOBS, replacement that breaks the key's rule)
+    RULE_BREACHES = {
+        "active.n_query": ("n_query = 5", "n_query = 50"),
+        "active.budget": ("budget = 16", "budget = 5"),
+        "active.base_steps": ("base_steps = 30", "base_steps = 0"),
+        "train.batch_size": ("[experiment]", "[train]\nbatch_size = 0\n[experiment]"),
+        "attack.max_iter": ("[experiment]", "[attack]\nmax_iter = 0\n[experiment]"),
+    }
+
+    @pytest.mark.parametrize("key", RULE_BREACHES)
+    def test_rule_breach_is_load_time_config_error(self, tmp_path, key):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace(*self.RULE_BREACHES[key]))
+        with pytest.raises(ConfigError, match=key):
+            load_experiment_config(config)
+        result = CliRunner().invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("E_CONFIG: ") and key in err[0]
+
     def test_attack_norm_inf_accepted(self, tmp_path):
         cfg = load_experiment_config(write_config(tmp_path, extra="\n[attack]\np = inf\n"))
-        assert cfg.attack.p == np.inf
+        assert cfg.active.attack.p == np.inf
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, extra="\n[attack]\nstrength = 9\n")
@@ -308,6 +331,15 @@ class TestTiming:
             ("coreset", "20"),
             ("coreset", "40"),
         }
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_every_strategy_can_be_timed(self, tmp_path, strategy):
+        cfg = load_experiment_config(write_config(tmp_path))
+        rows = run_timing(cfg, [20], repetitions=1, strategies=(strategy,))
+        assert len(rows) == 1
+        name, size, reps, mean_s = rows[0]
+        assert (name, size, reps) == (strategy, 20, 1)
+        assert mean_s > 0
 
     def test_descending_sizes_rejected(self, tmp_path):
         config = write_config(tmp_path)

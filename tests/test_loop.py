@@ -1,23 +1,30 @@
 """Pool bookkeeping, budget accounting, and full-loop behavior."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import adval.loop
 from adval.attacks import AttackConfig
 from adval.data import SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, PoolInvariantError
 from adval.loop import (
+    STRATEGIES,
     ActiveConfig,
     PoolState,
     apply_query,
     init_pools,
+    pseudo_label_counts,
     run_active_learning,
     sample_candidates,
+    training_examples,
 )
 from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig
 from adval.strategies import (
     ADVERSARIAL_TWIN,
     CEAL_PSEUDO,
+    STRATEGY_IDS,
     QueryBatch,
     SyntheticAddition,
 )
@@ -137,11 +144,11 @@ class TestApplyQuery:
             synthetic=(),
         )
         batch = QueryBatch(queried=(2, 3), synthetic_additions=(), annotations_charged=2)
-        new, ledger = apply_query(state, batch, self.oracle_for(ds))
+        new = apply_query(state, batch, self.oracle_for(ds))
         assert new.labeled_indices() == (0, 1, 2, 3)
         assert new.unlabeled == (4,)
-        assert ledger.annotations_used == 4
-        assert ledger.training_set_size == 4
+        assert len(new.labeled) == 4
+        assert len(training_examples(new, ds)) == 4
 
     def test_twin_batch_double_counts_training_items(self, blobs3):
         ds = blobs3
@@ -152,9 +159,9 @@ class TestApplyQuery:
             for i in queried
         )
         batch = QueryBatch(queried, additions, 10)
-        new, ledger = apply_query(pools, batch, self.oracle_for(ds))
-        assert ledger.annotations_used == 16
-        assert ledger.training_set_size == 26  # 16 real + 10 twins
+        new = apply_query(pools, batch, self.oracle_for(ds))
+        assert len(new.labeled) == 16
+        assert len(training_examples(new, ds)) == 26  # 16 real + 10 twins
         for add in new.synthetic:
             assert add.label == ds.labels[add.source_index]
 
@@ -169,9 +176,9 @@ class TestApplyQuery:
             SyntheticAddition(ds.inputs[pools.unlabeled[8]], CEAL_PSEUDO, 2, pools.unlabeled[8]),
         )
         batch = QueryBatch(queried, additions, 5)
-        new, ledger = apply_query(pools, batch, self.oracle_for(ds))
-        assert ledger.annotations_used == 11  # 6 initial + 5 queried
-        assert ledger.pseudo_additions == 3
+        new = apply_query(pools, batch, self.oracle_for(ds))
+        assert len(new.labeled) == 11  # 6 initial + 5 queried
+        assert pseudo_label_counts(new, ds)[0] == 3
         assert len(new.unlabeled) == len(pools.unlabeled) - 5  # pseudo sources stay
 
     def test_ceal_pseudo_set_replaced_not_accumulated(self, blobs3):
@@ -184,7 +191,7 @@ class TestApplyQuery:
             (SyntheticAddition(ds.inputs[u[1]], CEAL_PSEUDO, 0, u[1]),),
             1,
         )
-        pools, _ = apply_query(pools, first, oracle)
+        pools = apply_query(pools, first, oracle)
         second = QueryBatch(
             (u[2],),
             (
@@ -193,8 +200,8 @@ class TestApplyQuery:
             ),
             1,
         )
-        pools, ledger = apply_query(pools, second, oracle)
-        assert ledger.pseudo_additions == 2  # first round's pseudo item dropped
+        pools = apply_query(pools, second, oracle)
+        assert pseudo_label_counts(pools, ds)[0] == 2  # first round's pseudo item dropped
         assert {s.source_index for s in pools.synthetic} == {u[3], u[4]}
 
     def test_twins_survive_pseudo_replacement(self, blobs3):
@@ -205,11 +212,11 @@ class TestApplyQuery:
         first = QueryBatch(
             (u[0],), (SyntheticAddition(ds.inputs[u[0]], ADVERSARIAL_TWIN, None, u[0]),), 1
         )
-        pools, _ = apply_query(pools, first, oracle)
+        pools = apply_query(pools, first, oracle)
         second = QueryBatch((u[1],), (), 1)
-        pools, ledger = apply_query(pools, second, oracle)
+        pools = apply_query(pools, second, oracle)
         assert len(pools.synthetic) == 1
-        assert ledger.training_set_size == 6 + 2 + 1
+        assert len(training_examples(pools, ds)) == 6 + 2 + 1
 
     def test_corruption_counted_not_prevented(self, blobs3):
         ds = blobs3
@@ -221,8 +228,8 @@ class TestApplyQuery:
             (SyntheticAddition(ds.inputs[src], CEAL_PSEUDO, wrong, src),),
             1,
         )
-        new, ledger = apply_query(pools, batch, self.oracle_for(ds))
-        assert ledger.corrupted_pseudo == 1
+        new = apply_query(pools, batch, self.oracle_for(ds))
+        assert pseudo_label_counts(new, ds) == (1, 1)
         assert any(s.label == wrong for s in new.synthetic)
 
     def test_requerying_labeled_index_is_invariant_violation(self, blobs3):
@@ -301,6 +308,12 @@ class TestRunActiveLearning:
         with pytest.raises(ConfigError):
             run_active_learning(cfg, train_ds, test_ds)
 
+    def test_test_label_beyond_network_classes_rejected(self):
+        train_ds, _ = blob_pair(classes=3)
+        test_ds = gen_blobs(SyntheticSpec(4, 10, seed=2))  # a 4th class
+        with pytest.raises(ConfigError, match="test set has label 3"):
+            run_active_learning(quick_config("random"), train_ds, test_ds)
+
     def test_round_hook_sees_every_round(self):
         train_ds, test_ds = blob_pair()
         cfg = quick_config("random", budget=16, n_query=5, initial_labeled=6)
@@ -309,6 +322,43 @@ class TestRunActiveLearning:
             cfg, train_ds, test_ds, round_hook=lambda k, net, pools, rec: seen.append(k)
         )
         assert seen == [0, 1, 2]
+
+
+class TestStrategyTable:
+    # The benchmark tracer wraps these names on adval.loop.
+    SELECT_NAMES = {
+        "dfal": "select_dfal",
+        "uncertainty": "select_uncertainty",
+        "ceal": "select_ceal",
+        "egl": "select_egl",
+        "bald": "select_bald",
+        "coreset": "select_coreset_greedy",
+        "random": "select_random",
+    }
+
+    def test_keys_are_strategy_ids_in_order(self):
+        assert tuple(STRATEGIES) == STRATEGY_IDS
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_round_calls_names_bound_in_loop(self, monkeypatch, strategy):
+        calls = Counter()
+
+        def count_calls(name):
+            original = getattr(adval.loop, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(adval.loop, name, counted)
+
+        select_name = self.SELECT_NAMES[strategy]
+        count_calls(select_name)
+        count_calls("train")
+        train_ds, test_ds = blob_pair()
+        cfg = quick_config(strategy, budget=11, n_query=5, initial_labeled=6)
+        run_active_learning(cfg, train_ds, test_ds)
+        assert calls == {select_name: 1, "train": 2}
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adval import nn
-from adval.attacks import AttackConfig, deepfool
+from adval.attacks import AttackConfig, batch_deepfool, deepfool
 from adval.errors import ConfigError, UnsupportedArchitectureError
 from adval.nn import Dense, Dropout, NetworkSpec, ReLU
 from adval.strategies import (
@@ -322,19 +322,14 @@ class TestRandom:
 class TestDfal:
     def test_argmin_selection(self, trained3, blobs3):
         pool = pool_of(blobs3, 30)
-        from adval.strategies import dfal_scored_candidates
-
-        cands = dfal_scored_candidates(trained3, pool)
-        scores = np.array([c.score for c in cands])
+        scores = np.array([r.score() for r in batch_deepfool(trained3, pool.inputs)])
         batch = select_dfal(trained3, pool, 1)
         assert batch.queried[0] == pool.indices[np.argmin(scores)]
 
     def test_selected_norms_dominate_unselected(self, trained3, blobs3):
         pool = pool_of(blobs3, 40)
-        from adval.strategies import dfal_scored_candidates
-
-        cands = dfal_scored_candidates(trained3, pool)
-        scores = {c.pool_index: c.score for c in cands}
+        results = batch_deepfool(trained3, pool.inputs)
+        scores = {int(i): r.score() for i, r in zip(pool.indices, results)}
         batch = select_dfal(trained3, pool, 8)
         chosen_max = max(scores[i] for i in batch.queried)
         others = [scores[int(i)] for i in pool.indices if int(i) not in batch.queried]
