@@ -168,15 +168,15 @@ def batch_deepfool(
     """Per-sample DeepFool over a collection; order preserved.
 
     Each element equals the single-call result exactly: the attack is a pure
-    function of (net, x, cfg). Per-sample errors become failure results
-    instead of aborting the batch.
+    function of (net, x, cfg). A ``FloatingPointError`` becomes that element's
+    failure result; any other error, such as a wrongly shaped input, raises.
     """
 
     def attack(x):
         try:
             return deepfool(net, x, cfg)
-        except Exception:  # noqa: BLE001 - per-element isolation is the contract
-            logger.warning("attack raised; recording failure result", exc_info=True)
+        except FloatingPointError:
+            logger.warning("floating-point error in attack; recording failure", exc_info=True)
             return _failure(np.zeros_like(np.asarray(x, dtype=DTYPE)), 0, None)
 
     return [attack(x) for x in xs]

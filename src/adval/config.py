@@ -16,12 +16,12 @@ and ``SyntheticSpec``; a key left out takes the field's default, which is
 declared only there.
 
 Loading checks what needs no data: value syntax, unknown keys, strategy and
-architecture names, paths, and the rules of those dataclasses. A breach of an
-``ActiveSettings``, ``TrainConfig`` or ``AttackConfig`` rule (such as
-n_query <= candidates or batch_size >= 1) names its ``section.key``. What
-depends on the data is checked when a run starts: input shape and class count
-against the network, initial_labeled against the class count and the pool
-size, and test labels against the network's classes.
+architecture names, paths, and the rules of those dataclasses. A breach of a
+rule (such as n_query <= candidates, bald_samples >= 2 or classes >= 2) names
+its config key, such as ``active.n_query``. What depends on the data is
+checked when a run starts: input shape and class count against the network,
+initial_labeled against the class count and the pool size, and test labels
+against the network's classes.
 """
 
 from __future__ import annotations
@@ -178,15 +178,18 @@ class _SectionReader:
         defaults = {f.name: f.default for f in fields(cls)}
         return {n: self._fetch(n, type(defaults[n]), None) for n in names if n in self.raw}
 
-    def build(self, cls, **values):
-        """``cls(**values)``; a value it rejects is reported as ``section.field``.
+    def build(self, cls, keys=None, **values):
+        """``cls(**values)``; a value it rejects is reported under its config key.
 
+        The key is ``section.field`` unless ``keys`` maps the field to another.
         Relies on each of the class's error messages starting with its field.
         """
         try:
             return cls(**values)
         except ConfigError as exc:
-            raise ConfigError(f"{self.section}.{exc}") from exc
+            name, _, rest = str(exc).partition(" ")
+            key = (keys or {}).get(name, f"{self.section}.{name}")
+            raise ConfigError(f"{key} {rest}") from exc
 
     def path(self, key, default=_REQUIRED):
         value = self._fetch(key, str, default)
@@ -238,7 +241,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     kind = data_sec.text("kind", _REQUIRED)
     if kind == "blobs":
         options = {
-            "spec": SyntheticSpec(
+            "spec": data_sec.build(
+                SyntheticSpec,
+                {"class_count": "data.classes"},
                 class_count=data_sec.integer("classes", 4),
                 points_per_class=data_sec.integer("points_per_class", 1000),
                 **data_sec.fields_of(SyntheticSpec, _BLOBS_KEYS),
@@ -278,6 +283,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     active = active_sec.build(
         ActiveSettings,
+        {k: f"experiment.{k}" for k in _EXPERIMENT_KEYS},
         **active_sec.fields_of(ActiveSettings, _ACTIVE_KEYS),
         **exp_sec.fields_of(ActiveSettings, _EXPERIMENT_KEYS),
         train=train_sec.build(TrainConfig, **train_sec.fields_of(TrainConfig, _TRAIN_KEYS)),

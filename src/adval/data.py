@@ -75,19 +75,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ConfigError("synthetic data needs at least 2 classes")
-        if self.points_per_class < 1 or self.dimension < 1:
-            raise ConfigError("points_per_class and dimension must be positive")
-        scales = self.class_scales()
-        if any(s <= 0 for s in scales):
-            raise ConfigError("covariance scale must be positive")
+        if self.class_count < 2:  # messages start with their field, for the config loader
+            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
+        for name in ("points_per_class", "dimension"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(s <= 0 for s in self.class_scales()):
+            raise ConfigError(f"cov_scale must be positive, got {self.cov_scale}")
 
     def class_scales(self) -> tuple[float, ...]:
         if isinstance(self.cov_scale, (int, float)):
             return (float(self.cov_scale),) * self.class_count
         if len(self.cov_scale) != self.class_count:
-            raise ConfigError("per-class covariance scales must match class_count")
+            raise ConfigError(f"cov_scale needs {self.class_count} scales, got {self.cov_scale}")
         return tuple(float(s) for s in self.cov_scale)
 
 

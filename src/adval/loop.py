@@ -113,6 +113,10 @@ class ActiveSettings:
             )
         if self.base_steps < 1:
             raise ConfigError(f"base_steps must be >= 1, got {self.base_steps}")
+        if self.ceal_delta < 0:
+            raise ConfigError(f"ceal_delta must be >= 0, got {self.ceal_delta}")
+        if self.bald_samples < 2:
+            raise ConfigError(f"bald_samples must be >= 2, got {self.bald_samples}")
 
 
 @dataclass(frozen=True, kw_only=True)

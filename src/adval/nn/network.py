@@ -4,6 +4,11 @@ A network is a sequence of layer descriptors applied to a fixed input shape.
 ``NetworkState`` couples a spec with concrete parameter arrays; states are
 treated as immutable once created.
 
+Batched evaluation (``forward_batch``, ``embed_batch``, ``predict_batch``)
+runs the layers over fixed chunks of ``_CHUNK`` rows from row 0: a batch
+evaluates the same way wherever it is scored from, and the peak memory of
+scoring a pool depends on the chunk size, not on the pool size.
+
 Each backward pass computes only what its caller reads: training and EGL get
 parameter gradients and no gradient w.r.t. the network input, while the input
 gradients and Jacobians used by DeepFool get no parameter gradients.
@@ -18,6 +23,8 @@ import numpy as np
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError
 from adval.nn import layers as L
 from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec
+
+_CHUNK = 256  # rows per chunk of a batched evaluation
 
 
 @dataclass(frozen=True)
@@ -83,35 +90,41 @@ def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_batch(
-    state: NetworkState,
-    x: np.ndarray,
-    *,
-    dropout_seed: int | None = None,
-) -> np.ndarray:
-    """Logits (N, class_count). Dropout is identity unless ``dropout_seed`` is given."""
+def _evaluate(state: NetworkState, x: np.ndarray, stop=None, dropout_seed=None) -> np.ndarray:
+    """Activations after ``layers[:stop]``, evaluated ``_CHUNK`` rows at a time.
+
+    Dropout masks come chunk by chunk from one generator; with a single
+    dropout layer that is the mask stream of one unchunked pass.
+    """
     x = _check_batch(state.spec, x)
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-    for layer, params in zip(state.spec.layers, state.params):
-        x, _ = L.forward(layer, params, x, rng=rng, dropout_active=rng is not None)
-    return x
+    out = np.empty((len(x), *state.spec.shape_chain()[-1 if stop is None else stop]), DTYPE)
+    for lo in range(0, len(x), _CHUNK):
+        out[lo : lo + _CHUNK] = _forward_caches(
+            state, x[lo : lo + _CHUNK], stop=stop, rng=rng, dropout_active=rng is not None
+        )[0]
+    return out
+
+
+def forward_batch(
+    state: NetworkState, x: np.ndarray, *, dropout_seed: int | None = None
+) -> np.ndarray:
+    """Logits (N, class_count). Dropout is identity unless ``dropout_seed`` is given."""
+    return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
 def forward(state: NetworkState, x: np.ndarray, *, dropout_seed: int | None = None) -> np.ndarray:
     """Logits (class_count,) for a single input."""
-    x = np.asarray(x, dtype=DTYPE)
-    if x.shape != state.spec.input_shape:
-        raise InputError(
-            f"input shape {x.shape} does not match network input {state.spec.input_shape}"
-        )
+    x = _check_batch(state.spec, np.asarray(x, dtype=DTYPE)[None])
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
-    return forward_batch(state, x[None], dropout_seed=dropout_seed)[0]
+    return forward_batch(state, x, dropout_seed=dropout_seed)[0]
 
 
-def _forward_caches(state, x, *, rng=None, dropout_active=False):
+def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False):
+    """Output of ``layers[:stop]`` plus each layer's cache for the backward pass."""
     caches = []
-    for layer, params in zip(state.spec.layers, state.params):
+    for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
         x, cache = L.forward(layer, params, x, rng=rng, dropout_active=dropout_active)
         caches.append(cache)
     return x, caches
@@ -192,12 +205,7 @@ def grad_params(state: NetworkState, x: np.ndarray, label: int):
 def grad_input_logit(state: NetworkState, x: np.ndarray, k: int) -> np.ndarray:
     """Gradient of logit ``k`` w.r.t. the input. Dropout disabled."""
     k = _check_label(state.spec, k)
-    x = np.asarray(x, dtype=DTYPE)
-    if x.shape != state.spec.input_shape:
-        raise InputError(
-            f"input shape {x.shape} does not match network input {state.spec.input_shape}"
-        )
-    _, caches = _forward_caches(state, x[None])
+    _, caches = _forward_caches(state, _check_batch(state.spec, np.asarray(x, dtype=DTYPE)[None]))
     seed = np.zeros((1, state.spec.class_count), dtype=DTYPE)
     seed[0, k] = 1.0
     return _input_grad(state, caches, seed)[0]
@@ -225,24 +233,16 @@ def _last_dense_index(spec: NetworkSpec) -> int:
 
 def embed_batch(state: NetworkState, x: np.ndarray) -> np.ndarray:
     """Pre-logit features: activations entering the final dense layer."""
-    x = _check_batch(state.spec, x)
-    stop = _last_dense_index(state.spec)
-    for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
-        x, _ = L.forward(layer, params, x)
-    return x.reshape(x.shape[0], -1)
+    return _evaluate(state, x, stop=_last_dense_index(state.spec))
 
 
 def embed(state: NetworkState, x: np.ndarray) -> np.ndarray:
     return embed_batch(state, np.asarray(x, dtype=DTYPE)[None])[0]
 
 
-def predict_batch(state: NetworkState, x: np.ndarray, *, chunk: int = 256) -> np.ndarray:
-    """Argmax predictions, evaluated in chunks to bound conv buffer memory."""
-    x = _check_batch(state.spec, x)
-    out = np.empty(len(x), dtype=np.int64)
-    for lo in range(0, len(x), chunk):
-        out[lo : lo + chunk] = forward_batch(state, x[lo : lo + chunk]).argmax(axis=1)
-    return out
+def predict_batch(state: NetworkState, x: np.ndarray) -> np.ndarray:
+    """Argmax predictions."""
+    return forward_batch(state, x).argmax(axis=1)
 
 
 def accuracy(state: NetworkState, x: np.ndarray, labels: np.ndarray) -> float:

@@ -17,6 +17,8 @@ from adval.nn.layers import DTYPE
 from adval.nn.network import (
     NetworkState,
     clone_params,
+    cross_entropy,
+    forward_batch,
     loss_and_param_grads,
 )
 
@@ -112,11 +114,5 @@ def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
 
 def training_loss(state: NetworkState, examples) -> float:
     """Mean cross-entropy over the given examples with dropout disabled."""
-    from adval.nn.network import cross_entropy, forward_batch
-
     x, y = _stack_examples(examples)
-    total = 0.0
-    for lo in range(0, len(x), 256):
-        hi = min(lo + 256, len(x))
-        total += cross_entropy(forward_batch(state, x[lo:hi]), y[lo:hi]) * (hi - lo)
-    return total / len(x)
+    return cross_entropy(forward_batch(state, x), y)

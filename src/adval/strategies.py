@@ -81,7 +81,6 @@ class SyntheticAddition:
 class QueryBatch:
     queried: tuple[int, ...]
     synthetic_additions: tuple[SyntheticAddition, ...]
-    annotations_charged: int
 
 
 def rank_extremes(indices, scores, n_query: int, direction: str) -> np.ndarray:
@@ -179,8 +178,7 @@ def select_dfal(
             "all %d adversarial attacks failed; falling back to random selection",
             len(pool),
         )
-        rng = np.random.default_rng(fallback_seed)
-        chosen = rng.choice(pool.indices, size=min(n_query, len(pool)), replace=False)
+        chosen = select_random(pool, n_query, fallback_seed).queried
     else:
         chosen = rank_extremes(pool.indices, scores, n_query, SMALLER_BETTER)
     row_of = {int(idx): row for row, idx in enumerate(pool.indices)}
@@ -194,14 +192,14 @@ def select_dfal(
         )
         for row in rows
     )
-    return QueryBatch(tuple(int(i) for i in chosen), additions, len(chosen))
+    return QueryBatch(tuple(int(i) for i in chosen), additions)
 
 
 def select_uncertainty(net: NetworkState, pool: CandidateSet, n_query: int) -> QueryBatch:
     """Query the candidates whose predicted distribution has the highest entropy."""
     scores = entropy_scores(net, pool.inputs)
     chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    return QueryBatch(tuple(int(i) for i in chosen), (), len(chosen))
+    return QueryBatch(tuple(int(i) for i in chosen), ())
 
 
 def select_ceal(
@@ -215,8 +213,7 @@ def select_ceal(
     """
     if delta < 0:
         raise ConfigError(f"confidence threshold must be >= 0, got {delta}")
-    logits = forward_batch(net, pool.inputs)
-    probs = softmax_probs(logits)
+    probs = softmax_probs(forward_batch(net, pool.inputs))
     scores = prediction_entropy(probs)
     chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
     queried = set(int(i) for i in chosen)
@@ -232,14 +229,14 @@ def select_ceal(
                     source_index=int(idx),
                 )
             )
-    return QueryBatch(tuple(int(i) for i in chosen), tuple(additions), len(chosen))
+    return QueryBatch(tuple(int(i) for i in chosen), tuple(additions))
 
 
 def select_egl(net: NetworkState, pool: CandidateSet, n_query: int) -> QueryBatch:
     """Query the candidates with the largest expected gradient length."""
     scores = egl_scores(net, pool.inputs)
     chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    return QueryBatch(tuple(int(i) for i in chosen), (), len(chosen))
+    return QueryBatch(tuple(int(i) for i in chosen), ())
 
 
 def select_bald(
@@ -252,7 +249,7 @@ def select_bald(
     """Query the candidates with the highest dropout-posterior mutual information."""
     scores = bald_scores(net, pool.inputs, samples=samples, seed=seed)
     chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    return QueryBatch(tuple(int(i) for i in chosen), (), len(chosen))
+    return QueryBatch(tuple(int(i) for i in chosen), ())
 
 
 def k_center_greedy(
@@ -289,22 +286,16 @@ def select_coreset_greedy(
     n_query: int,
 ) -> QueryBatch:
     """Greedy k-center in embedding space, seeded with the labeled set's embeddings."""
-    pool_emb = embed_batch(net, pool.inputs)
-    centers = (
-        embed_batch(net, labeled_inputs)
-        if len(labeled_inputs)
-        else np.empty((0, pool_emb.shape[1]))
-    )
-    rows = k_center_greedy(pool_emb, centers, n_query)
+    rows = k_center_greedy(embed_batch(net, pool.inputs), embed_batch(net, labeled_inputs), n_query)
     chosen = [int(pool.indices[r]) for r in rows]
-    return QueryBatch(tuple(chosen), (), len(chosen))
+    return QueryBatch(tuple(chosen), ())
 
 
 def select_random(pool: CandidateSet, n_query: int, seed: int) -> QueryBatch:
     """Uniform sample without replacement, fully determined by the seed."""
     rng = np.random.default_rng(seed)
     chosen = rng.choice(pool.indices, size=min(n_query, len(pool)), replace=False)
-    return QueryBatch(tuple(int(i) for i in chosen), (), len(chosen))
+    return QueryBatch(tuple(int(i) for i in chosen), ())
 
 
 STRATEGY_IDS = ("dfal", "uncertainty", "ceal", "egl", "bald", "coreset", "random")

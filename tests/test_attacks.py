@@ -154,6 +154,29 @@ class TestBatch:
             assert res.iterations == ref.iterations
             assert res.success == ref.success
 
+    def test_wrongly_shaped_input_raises(self, trained3, blobs3):
+        # A programming error must not turn into failed attacks scored +inf.
+        xs = np.ones((4, blobs3.inputs.shape[1] + 3))
+        with pytest.raises(ValueError):
+            batch_deepfool(trained3, xs)
+
+    def test_floating_point_error_becomes_failure(self, trained3, blobs3, monkeypatch):
+        import adval.attacks as attacks
+
+        jacobian = attacks.logits_and_input_jacobian
+        bad = blobs3.inputs[1]
+
+        def flaky(net, x):
+            if np.array_equal(x, bad):
+                raise FloatingPointError("overflow")
+            return jacobian(net, x)
+
+        monkeypatch.setattr(attacks, "logits_and_input_jacobian", flaky)
+        results = batch_deepfool(trained3, blobs3.inputs[:3])
+        assert [r.success for r in results] == [True, False, True]
+        assert results[1].score() == np.inf
+        assert results[1].original_label is None
+
 
 class TestAgainstMarginOracle:
     def test_attack_upper_bounds_oracle_and_tracks_it(self, trained3, blobs3):

@@ -93,6 +93,12 @@ class TestConfigParsing:
         "active.base_steps": ("base_steps = 30", "base_steps = 0"),
         "train.batch_size": ("[experiment]", "[train]\nbatch_size = 0\n[experiment]"),
         "attack.max_iter": ("[experiment]", "[attack]\nmax_iter = 0\n[experiment]"),
+        "experiment.ceal_delta": ("[experiment]", "[experiment]\nceal_delta = -1"),
+        "experiment.bald_samples": ("[experiment]", "[experiment]\nbald_samples = 1"),
+        "data.classes": ("classes = 3", "classes = 1"),
+        "data.dimension": ("[data]", "[data]\ndimension = 0"),
+        "data.points_per_class": ("points_per_class = 40", "points_per_class = 0"),
+        "data.cov_scale": ("cov_scale = 0.5", "cov_scale = -0.5"),
     }
 
     @pytest.mark.parametrize("key", RULE_BREACHES)

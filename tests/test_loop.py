@@ -143,7 +143,7 @@ class TestApplyQuery:
             unlabeled=(2, 3, 4),
             synthetic=(),
         )
-        batch = QueryBatch(queried=(2, 3), synthetic_additions=(), annotations_charged=2)
+        batch = QueryBatch(queried=(2, 3), synthetic_additions=())
         new = apply_query(state, batch, self.oracle_for(ds))
         assert new.labeled_indices() == (0, 1, 2, 3)
         assert new.unlabeled == (4,)
@@ -158,7 +158,7 @@ class TestApplyQuery:
             SyntheticAddition(ds.inputs[i] + 0.01, ADVERSARIAL_TWIN, None, i)
             for i in queried
         )
-        batch = QueryBatch(queried, additions, 10)
+        batch = QueryBatch(queried, additions)
         new = apply_query(pools, batch, self.oracle_for(ds))
         assert len(new.labeled) == 16
         assert len(training_examples(new, ds)) == 26  # 16 real + 10 twins
@@ -175,7 +175,7 @@ class TestApplyQuery:
             SyntheticAddition(ds.inputs[pools.unlabeled[7]], CEAL_PSEUDO, 1, pools.unlabeled[7]),
             SyntheticAddition(ds.inputs[pools.unlabeled[8]], CEAL_PSEUDO, 2, pools.unlabeled[8]),
         )
-        batch = QueryBatch(queried, additions, 5)
+        batch = QueryBatch(queried, additions)
         new = apply_query(pools, batch, self.oracle_for(ds))
         assert len(new.labeled) == 11  # 6 initial + 5 queried
         assert pseudo_label_counts(new, ds)[0] == 3
@@ -189,7 +189,6 @@ class TestApplyQuery:
         first = QueryBatch(
             (u[0],),
             (SyntheticAddition(ds.inputs[u[1]], CEAL_PSEUDO, 0, u[1]),),
-            1,
         )
         pools = apply_query(pools, first, oracle)
         second = QueryBatch(
@@ -198,7 +197,6 @@ class TestApplyQuery:
                 SyntheticAddition(ds.inputs[u[3]], CEAL_PSEUDO, 1, u[3]),
                 SyntheticAddition(ds.inputs[u[4]], CEAL_PSEUDO, 1, u[4]),
             ),
-            1,
         )
         pools = apply_query(pools, second, oracle)
         assert pseudo_label_counts(pools, ds)[0] == 2  # first round's pseudo item dropped
@@ -210,10 +208,10 @@ class TestApplyQuery:
         oracle = self.oracle_for(ds)
         u = pools.unlabeled
         first = QueryBatch(
-            (u[0],), (SyntheticAddition(ds.inputs[u[0]], ADVERSARIAL_TWIN, None, u[0]),), 1
+            (u[0],), (SyntheticAddition(ds.inputs[u[0]], ADVERSARIAL_TWIN, None, u[0]),)
         )
         pools = apply_query(pools, first, oracle)
-        second = QueryBatch((u[1],), (), 1)
+        second = QueryBatch((u[1],), ())
         pools = apply_query(pools, second, oracle)
         assert len(pools.synthetic) == 1
         assert len(training_examples(pools, ds)) == 6 + 2 + 1
@@ -226,7 +224,6 @@ class TestApplyQuery:
         batch = QueryBatch(
             (pools.unlabeled[1],),
             (SyntheticAddition(ds.inputs[src], CEAL_PSEUDO, wrong, src),),
-            1,
         )
         new = apply_query(pools, batch, self.oracle_for(ds))
         assert pseudo_label_counts(new, ds) == (1, 1)
@@ -235,7 +232,7 @@ class TestApplyQuery:
     def test_requerying_labeled_index_is_invariant_violation(self, blobs3):
         pools = init_pools(blobs3, 6, seed=0)
         already = pools.labeled_indices()[0]
-        batch = QueryBatch((already,), (), 1)
+        batch = QueryBatch((already,), ())
         with pytest.raises(PoolInvariantError):
             apply_query(pools, batch, self.oracle_for(blobs3))
 

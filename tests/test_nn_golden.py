@@ -5,11 +5,18 @@ layer forms both its input and its parameter gradients. Restricting which
 gradients a caller requests, or rewriting a kernel's layout, must leave them
 bit-identical. They are tied to float64 numpy with OpenBLAS; another BLAS
 build may round differently and would need new digests.
+
+OpenBLAS picks its kernels for the CPU it runs on, and kernels round
+differently, so each digest set belongs to one kernel. The set is chosen by
+the ``OPENBLAS_CORETYPE`` environment variable, which forces OpenBLAS's
+kernel; unset, the SkylakeX set applies (the kernel of AVX-512 x86 hosts).
 """
 
 import hashlib
+import os
 
 import numpy as np
+import pytest
 
 from adval import nn
 from adval.attacks import AttackConfig, batch_deepfool
@@ -20,6 +27,19 @@ TRAINED_DIGESTS = {
     "arch-B": "6547bf764c4228e5",
 }
 DEEPFOOL_DIGEST = "140929ce1ac32dc1"
+
+# OpenBLAS core type (lower case) -> (TRAINED_DIGESTS, DEEPFOOL_DIGEST)
+KERNEL_DIGESTS = {
+    "skylakex": (TRAINED_DIGESTS, DEEPFOOL_DIGEST),
+    "haswell": ({"arch-A": "0f3cf093ea80c221", "arch-B": "f7192b8b69008149"}, "1e7518b251f5a4b3"),
+}
+
+
+def kernel_digests():
+    kernel = os.environ.get("OPENBLAS_CORETYPE", "SkylakeX").lower()
+    if kernel not in KERNEL_DIGESTS:
+        pytest.fail(f"no golden digests recorded for OPENBLAS_CORETYPE={kernel}")
+    return KERNEL_DIGESTS[kernel]
 
 
 def digest_arrays(arrays) -> str:
@@ -50,8 +70,9 @@ def param_arrays(state):
 
 
 def test_trained_parameters_match_golden():
-    got = {arch: digest_arrays(param_arrays(trained(arch))) for arch in TRAINED_DIGESTS}
-    assert got == TRAINED_DIGESTS
+    expected, _ = kernel_digests()
+    got = {arch: digest_arrays(param_arrays(trained(arch))) for arch in expected}
+    assert got == expected
 
 
 def test_deepfool_perturbations_match_golden():
@@ -61,4 +82,4 @@ def test_deepfool_perturbations_match_golden():
     got = digest_arrays(
         [r.perturbation for r in results] + [np.array([r.iterations for r in results])]
     )
-    assert got == DEEPFOOL_DIGEST
+    assert got == kernel_digests()[1]

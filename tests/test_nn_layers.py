@@ -18,6 +18,19 @@ from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
 
 
+def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
+    """``layers[:stop]`` over ``x`` in one pass, or in slices of ``rows`` sharing one mask stream."""
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    rows = rows or len(x)
+    parts = []
+    for lo in range(0, len(x), rows):
+        h = x[lo : lo + rows]
+        for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
+            h, _ = layer_forward(layer, params, h, rng=rng, dropout_active=rng is not None)
+        parts.append(h)
+    return np.concatenate(parts)
+
+
 def identity_dense_net():
     spec = NetworkSpec((2,), (Dense(2, 2),), 2, init_seed=0)
     state = nn.init_network(spec)
@@ -232,3 +245,36 @@ class TestEmbed:
         conv_only = NetworkSpec((1, 3, 3), (Conv2D(2, 3), Flatten()), 2)
         with pytest.raises(UnsupportedArchitectureError):
             nn.embed(nn.init_network(conv_only), np.zeros((1, 3, 3)))
+
+
+class TestChunkedEvaluation:
+    ROWS = 600  # two full 256-row chunks and a partial one
+
+    @pytest.fixture(params=["arch-A", "arch-B"])
+    def net_and_inputs(self, request):
+        spec = nn.build_network(request.param, (1, 12, 12), 10, seed=5)
+        x = np.random.default_rng(6).uniform(0.0, 1.0, size=(self.ROWS, 1, 12, 12))
+        return nn.init_network(spec), x
+
+    @pytest.mark.parametrize("dropout_seed", [None, 9])
+    def test_forward_batch_matches_naive_loop(self, net_and_inputs, dropout_seed):
+        state, x = net_and_inputs
+        got = nn.forward_batch(state, x, dropout_seed=dropout_seed)
+        whole = naive_layers(state, x, dropout_seed=dropout_seed)
+        np.testing.assert_allclose(got, whole, rtol=1e-12)
+        sliced = naive_layers(state, x, dropout_seed=dropout_seed, rows=256)
+        np.testing.assert_array_equal(got, sliced)
+
+    def test_embed_batch_matches_naive_loop(self, net_and_inputs):
+        state, x = net_and_inputs
+        stop = len(state.spec.layers) - 1  # both architectures end in their last dense layer
+        got = nn.embed_batch(state, x)
+        np.testing.assert_allclose(got, naive_layers(state, x, stop=stop), rtol=1e-12)
+        np.testing.assert_array_equal(got, naive_layers(state, x, stop=stop, rows=256))
+
+    def test_zero_rows(self, net_and_inputs):
+        state, x = net_and_inputs
+        assert nn.forward_batch(state, x[:0]).shape == (0, 10)
+        assert nn.forward_batch(state, x[:0], dropout_seed=1).shape == (0, 10)
+        assert nn.embed_batch(state, x[:0]).shape == (0, 64)
+        assert nn.predict_batch(state, x[:0]).shape == (0,)
