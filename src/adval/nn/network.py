@@ -12,6 +12,8 @@ scoring a pool depends on the chunk size, not on the pool size.
 Each backward pass computes only what its caller reads: training and EGL get
 parameter gradients and no gradient w.r.t. the network input, while the input
 gradients and Jacobians used by DeepFool get no parameter gradients.
+``logits_and_deferred_jacobian`` splits a Jacobian into its forward pass,
+run at once, and its backward pass, run only when the caller asks for it.
 """
 
 from __future__ import annotations
@@ -211,17 +213,25 @@ def grad_input_logit(state: NetworkState, x: np.ndarray, k: int) -> np.ndarray:
     return _input_grad(state, caches, seed)[0]
 
 
-def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
-    """Logits plus the full Jacobian d logits / d input, shape (C, *input_shape).
+def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
+    """Logits at ``x`` plus a function that returns d logits / d input, (C, *input_shape).
 
-    Runs one forward/backward over a batch of C replicated inputs with
-    identity upstream seeds, which equals C separate per-logit backward passes.
+    Runs the forward pass over a batch of C replicated inputs and keeps its
+    caches; calling the returned function runs the backward pass with
+    identity upstream seeds, which equals C separate per-logit backward
+    passes. A caller that reads only the logits never pays for the backward.
     """
     x = np.asarray(x, dtype=DTYPE)
     c = state.spec.class_count
     rep = np.broadcast_to(x, (c, *x.shape))
     logits, caches = _forward_caches(state, np.ascontiguousarray(rep))
-    return logits[0], _input_grad(state, caches, np.eye(c, dtype=DTYPE))
+    return logits[0], lambda: _input_grad(state, caches, np.eye(c, dtype=DTYPE))
+
+
+def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
+    """Logits plus the full Jacobian d logits / d input, shape (C, *input_shape)."""
+    logits, jacobian = logits_and_deferred_jacobian(state, x)
+    return logits, jacobian()
 
 
 def _last_dense_index(spec: NetworkSpec) -> int:

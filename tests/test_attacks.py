@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_conv_spec
 
 from adval import nn
 from adval.attacks import AdversarialResult, AttackConfig, batch_deepfool, deepfool, lp_norm
@@ -163,19 +164,118 @@ class TestBatch:
     def test_floating_point_error_becomes_failure(self, trained3, blobs3, monkeypatch):
         import adval.attacks as attacks
 
-        jacobian = attacks.logits_and_input_jacobian
+        linearize = attacks.logits_and_deferred_jacobian
         bad = blobs3.inputs[1]
 
         def flaky(net, x):
             if np.array_equal(x, bad):
                 raise FloatingPointError("overflow")
-            return jacobian(net, x)
+            return linearize(net, x)
 
-        monkeypatch.setattr(attacks, "logits_and_input_jacobian", flaky)
+        monkeypatch.setattr(attacks, "logits_and_deferred_jacobian", flaky)
         results = batch_deepfool(trained3, blobs3.inputs[:3])
         assert [r.success for r in results] == [True, False, True]
         assert results[1].score() == np.inf
         assert results[1].original_label is None
+
+
+def conv_net_and_points():
+    """A random conv net and inputs that DeepFool flips in 1, 2 or 3 steps."""
+    rng = np.random.default_rng(0)
+    spec = random_conv_spec(rng)
+    return nn.init_network(spec), rng.uniform(0.0, 1.0, size=(20, *spec.input_shape))
+
+
+class TestJacobianCount:
+    """DeepFool forms an input Jacobian only at the points it steps from."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        import adval.attacks as attacks
+        import adval.nn.network as network
+
+        linearize = attacks.logits_and_deferred_jacobian
+        backward = network._input_grad
+        log = {"points": 0, "formed": [], "backward": 0}
+
+        def counted_backward(*args):
+            log["backward"] += 1
+            return backward(*args)
+
+        def recorded(net, x):
+            logits, jacobian = linearize(net, x)
+            point = log["points"]
+            log["points"] += 1
+
+            def formed():
+                log["formed"].append(point)
+                return jacobian()
+
+            return logits, formed
+
+        monkeypatch.setattr(network, "_input_grad", counted_backward)
+        monkeypatch.setattr(attacks, "logits_and_deferred_jacobian", recorded)
+        return log
+
+    @staticmethod
+    def attack(log, net, x, cfg=AttackConfig()):
+        log.update(points=0, formed=[], backward=0)
+        return deepfool(net, x, cfg)
+
+    def test_flip_after_k_steps_runs_k_backward_passes(self, log):
+        net, xs = conv_net_and_points()
+        steps = set()
+        for x in xs:
+            res = self.attack(log, net, x)
+            assert res.success
+            k = res.iterations
+            steps.add(k)
+            assert log["backward"] == k
+            # Jacobians at x and at each iterate before the flip; the flip point's is never formed
+            assert log["formed"] == list(range(k))
+            assert log["points"] == k + 1
+        assert steps >= {1, 2, 3}
+
+    def test_exhausted_max_iter_runs_max_iter_backward_passes(self, log):
+        net, xs = conv_net_and_points()
+        exhausted = 0
+        for x in xs:
+            needed = self.attack(log, net, x).iterations
+            if needed < 2:
+                continue
+            k = needed - 1
+            res = self.attack(log, net, x, AttackConfig(max_iter=k))
+            assert not res.success and res.iterations == k
+            assert log["backward"] == k
+            assert log["formed"] == list(range(k))
+            assert log["points"] == k + 1
+            exhausted += 1
+        assert exhausted >= 5
+
+    @pytest.mark.parametrize("bad_point", [0, 1])
+    def test_nonfinite_jacobian_fails_where_it_steps(self, monkeypatch, bad_point):
+        import adval.attacks as attacks
+
+        net, xs = conv_net_and_points()
+        x = next(x for x in xs if deepfool(net, x).iterations >= 2)
+        linearize = attacks.logits_and_deferred_jacobian
+        points = []
+
+        def poisoned(net, point):
+            logits, jacobian = linearize(net, point)
+            points.append(point)
+            if len(points) - 1 == bad_point:
+                return logits, lambda: np.full_like(jacobian(), np.nan)
+            return logits, jacobian
+
+        monkeypatch.setattr(attacks, "logits_and_deferred_jacobian", poisoned)
+        res = deepfool(net, x)
+        assert not res.success and res.norm == np.inf
+        assert res.iterations == bad_point
+        np.testing.assert_array_equal(x + res.perturbation, points[bad_point])
+        # at x itself no step was taken and, as for non-finite logits, no label is reported
+        expected = None if bad_point == 0 else int(np.argmax(nn.forward(net, x)))
+        assert res.original_label == expected
 
 
 class TestAgainstMarginOracle:

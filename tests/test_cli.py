@@ -98,6 +98,7 @@ class TestConfigParsing:
         "data.classes": ("classes = 3", "classes = 1"),
         "data.dimension": ("[data]", "[data]\ndimension = 0"),
         "data.points_per_class": ("points_per_class = 40", "points_per_class = 0"),
+        "data.test_points_per_class": ("test_points_per_class = 20", "test_points_per_class = 0"),
         "data.cov_scale": ("cov_scale = 0.5", "cov_scale = -0.5"),
     }
 

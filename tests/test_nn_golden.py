@@ -10,6 +10,12 @@ OpenBLAS picks its kernels for the CPU it runs on, and kernels round
 differently, so each digest set belongs to one kernel. The set is chosen by
 the ``OPENBLAS_CORETYPE`` environment variable, which forces OpenBLAS's
 kernel; unset, the SkylakeX set applies (the kernel of AVX-512 x86 hosts).
+The SkylakeX kernel also rounds arch-B's training differently on one thread
+than on several, so the set depends on OpenBLAS's thread count too: the
+first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` that is set, else the CPUs this process may run on.
+perfbench pins one thread. The Haswell digests are the same at 1, 2 and 4
+threads.
 """
 
 import hashlib
@@ -33,12 +39,26 @@ KERNEL_DIGESTS = {
     "skylakex": (TRAINED_DIGESTS, DEEPFOOL_DIGEST),
     "haswell": ({"arch-A": "0f3cf093ea80c221", "arch-B": "f7192b8b69008149"}, "1e7518b251f5a4b3"),
 }
+# The same for OpenBLAS on one thread, where it differs from the above.
+SINGLE_THREAD_DIGESTS = {
+    "skylakex": ({"arch-A": "f9b4810872f9baff", "arch-B": "6891125ca515d98a"}, DEEPFOOL_DIGEST),
+}
+
+
+def blas_threads() -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def kernel_digests():
-    kernel = os.environ.get("OPENBLAS_CORETYPE", "SkylakeX").lower()
+    kernel = (os.environ.get("OPENBLAS_CORETYPE") or "SkylakeX").lower()
     if kernel not in KERNEL_DIGESTS:
         pytest.fail(f"no golden digests recorded for OPENBLAS_CORETYPE={kernel}")
+    if blas_threads() == 1:
+        return SINGLE_THREAD_DIGESTS.get(kernel, KERNEL_DIGESTS[kernel])
     return KERNEL_DIGESTS[kernel]
 
 

@@ -130,6 +130,69 @@ class TestConvAndPool:
             NetworkSpec((2,), (Dense(2, 3),), 2)
 
 
+def naive_maxpool(x, dy, s):
+    """y, each max's flat position in x, and dx, by loops over tiles with ``np.argmax``."""
+    n, c, h, w = x.shape
+    y = np.empty((n, c, h // s, w // s))
+    flat = np.empty(y.shape, dtype=np.intp)
+    dx = np.zeros_like(x)
+    for b, ch, i, j in np.ndindex(y.shape):
+        k = int(np.argmax(x[b, ch, s * i : s * i + s, s * j : s * j + s]))
+        row, col = s * i + k // s, s * j + k % s
+        y[b, ch, i, j] = x[b, ch, row, col]
+        flat[b, ch, i, j] = np.ravel_multi_index((b, ch, row, col), x.shape)
+        dx[b, ch, row, col] = dy[b, ch, i, j]
+    return y, flat, dx
+
+
+class TestMaxPoolReference:
+    """Strided-tap max pooling against a per-tile ``np.argmax`` loop, bit for bit."""
+
+    @staticmethod
+    def relu_input(rng, shape):
+        # ReLU emits -0.0 for negative inputs and +0.0 for +0.0, so tiles whose
+        # max is zero mix both signs; a few exact zeros make that common.
+        h = rng.choice([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0], size=shape) * (rng.random(shape) < 0.9)
+        return h * (h > 0)
+
+    @staticmethod
+    def assert_matches_naive(x, s, rng):
+        y, cache = layer_forward(MaxPool2D(s), None, x)
+        dy = rng.choice([-1.0, -0.0, 0.5, 3.0], size=y.shape)
+        dx, _ = layer_backward(MaxPool2D(s), None, cache, dy)
+        want_y, want_flat, want_dx = naive_maxpool(x, dy, s)
+        assert y.tobytes() == want_y.tobytes()
+        np.testing.assert_array_equal(cache[1], want_flat)
+        assert dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_signed_zero_ties(self, s):
+        rng = np.random.default_rng(s)
+        x = self.relu_input(rng, (3, 2, 4 * s, 3 * s))
+        tiles = x.reshape(3, 2, 4, s, 3, s).transpose(0, 1, 2, 4, 3, 5).reshape(-1, s * s)
+        zero = tiles.max(axis=1) == 0
+        signs = np.signbit(tiles[zero])
+        # the input holds all-zero tiles that mix -0.0 and +0.0
+        assert (signs.any(axis=1) & ~signs.all(axis=1)).any()
+        self.assert_matches_naive(x, s, rng)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_nan_tiles(self, s):
+        rng = np.random.default_rng(10 + s)
+        x = rng.standard_normal((2, 3, 2 * s, 4 * s))
+        x[0, 0, 1, 1] = np.nan  # NaN after a finite max
+        x[0, 1, 0, 0] = np.nan  # NaN in the first tap
+        x[1, 2, s - 1, s - 1] = x[1, 2, 0, s - 1] = np.nan  # two NaNs in one tile
+        x[1, 0, :s, :s] = np.inf
+        x[1, 0, 0, 1] = np.nan  # NaN among infinities
+        self.assert_matches_naive(x, s, rng)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_random_input(self, s):
+        rng = np.random.default_rng(20 + s)
+        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng)
+
+
 def naive_conv_backward(x, w, dy, stride):
     """dx, dW, db of a valid convolution by explicit loops over every product."""
     n, f, ho, wo = dy.shape
