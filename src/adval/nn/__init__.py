@@ -6,19 +6,17 @@ from adval.nn.network import (
     NetworkSpec,
     NetworkState,
     accuracy,
-    embed,
     embed_batch,
     forward,
     forward_batch,
     grad_input_logit,
     grad_params,
     init_network,
-    log_softmax,
     logits_and_input_jacobian,
     predict_batch,
     softmax_probs,
 )
-from adval.nn.training import TrainConfig, epochs_for_budget, train, training_loss
+from adval.nn.training import TrainConfig, epochs_for_budget, train
 
 __all__ = [
     "ARCHITECTURES",
@@ -34,7 +32,6 @@ __all__ = [
     "accuracy",
     "build_network",
     "conv_input_shape",
-    "embed",
     "embed_batch",
     "epochs_for_budget",
     "forward",
@@ -42,10 +39,8 @@ __all__ = [
     "grad_input_logit",
     "grad_params",
     "init_network",
-    "log_softmax",
     "logits_and_input_jacobian",
     "predict_batch",
     "softmax_probs",
     "train",
-    "training_loss",
 ]

@@ -178,28 +178,34 @@ def forward(layer, params, x, *, rng=None, dropout_active=False):
     raise TypeError(f"unknown layer {layer!r}")
 
 
-def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True):
+def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out=None):
     """Backward pass; returns (dx, param_grads).
 
     ``dx`` is the gradient w.r.t. the layer input, or None unless
     ``input_grad`` is set. The second item is a dict of gradients shaped like
     ``params`` for Dense and Conv2D when ``param_grads`` is set, and None
     otherwise (always None for parameterless layers). Each result is computed
-    the same way whether or not the other one is requested.
+    the same way whether or not the other one is requested. ``out`` (contiguous
+    arrays shaped like ``params``) receives the parameter gradients, same bits.
     """
+    w_out, b_out = (None, None) if out is None else (out["W"], out["b"])
     if isinstance(layer, Dense):
         x = cache
         dx = dy @ params["W"].T if input_grad else None
-        grads = {"W": x.T @ dy, "b": dy.sum(axis=0)} if param_grads else None
+        grads = None
+        if param_grads:
+            grads = {"W": np.matmul(x.T, dy, out=w_out), "b": dy.sum(axis=0, out=b_out)}
         return dx, grads
     if isinstance(layer, Conv2D):
         x, windows = cache
         dx = _conv_input_grad(layer, params["W"], x, dy) if input_grad else None
         grads = None
         if param_grads:
-            # (F, C, k, k) <- contract batch and output positions
-            dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
-            grads = {"W": dw, "b": dy.sum(axis=(0, 2, 3))}
+            # (F, C·k·k) <- contract batch and output positions, as np.tensordot does
+            rows = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)
+            cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(rows.shape[1], -1)
+            dw = np.dot(rows, cols, out=None if w_out is None else w_out.reshape(len(rows), -1))
+            grads = {"W": dw.reshape(params["W"].shape), "b": dy.sum(axis=(0, 2, 3), out=b_out)}
         return dx, grads
     if not input_grad:
         return None, None

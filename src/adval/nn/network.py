@@ -14,6 +14,11 @@ parameter gradients and no gradient w.r.t. the network input, while the input
 gradients and Jacobians used by DeepFool get no parameter gradients.
 ``logits_and_deferred_jacobian`` splits a Jacobian into its forward pass,
 run at once, and its backward pass, run only when the caller asks for it.
+
+The training loss comes from ``loss_and_param_grads``, out of the max-shifted
+exponentials ``e = exp(z)`` that also give the gradient's softmax ``e / sum(e)``
+(bit for bit ``softmax_probs``): ``mean(log(sum(e)) - z[label])`` stays finite
+at saturated logits, where the log of an underflowed probability would not.
 """
 
 from __future__ import annotations
@@ -77,12 +82,6 @@ def init_network(spec: NetworkSpec) -> NetworkState:
     return NetworkState(spec=spec, params=params)
 
 
-def clone_params(params):
-    return tuple(
-        None if p is None else {k: v.copy() for k, v in p.items()} for p in params
-    )
-
-
 def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
     if x.shape[1:] != spec.input_shape:
@@ -132,18 +131,21 @@ def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False):
     return x, caches
 
 
-def _param_grads(state, caches, dlogits):
+def _param_grads(state, caches, dlogits, out=None):
     """Per-layer parameter gradients; None for parameterless layers.
 
     Backpropagation stops at the lowest layer that has parameters, so the
     gradient w.r.t. that layer's input (which nothing reads) is never formed.
+    ``out`` (per-layer arrays shaped like ``state.params``) receives the gradients.
     """
     layers = state.spec.layers
     lowest = next((i for i, p in enumerate(state.params) if p is not None), len(layers))
-    grads = [None] * len(layers)
+    grads = list(out or [None] * len(layers))
     dy = dlogits
     for i in range(len(layers) - 1, lowest - 1, -1):
-        dy, grads[i] = L.backward(layers[i], state.params[i], caches[i], dy, input_grad=i > lowest)
+        dy, grads[i] = L.backward(
+            layers[i], state.params[i], caches[i], dy, input_grad=i > lowest, out=grads[i]
+        )
     return tuple(grads)
 
 
@@ -163,28 +165,19 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=DTYPE)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood over the batch."""
-    lp = log_softmax(logits)
-    return float(-lp[np.arange(len(labels)), labels].mean())
-
-
-def loss_and_param_grads(state, x, labels, *, rng=None, dropout_active=False):
-    """Mean cross-entropy over the batch plus gradients for every parameter."""
+def loss_and_param_grads(state, x, labels, *, rng=None, dropout_active=False, out=None):
+    """Mean cross-entropy over the batch plus gradients for every parameter (into ``out``)."""
     x = _check_batch(state.spec, x)
     logits, caches = _forward_caches(state, x, rng=rng, dropout_active=dropout_active)
-    n = len(labels)
-    probs = softmax_probs(logits)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return cross_entropy(logits, labels), _param_grads(state, caches, dlogits)
+    rows = np.arange(len(labels))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    loss = float((np.log(s[:, 0]) - z[rows, labels]).sum() / len(labels))  # np.mean's bits
+    dlogits = np.divide(e, s, out=e)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
+    return loss, _param_grads(state, caches, dlogits, out)
 
 
 def _check_label(spec: NetworkSpec, label: int) -> int:
@@ -244,10 +237,6 @@ def _last_dense_index(spec: NetworkSpec) -> int:
 def embed_batch(state: NetworkState, x: np.ndarray) -> np.ndarray:
     """Pre-logit features: activations entering the final dense layer."""
     return _evaluate(state, x, stop=_last_dense_index(state.spec))
-
-
-def embed(state: NetworkState, x: np.ndarray) -> np.ndarray:
-    return embed_batch(state, np.asarray(x, dtype=DTYPE)[None])[0]
 
 
 def predict_batch(state: NetworkState, x: np.ndarray) -> np.ndarray:

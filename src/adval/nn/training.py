@@ -3,6 +3,14 @@
 Given the same initial state, example order, and seed, ``train`` produces
 bit-identical parameters. One generator drives both the per-epoch shuffle and
 the dropout masks, so the whole run is a pure function of its inputs.
+
+``train`` copies the parameters once into one contiguous float64 vector, in
+layer and then key order; the working and the returned state hold reshaped
+views of it. The backward pass writes gradients into views of a second such
+vector, and ``_adam_step`` updates whole vectors in place, keeping the
+per-array update's operation order, ``v += ((1-b2)*g)*g`` and
+``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``: elementwise IEEE results do not
+depend on layout, so the parameters keep their bits.
 """
 
 from __future__ import annotations
@@ -14,13 +22,7 @@ import numpy as np
 
 from adval.errors import ConfigError, InputError
 from adval.nn.layers import DTYPE
-from adval.nn.network import (
-    NetworkState,
-    clone_params,
-    cross_entropy,
-    forward_batch,
-    loss_and_param_grads,
-)
+from adval.nn.network import NetworkState, loss_and_param_grads
 
 
 @dataclass(frozen=True)
@@ -50,69 +52,60 @@ def epochs_for_budget(base_steps: int, batch_size: int, n_examples: int) -> int:
     return max(1, math.ceil(base_steps * batch_size / max(1, n_examples)))
 
 
-class _Adam:
-    def __init__(self, params, cfg: TrainConfig):
-        self.cfg = cfg
-        self.t = 0
-        self.m = [
-            None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
-            for p in params
-        ]
-        self.v = [
-            None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
-            for p in params
-        ]
-
-    def step(self, params, grads):
-        self.t += 1
-        c = self.cfg
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
-        for i, g in enumerate(grads):
-            if g is None:
-                continue
-            for key, gv in g.items():
-                m = self.m[i][key]
-                v = self.v[i][key]
-                m *= c.beta1
-                m += (1.0 - c.beta1) * gv
-                v *= c.beta2
-                v += (1.0 - c.beta2) * gv * gv
-                params[i][key] -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
+def _adam_step(c: TrainConfig, t: int, params, grads, m, v, a, b) -> None:
+    """Adam step ``t`` over whole vectors, in place; ``a`` and ``b`` are scratch."""
+    bc1 = 1.0 - c.beta1**t
+    bc2 = 1.0 - c.beta2**t
+    m *= c.beta1
+    np.multiply(grads, 1.0 - c.beta1, out=a)
+    m += a
+    v *= c.beta2
+    np.multiply(grads, 1.0 - c.beta2, out=a)
+    a *= grads
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += c.epsilon
+    np.divide(m, bc1, out=b)
+    b *= c.learning_rate
+    b /= a
+    params -= b
 
 
-def _stack_examples(examples):
+def _views(flat, like):
+    """Per-layer dicts of views into ``flat``, shaped like ``like``, in layer then key order."""
+    parts = iter(np.split(flat, np.cumsum([v.size for p in like for v in (p or {}).values()])))
+    return tuple(
+        None if p is None else {k: next(parts).reshape(v.shape) for k, v in p.items()} for p in like
+    )
+
+
+def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
+    """Train on (input, label) pairs; returns a new state, input state untouched."""
     pairs = list(examples)
     if not pairs:
         raise InputError("training set is empty")
     x = np.stack([np.asarray(p[0], dtype=DTYPE) for p in pairs])
     y = np.asarray([int(p[1]) for p in pairs], dtype=np.int64)
-    return x, y
-
-
-def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
-    """Train on (input, label) pairs; returns a new state, input state untouched."""
-    x, y = _stack_examples(examples)
     if y.min() < 0 or y.max() >= state.spec.class_count:
         raise InputError("training labels outside class range")
-    params = list(clone_params(state.params))
-    opt = _Adam(params, cfg)
+    arrays = [np.ravel(v) for p in state.params for v in (p or {}).values()]
+    flat = np.concatenate(arrays or [np.zeros(0)], dtype=DTYPE)
+    params = _views(flat, state.params)
+    grad_flat = np.zeros_like(flat)
+    grads = _views(grad_flat, state.params)
+    adam = [np.zeros_like(flat) for _ in range(4)]  # m, v and two scratch vectors
     rng = np.random.default_rng(cfg.seed)
     dropout = state.spec.has_dropout()
-    working = NetworkState(state.spec, tuple(params), state.epochs_trained)
-    n = len(x)
+    working = NetworkState(state.spec, params, state.epochs_trained)
+    n, t = len(x), 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            _, grads = loss_and_param_grads(
-                working, x[idx], y[idx], rng=rng, dropout_active=dropout
+            loss_and_param_grads(
+                working, x[idx], y[idx], rng=rng, dropout_active=dropout, out=grads
             )
-            opt.step(params, grads)
-    return NetworkState(state.spec, tuple(params), state.epochs_trained + cfg.epochs)
-
-
-def training_loss(state: NetworkState, examples) -> float:
-    """Mean cross-entropy over the given examples with dropout disabled."""
-    x, y = _stack_examples(examples)
-    return cross_entropy(forward_batch(state, x), y)
+            t += 1
+            _adam_step(cfg, t, flat, grad_flat, *adam)
+    return NetworkState(state.spec, params, state.epochs_trained + cfg.epochs)

@@ -43,6 +43,7 @@ SMALLER_BETTER = "smaller_better"
 LARGER_BETTER = "larger_better"
 
 BALD_SAMPLES = 10  # dropout passes per BALD score
+_BLOCK = 128  # pool rows, and centers, per block of the nearest-center search
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,23 @@ def select_bald(
     return QueryBatch(tuple(int(i) for i in chosen), ())
 
 
+def nearest_center_sq(pool_points: np.ndarray, center_points: np.ndarray) -> np.ndarray:
+    """Squared distance from each pool row to its nearest center (+inf with none).
+
+    Works in blocks of ``_BLOCK`` rows by ``_BLOCK`` centers, so memory grows with
+    neither count. Per pair the sum over D is the one-shot formula's and the
+    running minimum is exact, so the result is the same bits.
+    """
+    min_sq = np.full(len(pool_points), np.inf)
+    for lo in range(0, len(pool_points), _BLOCK):
+        nearest = min_sq[lo : lo + _BLOCK]
+        for c in range(0, len(center_points), _BLOCK):
+            diff = pool_points[lo : lo + _BLOCK, None, :] - center_points[None, c : c + _BLOCK, :]
+            diff *= diff
+            np.minimum(nearest, diff.sum(axis=2).min(axis=1), out=nearest)
+    return min_sq
+
+
 def k_center_greedy(
     pool_points: np.ndarray, center_points: np.ndarray, n_pick: int
 ) -> list[int]:
@@ -263,11 +281,7 @@ def k_center_greedy(
     """
     n = len(pool_points)
     picks: list[int] = []
-    if len(center_points):
-        diff = pool_points[:, None, :] - center_points[None, :, :]
-        min_sq = (diff * diff).sum(axis=2).min(axis=1)
-    else:
-        min_sq = np.full(n, np.inf)
+    min_sq = nearest_center_sq(pool_points, center_points)
     available = np.ones(n, dtype=bool)
     for _ in range(min(n_pick, n)):
         masked = np.where(available, min_sq, -np.inf)

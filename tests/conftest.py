@@ -48,15 +48,41 @@ def random_conv_spec(rng: np.random.Generator) -> NetworkSpec:
     )
 
 
+def clone_params(params):
+    """Independent copy of a state's per-layer parameter dicts."""
+    return tuple(
+        None if p is None else {k: v.copy() for k, v in p.items()} for p in params
+    )
+
+
+def log_softmax(logits):
+    z = np.asarray(logits, dtype=float)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy(logits, labels) -> float:
+    """Mean negative log-likelihood over the batch, through a full log-softmax."""
+    lp = log_softmax(logits)
+    return float(-lp[np.arange(len(labels)), labels].mean())
+
+
+def training_loss(state, examples) -> float:
+    """Mean cross-entropy over (input, label) pairs with dropout disabled."""
+    x = np.stack([np.asarray(e[0], dtype=float) for e in examples])
+    y = np.array([int(e[1]) for e in examples])
+    return cross_entropy(nn.forward_batch(state, x), y)
+
+
 def fd_loss_param_grad(state, x, label, layer_idx, key, flat_index, h=1e-4):
     """Central finite difference of the cross-entropy loss w.r.t. one parameter."""
 
     def loss_with(delta):
-        params = nn.network.clone_params(state.params)
+        params = clone_params(state.params)
         params[layer_idx][key].ravel()[flat_index] += delta
         moved = nn.NetworkState(state.spec, params, state.epochs_trained)
         logits = nn.forward(moved, x)
-        return nn.network.cross_entropy(logits[None], np.array([label]))
+        return cross_entropy(logits[None], np.array([label]))
 
     return (loss_with(h) - loss_with(-h)) / (2 * h)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    clone_params,
     fd_input_logit_grad,
     fd_loss_param_grad,
     random_conv_spec,
@@ -50,7 +51,7 @@ class TestGradParams:
         # huge-margin correct prediction: softmax ~ onehot, so upstream gets ~0
         spec = NetworkSpec((2,), (Dense(2, 3), ReLU(), Dense(3, 2)), 2, init_seed=3)
         state = nn.init_network(spec)
-        params = nn.network.clone_params(state.params)
+        params = clone_params(state.params)
         params[2]["b"][:] = [1000.0, 0.0]
         params[2]["W"][:] = 0.0
         saturated = nn.NetworkState(spec, params)

@@ -282,32 +282,36 @@ class TestSoftmax:
             assert abs(p.sum() - 1.0) < 1e-9
 
 
+def embed(state, x):
+    return nn.embed_batch(state, np.asarray(x, dtype=float)[None])[0]
+
+
 class TestEmbed:
     def test_embed_is_prelogit_activation(self):
         spec = NetworkSpec((3,), (Dense(3, 4), ReLU(), Dense(4, 2)), 2, init_seed=2)
         state = nn.init_network(spec)
         x = np.array([0.3, -0.4, 1.2])
         h = np.maximum(0.0, x @ state.params[0]["W"] + state.params[0]["b"])
-        np.testing.assert_allclose(nn.embed(state, x), h, rtol=1e-12)
+        np.testing.assert_allclose(embed(state, x), h, rtol=1e-12)
 
     def test_embed_dimension_is_final_fan_in(self):
         spec = NetworkSpec((3,), (Dense(3, 5), ReLU(), Dense(5, 2)), 2, init_seed=2)
         state = nn.init_network(spec)
-        assert nn.embed(state, np.zeros(3)).shape == (5,)
+        assert embed(state, np.zeros(3)).shape == (5,)
 
     def test_embed_deterministic(self):
         spec = NetworkSpec((3,), (Dense(3, 5), Dropout(0.4), Dense(5, 2)), 2, init_seed=2)
         state = nn.init_network(spec)
         x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(nn.embed(state, x), nn.embed(state, x))
+        np.testing.assert_array_equal(embed(state, x), embed(state, x))
 
     def test_no_dense_layer_rejected(self):
         spec = NetworkSpec((1, 4, 4), (Conv2D(2, 3), Flatten(), Dense(8, 2)), 2)
         state = nn.init_network(spec)
-        nn.embed(state, np.zeros((1, 4, 4)))  # fine: has a dense layer
+        embed(state, np.zeros((1, 4, 4)))  # fine: has a dense layer
         conv_only = NetworkSpec((1, 3, 3), (Conv2D(2, 3), Flatten()), 2)
         with pytest.raises(UnsupportedArchitectureError):
-            nn.embed(nn.init_network(conv_only), np.zeros((1, 3, 3)))
+            embed(nn.init_network(conv_only), np.zeros((1, 3, 3)))
 
 
 class TestChunkedEvaluation:

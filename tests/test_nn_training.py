@@ -1,20 +1,61 @@
 """Training loop: determinism, convergence on easy problems, loss decrease."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from conftest import BLOB_SPEC_4C, small_blob_net
+from conftest import BLOB_SPEC_4C, clone_params, cross_entropy, small_blob_net, training_loss
 
 from adval import nn
 from adval.data import gen_blobs
 from adval.errors import ConfigError, InputError
-from adval.nn import Dense, NetworkSpec, ReLU, TrainConfig
+from adval.nn import Dense, NetworkSpec, ReLU, TrainConfig, build_network
 
 
 def flatten_params(state):
     return np.concatenate(
         [v.ravel() for p in state.params if p is not None for v in p.values()]
     )
+
+
+def param_arrays(state):
+    return [v for p in state.params if p is not None for v in p.values()]
+
+
+def reference_train(state, examples, cfg):
+    """Adam array by array on fresh per-layer gradients, with ``train``'s batches and masks."""
+    x = np.stack([e[0] for e in examples])
+    y = np.array([e[1] for e in examples])
+    params = clone_params(state.params)
+    m = clone_params(params)
+    v = clone_params(params)
+    for moments in (m, v):
+        for p in moments:
+            for a in (p or {}).values():
+                a[...] = 0.0
+    working = nn.NetworkState(state.spec, params)
+    rng = np.random.default_rng(cfg.seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for lo in range(0, len(x), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            _, grads = nn.network.loss_and_param_grads(
+                working, x[idx], y[idx], rng=rng, dropout_active=state.spec.has_dropout()
+            )
+            t += 1
+            bc1 = 1.0 - cfg.beta1**t
+            bc2 = 1.0 - cfg.beta2**t
+            for i, g in enumerate(grads):
+                for key, gv in (g or {}).items():
+                    mk, vk = m[i][key], v[i][key]
+                    mk *= cfg.beta1
+                    mk += (1.0 - cfg.beta1) * gv
+                    vk *= cfg.beta2
+                    vk += (1.0 - cfg.beta2) * gv * gv
+                    params[i][key] -= cfg.learning_rate * (mk / bc1) / (np.sqrt(vk / bc2) + cfg.epsilon)
+    return working
 
 
 class TestTrain:
@@ -58,7 +99,7 @@ class TestTrain:
         spec = NetworkSpec((2,), (Dense(2, 16), ReLU(), Dense(16, 4)), 4, init_seed=1)
         before = nn.init_network(spec)
         after = nn.train(before, examples, TrainConfig(epochs=20, seed=0))
-        assert nn.training_loss(after, examples) < nn.training_loss(before, examples)
+        assert training_loss(after, examples) < training_loss(before, examples)
 
     def test_empty_training_set_rejected(self):
         spec = NetworkSpec((2,), (Dense(2, 2),), 2)
@@ -79,6 +120,57 @@ class TestTrain:
         before = flatten_params(state).copy()
         nn.train(state, [(np.array([1.0, 2.0]), 0)], TrainConfig(epochs=3))
         np.testing.assert_array_equal(flatten_params(state), before)
+
+
+class TestFlatAdam:
+    CFGS = [
+        TrainConfig(epochs=7, seed=4),
+        TrainConfig(learning_rate=0.01, beta1=0.8, beta2=0.99, epsilon=1e-6, batch_size=16, epochs=4, seed=9),
+    ]
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=["default", "custom"])
+    @pytest.mark.parametrize("arch,shape", [("arch-A", (1, 12, 12)), ("arch-B", (2,))])
+    def test_matches_per_array_adam_bytes(self, arch, shape, cfg):
+        # 96 examples: 21 steps at batch 32 over 7 epochs, 24 at batch 16 over 4
+        rng = np.random.default_rng(1)
+        examples = list(zip(rng.uniform(-1, 1, size=(96, *shape)), rng.integers(0, 10, 96)))
+        state = nn.init_network(build_network(arch, shape, 10, seed=2))
+        got = nn.train(state, examples, cfg)
+        want = reference_train(state, examples, cfg)
+        for a, b in zip(param_arrays(got), param_arrays(want), strict=True):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_loss_is_reference_cross_entropy_bytes(self, scale):
+        rng = np.random.default_rng(int(scale))
+        spec = NetworkSpec((4,), (Dense(4, 6),), 6)
+        params = ({"W": scale * rng.standard_normal((4, 6)), "b": scale * rng.standard_normal(6)},)
+        state = nn.NetworkState(spec, params)
+        x = rng.standard_normal((40, 4))
+        labels = rng.integers(0, 6, 40)
+        loss, _ = nn.network.loss_and_param_grads(state, x, labels)
+        want = cross_entropy(nn.forward_batch(state, x), labels)
+        assert np.isfinite(loss)
+        assert loss.hex() == want.hex()
+        if scale > 1:  # saturated: some probabilities underflow to 0
+            assert (nn.softmax_probs(nn.forward_batch(state, x)) == 0).any()
+
+    def test_states_share_no_memory(self):
+        rng = np.random.default_rng(3)
+        examples = list(zip(rng.standard_normal((50, 2)), rng.integers(0, 10, 50)))
+        cfg = TrainConfig(epochs=2, seed=5)
+        state = nn.init_network(build_network("arch-B", (2,), 10, seed=1))
+        first = nn.train(state, examples, cfg)
+        second = nn.train(state, examples, cfg)
+        first_before = flatten_params(first).copy()
+        third = nn.train(first, examples, cfg)
+        for s1, s2 in combinations([state, first, second, third], 2):
+            for a in param_arrays(s1):
+                assert not any(np.shares_memory(a, b) for b in param_arrays(s2))
+        np.testing.assert_array_equal(flatten_params(first), first_before)
+        np.testing.assert_array_equal(flatten_params(second), first_before)
+        assert not np.array_equal(flatten_params(third), first_before)
 
 
 class TestEpochBudget:

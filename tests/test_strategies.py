@@ -18,6 +18,7 @@ from adval.strategies import (
     egl_scores,
     entropy_scores,
     k_center_greedy,
+    nearest_center_sq,
     prediction_entropy,
     rank_extremes,
     select_bald,
@@ -315,6 +316,70 @@ class TestCoreset:
                 d[:, list(sub)].min(axis=1).max() for sub in combinations(range(n), k)
             )
             assert greedy_radius <= 2.0 * best + 1e-12
+
+
+def one_shot_min_sq(pool_points, center_points):
+    """Nearest-center squared distances from one (rows, centers, D) difference tensor."""
+    if not len(center_points):
+        return np.full(len(pool_points), np.inf)
+    diff = pool_points[:, None, :] - center_points[None, :, :]
+    return (diff * diff).sum(axis=2).min(axis=1)
+
+
+def one_shot_k_center(pool_points, center_points, n_pick):
+    """Greedy k-center seeded by the one-shot distances; first maximum wins."""
+    min_sq = one_shot_min_sq(pool_points, center_points)
+    available = np.ones(len(pool_points), dtype=bool)
+    picks = []
+    for _ in range(min(n_pick, len(pool_points))):
+        pick = int(np.argmax(np.where(available, min_sq, -np.inf)))
+        picks.append(pick)
+        available[pick] = False
+        gap = pool_points - pool_points[pick]
+        min_sq = np.minimum(min_sq, (gap * gap).sum(axis=1))
+    return picks
+
+
+class TestKCenterBlocks:
+    CASES = [(1, 0, 1), (5, 3, 2), (300, 0, 7), (300, 1, 9), (300, 257, 16), (600, 400, 64)]
+
+    @pytest.mark.parametrize("n_pool,n_centers,dim", CASES)
+    def test_matches_one_shot_formula_bit_for_bit(self, n_pool, n_centers, dim):
+        rng = np.random.default_rng(n_pool + n_centers + dim)
+        pool = rng.standard_normal((n_pool, dim))
+        centers = rng.standard_normal((n_centers, dim))
+        got = nearest_center_sq(pool, centers)
+        assert got.tobytes() == one_shot_min_sq(pool, centers).tobytes()
+        assert k_center_greedy(pool, centers, 20) == one_shot_k_center(pool, centers, 20)
+
+    def test_ties_break_to_lowest_row(self):
+        # integer grid points: many exactly equal distances, plus duplicate rows
+        # that straddle block boundaries
+        rng = np.random.default_rng(3)
+        pool = rng.integers(-2, 3, size=(400, 3)).astype(float)
+        centers = rng.integers(-2, 3, size=(300, 3)).astype(float)
+        got = nearest_center_sq(pool, centers)
+        assert got.tobytes() == one_shot_min_sq(pool, centers).tobytes()
+        for k in (1, 10, 60):
+            assert k_center_greedy(pool, centers, k) == one_shot_k_center(pool, centers, k)
+            assert k_center_greedy(pool, pool[:0], k) == one_shot_k_center(pool, pool[:0], k)
+
+    def test_peak_memory_does_not_grow_with_centers(self):
+        rng = np.random.default_rng(0)
+        pool = rng.standard_normal((200, 8))
+
+        def peak_bytes(n_centers):
+            centers = rng.standard_normal((n_centers, 8))
+            tracemalloc.start()
+            try:
+                k_center_greedy(pool, centers, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak_bytes(400), peak_bytes(3000)
+        # In one shot, the difference tensor alone grows 7.5x, to 38 MB.
+        assert many < 1.25 * few
 
 
 class TestRandom:
