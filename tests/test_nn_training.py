@@ -28,12 +28,7 @@ def reference_train(state, examples, cfg):
     x = np.stack([e[0] for e in examples])
     y = np.array([e[1] for e in examples])
     params = clone_params(state.params)
-    m = clone_params(params)
-    v = clone_params(params)
-    for moments in (m, v):
-        for p in moments:
-            for a in (p or {}).values():
-                a[...] = 0.0
+    m, v = ([{k: np.zeros_like(a) for k, a in (p or {}).items()} for p in params] for _ in range(2))
     working = nn.NetworkState(state.spec, params)
     rng = np.random.default_rng(cfg.seed)
     t = 0
