@@ -9,7 +9,6 @@ from adval.nn.network import (
     embed_batch,
     forward,
     forward_batch,
-    grad_input_logit,
     grad_params,
     init_network,
     logits_and_input_jacobian,
@@ -36,7 +35,6 @@ __all__ = [
     "epochs_for_budget",
     "forward",
     "forward_batch",
-    "grad_input_logit",
     "grad_params",
     "init_network",
     "logits_and_input_jacobian",

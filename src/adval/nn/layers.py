@@ -8,6 +8,12 @@ only the gradients its caller requests: the gradient w.r.t. the layer input
 (``input_grad``) and, for parameterized layers, gradients shaped exactly like
 the parameters (``param_grads``). Whatever is not requested comes back as None
 and costs nothing.
+
+The input gradient also takes an upstream gradient with extra leading axes in
+front of the cached batch, ``(*lead, N, ...)``: one backward pass then carries
+several seeds per example at once (EGL seeds one per class). ``grad_sq_norms``
+reads such a gradient and returns each example's squared parameter-gradient
+norm without forming any per-example gradient of a Dense layer.
 """
 
 from __future__ import annotations
@@ -187,6 +193,12 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
     otherwise (always None for parameterless layers). Each result is computed
     the same way whether or not the other one is requested. ``out`` (contiguous
     arrays shaped like ``params``) receives the parameter gradients, same bits.
+
+    With ``param_grads=False``, ``dy`` may carry leading axes in front of the
+    cached batch, ``(*lead, N, ...)``, and ``dx`` is then ``(*lead, *x.shape)``:
+    each leading index gets the gradient an ordinary call would give it. Dense,
+    ReLU and Dropout broadcast; Flatten and MaxPool2D place the leading axes
+    explicitly; Conv2D takes its rows over lead x batch.
     """
     w_out, b_out = (None, None) if out is None else (out["W"], out["b"])
     if isinstance(layer, Dense):
@@ -198,7 +210,10 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
         return dx, grads
     if isinstance(layer, Conv2D):
         x, windows = cache
-        dx = _conv_input_grad(layer, params["W"], x, dy) if input_grad else None
+        dx = None
+        if input_grad:  # leading axes fold into the batch
+            dx = _conv_input_grad(layer, params["W"], x.shape[1:], dy.reshape(-1, *dy.shape[-3:]))
+            dx = dx.reshape(*dy.shape[:-4], *x.shape)
         grads = None
         if param_grads:
             # (F, C·k·k) <- contract batch and output positions, as np.tensordot does
@@ -212,21 +227,51 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
     if isinstance(layer, ReLU):
         return dy * cache, None
     if isinstance(layer, Flatten):
-        return dy.reshape(cache), None
+        return dy.reshape(*dy.shape[:-2], *cache), None
     if isinstance(layer, Dropout):
         if cache is None:
             return dy, None
         return dy * cache, None
     if isinstance(layer, MaxPool2D):
         x_shape, flat = cache
-        dx = np.zeros(x_shape, dtype=dy.dtype)
-        dx.reshape(-1)[flat.reshape(-1)] = dy.reshape(-1)
+        dx = np.zeros((*dy.shape[: dy.ndim - len(x_shape)], *x_shape), dtype=dy.dtype)
+        picks = flat.reshape(-1)
+        # one 1-D scatter per leading index: a 2-D fancy index is about 1.6x slower
+        for d, g in zip(dx.reshape(-1, picks.size * layer.size**2), dy.reshape(-1, picks.size)):
+            d[picks] = g
         return dx, None
     raise TypeError(f"unknown layer {layer!r}")
 
 
-def _conv_input_grad(layer: Conv2D, w: np.ndarray, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Conv2D gradient w.r.t. its input: one (N*Ho*Wo, F) @ (F, C) product per tap.
+def grad_sq_norms(layer, cache, dy) -> np.ndarray:
+    """Squared Frobenius norm of each example's (dW, db), shaped ``(*lead, N)``.
+
+    ``cache`` comes from ``forward`` on a batch of N examples and ``dy`` is
+    ``(*lead, N, *out)``; entry ``[..., n]`` is the squared norm of the
+    parameter gradients of a one-example ``backward`` with that row of ``dy``.
+    Dense: ||x_n||^2 ||delta||^2 + ||delta||^2, with no outer product formed.
+    Conv2D: ||delta^T cols_n||^2 + ||sum over positions of delta||^2, with
+    ``cols_n`` the example's im2col rows (positions x C·k·k).
+    """
+    if isinstance(layer, Dense):
+        x = cache
+        d2 = (dy * dy).sum(axis=-1)
+        return (x * x).sum(axis=-1) * d2 + d2
+    if isinstance(layer, Conv2D):
+        _, windows = cache
+        n, _, ho, wo = windows.shape[:4]
+        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
+        delta = dy.reshape(*dy.shape[:-2], ho * wo)  # (*lead, N, F, positions)
+        dw = np.matmul(delta, cols)  # (*lead, N, F, C·k·k): one small product per example
+        db = delta.sum(axis=-1)
+        return (dw * dw).sum(axis=(-2, -1)) + (db * db).sum(axis=-1)
+    raise TypeError(f"layer {layer!r} has no parameters")
+
+
+def _conv_input_grad(layer: Conv2D, w: np.ndarray, x_shape: tuple, dy: np.ndarray) -> np.ndarray:
+    """Conv2D gradient w.r.t. inputs of per-example shape ``x_shape``.
+
+    One (N*Ho*Wo, F) @ (F, C) product per tap.
 
     ``dy`` is laid out as rows of output positions once per call; the taps
     are then scatter-added in row-major order, since receptive fields overlap
@@ -235,7 +280,7 @@ def _conv_input_grad(layer: Conv2D, w: np.ndarray, x: np.ndarray, dy: np.ndarray
     k, s = layer.kernel, layer.stride
     n, f, ho, wo = dy.shape
     rows = dy.transpose(0, 2, 3, 1).reshape(-1, f)
-    dx = np.zeros_like(x)
+    dx = np.zeros((n, *x_shape), dtype=dy.dtype)
     for ki in range(k):
         for kj in range(k):
             contrib = (rows @ w[:, :, ki, kj]).reshape(n, ho, wo, -1)

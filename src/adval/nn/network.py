@@ -9,9 +9,12 @@ runs the layers over fixed chunks of ``_CHUNK`` rows from row 0: a batch
 evaluates the same way wherever it is scored from, and the peak memory of
 scoring a pool depends on the chunk size, not on the pool size.
 
-Each backward pass computes only what its caller reads: training and EGL get
+Each backward pass computes only what its caller reads: training gets
 parameter gradients and no gradient w.r.t. the network input, while the input
 gradients and Jacobians used by DeepFool get no parameter gradients.
+``probs_and_grad_sq_norms`` serves EGL with neither: its backward pass carries
+a leading class axis in front of the batch (see ``layers.backward``) and sums
+each example's squared parameter-gradient norm per class as it goes down.
 ``logits_and_deferred_jacobian`` splits a Jacobian into its forward pass,
 run at once, and its backward pass, run only when the caller asks for it.
 
@@ -131,6 +134,11 @@ def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False):
     return x, caches
 
 
+def _lowest_param_layer(state) -> int:
+    """Index of the lowest layer with parameters (``len(layers)`` if none has any)."""
+    return next((i for i, p in enumerate(state.params) if p is not None), len(state.params))
+
+
 def _param_grads(state, caches, dlogits, out=None):
     """Per-layer parameter gradients; None for parameterless layers.
 
@@ -139,7 +147,7 @@ def _param_grads(state, caches, dlogits, out=None):
     ``out`` (per-layer arrays shaped like ``state.params``) receives the gradients.
     """
     layers = state.spec.layers
-    lowest = next((i for i, p in enumerate(state.params) if p is not None), len(layers))
+    lowest = _lowest_param_layer(state)
     grads = list(out or [None] * len(layers))
     dy = dlogits
     for i in range(len(layers) - 1, lowest - 1, -1):
@@ -197,13 +205,29 @@ def grad_params(state: NetworkState, x: np.ndarray, label: int):
     return grads
 
 
-def grad_input_logit(state: NetworkState, x: np.ndarray, k: int) -> np.ndarray:
-    """Gradient of logit ``k`` w.r.t. the input. Dropout disabled."""
-    k = _check_label(state.spec, k)
-    _, caches = _forward_caches(state, _check_batch(state.spec, np.asarray(x, dtype=DTYPE)[None]))
-    seed = np.zeros((1, state.spec.class_count), dtype=DTYPE)
-    seed[0, k] = 1.0
-    return _input_grad(state, caches, seed)[0]
+def probs_and_grad_sq_norms(state: NetworkState, x: np.ndarray):
+    """Softmax probabilities and squared cross-entropy gradient norms, both (N, C).
+
+    ``sq[n, c]`` is the squared euclidean norm, over every parameter jointly,
+    of the gradient of example n's own loss at label c, as ``grad_params``
+    gives it. One forward pass over the batch (dropout disabled) and one
+    backward pass whose upstream gradient ``softmax - e_c`` has a leading axis
+    of C seeds; the per-class gradients themselves are never formed.
+    """
+    x = _check_batch(state.spec, x)
+    logits, caches = _forward_caches(state, x)
+    probs = softmax_probs(logits)
+    c = state.spec.class_count
+    dy = probs - np.eye(c, dtype=DTYPE)[:, None, :]  # (C, N, C): seed c is softmax - e_c
+    sq = np.zeros((c, len(x)), dtype=DTYPE)
+    layers = state.spec.layers
+    lowest = _lowest_param_layer(state)
+    for i in range(len(layers) - 1, lowest - 1, -1):
+        if state.params[i] is not None:
+            sq += L.grad_sq_norms(layers[i], caches[i], dy)
+        if i > lowest:
+            dy, _ = L.backward(layers[i], state.params[i], caches[i], dy, param_grads=False)
+    return probs, sq.T
 
 
 def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):

@@ -1,4 +1,4 @@
-"""Shared fixtures: random small networks, trained nets on blob data, oracles."""
+"""Shared fixtures: random small networks, trained nets on blob data, oracles and references."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from adval.nn import (
     ReLU,
     TrainConfig,
 )
+from adval.nn.network import _check_batch, _check_label, _forward_caches, _input_grad
 
 
 def random_dense_spec(rng: np.random.Generator, with_dropout: bool = False) -> NetworkSpec:
@@ -96,6 +97,32 @@ def fd_input_logit_grad(state, x, k, flat_index, h=1e-4):
         return nn.forward(state, moved)[k]
 
     return (logit_with(h) - logit_with(-h)) / (2 * h)
+
+
+def grad_input_logit(state, x, k) -> np.ndarray:
+    """Gradient of logit ``k`` w.r.t. one input, by one backward pass from a one-hot seed."""
+    k = _check_label(state.spec, k)
+    _, caches = _forward_caches(state, _check_batch(state.spec, np.asarray(x, dtype=float)[None]))
+    seed = np.zeros((1, state.spec.class_count))
+    seed[0, k] = 1.0
+    return _input_grad(state, caches, seed)[0]
+
+
+def reference_egl_scores(state, inputs) -> np.ndarray:
+    """EGL by definition: one ``grad_params`` call per (candidate, class)."""
+    probs = nn.softmax_probs(nn.forward_batch(state, inputs))
+    scores = np.empty(len(inputs))
+    for i, x in enumerate(inputs):
+        total = 0.0
+        for c in range(state.spec.class_count):
+            sq = 0.0
+            for g in nn.grad_params(state, x, c):
+                if g is not None:
+                    for v in g.values():
+                        sq += float((v * v).sum())
+            total += probs[i, c] * np.sqrt(sq)
+        scores[i] = total
+    return scores
 
 
 def rel_err(a, b, floor=1e-6):

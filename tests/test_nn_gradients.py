@@ -7,6 +7,7 @@ from conftest import (
     clone_params,
     fd_input_logit_grad,
     fd_loss_param_grad,
+    grad_input_logit,
     random_conv_spec,
     random_dense_spec,
     rel_err,
@@ -73,7 +74,7 @@ class TestGradInputLogit:
             spec, ({"W": np.array([[0.0, 3.0], [0.0, 4.0]]), "b": np.zeros(2)},)
         )
         np.testing.assert_array_equal(
-            nn.grad_input_logit(state, np.array([1.0, 1.0]), 1), [3.0, 4.0]
+            grad_input_logit(state, np.array([1.0, 1.0]), 1), [3.0, 4.0]
         )
 
     def test_matches_finite_differences_random_net(self):
@@ -82,7 +83,7 @@ class TestGradInputLogit:
             state = nn.init_network(random_dense_spec(rng))
             x = rng.standard_normal(state.spec.input_shape)
             k = int(rng.integers(state.spec.class_count))
-            g = nn.grad_input_logit(state, x, k)
+            g = grad_input_logit(state, x, k)
             for _ in range(5):
                 flat = int(rng.integers(x.size))
                 fd = fd_input_logit_grad(state, x, k, flat)
@@ -93,7 +94,7 @@ class TestGradInputLogit:
         state = nn.init_network(random_conv_spec(rng))
         x = rng.standard_normal(state.spec.input_shape)
         k = 0
-        g = nn.grad_input_logit(state, x, k)
+        g = grad_input_logit(state, x, k)
         for flat in rng.integers(x.size, size=8):
             fd = fd_input_logit_grad(state, x, k, int(flat))
             assert rel_err(g.ravel()[int(flat)], fd) < 1e-4
@@ -108,14 +109,14 @@ class TestGradInputLogit:
             {"W": np.array([[5.0, 0.0], [7.0, 0.0]]), "b": np.zeros(2)},
         )
         state = nn.NetworkState(spec, params)
-        g = nn.grad_input_logit(state, np.array([0.5, 0.5]), 0)
+        g = grad_input_logit(state, np.array([0.5, 0.5]), 0)
         # only unit 1 (identity on x[1]) carries signal: d logit0 / dx = w1[:,1]*7
         np.testing.assert_allclose(g, [0.0, 7.0], atol=1e-12)
 
     def test_invalid_class_rejected(self):
         spec = NetworkSpec((2,), (Dense(2, 2),), 2)
         with pytest.raises(InputError):
-            nn.grad_input_logit(nn.init_network(spec), np.zeros(2), 5)
+            grad_input_logit(nn.init_network(spec), np.zeros(2), 5)
 
 
 class TestJacobian:
@@ -127,4 +128,4 @@ class TestJacobian:
             logits, jac = nn.logits_and_input_jacobian(state, x)
             np.testing.assert_allclose(logits, nn.forward(state, x), rtol=1e-12)
             for k in range(state.spec.class_count):
-                np.testing.assert_allclose(jac[k], nn.grad_input_logit(state, x, k), rtol=1e-12)
+                np.testing.assert_allclose(jac[k], grad_input_logit(state, x, k), rtol=1e-12)

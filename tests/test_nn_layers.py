@@ -16,6 +16,7 @@ from adval.nn import (
 )
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
+from adval.nn.layers import grad_sq_norms
 
 
 def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
@@ -257,6 +258,35 @@ class TestBackward:
                 assert grads.keys() == full_grads.keys() == params.keys()
                 for key in params:
                     np.testing.assert_array_equal(grads[key], full_grads[key])
+
+    def test_leading_axes_equal_a_loop_of_ordinary_calls(self):
+        rng = np.random.default_rng(9)
+        for layer, params, x in layer_cases(rng):
+            y, cache = layer_forward(layer, params, x, rng=rng, dropout_active=True)
+            dy = rng.standard_normal((2, 3, *y.shape))
+            dx, none = layer_backward(layer, params, cache, dy, param_grads=False)
+            assert none is None and dx.shape == (2, 3, *x.shape)
+            for lead in np.ndindex(2, 3):
+                want, _ = layer_backward(layer, params, cache, dy[lead], param_grads=False)
+                if params is None:
+                    np.testing.assert_array_equal(dx[lead], want)
+                else:
+                    np.testing.assert_allclose(dx[lead], want, rtol=1e-12)
+
+    def test_grad_sq_norms_equal_one_example_backward(self):
+        rng = np.random.default_rng(10)
+        for layer, params, x in layer_cases(rng):
+            if params is None:
+                continue
+            y, cache = layer_forward(layer, params, x)
+            dy = rng.standard_normal((3, *y.shape))
+            sq = grad_sq_norms(layer, cache, dy)
+            assert sq.shape == (3, len(x))
+            for lead, n in np.ndindex(sq.shape):
+                _, one = layer_forward(layer, params, x[n : n + 1])
+                _, grads = layer_backward(layer, params, one, dy[lead, n : n + 1], input_grad=False)
+                want = sum(float((g * g).sum()) for g in grads.values())
+                np.testing.assert_allclose(sq[lead, n], want, rtol=1e-12)
 
 
 class TestSoftmax:

@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_egl_scores
 
 from adval import nn
 from adval.attacks import AttackConfig, batch_deepfool, deepfool
 from adval.errors import ConfigError, UnsupportedArchitectureError
-from adval.nn import Dense, Dropout, NetworkSpec, ReLU
+from adval.nn import Conv2D, Dense, Dropout, Flatten, MaxPool2D, NetworkSpec, ReLU
 from adval.strategies import (
     ADVERSARIAL_TWIN,
     CEAL_PSEUDO,
@@ -120,6 +121,23 @@ class TestScoringMemory:
         # Unchunked, the peak grows about 4x from 256 to 1024 rows.
         assert large < 1.25 * small
 
+    def test_egl_peak_does_not_grow_with_pool(self):
+        state = nn.init_network(nn.build_network("arch-A", (1, 12, 12), 10, seed=0))
+        rng = np.random.default_rng(0)
+
+        def peak_bytes(rows):
+            x = rng.uniform(0.0, 1.0, size=(rows, 1, 12, 12))
+            tracemalloc.start()
+            try:
+                egl_scores(state, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(100), peak_bytes(400)
+        # Scored in one block, the class-batched backward would grow 4x with the pool.
+        assert large < 1.25 * small
+
 
 class TestCeal:
     def test_delta_zero_equals_uncertainty(self, trained3, blobs3):
@@ -162,7 +180,33 @@ class TestCeal:
             select_ceal(trained3, pool_of(blobs3, 5), 1, delta=-1.0)
 
 
+def egl_net(name):
+    """A network whose EGL scores are checked against the per-class reference."""
+    if name == "arch-A":
+        return nn.init_network(nn.build_network("arch-A", (1, 12, 12), 10, seed=3))
+    if name == "arch-B":
+        return nn.init_network(nn.build_network("arch-B", (2,), 3, seed=3))
+    # the second conv is not the lowest parameterized layer, so its input
+    # gradient runs with the leading class axis
+    layers = (
+        Conv2D(filters=3, kernel=2),
+        ReLU(),
+        MaxPool2D(2),
+        Conv2D(filters=4, kernel=2, stride=2),
+        Flatten(),
+        Dense(16, 4),
+    )
+    return nn.init_network(NetworkSpec((2, 9, 9), layers, 4, init_seed=3))
+
+
 class TestEgl:
+    @pytest.mark.parametrize("name", ["arch-A", "arch-B", "conv-stride"])
+    @pytest.mark.parametrize("rows", [1, 90])  # 90 rows span at least two blocks on every net
+    def test_matches_per_class_reference(self, name, rows):
+        state = egl_net(name)
+        x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, *state.spec.input_shape))
+        np.testing.assert_allclose(egl_scores(state, x), reference_egl_scores(state, x), rtol=1e-10)
+
     def test_two_class_closed_form(self):
         spec = NetworkSpec((2,), (Dense(2, 2),), 2, init_seed=1)
         state = nn.init_network(spec)
