@@ -207,12 +207,16 @@ def apply_query(pool_state: PoolState, batch: QueryBatch, oracle) -> PoolState:
 
 
 def training_examples(pool_state: PoolState, dataset: Dataset):
-    """Real labeled samples plus synthetic additions, in insertion order."""
+    """Real labeled samples plus synthetic additions, in insertion order.
+
+    An addition without ``values`` (a pseudo-label) trains on its source row.
+    """
     examples = [(dataset.inputs[i], label) for i, label in pool_state.labeled]
     for add in pool_state.synthetic:
         if add.label is None:
             raise PoolInvariantError("synthetic item reached training without a label")
-        examples.append((add.values, add.label))
+        x = dataset.inputs[add.source_index] if add.values is None else add.values
+        examples.append((x, add.label))
     return examples
 
 

@@ -7,7 +7,6 @@ from adval.nn.network import (
     NetworkState,
     accuracy,
     embed_batch,
-    forward,
     forward_batch,
     grad_params,
     init_network,
@@ -33,7 +32,6 @@ __all__ = [
     "conv_input_shape",
     "embed_batch",
     "epochs_for_budget",
-    "forward",
     "forward_batch",
     "grad_params",
     "init_network",

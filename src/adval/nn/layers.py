@@ -14,6 +14,15 @@ front of the cached batch, ``(*lead, N, ...)``: one backward pass then carries
 several seeds per example at once (EGL seeds one per class). ``grad_sq_norms``
 reads such a gradient and returns each example's squared parameter-gradient
 norm without forming any per-example gradient of a Dense layer.
+
+Conv2D's forward copies its receptive fields into im2col columns laid out
+(N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one
+batched product, whose (N, F, Ho·Wo) result is already NCHW. On arch-A's
+shapes (one channel, 8 filters of 5×5 over 8×8, 12×12, 16×16 or 28×28 inputs)
+this is bit-equal to contracting the window view with ``np.tensordot`` on the
+OpenBLAS SkylakeX and Haswell kernels. On other shapes OpenBLAS may take
+another kernel path and round the last bit differently: 2×2 and 1×1 outputs,
+some multi-channel shapes, and a single filter (a matrix-vector product).
 """
 
 from __future__ import annotations
@@ -175,10 +184,14 @@ def forward(layer, params, x, *, rng=None, dropout_active=False):
         return x * mask, mask
     if isinstance(layer, Conv2D):
         windows = _conv_windows(x, layer.kernel, layer.stride)
-        # (N, Ho, Wo, F) <- contract (C, k, k)
-        y = np.tensordot(windows, params["W"], axes=([1, 4, 5], [1, 2, 3]))
-        y = np.ascontiguousarray(y.transpose(0, 3, 1, 2)) + params["b"][None, :, None, None]
-        return y, (x, windows)
+        n, _, ho, wo = windows.shape[:4]
+        # im2col as (N, C·k·k, Ho·Wo), copied in contiguous runs of Wo elements;
+        # one batched (F, C·k·k) @ cols product then lands in NCHW order, with
+        # no output transpose (last-bit contract in the module docstring)
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, ho * wo)
+        y = np.matmul(params["W"].reshape(layer.filters, -1), cols)
+        y += params["b"][:, None]
+        return y.reshape(n, layer.filters, ho, wo), (x, windows)
     if isinstance(layer, MaxPool2D):
         return _maxpool(x, layer.size)
     raise TypeError(f"unknown layer {layer!r}")

@@ -117,14 +117,6 @@ def forward_batch(
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
-def forward(state: NetworkState, x: np.ndarray, *, dropout_seed: int | None = None) -> np.ndarray:
-    """Logits (class_count,) for a single input."""
-    x = _check_batch(state.spec, np.asarray(x, dtype=DTYPE)[None])
-    if not np.all(np.isfinite(x)):
-        raise InputError("input contains non-finite values")
-    return forward_batch(state, x, dropout_seed=dropout_seed)[0]
-
-
 def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False):
     """Output of ``layers[:stop]`` plus each layer's cache for the backward pass."""
     caches = []

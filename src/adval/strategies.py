@@ -77,12 +77,13 @@ class CandidateSet:
 class SyntheticAddition:
     """A training item that does not live in the dataset index universe.
 
-    Twins leave ``label`` as None until the oracle labels their source sample;
-    pseudo-labeled items fix the model's prediction as the label at selection
-    time and keep ``source_index`` only for corruption accounting.
+    Twins carry their perturbed ``values`` and leave ``label`` as None until the
+    oracle labels their source sample. Pseudo-labeled items fix the model's
+    prediction as the label at selection time; their input is the dataset's
+    row ``source_index``, so they hold no ``values`` of their own.
     """
 
-    values: np.ndarray
+    values: np.ndarray | None
     provenance: str  # ADVERSARIAL_TWIN or CEAL_PSEUDO
     label: int | None
     source_index: int
@@ -234,7 +235,7 @@ def select_ceal(
         if scores[row] < delta and int(idx) not in queried:
             additions.append(
                 SyntheticAddition(
-                    values=pool.inputs[row].copy(),
+                    values=None,
                     provenance=CEAL_PSEUDO,
                     label=int(predicted[row]),
                     source_index=int(idx),

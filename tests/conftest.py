@@ -5,6 +5,7 @@ import pytest
 
 from adval import nn
 from adval.data import Dataset, SyntheticSpec, gen_blobs
+from adval.errors import InputError
 from adval.nn import (
     Conv2D,
     Dense,
@@ -15,6 +16,7 @@ from adval.nn import (
     ReLU,
     TrainConfig,
 )
+from adval.nn.layers import _conv_windows
 from adval.nn.network import _check_batch, _check_label, _forward_caches, _input_grad
 
 
@@ -47,6 +49,21 @@ def random_conv_spec(rng: np.random.Generator) -> NetworkSpec:
     return NetworkSpec(
         (1, side, side), tuple(layers), classes, init_seed=int(rng.integers(1 << 31))
     )
+
+
+def forward(state, x) -> np.ndarray:
+    """Logits (class_count,) for a single finite input: a one-row ``forward_batch``."""
+    x = _check_batch(state.spec, np.asarray(x, dtype=float)[None])
+    if not np.all(np.isfinite(x)):
+        raise InputError("input contains non-finite values")
+    return nn.forward_batch(state, x)[0]
+
+
+def reference_conv_forward(layer: Conv2D, params, x) -> np.ndarray:
+    """Conv2D output by contracting the window view with the kernel in ``np.tensordot``."""
+    windows = _conv_windows(x, layer.kernel, layer.stride)
+    y = np.tensordot(windows, params["W"], axes=([1, 4, 5], [1, 2, 3]))  # (N, Ho, Wo, F)
+    return y.transpose(0, 3, 1, 2) + params["b"][None, :, None, None]
 
 
 def clone_params(params):
@@ -82,7 +99,7 @@ def fd_loss_param_grad(state, x, label, layer_idx, key, flat_index, h=1e-4):
         params = clone_params(state.params)
         params[layer_idx][key].ravel()[flat_index] += delta
         moved = nn.NetworkState(state.spec, params, state.epochs_trained)
-        logits = nn.forward(moved, x)
+        logits = forward(moved, x)
         return cross_entropy(logits[None], np.array([label]))
 
     return (loss_with(h) - loss_with(-h)) / (2 * h)
@@ -94,7 +111,7 @@ def fd_input_logit_grad(state, x, k, flat_index, h=1e-4):
     def logit_with(delta):
         moved = np.array(x, dtype=float)
         moved.ravel()[flat_index] += delta
-        return nn.forward(state, moved)[k]
+        return forward(state, moved)[k]
 
     return (logit_with(h) - logit_with(-h)) / (2 * h)
 

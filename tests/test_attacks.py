@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_conv_spec
+from conftest import forward, random_conv_spec
 
 from adval import nn
 from adval.attacks import AdversarialResult, AttackConfig, batch_deepfool, deepfool, lp_norm
@@ -82,8 +82,8 @@ class TestResultContract:
         for x in blobs3.inputs[:40]:
             res = deepfool(trained3, x, cfg)
             if res.success:
-                before = int(np.argmax(nn.forward(trained3, x)))
-                after = int(np.argmax(nn.forward(trained3, x + res.perturbation)))
+                before = int(np.argmax(forward(trained3, x)))
+                after = int(np.argmax(forward(trained3, x + res.perturbation)))
                 assert before == res.original_label
                 assert after == res.adversarial_label
                 assert after != before
@@ -274,7 +274,7 @@ class TestJacobianCount:
         assert res.iterations == bad_point
         np.testing.assert_array_equal(x + res.perturbation, points[bad_point])
         # at x itself no step was taken and, as for non-finite logits, no label is reported
-        expected = None if bad_point == 0 else int(np.argmax(nn.forward(net, x)))
+        expected = None if bad_point == 0 else int(np.argmax(forward(net, x)))
         assert res.original_label == expected
 
 

@@ -216,6 +216,24 @@ class TestApplyQuery:
         assert len(pools.synthetic) == 1
         assert len(training_examples(pools, ds)) == 6 + 2 + 1
 
+    def test_pseudo_label_trains_on_its_source_row(self, blobs3):
+        ds = blobs3
+        pools = init_pools(ds, 6, seed=0)
+        u = pools.unlabeled
+        batch = QueryBatch(
+            (u[0],),
+            (
+                SyntheticAddition(None, CEAL_PSEUDO, 2, u[5]),
+                SyntheticAddition(ds.inputs[u[0]] + 0.5, ADVERSARIAL_TWIN, None, u[0]),
+            ),
+        )
+        examples = training_examples(apply_query(pools, batch, self.oracle_for(ds)), ds)
+        assert len(examples) == 6 + 1 + 2
+        (x_pseudo, y_pseudo), (x_twin, _) = examples[-2:]
+        assert y_pseudo == 2
+        np.testing.assert_array_equal(x_pseudo, ds.inputs[u[5]])
+        np.testing.assert_array_equal(x_twin, ds.inputs[u[0]] + 0.5)
+
     def test_corruption_counted_not_prevented(self, blobs3):
         ds = blobs3
         pools = init_pools(ds, 6, seed=0)

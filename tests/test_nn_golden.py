@@ -1,4 +1,4 @@
-"""Golden digests: trained parameters and DeepFool perturbations, bit for bit.
+"""Golden digests: trained parameters, scoring logits and DeepFool perturbations, bit for bit.
 
 The digests pin results computed with full backward passes, in which every
 layer forms both its input and its parameter gradients. Restricting which
@@ -15,7 +15,7 @@ than on several, so the set depends on OpenBLAS's thread count too: the
 first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` that is set, else the CPUs this process may run on.
 perfbench pins one thread. The Haswell digests are the same at 1, 2 and 4
-threads.
+threads, and so is each kernel's scoring digest.
 """
 
 import hashlib
@@ -43,6 +43,9 @@ KERNEL_DIGESTS = {
 SINGLE_THREAD_DIGESTS = {
     "skylakex": ({"arch-A": "f9b4810872f9baff", "arch-B": "6891125ca515d98a"}, DEEPFOOL_DIGEST),
 }
+# OpenBLAS core type -> digest of trained arch-A's logits over 300 rows: one
+# full evaluation chunk plus a partial one.
+SCORING_DIGESTS = {"skylakex": "1090d4d1e06c0abd", "haswell": "1d556020a965b9be"}
 
 
 def blas_threads() -> int:
@@ -53,10 +56,15 @@ def blas_threads() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def kernel_digests():
+def kernel_name() -> str:
     kernel = (os.environ.get("OPENBLAS_CORETYPE") or "SkylakeX").lower()
     if kernel not in KERNEL_DIGESTS:
         pytest.fail(f"no golden digests recorded for OPENBLAS_CORETYPE={kernel}")
+    return kernel
+
+
+def kernel_digests():
+    kernel = kernel_name()
     if blas_threads() == 1:
         return SINGLE_THREAD_DIGESTS.get(kernel, KERNEL_DIGESTS[kernel])
     return KERNEL_DIGESTS[kernel]
@@ -93,6 +101,12 @@ def test_trained_parameters_match_golden():
     expected, _ = kernel_digests()
     got = {arch: digest_arrays(param_arrays(trained(arch))) for arch in expected}
     assert got == expected
+
+
+def test_scoring_logits_match_golden():
+    x, _ = image_data(300, seed=2)
+    got = digest_arrays([nn.forward_batch(trained("arch-A"), x)])
+    assert got == SCORING_DIGESTS[kernel_name()]
 
 
 def test_deepfool_perturbations_match_golden():

@@ -7,6 +7,7 @@ from conftest import (
     clone_params,
     fd_input_logit_grad,
     fd_loss_param_grad,
+    forward,
     grad_input_logit,
     random_conv_spec,
     random_dense_spec,
@@ -41,7 +42,7 @@ class TestGradParams:
         state = nn.init_network(spec)
         x = np.array([0.5, -1.0, 2.0])
         label = 2
-        probs = nn.softmax_probs(nn.forward(state, x))
+        probs = nn.softmax_probs(forward(state, x))
         delta = probs.copy()
         delta[label] -= 1.0
         grads = nn.grad_params(state, x, label)
@@ -126,6 +127,6 @@ class TestJacobian:
             state = nn.init_network(make_spec(rng))
             x = rng.standard_normal(state.spec.input_shape)
             logits, jac = nn.logits_and_input_jacobian(state, x)
-            np.testing.assert_allclose(logits, nn.forward(state, x), rtol=1e-12)
+            np.testing.assert_allclose(logits, forward(state, x), rtol=1e-12)
             for k in range(state.spec.class_count):
                 np.testing.assert_allclose(jac[k], grad_input_logit(state, x, k), rtol=1e-12)

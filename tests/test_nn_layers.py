@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import forward, reference_conv_forward
 
 from adval import nn
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError
@@ -42,7 +43,7 @@ def identity_dense_net():
 class TestForward:
     def test_identity_dense(self):
         state = identity_dense_net()
-        np.testing.assert_array_equal(nn.forward(state, np.array([1.0, 2.0])), [1.0, 2.0])
+        np.testing.assert_array_equal(forward(state, np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_deterministic_mode_is_pure(self):
         rng = np.random.default_rng(0)
@@ -50,8 +51,8 @@ class TestForward:
 
         state = nn.init_network(random_dense_spec(rng, with_dropout=True))
         x = rng.standard_normal(state.spec.input_shape)
-        a = nn.forward(state, x)
-        b = nn.forward(state, x)
+        a = forward(state, x)
+        b = forward(state, x)
         np.testing.assert_array_equal(a, b)
 
     def test_two_layer_hand_computation(self):
@@ -63,12 +64,12 @@ class TestForward:
         w2, b2 = state.params[2]["W"], state.params[2]["b"]
         hidden = [max(0.0, sum(x[i] * w1[i, j] for i in range(2)) + b1[j]) for j in range(3)]
         expected = [sum(hidden[j] * w2[j, k] for j in range(3)) + b2[k] for k in range(2)]
-        np.testing.assert_allclose(nn.forward(state, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(forward(state, x), expected, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         state = identity_dense_net()
         with pytest.raises(InputError):
-            nn.forward(state, np.zeros(3))
+            forward(state, np.zeros(3))
 
     def test_dropout_rate_zero_equals_deterministic(self):
         spec = NetworkSpec((4,), (Dense(4, 4), Dropout(0.0), Dense(4, 2)), 2, init_seed=1)
@@ -105,6 +106,29 @@ class TestConvAndPool:
                         patch = x[n, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
                         want = (patch * params["W"][f]).sum() + params["b"][f]
                         np.testing.assert_allclose(y[n, f, i, j], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("filters", [1, 4, 8])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_conv_matches_tensordot_reference(self, channels, filters, kernel, stride):
+        # Shapes off arch-A's path, where BLAS may round the last bit differently.
+        # The tolerance is relative to the sum of the terms' magnitudes, since an
+        # output that cancels to near zero keeps only the terms' absolute error.
+        rng = np.random.default_rng([channels, filters, kernel, stride])
+        layer = Conv2D(filters=filters, kernel=kernel, stride=stride)
+        params = {
+            "W": rng.standard_normal((filters, channels, kernel, kernel)),
+            "b": rng.standard_normal(filters),
+        }
+        magnitudes = {k: np.abs(v) for k, v in params.items()}
+        for n in (1, 10, 300):
+            for h, w in ((kernel, kernel), (9, 8)):  # a 1x1 output, then a larger one
+                x = rng.standard_normal((n, channels, h, w))
+                y, _ = layer_forward(layer, params, x)
+                err = np.abs(y - reference_conv_forward(layer, params, x))
+                scale = reference_conv_forward(layer, magnitudes, np.abs(x))
+                assert np.all(err <= 1e-12 * scale), (n, h, w, float((err / scale).max()))
 
     def test_maxpool_matches_naive(self):
         rng = np.random.default_rng(1)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_egl_scores
+from conftest import forward, reference_egl_scores
 
 from adval import nn
 from adval.attacks import AttackConfig, batch_deepfool, deepfool
@@ -211,7 +211,7 @@ class TestEgl:
         spec = NetworkSpec((2,), (Dense(2, 2),), 2, init_seed=1)
         state = nn.init_network(spec)
         x = np.array([[0.4, -0.7]])
-        probs = nn.softmax_probs(nn.forward(state, x[0]))
+        probs = nn.softmax_probs(forward(state, x[0]))
         expected = 0.0
         for c in range(2):
             grads = nn.grad_params(state, x[0], c)
