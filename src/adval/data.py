@@ -285,7 +285,7 @@ def split_and_subsample(
         train = dataset
     else:
         if not 0.0 < test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+            raise ConfigError(f"data.test_fraction must be in (0, 1), got {test_fraction}")
         rng = np.random.default_rng(seed)
         test_idx: list[np.ndarray] = []
         for c in range(dataset.class_count):
@@ -294,6 +294,11 @@ def split_and_subsample(
             test_idx.append(members[:take])
         mask = np.zeros(len(dataset), dtype=bool)
         mask[np.concatenate(test_idx)] = True
+        if not mask.any():
+            raise ConfigError(
+                f"data.test_fraction {test_fraction} leaves no test rows out of {len(dataset)}"
+                f" in {dataset.class_count} classes; raise it"
+            )
         test_set = replace(
             dataset, inputs=dataset.inputs[mask], labels=dataset.labels[mask]
         )

@@ -15,6 +15,12 @@ several seeds per example at once (EGL seeds one per class). ``grad_sq_norms``
 reads such a gradient and returns each example's squared parameter-gradient
 norm without forming any per-example gradient of a Dense layer.
 
+A forward kernel builds its cache only on request (``cache=True``, the
+default). A caller that will run no backward pass, such as batched
+evaluation, passes ``cache=False``: MaxPool2D then skips the pick that only
+its backward pass reads and returns None for the cache, with the same output
+bits. The other layers' caches cost no extra work and come back either way.
+
 Conv2D's forward copies its receptive fields into im2col columns laid out
 (N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one
 batched product, whose (N, F, Ho·Wo) result is already NCHW. On arch-A's
@@ -57,7 +63,11 @@ class MaxPool2D:
 
     Each output is the first maximal element of its tile in row-major order,
     as ``np.argmax`` picks it (a NaN counts as maximal), and the gradient
-    flows to that element alone.
+    flows to that element alone. A forward pass with a cache records that
+    element's position; one without (``forward(..., cache=False)``) takes the
+    tile max and re-picks only the tiles whose max is zero or NaN, where a
+    -0.0/+0.0 tie or a NaN payload could leave other bits. Both routes give
+    the same output bits.
     """
 
     size: int
@@ -162,12 +172,17 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     )
 
 
-def forward(layer, params, x, *, rng=None, dropout_active=False):
+def forward(layer, params, x, *, rng=None, dropout_active=False, cache=True):
     """Apply ``layer`` to batch ``x``; returns (output, cache).
 
     ``rng`` supplies dropout masks when ``dropout_active`` is set; otherwise
     dropout is the identity (inverted-dropout scaling happens at train time,
     so deterministic inference needs no rescaling).
+
+    ``cache=False`` tells the layer that no backward pass will read its cache.
+    MaxPool2D then forms only its output and returns None for the cache; the
+    other layers' caches are the input itself, a view of it or a by-product
+    of the output, and come back as usual. The output bits are the same.
     """
     if isinstance(layer, Dense):
         return x @ params["W"] + params["b"], x
@@ -193,7 +208,7 @@ def forward(layer, params, x, *, rng=None, dropout_active=False):
         y += params["b"][:, None]
         return y.reshape(n, layer.filters, ho, wo), (x, windows)
     if isinstance(layer, MaxPool2D):
-        return _maxpool(x, layer.size)
+        return _maxpool(x, layer.size) if cache else (_maxpool_output(x, layer.size), None)
     raise TypeError(f"unknown layer {layer!r}")
 
 
@@ -301,31 +316,79 @@ def _conv_input_grad(layer: Conv2D, w: np.ndarray, x_shape: tuple, dy: np.ndarra
     return dx
 
 
+def _tile_max(x: np.ndarray, s: int) -> np.ndarray:
+    """Each s×s tile's max, by ``np.maximum`` over strided views: columns, then rows.
+
+    A tile holding NaN gets NaN. ``np.maximum``'s choice between a tied -0.0
+    and +0.0, and between NaN payloads, is unspecified, so only a max that is
+    nonzero and not NaN is certain to carry the bits of its tile's first
+    maximal element.
+    """
+    if s == 1:
+        return x.copy()
+    cols = x[..., 0::s]
+    for j in range(1, s):
+        cols = np.maximum(cols, x[..., j::s])
+    peak = cols[:, :, 0::s]
+    for i in range(1, s):
+        peak = np.maximum(peak, cols[:, :, i::s])
+    return peak
+
+
+def _tap_offsets(s: int, w: int) -> np.ndarray:
+    """Flat offset of each tile element from the tile's top-left, in rows ``w`` wide."""
+    return np.array([i * w + j for i in range(s) for j in range(s)])
+
+
+def _tile_picks(x: np.ndarray, s: int, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elements (K, s·s) of the K tiles at flat output positions ``tiles``, and argmax's picks.
+
+    Element ``i*s + j`` of a tile is the one at its row i, column j.
+    """
+    w = x.shape[-1]
+    row, col = np.divmod(tiles, w // s)  # row counts (example, channel, tile row) together
+    values = np.take(x, (row * (s * w) + s * col)[:, None] + _tap_offsets(s, w))
+    return values, values.argmax(axis=-1)
+
+
 def _maxpool(x: np.ndarray, s: int):
     """Max over each s×s tile plus the cache: x's shape and each max's flat position in x.
 
     Works on the s·s strided tap views of ``x`` (tap ``i*s + j`` holds the
-    tiles' elements at row i, column j): ``np.maximum`` across the taps gives
-    each tile's max, and the first tap equal to it is ``np.argmax``'s pick. A
-    tile holding NaN has no tap equal to its max and takes ``np.argmax``
-    instead. The outputs are gathered from the picked elements, since
-    ``np.maximum``'s choice between a tied -0.0 and +0.0 is unspecified.
+    tiles' elements at row i, column j): the first tap equal to the tile max
+    is ``np.argmax``'s pick. A tile holding NaN has no tap equal to its max
+    and takes ``np.argmax`` instead. The outputs are gathered from the picked
+    elements, so they carry the first maximal element's bits (see ``_tile_max``).
     """
     n, c, h, w = x.shape
     taps = [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
-    peak = taps[0].copy()
-    for t in taps[1:]:
-        np.maximum(peak, t, out=peak)
+    peak = _tile_max(x, s)
     first = np.zeros(peak.shape, dtype=np.intp)  # index of the first tap equal to the max
     missed = taps[0] != peak  # no tap so far equals the max
     for t in taps[1:]:
         first += missed
         missed &= t != peak
-    nan = np.isnan(peak)
-    if nan.any():
-        first[nan] = np.stack([t[nan] for t in taps], axis=-1).argmax(axis=-1)
+    nan = np.flatnonzero(np.isnan(peak))
+    if nan.size:
+        first.reshape(-1)[nan] = _tile_picks(x, s, nan)[1]
     # flat position in x of each tile's top-left element
     corner = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (s * w) * np.arange(h // s)[:, None]
     corner = corner + s * np.arange(w // s)
-    flat = corner + np.array([i * w + j for i in range(s) for j in range(s)])[first]
+    flat = corner + _tap_offsets(s, w)[first]
     return np.take(x, flat), (x.shape, flat)
+
+
+def _maxpool_output(x: np.ndarray, s: int) -> np.ndarray:
+    """``_maxpool``'s output, bit for bit, with no cache.
+
+    The tile max stands wherever it is nonzero and not NaN; the other tiles
+    take their element at ``np.argmax``'s pick, as ``_maxpool`` does.
+    """
+    peak = _tile_max(x, s)
+    redo = peak == 0
+    redo |= np.isnan(peak)
+    redo = np.flatnonzero(redo)
+    if redo.size:
+        values, picks = _tile_picks(x, s, redo)
+        peak.reshape(-1)[redo] = values[np.arange(redo.size), picks]
+    return peak

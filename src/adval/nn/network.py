@@ -7,7 +7,9 @@ treated as immutable once created.
 Batched evaluation (``forward_batch``, ``embed_batch``, ``predict_batch``)
 runs the layers over fixed chunks of ``_CHUNK`` rows from row 0: a batch
 evaluates the same way wherever it is scored from, and the peak memory of
-scoring a pool depends on the chunk size, not on the pool size.
+scoring a pool depends on the chunk size, not on the pool size. It runs no
+backward pass, so it builds no backward cache: MaxPool2D skips its pick and
+returns the same bits (see ``layers.forward``).
 
 Each backward pass computes only what its caller reads: training gets
 parameter gradients and no gradient w.r.t. the network input, while the input
@@ -104,8 +106,9 @@ def _evaluate(state: NetworkState, x: np.ndarray, stop=None, dropout_seed=None) 
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     out = np.empty((len(x), *state.spec.shape_chain()[-1 if stop is None else stop]), DTYPE)
     for lo in range(0, len(x), _CHUNK):
+        rows = x[lo : lo + _CHUNK]
         out[lo : lo + _CHUNK] = _forward_caches(
-            state, x[lo : lo + _CHUNK], stop=stop, rng=rng, dropout_active=rng is not None
+            state, rows, stop=stop, rng=rng, dropout_active=rng is not None, cache=False
         )[0]
     return out
 
@@ -117,12 +120,15 @@ def forward_batch(
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
-def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False):
-    """Output of ``layers[:stop]`` plus each layer's cache for the backward pass."""
+def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False, cache=True):
+    """Output of ``layers[:stop]`` plus each layer's cache for the backward pass.
+
+    ``cache=False`` is for a pass no backward pass follows; see ``layers.forward``.
+    """
     caches = []
     for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
-        x, cache = L.forward(layer, params, x, rng=rng, dropout_active=dropout_active)
-        caches.append(cache)
+        x, c = L.forward(layer, params, x, rng=rng, dropout_active=dropout_active, cache=cache)
+        caches.append(c)
     return x, caches
 
 

@@ -198,6 +198,14 @@ class TestSplits:
         counts = np.bincount(test.labels, minlength=4)
         np.testing.assert_array_equal(counts, [10, 10, 10, 10])
 
+    def test_fraction_leaving_no_test_rows_rejected(self):
+        # 20 rows per class: 0.01 of each rounds to 0, so no test row and NaN accuracies
+        ds = gen_blobs(SyntheticSpec(class_count=4, points_per_class=20, seed=3))
+        with pytest.raises(ConfigError, match="data.test_fraction"):
+            split_and_subsample(ds, test_fraction=0.01, seed=0)
+        _, test = split_and_subsample(ds, test_fraction=0.03, seed=0)  # 0.6 rounds to 1
+        assert len(test) == 4
+
     def test_explicit_test_set_with_pool_cap(self):
         ds = gen_blobs(SyntheticSpec(class_count=2, points_per_class=30, seed=3))
         other = gen_blobs(SyntheticSpec(class_count=2, points_per_class=5, seed=4))

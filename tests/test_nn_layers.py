@@ -18,6 +18,7 @@ from adval.nn import (
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
 from adval.nn.layers import grad_sq_norms
+from adval.nn.network import _evaluate, _forward_caches
 
 
 def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
@@ -170,6 +171,14 @@ def naive_maxpool(x, dy, s):
     return y, flat, dx
 
 
+# Both forward routes of every case; the cached route keeps the plain size as its id.
+POOL_ROUTES = [
+    pytest.param(s, cached, id=str(s) if cached else f"{s}-no-cache")
+    for cached in (True, False)
+    for s in (2, 3)
+]
+
+
 class TestMaxPoolReference:
     """Strided-tap max pooling against a per-tile ``np.argmax`` loop, bit for bit."""
 
@@ -181,28 +190,35 @@ class TestMaxPoolReference:
         return h * (h > 0)
 
     @staticmethod
-    def assert_matches_naive(x, s, rng):
-        y, cache = layer_forward(MaxPool2D(s), None, x)
+    def assert_matches_naive(x, s, rng, cached):
+        y, cache = layer_forward(MaxPool2D(s), None, x, cache=cached)
         dy = rng.choice([-1.0, -0.0, 0.5, 3.0], size=y.shape)
-        dx, _ = layer_backward(MaxPool2D(s), None, cache, dy)
         want_y, want_flat, want_dx = naive_maxpool(x, dy, s)
         assert y.tobytes() == want_y.tobytes()
+        if not cached:
+            assert cache is None
+            return
+        dx, _ = layer_backward(MaxPool2D(s), None, cache, dy)
         np.testing.assert_array_equal(cache[1], want_flat)
         assert dx.tobytes() == want_dx.tobytes()
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_signed_zero_ties(self, s):
+    @staticmethod
+    def mixed_zero_tiles(x, s):
+        """Whether some tile of ``x`` has max zero and holds both -0.0 and +0.0."""
+        n, c, h, w = x.shape
+        tiles = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5).reshape(-1, s * s)
+        signs = np.signbit(tiles[tiles.max(axis=1) == 0])
+        return bool((signs.any(axis=1) & ~signs.all(axis=1)).any())
+
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_signed_zero_ties(self, s, cached):
         rng = np.random.default_rng(s)
         x = self.relu_input(rng, (3, 2, 4 * s, 3 * s))
-        tiles = x.reshape(3, 2, 4, s, 3, s).transpose(0, 1, 2, 4, 3, 5).reshape(-1, s * s)
-        zero = tiles.max(axis=1) == 0
-        signs = np.signbit(tiles[zero])
-        # the input holds all-zero tiles that mix -0.0 and +0.0
-        assert (signs.any(axis=1) & ~signs.all(axis=1)).any()
-        self.assert_matches_naive(x, s, rng)
+        assert self.mixed_zero_tiles(x, s)
+        self.assert_matches_naive(x, s, rng, cached)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_nan_tiles(self, s):
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_nan_tiles(self, s, cached):
         rng = np.random.default_rng(10 + s)
         x = rng.standard_normal((2, 3, 2 * s, 4 * s))
         x[0, 0, 1, 1] = np.nan  # NaN after a finite max
@@ -210,12 +226,28 @@ class TestMaxPoolReference:
         x[1, 2, s - 1, s - 1] = x[1, 2, 0, s - 1] = np.nan  # two NaNs in one tile
         x[1, 0, :s, :s] = np.inf
         x[1, 0, 0, 1] = np.nan  # NaN among infinities
-        self.assert_matches_naive(x, s, rng)
+        self.assert_matches_naive(x, s, rng, cached)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_random_input(self, s):
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_random_input(self, s, cached):
         rng = np.random.default_rng(20 + s)
-        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng)
+        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng, cached)
+
+    def test_batched_evaluation_matches_cached_forward(self):
+        # Zero biases and an exact-zero background: conv outputs there are
+        # +0.0 and ReLU turns negative ones into -0.0. The content starts at
+        # an odd conv output row and column, so pool tiles straddle its edge.
+        state = nn.init_network(nn.build_network("arch-A", (1, 28, 28), 10, seed=7))
+        x = np.zeros((200, 1, 28, 28))  # one evaluation chunk
+        x[:, :, 7:21, 7:21] = np.random.default_rng(8).uniform(0.0, 1.0, size=(200, 1, 14, 14))
+        assert self.mixed_zero_tiles(_forward_caches(state, x, stop=2)[0], 2)
+        assert nn.forward_batch(state, x).tobytes() == _forward_caches(state, x)[0].tobytes()
+        stop = len(state.spec.layers) - 1
+        want = _forward_caches(state, x, stop=stop)[0]
+        assert nn.embed_batch(state, x).tobytes() == want.tobytes()
+        # the dense layers add a ±0.0 input's product to nonzero sums, so check the pool itself
+        pooled = _forward_caches(state, x, stop=3)[0]
+        assert _evaluate(state, x, stop=3).tobytes() == pooled.tobytes()
 
 
 def naive_conv_backward(x, w, dy, stride):
