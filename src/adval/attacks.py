@@ -8,7 +8,10 @@ differs from the prediction at the starting point.
 An attack forms the input Jacobian only at the points it steps from: the
 starting point and each iterate that has not flipped while iterations remain.
 The point where the attack flips or runs out of iterations needs only its
-logits, so its Jacobian is never formed (nor checked for finiteness).
+logits, so its Jacobian is never formed (nor checked for finiteness). Each
+point's logits and Jacobian come from ``logits_and_deferred_jacobian``, which
+runs the layers below the first Dense layer (arch-A's convolution and
+pooling) once per point and only the Dense layers on C copies of it.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
     the attack steps from, yield a failure result with norm=+inf rather than
     raising; when that happens at ``x`` itself ``original_label`` is None.
     The Jacobian is formed only where a step is taken: ``iterations``
-    backward passes in all, none at the point where the attack stops.
+    backward passes in all, none at the point where the attack stops. An
+    ``x`` that does not have the network's input shape raises InputError.
     """
     p = float(cfg.p)
     x0 = np.asarray(x, dtype=DTYPE)
@@ -175,7 +179,8 @@ def batch_deepfool(
 
     Each element equals the single-call result exactly: the attack is a pure
     function of (net, x, cfg). A ``FloatingPointError`` becomes that element's
-    failure result; any other error, such as a wrongly shaped input, raises.
+    failure result; any other error, such as the InputError of a wrongly
+    shaped input, raises.
     """
 
     def attack(x):

@@ -18,7 +18,10 @@ gradients and Jacobians used by DeepFool get no parameter gradients.
 a leading class axis in front of the batch (see ``layers.backward``) and sums
 each example's squared parameter-gradient norm per class as it goes down.
 ``logits_and_deferred_jacobian`` splits a Jacobian into its forward pass,
-run at once, and its backward pass, run only when the caller asks for it.
+run at once, and its backward pass, run only when the caller asks for it. Its
+forward pass runs the layers below the first Dense layer on the one point and
+only the Dense layers and those above them on C copies, with the bits of an
+all-C-row pass.
 
 The training loss comes from ``loss_and_param_grads``, out of the max-shifted
 exponentials ``e = exp(z)`` that also give the gradient's softmax ``e / sum(e)``
@@ -120,13 +123,13 @@ def forward_batch(
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
-def _forward_caches(state, x, *, stop=None, rng=None, dropout_active=False, cache=True):
-    """Output of ``layers[:stop]`` plus each layer's cache for the backward pass.
+def _forward_caches(state, x, *, start=0, stop=None, rng=None, dropout_active=False, cache=True):
+    """Output of ``layers[start:stop]`` plus each layer's cache for the backward pass.
 
     ``cache=False`` is for a pass no backward pass follows; see ``layers.forward``.
     """
     caches = []
-    for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
+    for layer, params in zip(state.spec.layers[start:stop], state.params[start:stop]):
         x, c = L.forward(layer, params, x, rng=rng, dropout_active=dropout_active, cache=cache)
         caches.append(c)
     return x, caches
@@ -155,12 +158,22 @@ def _param_grads(state, caches, dlogits, out=None):
     return tuple(grads)
 
 
-def _input_grad(state, caches, dlogits):
-    """Gradient w.r.t. the network input, with no parameter gradients formed."""
+def _input_grad(state, caches, dlogits, split=0):
+    """Gradient w.r.t. the network input, with no parameter gradients formed.
+
+    Returns one input gradient per row of ``dlogits``, ``(len(dlogits), *input_shape)``.
+    A ``split`` > 0 says that ``layers[:split]`` ran on one input row and the
+    layers above on as many copies of its output as ``dlogits`` has rows
+    (see ``logits_and_deferred_jacobian``): below the split, those rows become
+    a leading axis of seeds over the one cached row.
+    """
+    layers, params = state.spec.layers, state.params
     dy = dlogits
-    for i in range(len(state.spec.layers) - 1, -1, -1):
-        dy, _ = L.backward(state.spec.layers[i], state.params[i], caches[i], dy, param_grads=False)
-    return dy
+    for i in range(len(layers) - 1, -1, -1):
+        if i == split - 1:
+            dy = dy[:, None]
+        dy, _ = L.backward(layers[i], params[i], caches[i], dy, param_grads=False)
+    return dy.reshape(len(dlogits), *state.spec.input_shape)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -229,24 +242,45 @@ def probs_and_grad_sq_norms(state: NetworkState, x: np.ndarray):
 
 
 def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
-    """Logits at ``x`` plus a function that returns d logits / d input, (C, *input_shape).
+    """Logits at one input ``x`` plus a function that returns d logits / d input, (C, *input_shape).
 
-    Runs the forward pass over a batch of C replicated inputs and keeps its
-    caches; calling the returned function runs the backward pass with
-    identity upstream seeds, which equals C separate per-logit backward
-    passes. A caller that reads only the logits never pays for the backward.
+    The layers below the first Dense layer run once, on ``x`` alone; their
+    output is copied to C rows, and the Dense layers and everything above
+    them run on that C-row batch. Calling the returned function runs the
+    backward pass from identity upstream seeds, one per row, which equals C
+    separate per-logit backward passes; below the split the seeds ride on a
+    leading axis (see ``_input_grad``). A caller that reads only the logits
+    never pays for the backward.
+
+    The result is bit for bit that of running every layer on C copies of
+    ``x``. Below the first Dense layer each row's bits do not depend on how
+    many rows run together: ReLU, MaxPool2D, Flatten and inactive Dropout
+    work element by element or only reshape, and Conv2D's batched product
+    runs one product per example. A Dense layer's matrix product may round a
+    row differently with a different row count, so the Dense layers keep
+    their C rows. With no Dense layer, every layer runs on ``x`` alone.
+
+    Raises InputError when ``x`` does not have the network's input shape.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    c = state.spec.class_count
-    rep = np.broadcast_to(x, (c, *x.shape))
-    logits, caches = _forward_caches(state, np.ascontiguousarray(rep))
-    return logits[0], lambda: _input_grad(state, caches, np.eye(c, dtype=DTYPE))
+    spec = state.spec
+    c = spec.class_count
+    x = _check_batch(spec, np.asarray(x, dtype=DTYPE)[None])
+    split = _first_dense_index(spec)
+    h, below = _forward_caches(state, x, stop=split)
+    logits, above = _forward_caches(state, np.repeat(h, c, axis=0), start=split)
+    caches = below + above
+    return logits[0], lambda: _input_grad(state, caches, np.eye(c, dtype=DTYPE), split)
 
 
 def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
     """Logits plus the full Jacobian d logits / d input, shape (C, *input_shape)."""
     logits, jacobian = logits_and_deferred_jacobian(state, x)
     return logits, jacobian()
+
+
+def _first_dense_index(spec: NetworkSpec) -> int:
+    """Index of the first Dense layer, ``len(layers)`` if there is none."""
+    return next((i for i, l in enumerate(spec.layers) if isinstance(l, Dense)), len(spec.layers))
 
 
 def _last_dense_index(spec: NetworkSpec) -> int:

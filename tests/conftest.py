@@ -17,6 +17,8 @@ from adval.nn import (
     TrainConfig,
 )
 from adval.nn.layers import _conv_windows
+from adval.nn.layers import backward as layer_backward
+from adval.nn.layers import forward as layer_forward
 from adval.nn.network import _check_batch, _check_label, _forward_caches, _input_grad
 
 
@@ -123,6 +125,20 @@ def grad_input_logit(state, x, k) -> np.ndarray:
     seed = np.zeros((1, state.spec.class_count))
     seed[0, k] = 1.0
     return _input_grad(state, caches, seed)[0]
+
+
+def reference_logits_and_jacobian(state, x):
+    """Logits and input Jacobian with every layer run on C copies of ``x``, seeded by the identity."""
+    c = state.spec.class_count
+    h = np.repeat(np.asarray(x, dtype=float)[None], c, axis=0)
+    caches = []
+    for layer, params in zip(state.spec.layers, state.params):
+        h, cache = layer_forward(layer, params, h)
+        caches.append(cache)
+    dy = np.eye(c)
+    for layer, params, cache in reversed(list(zip(state.spec.layers, state.params, caches))):
+        dy, _ = layer_backward(layer, params, cache, dy, param_grads=False)
+    return h[0], dy
 
 
 def reference_egl_scores(state, inputs) -> np.ndarray:

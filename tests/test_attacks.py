@@ -6,8 +6,8 @@ from conftest import forward, random_conv_spec
 
 from adval import nn
 from adval.attacks import AdversarialResult, AttackConfig, batch_deepfool, deepfool, lp_norm
-from adval.errors import ConfigError
-from adval.nn import Dense, NetworkSpec
+from adval.errors import ConfigError, InputError
+from adval.nn import Dense, NetworkSpec, build_network
 
 
 def linear_state(w: np.ndarray, b: np.ndarray) -> nn.NetworkState:
@@ -160,6 +160,22 @@ class TestBatch:
         xs = np.ones((4, blobs3.inputs.shape[1] + 3))
         with pytest.raises(ValueError):
             batch_deepfool(trained3, xs)
+
+    @pytest.mark.parametrize(
+        "arch, input_shape, bad_shape",
+        [
+            ("arch-A", (1, 28, 28), (1, 29, 29)),  # would reach MaxPool2D with odd sides
+            ("arch-A", (1, 28, 28), (784,)),  # would fail to unpack into (C, H, W)
+            ("arch-B", (2,), (2, 1)),  # would flatten into a (2, 1) perturbation
+        ],
+    )
+    def test_input_of_another_shape_is_rejected(self, arch, input_shape, bad_shape):
+        net = nn.init_network(build_network(arch, input_shape, 10, seed=0))
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=bad_shape)
+        with pytest.raises(InputError, match="does not match network input"):
+            deepfool(net, x)
+        with pytest.raises(InputError):
+            batch_deepfool(net, [x])
 
     def test_floating_point_error_becomes_failure(self, trained3, blobs3, monkeypatch):
         import adval.attacks as attacks

@@ -11,12 +11,22 @@ from conftest import (
     grad_input_logit,
     random_conv_spec,
     random_dense_spec,
+    reference_logits_and_jacobian,
     rel_err,
 )
 
 from adval import nn
 from adval.errors import InputError
-from adval.nn import Dense, NetworkSpec, ReLU
+from adval.nn import (
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    NetworkSpec,
+    ReLU,
+    build_network,
+)
 
 
 class TestGradParams:
@@ -130,3 +140,62 @@ class TestJacobian:
             np.testing.assert_allclose(logits, forward(state, x), rtol=1e-12)
             for k in range(state.spec.class_count):
                 np.testing.assert_allclose(jac[k], grad_input_logit(state, x, k), rtol=1e-12)
+
+
+def with_random_biases(state, rng):
+    """``state`` with random biases in place of init's zeros."""
+    params = clone_params(state.params)
+    for p in params:
+        if p is not None:
+            p["b"][:] = rng.standard_normal(p["b"].shape)
+    return nn.NetworkState(state.spec, params)
+
+
+def two_conv_spec(seed):
+    """Two multi-channel convolutions, the first of stride 2, with a Dropout below the first Dense."""
+    layers = (
+        Conv2D(filters=4, kernel=3, stride=2),  # (2, 15, 15) -> (4, 7, 7)
+        ReLU(),
+        Dropout(0.3),
+        Conv2D(filters=3, kernel=2),  # -> (3, 6, 6)
+        MaxPool2D(2),  # -> (3, 3, 3)
+        Flatten(),
+        Dense(27, 6),
+        ReLU(),
+        Dense(6, 5),
+    )
+    return NetworkSpec((2, 15, 15), layers, 5, init_seed=seed)
+
+
+def conv_only_spec(seed):
+    """No Dense layer: a convolution with a 1x1 output, flattened into the logits."""
+    return NetworkSpec((2, 5, 5), (Conv2D(filters=4, kernel=5), Flatten()), 4, init_seed=seed)
+
+
+JACOBIAN_NETS = {
+    "arch-A": lambda rng: build_network("arch-A", (1, 28, 28), 10, seed=int(rng.integers(99))),
+    "arch-B": lambda rng: build_network("arch-B", (3, 4), 6, seed=int(rng.integers(99))),
+    "random-conv": random_conv_spec,
+    "two-conv": lambda rng: two_conv_spec(int(rng.integers(99))),
+    "conv-only": lambda rng: conv_only_spec(int(rng.integers(99))),
+}
+
+
+class TestJacobianAgainstReplicaReference:
+    """The Jacobian's split forward gives the bits of running every layer on C copies."""
+
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_NETS))
+    def test_logits_and_jacobian_are_byte_equal(self, name):
+        rng = np.random.default_rng(sorted(JACOBIAN_NETS).index(name))
+        for _ in range(3):
+            state = with_random_biases(nn.init_network(JACOBIAN_NETS[name](rng)), rng)
+            shape = state.spec.input_shape
+            for _ in range(3):
+                x = rng.standard_normal(shape) * (rng.random(shape) < 0.8)  # some exact zeros
+                want_logits, want_jac = reference_logits_and_jacobian(state, x)
+                logits, jac = nn.logits_and_input_jacobian(state, x)
+                assert logits.shape == (state.spec.class_count,)
+                assert jac.shape == (state.spec.class_count, *shape)
+                assert logits.tobytes() == want_logits.tobytes()
+                assert jac.tobytes() == want_jac.tobytes()
+                assert np.any(jac != 0)

@@ -233,6 +233,31 @@ class TestMaxPoolReference:
         rng = np.random.default_rng(20 + s)
         self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng, cached)
 
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_repick_where_the_tile_max_loses_bits(self, s, cached, monkeypatch):
+        # np.maximum may return any NaN of a tile, and either zero of a
+        # -0.0/+0.0 tie. A tile max that always answers canonical NaN and +0.0
+        # leaves the first maximal element's bits to the re-pick alone.
+        import adval.nn.layers as layers
+
+        tile_max = layers._tile_max
+
+        def canonical(x, size):
+            peak = tile_max(x, size)
+            peak[np.isnan(peak)] = np.nan
+            peak[peak == 0] = 0.0
+            return peak
+
+        monkeypatch.setattr(layers, "_tile_max", canonical)
+        rng = np.random.default_rng(30 + s)
+        x = self.relu_input(rng, (2, 3, 4 * s, 2 * s))
+        x[0, 0, :s, :s] = -0.0  # max zero, first element -0.0
+        x[0, 0, s - 1, s - 1] = 0.0
+        # quiet NaNs whose bits are not np.nan's: a sign bit and a payload
+        nans = np.array([0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0123], dtype=np.uint64)
+        x[1, 1, s, s], x[1, 2, 0, 1] = nans.view(np.float64)
+        self.assert_matches_naive(x, s, rng, cached)
+
     def test_batched_evaluation_matches_cached_forward(self):
         # Zero biases and an exact-zero background: conv outputs there are
         # +0.0 and ReLU turns negative ones into -0.0. The content starts at
