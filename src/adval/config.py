@@ -15,10 +15,11 @@ shape keys are fields of ``ActiveSettings``, ``TrainConfig``, ``AttackConfig``
 and ``SyntheticSpec``; a key left out takes the field's default, which is
 declared only there.
 
-Loading checks what needs no data: value syntax, unknown keys, strategy and
-architecture names, paths, and the rules of those dataclasses. A breach of a
-rule (such as n_query <= candidates, bald_samples >= 2 or classes >= 2) names
-its config key, such as ``active.n_query``. What depends on the data is
+Loading checks what needs no data: value syntax, unknown sections and keys,
+strategy and architecture names, paths, non-negative seeds, positive caps,
+and the rules of those dataclasses. A breach of a rule (such as n_query <=
+candidates, bald_samples >= 2 or classes >= 2) names its config key, such as
+``active.n_query``. What depends on the data is
 checked when a run starts: input shape and class count against the network,
 initial_labeled against the class count and the pool size, and test labels
 against the network's classes.
@@ -123,6 +124,7 @@ def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Da
 
 
 _REQUIRED = object()
+_SECTIONS = ("data", "network", "active", "train", "attack", "experiment")
 
 
 def _plain_fields(cls, *exclude) -> tuple[str, ...]:
@@ -158,8 +160,11 @@ class _SectionReader:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {self.section}.{key}: {text!r}") from exc
 
-    def integer(self, key, default=None):
-        return self._fetch(key, int, default)
+    def integer(self, key, default=None, minimum=None):
+        value = self._fetch(key, int, default)
+        if minimum is not None and value is not None and value < minimum:
+            raise ConfigError(f"{self.section}.{key} must be >= {minimum}, got {value}")
+        return value
 
     def number(self, key, default=None):
         return self._fetch(key, float, default)
@@ -214,6 +219,8 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ConfigError(f"{what} must be a comma-separated integer list: {text!r}") from exc
     if not items:
         raise ConfigError(f"{what} must not be empty")
+    if min(items) < 0:
+        raise ConfigError(f"{what} must not be negative: {text!r}")
     return items
 
 
@@ -233,6 +240,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    unknown = [s for s in parser.sections() if s not in _SECTIONS]
+    if unknown:
+        raise ConfigError(
+            f"unknown section [{unknown[0]}]; expected {', '.join(f'[{s}]' for s in _SECTIONS)}"
+        )
 
     data_sec = _SectionReader(parser, "data")
     if not data_sec.present:
@@ -258,8 +270,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             "path": data_sec.path("path"),
             "class_count": data_sec.integer("class_count", _REQUIRED),
             "test_fraction": data_sec.number("test_fraction", 0.2),
-            "pool_cap": data_sec.integer("pool_cap", None),
-            "seed": data_sec.integer("seed", 0),
+            "pool_cap": data_sec.integer("pool_cap", None, minimum=1),
+            "seed": data_sec.integer("seed", 0, minimum=0),
         }
     elif kind == "idx":
         options = {
@@ -267,9 +279,9 @@ def load_experiment_config(path) -> ExperimentConfig:
             "train_labels": data_sec.path("train_labels"),
             "test_images": data_sec.path("test_images"),
             "test_labels": data_sec.path("test_labels"),
-            "pool_cap": data_sec.integer("pool_cap", None),
-            "test_cap": data_sec.integer("test_cap", None),
-            "seed": data_sec.integer("seed", 0),
+            "pool_cap": data_sec.integer("pool_cap", None, minimum=1),
+            "test_cap": data_sec.integer("test_cap", None, minimum=1),
+            "seed": data_sec.integer("seed", 0, minimum=0),
         }
     else:
         raise ConfigError(f"data.kind must be blobs, csv, or idx, got {kind!r}")

@@ -77,6 +77,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.class_count < 2:  # messages start with their field, for the config loader
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("points_per_class", "dimension"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -119,10 +121,9 @@ def gen_blobs(spec: SyntheticSpec) -> Dataset:
 
 
 def _open_maybe_gzip(path):
-    f = open(path, "rb")
-    if f.peek(2)[:2] == b"\x1f\x8b":
-        return gzip.open(f)
-    return f
+    with open(path, "rb") as f:
+        magic = f.read(2)
+    return gzip.open(path) if magic == b"\x1f\x8b" else open(path, "rb")
 
 
 def _read_u32s(f, count: int, path, offset: int) -> tuple[int, ...]:
@@ -171,23 +172,6 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     return Dataset(inputs, labels.astype(np.int64), class_count, name=name)
 
 
-def write_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Quantize pixels to the /255 grid and write an IDX image/label pair."""
-    inputs = dataset.inputs
-    if inputs.ndim == 2:
-        inputs = inputs[:, None, :]
-    if inputs.ndim != 3:
-        raise ConfigError(f"IDX stores (n, rows, cols) images, got {inputs.shape}")
-    n, rows, cols = inputs.shape
-    pixels = np.clip(np.round(inputs * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">4I", _IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">2I", _IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -228,20 +212,14 @@ def load_csv(path, class_count: int, name: str = "csv") -> Dataset:
             values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric value in row {rownum}") from exc
-        if label != int(label) or not 0 <= int(label) < class_count:
+        # the range test comes first: it is False for nan and inf, which int() rejects
+        if not 0 <= label < class_count or label != int(label):
             raise FormatError(
                 f"{path}: row {rownum} label {row[0]} outside [0, {class_count})"
             )
         labels[i] = int(label)
         inputs[i] = values
     return Dataset(inputs, labels, class_count, name=name)
-
-
-def write_csv(dataset: Dataset, path) -> None:
-    flat = dataset.inputs.reshape(len(dataset), -1)
-    with open(path, "w", encoding="utf-8") as f:
-        for label, values in zip(dataset.labels, flat):
-            f.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in values) + "\n")
 
 
 def _balanced_counts(total: int, class_count: int, rng: np.random.Generator) -> np.ndarray:
@@ -273,38 +251,28 @@ def stratified_subsample(dataset: Dataset, cap: int, seed: int = 0) -> Dataset:
 
 def split_and_subsample(
     dataset: Dataset,
-    test_fraction: float | None = None,
-    test_set: Dataset | None = None,
+    test_fraction: float,
     pool_cap: int | None = None,
     seed: int = 0,
 ) -> tuple[Dataset, Dataset]:
-    """Carve out a test set (explicit or by stratified fraction), then cap the pool."""
-    if (test_fraction is None) == (test_set is None):
-        raise ConfigError("provide exactly one of test_fraction or test_set")
-    if test_set is not None:
-        train = dataset
-    else:
-        if not 0.0 < test_fraction < 1.0:
-            raise ConfigError(f"data.test_fraction must be in (0, 1), got {test_fraction}")
-        rng = np.random.default_rng(seed)
-        test_idx: list[np.ndarray] = []
-        for c in range(dataset.class_count):
-            members = rng.permutation(np.flatnonzero(dataset.labels == c))
-            take = int(round(len(members) * test_fraction))
-            test_idx.append(members[:take])
-        mask = np.zeros(len(dataset), dtype=bool)
-        mask[np.concatenate(test_idx)] = True
-        if not mask.any():
-            raise ConfigError(
-                f"data.test_fraction {test_fraction} leaves no test rows out of {len(dataset)}"
-                f" in {dataset.class_count} classes; raise it"
-            )
-        test_set = replace(
-            dataset, inputs=dataset.inputs[mask], labels=dataset.labels[mask]
+    """Carve out a stratified test set of ``test_fraction``, then cap the pool."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError(f"data.test_fraction must be in (0, 1), got {test_fraction}")
+    rng = np.random.default_rng(seed)
+    test_idx: list[np.ndarray] = []
+    for c in range(dataset.class_count):
+        members = rng.permutation(np.flatnonzero(dataset.labels == c))
+        take = int(round(len(members) * test_fraction))
+        test_idx.append(members[:take])
+    mask = np.zeros(len(dataset), dtype=bool)
+    mask[np.concatenate(test_idx)] = True
+    if not mask.any():
+        raise ConfigError(
+            f"data.test_fraction {test_fraction} leaves no test rows out of {len(dataset)}"
+            f" in {dataset.class_count} classes; raise it"
         )
-        train = replace(
-            dataset, inputs=dataset.inputs[~mask], labels=dataset.labels[~mask]
-        )
+    test_set = replace(dataset, inputs=dataset.inputs[mask], labels=dataset.labels[mask])
+    train = replace(dataset, inputs=dataset.inputs[~mask], labels=dataset.labels[~mask])
     if pool_cap is not None and pool_cap < len(train):
         train = stratified_subsample(train, pool_cap, seed=seed + 1)
     return train, test_set

@@ -145,11 +145,8 @@ class CheckpointSummary:
 
 
 def _round_at_or_below(rows, checkpoint):
-    eligible = [r for r in rows if r["annotations"] <= checkpoint]
-    if not eligible:
-        return None
-    best = max(eligible, key=lambda r: r["annotations"])
-    return best
+    eligible = (r for r in rows if r["annotations"] <= checkpoint)
+    return max(eligible, key=lambda r: r["annotations"], default=None)
 
 
 def compare_metrics(
@@ -186,21 +183,13 @@ def compare_metrics(
                 if float(np.mean([g["test_accuracy"] for g in group])) >= target_accuracy:
                     reached = group
                     break
-            if reached is not None:
-                summary = replace(
-                    summary,
-                    target_annotations=int(round(np.mean([g["annotations"] for g in reached]))),
-                    target_labeled_data=float(np.mean([g["labeled_data"] for g in reached])),
-                    target_reached=True,
-                )
-            else:
-                last = by_round[max(by_round)]
-                summary = replace(
-                    summary,
-                    target_annotations=int(round(np.mean([g["annotations"] for g in last]))),
-                    target_labeled_data=float(np.mean([g["labeled_data"] for g in last])),
-                    target_reached=False,
-                )
+            group = reached or by_round[max(by_round)]
+            summary = replace(
+                summary,
+                target_annotations=int(round(np.mean([g["annotations"] for g in group]))),
+                target_labeled_data=float(np.mean([g["labeled_data"] for g in group])),
+                target_reached=reached is not None,
+            )
         summaries.append(summary)
     return summaries
 
@@ -262,7 +251,7 @@ def run_transfer(
 def run_timing(
     cfg: ExperimentConfig,
     labeled_sizes,
-    repetitions: int = 5,
+    repetitions: int,
     strategies=("dfal", "coreset"),
 ) -> list[tuple]:
     """Mean per-round selection wall time at each labeled-set size.

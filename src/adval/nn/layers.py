@@ -172,10 +172,10 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     )
 
 
-def forward(layer, params, x, *, rng=None, dropout_active=False, cache=True):
+def forward(layer, params, x, *, rng=None, cache=True):
     """Apply ``layer`` to batch ``x``; returns (output, cache).
 
-    ``rng`` supplies dropout masks when ``dropout_active`` is set; otherwise
+    ``rng`` supplies dropout masks and switches dropout on; without it
     dropout is the identity (inverted-dropout scaling happens at train time,
     so deterministic inference needs no rescaling).
 
@@ -192,7 +192,7 @@ def forward(layer, params, x, *, rng=None, dropout_active=False, cache=True):
     if isinstance(layer, Flatten):
         return x.reshape(x.shape[0], -1), x.shape
     if isinstance(layer, Dropout):
-        if not dropout_active:
+        if rng is None:
             return x, None
         keep = 1.0 - layer.rate
         mask = (rng.random(x.shape) < keep) / keep

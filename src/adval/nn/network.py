@@ -77,7 +77,6 @@ class NetworkSpec:
 class NetworkState:
     spec: NetworkSpec
     params: tuple  # per-layer dict of arrays, or None for parameterless layers
-    epochs_trained: int = 0
 
 
 def init_network(spec: NetworkSpec) -> NetworkState:
@@ -110,9 +109,7 @@ def _evaluate(state: NetworkState, x: np.ndarray, stop=None, dropout_seed=None) 
     out = np.empty((len(x), *state.spec.shape_chain()[-1 if stop is None else stop]), DTYPE)
     for lo in range(0, len(x), _CHUNK):
         rows = x[lo : lo + _CHUNK]
-        out[lo : lo + _CHUNK] = _forward_caches(
-            state, rows, stop=stop, rng=rng, dropout_active=rng is not None, cache=False
-        )[0]
+        out[lo : lo + _CHUNK] = _forward_caches(state, rows, stop=stop, rng=rng, cache=False)[0]
     return out
 
 
@@ -123,14 +120,14 @@ def forward_batch(
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
-def _forward_caches(state, x, *, start=0, stop=None, rng=None, dropout_active=False, cache=True):
+def _forward_caches(state, x, *, start=0, stop=None, rng=None, cache=True):
     """Output of ``layers[start:stop]`` plus each layer's cache for the backward pass.
 
     ``cache=False`` is for a pass no backward pass follows; see ``layers.forward``.
     """
     caches = []
     for layer, params in zip(state.spec.layers[start:stop], state.params[start:stop]):
-        x, c = L.forward(layer, params, x, rng=rng, dropout_active=dropout_active, cache=cache)
+        x, c = L.forward(layer, params, x, rng=rng, cache=cache)
         caches.append(c)
     return x, caches
 
@@ -184,10 +181,10 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_and_param_grads(state, x, labels, *, rng=None, dropout_active=False, out=None):
+def loss_and_param_grads(state, x, labels, *, rng=None, out=None):
     """Mean cross-entropy over the batch plus gradients for every parameter (into ``out``)."""
     x = _check_batch(state.spec, x)
-    logits, caches = _forward_caches(state, x, rng=rng, dropout_active=dropout_active)
+    logits, caches = _forward_caches(state, x, rng=rng)
     rows = np.arange(len(labels))
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)

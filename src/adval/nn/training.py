@@ -5,7 +5,7 @@ bit-identical parameters. One generator drives both the per-epoch shuffle and
 the dropout masks, so the whole run is a pure function of its inputs.
 
 ``train`` copies the parameters once into one contiguous float64 vector, in
-layer and then key order; the working and the returned state hold reshaped
+layer and then key order; the working state, which it returns, holds reshaped
 views of it. The backward pass writes gradients into views of a second such
 vector, and ``_adam_step`` updates whole vectors in place, keeping the
 per-array update's operation order, ``v += ((1-b2)*g)*g`` and
@@ -96,16 +96,13 @@ def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
     grads = _views(grad_flat, state.params)
     adam = [np.zeros_like(flat) for _ in range(4)]  # m, v and two scratch vectors
     rng = np.random.default_rng(cfg.seed)
-    dropout = state.spec.has_dropout()
-    working = NetworkState(state.spec, params, state.epochs_trained)
+    working = NetworkState(state.spec, params)
     n, t = len(x), 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss_and_param_grads(
-                working, x[idx], y[idx], rng=rng, dropout_active=dropout, out=grads
-            )
+            loss_and_param_grads(working, x[idx], y[idx], rng=rng, out=grads)
             t += 1
             _adam_step(cfg, t, flat, grad_flat, *adam)
-    return NetworkState(state.spec, params, state.epochs_trained + cfg.epochs)
+    return working

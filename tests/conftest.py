@@ -100,7 +100,7 @@ def fd_loss_param_grad(state, x, label, layer_idx, key, flat_index, h=1e-4):
     def loss_with(delta):
         params = clone_params(state.params)
         params[layer_idx][key].ravel()[flat_index] += delta
-        moved = nn.NetworkState(state.spec, params, state.epochs_trained)
+        moved = nn.NetworkState(state.spec, params)
         logits = forward(moved, x)
         return cross_entropy(logits[None], np.array([label]))
 

@@ -100,6 +100,8 @@ class TestConfigParsing:
         "data.points_per_class": ("points_per_class = 40", "points_per_class = 0"),
         "data.test_points_per_class": ("test_points_per_class = 20", "test_points_per_class = 0"),
         "data.cov_scale": ("cov_scale = 0.5", "cov_scale = -0.5"),
+        "data.seed": ("seed = 1", "seed = -3"),
+        "experiment.seeds": ("seeds = 0", "seeds = -1"),
     }
 
     @pytest.mark.parametrize("key", RULE_BREACHES)
@@ -121,6 +123,30 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, extra="\n[attack]\nstrength = 9\n")
         with pytest.raises(ConfigError, match="strength"):
+            load_experiment_config(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, extra="\n[actve]\nbudget = 9\n")
+        known = r"\[data\], \[network\], \[active\], \[train\], \[attack\], \[experiment\]"
+        with pytest.raises(ConfigError, match=r"\[actve\]; expected " + known):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("csv", "seed", -3), ("csv", "pool_cap", -5), ("idx", "seed", -1),
+         ("idx", "pool_cap", 0), ("idx", "test_cap", -2)],
+    )
+    def test_negative_seed_or_cap_rejected_at_load(self, tmp_path, kind, key, value):
+        data = tmp_path / "data"
+        data.write_text("")  # never read: loading checks only that paths exist
+        idx_keys = ("train_images", "train_labels", "test_images", "test_labels")
+        sources = {
+            "csv": f"path = {data}\nclass_count = 2\n",
+            "idx": "".join(f"{k} = {data}\n" for k in idx_keys),
+        }
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[data]\nkind = {kind}\n{sources[kind]}{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"data.{key} must be >= "):
             load_experiment_config(path)
 
     def test_unknown_strategy_rejected(self, tmp_path):
@@ -190,6 +216,15 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         rows = read_metrics(tmp_path / "o" / "metrics.csv")
         assert {r["seed"] for r in rows} == {5}
+
+    @pytest.mark.parametrize("option", ["--seeds=-2", "--seeds=0,-1"])
+    def test_negative_seed_override_is_config_error(self, tmp_path, option):
+        config = write_config(tmp_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config), option])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: --seeds must not be negative: {option.split('=')[1]!r}"
+        ]
 
     def test_config_error_exit_code_and_single_line(self, tmp_path):
         runner = CliRunner()

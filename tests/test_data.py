@@ -16,11 +16,15 @@ from adval.data import (
     margin_oracle,
     split_and_subsample,
     stratified_subsample,
-    write_csv,
-    write_idx,
 )
 from adval.errors import ConfigError, FormatError, InputError
 from adval.nn import Dense, NetworkSpec, TrainConfig
+
+
+def write_csv(dataset, path):
+    with open(path, "w", encoding="utf-8") as f:
+        for label, values in zip(dataset.labels, dataset.inputs.reshape(len(dataset), -1)):
+            f.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in values) + "\n")
 
 
 def tiny_idx_pair(tmp_path, pixels, labels, prefix=""):
@@ -69,11 +73,11 @@ class TestIdx:
         rng = np.random.default_rng(0)
         inputs = rng.integers(0, 256, size=(5, 3, 4)).astype(float) / 255.0
         ds = Dataset(inputs, rng.integers(0, 3, size=5).astype(np.int64), 3)
-        write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-        back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        back = load_idx(*tiny_idx_pair(tmp_path, np.round(inputs * 255.0), ds.labels))
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    @pytest.mark.filterwarnings("error")  # an unclosed file handle warns (ResourceWarning)
     def test_gzip_transparent(self, tmp_path):
         pixels = np.full((1, 2, 2), 128, dtype=np.uint8)
         img, lab = tiny_idx_pair(tmp_path, pixels, [0])
@@ -114,6 +118,13 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("5,0.0,0.0\n")
         with pytest.raises(FormatError, match="row 1"):
+            load_csv(path, class_count=2)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_file_and_row(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,0.0,0.0\n{label},0.0,0.0\n")
+        with pytest.raises(FormatError, match="d.csv: row 2 label"):
             load_csv(path, class_count=2)
 
     def test_roundtrip(self, tmp_path):
@@ -165,6 +176,8 @@ class TestBlobs:
             SyntheticSpec(class_count=1, points_per_class=5)
         with pytest.raises(ConfigError):
             SyntheticSpec(class_count=2, points_per_class=5, cov_scale=0.0)
+        with pytest.raises(ConfigError, match="^seed"):
+            SyntheticSpec(class_count=2, points_per_class=5, seed=-1)
 
 
 class TestSplits:
@@ -206,11 +219,13 @@ class TestSplits:
         _, test = split_and_subsample(ds, test_fraction=0.03, seed=0)  # 0.6 rounds to 1
         assert len(test) == 4
 
-    def test_explicit_test_set_with_pool_cap(self):
+    def test_fraction_split_with_pool_cap(self):
         ds = gen_blobs(SyntheticSpec(class_count=2, points_per_class=30, seed=3))
-        other = gen_blobs(SyntheticSpec(class_count=2, points_per_class=5, seed=4))
-        train, test = split_and_subsample(ds, test_set=other, pool_cap=20, seed=0)
-        assert len(train) == 20 and test is other
+        train, test = split_and_subsample(ds, test_fraction=0.2, pool_cap=20, seed=0)
+        assert len(train) == 20 and len(test) == 12
+        np.testing.assert_array_equal(np.bincount(train.labels), [10, 10])
+        _, uncapped_test = split_and_subsample(ds, test_fraction=0.2, seed=0)
+        np.testing.assert_array_equal(test.inputs, uncapped_test.inputs)
 
 
 class TestMarginOracle:

@@ -29,7 +29,7 @@ def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
     for lo in range(0, len(x), rows):
         h = x[lo : lo + rows]
         for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
-            h, _ = layer_forward(layer, params, h, rng=rng, dropout_active=rng is not None)
+            h, _ = layer_forward(layer, params, h, rng=rng)
         parts.append(h)
     return np.concatenate(parts)
 
@@ -325,7 +325,7 @@ class TestBackward:
     def test_partial_requests_equal_full_backward(self):
         rng = np.random.default_rng(8)
         for layer, params, x in layer_cases(rng):
-            y, cache = layer_forward(layer, params, x, rng=rng, dropout_active=True)
+            y, cache = layer_forward(layer, params, x, rng=rng)
             dy = rng.standard_normal(y.shape)
             full_dx, full_grads = layer_backward(layer, params, cache, dy)
             dx, none = layer_backward(layer, params, cache, dy, param_grads=False)
@@ -343,7 +343,7 @@ class TestBackward:
     def test_leading_axes_equal_a_loop_of_ordinary_calls(self):
         rng = np.random.default_rng(9)
         for layer, params, x in layer_cases(rng):
-            y, cache = layer_forward(layer, params, x, rng=rng, dropout_active=True)
+            y, cache = layer_forward(layer, params, x, rng=rng)
             dy = rng.standard_normal((2, 3, *y.shape))
             dx, none = layer_backward(layer, params, cache, dy, param_grads=False)
             assert none is None and dx.shape == (2, 3, *x.shape)

@@ -36,9 +36,7 @@ def reference_train(state, examples, cfg):
         order = rng.permutation(len(x))
         for lo in range(0, len(x), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            _, grads = nn.network.loss_and_param_grads(
-                working, x[idx], y[idx], rng=rng, dropout_active=state.spec.has_dropout()
-            )
+            _, grads = nn.network.loss_and_param_grads(working, x[idx], y[idx], rng=rng)
             t += 1
             bc1 = 1.0 - cfg.beta1**t
             bc2 = 1.0 - cfg.beta2**t
