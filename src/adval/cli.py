@@ -40,6 +40,7 @@ from adval.experiments import (
     run_transfer,
     write_table,
 )
+from adval.nn.architectures import ARCHITECTURES
 
 _ERROR_CODES = (
     (ConfigError, "E_CONFIG"),
@@ -146,6 +147,9 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
 @friendly_errors
 def transfer(config_path, selector, consumer, out_dir, seeds):
     """Measure how queries chosen by one architecture train another."""
+    for option, arch in (("--selector", selector), ("--consumer", consumer)):
+        if arch not in ARCHITECTURES:
+            raise ConfigError(f"{option} must be one of {ARCHITECTURES}, got {arch!r}")
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, None)
 
     def progress(strategy, seed, final_consumer_acc):

@@ -2,27 +2,27 @@
 
 A config file has one section per concern::
 
-    [data]        kind = blobs | csv | idx, plus source-specific keys
+    [data]        kind = blobs | csv | idx, plus the keys of that kind
     [network]     arch = arch-A | arch-B
     [active]      candidates, n_query, initial_labeled, budget, base_steps
     [train]       learning_rate, batch_size, beta1, beta2, epsilon
     [attack]      p, overshoot, max_iter
     [experiment]  strategies, seeds, ceal_delta, bald_samples
 
-Every key is optional except data.kind and the paths of csv and idx data. The
-keys of [active], [train], [attack], ceal_delta, bald_samples and the blobs
-shape keys are fields of ``ActiveSettings``, ``TrainConfig``, ``AttackConfig``
-and ``SyntheticSpec``; a key left out takes the field's default, which is
-declared only there.
+Each key is a field of the dataclass that declares its default: [data] of
+``BlobsData``, ``CsvData`` or ``IdxData``; arch, strategies and seeds of
+``ExperimentConfig``; [active], ceal_delta and bald_samples of
+``ActiveSettings``; [train] of ``TrainConfig``; [attack] of ``AttackConfig``.
+Required are data.kind and the fields with no default: csv's path and
+class_count, and idx's four files.
 
-Loading checks what needs no data: value syntax, unknown sections and keys,
-strategy and architecture names, paths, non-negative seeds, positive caps,
-and the rules of those dataclasses. A breach of a rule (such as n_query <=
-candidates, bald_samples >= 2 or classes >= 2) names its config key, such as
-``active.n_query``. What depends on the data is
-checked when a run starts: input shape and class count against the network,
-initial_labeled against the class count and the pool size, and test labels
-against the network's classes.
+Loading checks value syntax, unknown sections and keys, and the rules of those
+dataclasses that need no data, such as existing files, n_query <= candidates,
+classes >= 2 or a csv test_fraction in (0, 1). A breach names its config key,
+such as ``active.n_query``. What depends on the data is checked when a run
+starts: input shape and class count against the network, initial_labeled
+against the class count and the pool size, idx caps against the class count
+of the label files, and test labels against the network's classes.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import configparser
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 from adval.attacks import AttackConfig
 from adval.data import (
@@ -51,48 +52,141 @@ from adval.strategies import STRATEGY_IDS
 _NETWORK_SEED_STREAM = 17
 
 
+def _build(cls, section: str, /, **values):
+    """``cls(**values)``; a rule it breaks is named by its ``section.field`` key.
+
+    ``cls`` may also build a dataclass, as ``partial(replace, settings)`` does.
+    Relies on each of the class's error messages starting with its field.
+    """
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
 @dataclass(frozen=True)
-class DataSource:
-    kind: str  # blobs | csv | idx
-    options: dict
+class BlobsData:
+    """``kind = blobs``: Gaussian blobs, for the test set with their own count and seed.
+
+    ``SyntheticSpec`` declares the shape fields' defaults and checks them.
+    """
+
+    classes: int = 4
+    points_per_class: int = 1000
+    test_points_per_class: int = 250
+    dimension: int = SyntheticSpec.dimension
+    center_radius: float = SyntheticSpec.center_radius
+    cov_scale: float = SyntheticSpec.cov_scale
+    seed: int = SyntheticSpec.seed
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
+        if self.test_points_per_class < 1:
+            raise ConfigError(
+                f"test_points_per_class must be >= 1, got {self.test_points_per_class}"
+            )
+        self.specs()
+
+    def specs(self) -> tuple[SyntheticSpec, SyntheticSpec]:
+        """The pool's spec and the test set's."""
+        shape = {k: getattr(self, k) for k in ("dimension", "center_radius", "cov_scale", "seed")}
+        pool = SyntheticSpec(self.classes, self.points_per_class, **shape)
+        test = replace(pool, points_per_class=self.test_points_per_class, seed=self.seed + 10_000)
+        return pool, test
 
     def load(self) -> tuple[Dataset, Dataset]:
-        """Build (train pool, test set)."""
-        o = self.options
-        if self.kind == "blobs":
-            return gen_blobs(o["spec"]), gen_blobs(o["test_spec"])
-        if self.kind == "csv":
-            ds = load_csv(o["path"], o["class_count"])
-            return split_and_subsample(
-                ds,
-                test_fraction=o["test_fraction"],
-                pool_cap=o["pool_cap"],
-                seed=o["seed"],
+        pool, test = self.specs()
+        return gen_blobs(pool), gen_blobs(test)
+
+
+@dataclass(frozen=True)
+class CsvData:
+    """``kind = csv``: one csv file, split into a stratified test set and a pool."""
+
+    path: Path
+    class_count: int
+    test_fraction: float = 0.2
+    pool_cap: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if not self.path.is_file():
+            raise ConfigError(f"path: file does not exist: {self.path}")
+        if self.class_count < 2:
+            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.pool_cap is not None and self.pool_cap < self.class_count:
+            raise ConfigError(
+                f"pool_cap must be >= class_count={self.class_count}, got {self.pool_cap}"
             )
-        if self.kind == "idx":
-            train = load_idx(o["train_images"], o["train_labels"], name="idx-train")
-            test = load_idx(o["test_images"], o["test_labels"], name="idx-test")
-            if o["pool_cap"] is not None and o["pool_cap"] < len(train):
-                train = stratified_subsample(train, o["pool_cap"], seed=o["seed"])
-            if o["test_cap"] is not None and o["test_cap"] < len(test):
-                test = stratified_subsample(test, o["test_cap"], seed=o["seed"] + 1)
-            return train, test
-        raise ConfigError(f"data.kind must be blobs, csv, or idx, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def load(self) -> tuple[Dataset, Dataset]:
+        return split_and_subsample(
+            load_csv(self.path, self.class_count),
+            test_fraction=self.test_fraction,
+            pool_cap=self.pool_cap,
+            seed=self.seed,
+        )
+
+
+@dataclass(frozen=True)
+class IdxData:
+    """``kind = idx``: IDX image and label files for the pool and the test set.
+
+    The class count is in the label files, so the caps meet it when the data loads.
+    """
+
+    train_images: Path
+    train_labels: Path
+    test_images: Path
+    test_labels: Path
+    pool_cap: int | None = None
+    test_cap: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("train_images", "train_labels", "test_images", "test_labels"):
+            if not getattr(self, name).is_file():
+                raise ConfigError(f"{name}: file does not exist: {getattr(self, name)}")
+        for name in ("pool_cap", "test_cap"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def load(self) -> tuple[Dataset, Dataset]:
+        train = load_idx(self.train_images, self.train_labels, name="idx-train")
+        test = load_idx(self.test_images, self.test_labels, name="idx-test")
+        train = self._capped(train, "pool_cap", self.seed)
+        return train, self._capped(test, "test_cap", self.seed + 1)
+
+    def _capped(self, dataset: Dataset, key: str, seed: int) -> Dataset:
+        cap = getattr(self, key)
+        if cap is None or cap >= len(dataset):
+            return dataset
+        try:
+            return stratified_subsample(dataset, cap, seed=seed)
+        except ConfigError as exc:
+            raise ConfigError(f"data.{key}: {exc}") from exc
+
+
+# data.kind -> its dataclass, whose load() builds (train pool, test set)
+_DATA_KINDS = {"blobs": BlobsData, "csv": CsvData, "idx": IdxData}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data: DataSource
-    arch: str
-    strategies: tuple[str, ...]
-    seeds: tuple[int, ...]
+    data: BlobsData | CsvData | IdxData
+    arch: str = "arch-B"
+    strategies: tuple[str, ...] = ("dfal", "random")
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     active: ActiveSettings = field(default_factory=ActiveSettings)
 
     def __post_init__(self):
-        if not self.strategies:
-            raise ConfigError("experiment.strategies must not be empty")
-        if not self.seeds:
-            raise ConfigError("experiment.seeds must not be empty")
         for s in self.strategies:
             if s not in STRATEGY_IDS:
                 raise ConfigError(
@@ -123,95 +217,6 @@ def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Da
     return train, test
 
 
-_REQUIRED = object()
-_SECTIONS = ("data", "network", "active", "train", "attack", "experiment")
-
-
-def _plain_fields(cls, *exclude) -> tuple[str, ...]:
-    """Fields of ``cls`` with a plain default value, less ``exclude``."""
-    return tuple(f.name for f in fields(cls) if f.default is not MISSING and f.name not in exclude)
-
-
-# The config keys that set dataclass fields. Two ActiveSettings fields live in
-# [experiment]; the loop sets TrainConfig's epochs and seed each round.
-_EXPERIMENT_KEYS = ("ceal_delta", "bald_samples")
-_ACTIVE_KEYS = _plain_fields(ActiveSettings, *_EXPERIMENT_KEYS)
-_TRAIN_KEYS = _plain_fields(TrainConfig, "epochs", "seed")
-_ATTACK_KEYS = _plain_fields(AttackConfig)
-_BLOBS_KEYS = _plain_fields(SyntheticSpec)
-
-
-class _SectionReader:
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.section = section
-        self.present = parser.has_section(section)
-        self.raw = dict(parser[section]) if self.present else {}
-        self.used: set[str] = set()
-
-    def _fetch(self, key: str, cast, default):
-        self.used.add(key)
-        if key not in self.raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {self.section}.{key}")
-            return default
-        text = self.raw[key].strip()
-        try:
-            return cast(text)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {self.section}.{key}: {text!r}") from exc
-
-    def integer(self, key, default=None, minimum=None):
-        value = self._fetch(key, int, default)
-        if minimum is not None and value is not None and value < minimum:
-            raise ConfigError(f"{self.section}.{key} must be >= {minimum}, got {value}")
-        return value
-
-    def number(self, key, default=None):
-        return self._fetch(key, float, default)
-
-    def text(self, key, default=None):
-        return self._fetch(key, str, default)
-
-    def fields_of(self, cls, names) -> dict:
-        """Values of the keys in ``names``, fields of ``cls``, each cast like its default.
-
-        Absent keys are left out, so ``cls`` keeps the only copy of each default.
-        """
-        defaults = {f.name: f.default for f in fields(cls)}
-        return {n: self._fetch(n, type(defaults[n]), None) for n in names if n in self.raw}
-
-    def build(self, cls, keys=None, **values):
-        """``cls(**values)``; a value it rejects is reported under its config key.
-
-        ``cls`` is a dataclass or a callable that builds one, such as
-        ``partial(replace, spec)``. The key is ``section.field`` unless
-        ``keys`` maps the field to another.
-        Relies on each of the class's error messages starting with its field.
-        """
-        try:
-            return cls(**values)
-        except ConfigError as exc:
-            name, _, rest = str(exc).partition(" ")
-            key = (keys or {}).get(name, f"{self.section}.{name}")
-            raise ConfigError(f"{key} {rest}") from exc
-
-    def path(self, key, default=_REQUIRED):
-        value = self._fetch(key, str, default)
-        if value is None:
-            return None
-        p = Path(value)
-        if not p.exists():
-            raise ConfigError(f"{self.section}.{key}: path does not exist: {p}")
-        return p
-
-    def reject_unknown(self):
-        unknown = set(self.raw) - self.used
-        if unknown:
-            raise ConfigError(
-                f"unknown keys in [{self.section}]: {', '.join(sorted(unknown))}"
-            )
-
-
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         items = tuple(int(t) for t in text.replace(" ", "").split(",") if t)
@@ -231,6 +236,39 @@ def parse_strategy_list(text: str) -> tuple[str, ...]:
     return items
 
 
+_SECTIONS = ("data", "network", "active", "train", "attack", "experiment")
+_CASTS = {int: int, float: float, str: str, Path: Path, int | None: int}
+_CASTS[tuple[str, ...]] = parse_strategy_list
+
+
+def _read(raw: dict, section: str, cls, *names) -> dict:
+    """Take from ``raw[section]`` the values of ``cls``'s fields ``names``, or of all.
+
+    Each key is read by its field's type. An absent key is left out, so
+    ``cls`` keeps the only copy of each default; a field with no default is a
+    required key.
+    """
+    types = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if names and f.name not in names:
+            continue
+        key = f"{section}.{f.name}"
+        if f.name not in raw[section]:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required key {key}")
+            continue
+        text = raw[section].pop(f.name).strip()
+        if types[f.name] == tuple[int, ...]:
+            values[f.name] = parse_int_list(text, key)  # its errors name the key
+            continue
+        try:
+            values[f.name] = _CASTS[types[f.name]](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {text!r}") from exc
+    return values
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -245,72 +283,38 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"unknown section [{unknown[0]}]; expected {', '.join(f'[{s}]' for s in _SECTIONS)}"
         )
-
-    data_sec = _SectionReader(parser, "data")
-    if not data_sec.present:
+    if not parser.has_section("data"):
         raise ConfigError("missing required section [data]")
-    kind = data_sec.text("kind", _REQUIRED)
-    if kind == "blobs":
-        spec = data_sec.build(
-            SyntheticSpec,
-            {"class_count": "data.classes"},
-            class_count=data_sec.integer("classes", 4),
-            points_per_class=data_sec.integer("points_per_class", 1000),
-            **data_sec.fields_of(SyntheticSpec, _BLOBS_KEYS),
-        )
-        test_spec = data_sec.build(
-            partial(replace, spec),
-            {"points_per_class": "data.test_points_per_class"},
-            points_per_class=data_sec.integer("test_points_per_class", 250),
-            seed=spec.seed + 10_000,
-        )
-        options = {"spec": spec, "test_spec": test_spec}
-    elif kind == "csv":
-        options = {
-            "path": data_sec.path("path"),
-            "class_count": data_sec.integer("class_count", _REQUIRED),
-            "test_fraction": data_sec.number("test_fraction", 0.2),
-            "pool_cap": data_sec.integer("pool_cap", None, minimum=1),
-            "seed": data_sec.integer("seed", 0, minimum=0),
-        }
-    elif kind == "idx":
-        options = {
-            "train_images": data_sec.path("train_images"),
-            "train_labels": data_sec.path("train_labels"),
-            "test_images": data_sec.path("test_images"),
-            "test_labels": data_sec.path("test_labels"),
-            "pool_cap": data_sec.integer("pool_cap", None, minimum=1),
-            "test_cap": data_sec.integer("test_cap", None, minimum=1),
-            "seed": data_sec.integer("seed", 0, minimum=0),
-        }
-    else:
+    # Each key is popped when read, so what is left at the end is unknown.
+    raw = {s: dict(parser[s]) if parser.has_section(s) else {} for s in _SECTIONS}
+
+    kind = raw["data"].pop("kind", None)
+    if kind is None:
+        raise ConfigError("missing required key data.kind")
+    if kind not in _DATA_KINDS:
         raise ConfigError(f"data.kind must be blobs, csv, or idx, got {kind!r}")
-    data_sec.reject_unknown()
+    source = _build(_DATA_KINDS[kind], "data", **_read(raw, "data", _DATA_KINDS[kind]))
 
-    net_sec = _SectionReader(parser, "network")
-    arch = net_sec.text("arch", "arch-B")
-    net_sec.reject_unknown()
-
-    active_sec = _SectionReader(parser, "active")
-    train_sec = _SectionReader(parser, "train")
-    attack_sec = _SectionReader(parser, "attack")
-    exp_sec = _SectionReader(parser, "experiment")
-
-    active = active_sec.build(
+    # The loop sets TrainConfig's epochs and seed each round.
+    train_keys = ("learning_rate", "beta1", "beta2", "epsilon", "batch_size")
+    active_keys = ("candidates", "n_query", "budget", "initial_labeled", "base_steps")
+    settings = _build(
         ActiveSettings,
-        {k: f"experiment.{k}" for k in _EXPERIMENT_KEYS},
-        **active_sec.fields_of(ActiveSettings, _ACTIVE_KEYS),
-        **exp_sec.fields_of(ActiveSettings, _EXPERIMENT_KEYS),
-        train=train_sec.build(TrainConfig, **train_sec.fields_of(TrainConfig, _TRAIN_KEYS)),
-        attack=attack_sec.build(AttackConfig, **attack_sec.fields_of(AttackConfig, _ATTACK_KEYS)),
+        "active",
+        **_read(raw, "active", ActiveSettings, *active_keys),
+        train=_build(TrainConfig, "train", **_read(raw, "train", TrainConfig, *train_keys)),
+        attack=_build(AttackConfig, "attack", **_read(raw, "attack", AttackConfig)),
     )
+    # Two ActiveSettings fields are set in [experiment].
+    shared = _read(raw, "experiment", ActiveSettings, "ceal_delta", "bald_samples")
+    settings = _build(partial(replace, settings), "experiment", **shared)
     cfg = ExperimentConfig(
-        data=DataSource(kind, options),
-        arch=arch,
-        strategies=parse_strategy_list(exp_sec.text("strategies", "dfal,random")),
-        seeds=parse_int_list(exp_sec.text("seeds", "0,1,2,3,4"), "experiment.seeds"),
-        active=active,
+        source,
+        active=settings,
+        **_read(raw, "network", ExperimentConfig, "arch"),
+        **_read(raw, "experiment", ExperimentConfig, "strategies", "seeds"),
     )
-    for sec in (train_sec, attack_sec, active_sec, exp_sec):
-        sec.reject_unknown()
+    for section, left in raw.items():
+        if left:
+            raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(left))}")
     return cfg

@@ -71,7 +71,7 @@ class SyntheticSpec:
     points_per_class: int
     dimension: int = 2
     center_radius: float = 2.0
-    cov_scale: float | tuple[float, ...] = 0.35
+    cov_scale: float = 0.35
     seed: int = 0
 
     def __post_init__(self):
@@ -82,15 +82,8 @@ class SyntheticSpec:
         for name in ("points_per_class", "dimension"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(s <= 0 for s in self.class_scales()):
+        if self.cov_scale <= 0:
             raise ConfigError(f"cov_scale must be positive, got {self.cov_scale}")
-
-    def class_scales(self) -> tuple[float, ...]:
-        if isinstance(self.cov_scale, (int, float)):
-            return (float(self.cov_scale),) * self.class_count
-        if len(self.cov_scale) != self.class_count:
-            raise ConfigError(f"cov_scale needs {self.class_count} scales, got {self.cov_scale}")
-        return tuple(float(s) for s in self.cov_scale)
 
 
 def gen_blobs(spec: SyntheticSpec) -> Dataset:
@@ -103,7 +96,6 @@ def gen_blobs(spec: SyntheticSpec) -> Dataset:
     n = spec.class_count * spec.points_per_class
     inputs = np.empty((n, spec.dimension), dtype=DTYPE)
     labels = np.empty(n, dtype=np.int64)
-    scales = spec.class_scales()
     for c in range(spec.class_count):
         angle = 2.0 * np.pi * c / spec.class_count
         center = np.zeros(spec.dimension, dtype=DTYPE)
@@ -112,7 +104,7 @@ def gen_blobs(spec: SyntheticSpec) -> Dataset:
             center[1] = spec.center_radius * np.sin(angle)
         lo = c * spec.points_per_class
         hi = lo + spec.points_per_class
-        inputs[lo:hi] = center + scales[c] * rng.standard_normal(
+        inputs[lo:hi] = center + spec.cov_scale * rng.standard_normal(
             (spec.points_per_class, spec.dimension)
         )
         labels[lo:hi] = c
@@ -255,9 +247,7 @@ def split_and_subsample(
     pool_cap: int | None = None,
     seed: int = 0,
 ) -> tuple[Dataset, Dataset]:
-    """Carve out a stratified test set of ``test_fraction``, then cap the pool."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"data.test_fraction must be in (0, 1), got {test_fraction}")
+    """Carve out a stratified test set of ``test_fraction`` in (0, 1), then cap the pool."""
     rng = np.random.default_rng(seed)
     test_idx: list[np.ndarray] = []
     for c in range(dataset.class_count):

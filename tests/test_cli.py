@@ -314,6 +314,21 @@ class TestTransfer:
         assert result.exit_code == 2
         assert "distinct" in result.stderr
 
+    @pytest.mark.parametrize("option", ["--selector", "--consumer"])
+    def test_unknown_architecture_names_option_before_loading(self, tmp_path, option):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,oops\n")  # a FormatError, were the data loaded
+        config = tmp_path / "t.ini"
+        config.write_text(f"[data]\nkind = csv\npath = {bad}\nclass_count = 2\n")
+        archs = {"--selector": "arch-A", "--consumer": "arch-B", option: "bogus"}
+        result = CliRunner().invoke(
+            main, ["transfer", "--config", str(config), *(a for kv in archs.items() for a in kv)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: {option} must be one of ('arch-A', 'arch-B'), got 'bogus'"
+        ]
+
     def test_emits_selector_and_consumer_columns(self, tmp_path):
         path = tmp_path / "t.ini"
         path.write_text(

@@ -5,8 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from adval import nn
+from adval.cli import main
+from adval.config import load_experiment_config
 from adval.data import (
     Dataset,
     SyntheticSpec,
@@ -18,6 +21,7 @@ from adval.data import (
     stratified_subsample,
 )
 from adval.errors import ConfigError, FormatError, InputError
+from adval.experiments import read_metrics
 from adval.nn import Dense, NetworkSpec, TrainConfig
 
 
@@ -286,3 +290,117 @@ class TestDatasetValidation:
         assert img.input_shape == (1, 2, 2)
         with pytest.raises(ConfigError):
             ds.reshape_inputs((3, 3))
+
+
+# A run small enough for a few dozen rows: round 0, then one query round.
+QUICK_RUN = """
+[network]
+arch = arch-B
+
+[active]
+candidates = 10
+n_query = 3
+initial_labeled = 6
+budget = 9
+base_steps = 5
+
+[experiment]
+strategies = random
+seeds = 0
+"""
+
+
+class TestConfigSources:
+    """The csv and idx ``[data]`` kinds, loaded through the config file."""
+
+    def csv_config(self, tmp_path, **keys):
+        ds = gen_blobs(SyntheticSpec(class_count=3, points_per_class=20, seed=5))
+        write_csv(ds, tmp_path / "blobs.csv")
+        keys = {"path": tmp_path / "blobs.csv", "class_count": 3, **keys}
+        lines = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        config = tmp_path / "csv.ini"
+        config.write_text(f"[data]\nkind = csv\n{lines}{QUICK_RUN}")
+        return config
+
+    def idx_config(self, tmp_path, **keys):
+        rng = np.random.default_rng(3)
+        paths = {}
+        for split, n in (("train", 10), ("test", 5)):  # n samples per class, 3 classes
+            pixels = rng.integers(0, 256, size=(3 * n, 4, 4))
+            labels = rng.permutation(np.repeat(np.arange(3), n))
+            img, lab = tiny_idx_pair(tmp_path, pixels, labels, prefix=f"{split}_")
+            paths[f"{split}_images"], paths[f"{split}_labels"] = img, lab
+        lines = "".join(f"{k} = {v}\n" for k, v in {**paths, **keys}.items())
+        config = tmp_path / "idx.ini"
+        config.write_text(f"[data]\nkind = idx\n{lines}{QUICK_RUN}")
+        return config
+
+    def test_csv_split_is_stratified_and_capped(self, tmp_path):
+        config = self.csv_config(tmp_path, test_fraction=0.25, pool_cap=24, seed=4)
+        train, test = load_experiment_config(config).data.load()
+        np.testing.assert_array_equal(np.bincount(test.labels), [5, 5, 5])
+        np.testing.assert_array_equal(np.bincount(train.labels), [8, 8, 8])
+        want_train, want_test = split_and_subsample(
+            load_csv(tmp_path / "blobs.csv", 3), test_fraction=0.25, pool_cap=24, seed=4
+        )
+        np.testing.assert_array_equal(train.inputs, want_train.inputs)
+        np.testing.assert_array_equal(test.inputs, want_test.inputs)
+
+    def test_csv_defaults(self, tmp_path):
+        train, test = load_experiment_config(self.csv_config(tmp_path)).data.load()
+        np.testing.assert_array_equal(np.bincount(test.labels), [4, 4, 4])  # test_fraction 0.2
+        assert len(train) == 48  # no pool_cap
+
+    def test_idx_caps_subsample_with_seed_and_seed_plus_one(self, tmp_path):
+        config = self.idx_config(tmp_path, pool_cap=12, test_cap=6, seed=5)
+        train, test = load_experiment_config(config).data.load()
+        np.testing.assert_array_equal(np.bincount(train.labels), [4, 4, 4])
+        np.testing.assert_array_equal(np.bincount(test.labels), [2, 2, 2])
+        full_train = load_idx(tmp_path / "train_imgs.idx", tmp_path / "train_labels.idx")
+        full_test = load_idx(tmp_path / "test_imgs.idx", tmp_path / "test_labels.idx")
+        np.testing.assert_array_equal(
+            train.inputs, stratified_subsample(full_train, 12, seed=5).inputs
+        )
+        np.testing.assert_array_equal(
+            test.inputs, stratified_subsample(full_test, 6, seed=6).inputs
+        )
+
+    def test_idx_without_caps_keeps_every_sample(self, tmp_path):
+        train, test = load_experiment_config(self.idx_config(tmp_path)).data.load()
+        assert (len(train), len(test)) == (30, 15)
+
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_one_run_round(self, tmp_path, kind):
+        config = getattr(self, f"{kind}_config")(tmp_path)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = read_metrics(out / "metrics.csv")
+        assert [(r["round"], r["annotations"]) for r in rows] == [(0, 6), (1, 9)]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("test_fraction", 1.5), ("test_fraction", 0), ("pool_cap", 2),
+         ("class_count", 1), ("class_count", 0)],
+    )
+    def test_csv_rule_breach_is_load_time_config_error(self, tmp_path, key, value):
+        config = self.csv_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"^data.{key} "):
+            load_experiment_config(config)
+
+    @pytest.mark.parametrize("path", ["", "."])
+    def test_path_that_is_no_file_is_load_time_config_error(self, tmp_path, path):
+        config = self.csv_config(tmp_path, path=path)
+        with pytest.raises(ConfigError, match="^data.path: file does not exist"):
+            load_experiment_config(config)
+
+    @pytest.mark.parametrize("key", ["pool_cap", "test_cap"])
+    def test_idx_cap_below_class_count_names_key(self, tmp_path, key):
+        config = self.idx_config(tmp_path, **{key: 2})
+        load_experiment_config(config)  # the class count is in the label files
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"E_CONFIG: data.{key}") and "class count 3" in err[0]
