@@ -49,8 +49,7 @@ _ERROR_CODES = (
     (InputError, "E_INPUT"),
     (PoolInvariantError, "E_INVARIANT"),
     (AdvalError, "E_RUNTIME"),
-    (FileNotFoundError, "E_IO"),
-    (PermissionError, "E_IO"),
+    (OSError, "E_IO"),
 )
 
 
@@ -72,6 +71,13 @@ def friendly_errors(fn):
             sys.exit(2)
 
     return wrapper
+
+
+def _out_dir(path) -> Path:
+    """The output directory, made before a command runs so that a bad ``--out`` fails first."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _apply_overrides(cfg, seeds: str | None, strategies: str | None):
@@ -96,12 +102,13 @@ def main():
 def run(config_path, out_dir, seeds, strategies):
     """Run the strategy x seed grid and write metrics.csv."""
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, strategies)
+    out = _out_dir(out_dir)
 
     def progress(strategy, seed, final_acc):
         click.echo(f"done {strategy} seed={seed} final_accuracy={final_acc:.4f}")
 
     rows = run_grid(cfg, progress=progress)
-    path = write_table(Path(out_dir) / "metrics.csv", METRICS_HEADER, rows)
+    path = write_table(out / "metrics.csv", METRICS_HEADER, rows)
     click.echo(f"wrote {path}")
 
 
@@ -134,7 +141,7 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
         click.echo("  ".join(f"{c:>18}" for c in cells))
         out_rows.append(tuple(cells))
     if out_dir is not None:
-        path = write_table(Path(out_dir) / "compare.csv", tuple(header), out_rows)
+        path = write_table(_out_dir(out_dir) / "compare.csv", tuple(header), out_rows)
         click.echo(f"wrote {path}")
 
 
@@ -151,12 +158,13 @@ def transfer(config_path, selector, consumer, out_dir, seeds):
         if arch not in ARCHITECTURES:
             raise ConfigError(f"{option} must be one of {ARCHITECTURES}, got {arch!r}")
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, None)
+    out = _out_dir(out_dir)
 
     def progress(strategy, seed, final_consumer_acc):
         click.echo(f"done {strategy} seed={seed} consumer_accuracy={final_consumer_acc:.4f}")
 
     rows = run_transfer(cfg, selector, consumer, progress=progress)
-    path = write_table(Path(out_dir) / "transfer.csv", TRANSFER_HEADER, rows)
+    path = write_table(out / "transfer.csv", TRANSFER_HEADER, rows)
     click.echo(f"wrote {path}")
 
 
@@ -170,10 +178,11 @@ def timing(config_path, sizes, reps, out_dir):
     """Time query selection at several labeled-set sizes."""
     cfg = load_experiment_config(config_path)
     size_list = parse_int_list(sizes, "--sizes")
+    out = _out_dir(out_dir)
     rows = run_timing(cfg, size_list, repetitions=reps)
     for strategy, size, n, mean_s in rows:
         click.echo(f"{strategy} |L|={size} reps={n} mean_selection={mean_s:.4f}s")
-    path = write_table(Path(out_dir) / "timing.csv", TIMING_HEADER, rows)
+    path = write_table(out / "timing.csv", TIMING_HEADER, rows)
     click.echo(f"wrote {path}")
 
 

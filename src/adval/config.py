@@ -21,8 +21,8 @@ dataclasses that need no data, such as existing files, n_query <= candidates,
 classes >= 2 or a csv test_fraction in (0, 1). A breach names its config key,
 such as ``active.n_query``. What depends on the data is checked when a run
 starts: input shape and class count against the network, initial_labeled
-against the class count and the pool size, idx caps against the class count
-of the label files, and test labels against the network's classes.
+against the class count and the pool size, csv and idx caps against the rows
+each class holds, and test labels against the network's classes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from adval.data import (
     gen_blobs,
     load_csv,
     load_idx,
-    split_and_subsample,
+    read_lines,
+    stratified_split,
     stratified_subsample,
 )
 from adval.errors import ConfigError
@@ -62,6 +63,16 @@ def _build(cls, section: str, /, **values):
         return cls(**values)
     except ConfigError as exc:
         raise ConfigError(f"{section}.{exc}") from exc
+
+
+def _capped(dataset: Dataset, key: str, cap: int | None, seed: int) -> Dataset:
+    """``dataset`` cut to a class-balanced ``cap`` rows; a cap it cannot fill names its key."""
+    if cap is None or cap >= len(dataset):
+        return dataset
+    try:
+        return stratified_subsample(dataset, cap, seed=seed)
+    except ConfigError as exc:
+        raise ConfigError(f"data.{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,12 +136,9 @@ class CsvData:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def load(self) -> tuple[Dataset, Dataset]:
-        return split_and_subsample(
-            load_csv(self.path, self.class_count),
-            test_fraction=self.test_fraction,
-            pool_cap=self.pool_cap,
-            seed=self.seed,
-        )
+        data = load_csv(self.path, self.class_count)
+        train, test = stratified_split(data, self.test_fraction, self.seed)
+        return _capped(train, "pool_cap", self.pool_cap, self.seed + 1), test
 
 
 @dataclass(frozen=True)
@@ -161,17 +169,8 @@ class IdxData:
     def load(self) -> tuple[Dataset, Dataset]:
         train = load_idx(self.train_images, self.train_labels, name="idx-train")
         test = load_idx(self.test_images, self.test_labels, name="idx-test")
-        train = self._capped(train, "pool_cap", self.seed)
-        return train, self._capped(test, "test_cap", self.seed + 1)
-
-    def _capped(self, dataset: Dataset, key: str, seed: int) -> Dataset:
-        cap = getattr(self, key)
-        if cap is None or cap >= len(dataset):
-            return dataset
-        try:
-            return stratified_subsample(dataset, cap, seed=seed)
-        except ConfigError as exc:
-            raise ConfigError(f"data.{key}: {exc}") from exc
+        pool = _capped(train, "pool_cap", self.pool_cap, self.seed)
+        return pool, _capped(test, "test_cap", self.test_cap, self.seed + 1)
 
 
 # data.kind -> its dataclass, whose load() builds (train pool, test set)
@@ -271,11 +270,11 @@ def _read(raw: dict, section: str, cls, *names) -> dict:
 
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        parser.read_file(read_lines(path, ConfigError), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     unknown = [s for s in parser.sections() if s not in _SECTIONS]

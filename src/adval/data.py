@@ -9,13 +9,14 @@ IDX (big-endian binary):
     Gzipped files are detected by magic and decompressed transparently.
     Pixels are scaled to [0, 1] by dividing by 255.
 
-CSV: one sample per row, ``label,v1,...,vd`` with a constant dimension d.
+CSV: UTF-8 text, one sample per row, ``label,v1,...,vd`` with a constant dimension d.
     An optional header row is detected by a non-numeric first token.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -125,35 +126,28 @@ def _read_u32s(f, count: int, path, offset: int) -> tuple[int, ...]:
     return struct.unpack(f">{count}I", raw)
 
 
-def _read_payload(f, count: int, path, offset: int) -> np.ndarray:
-    raw = f.read(count)
+def _read_idx(path, magic: int, what: str, dims: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The ``dims`` sizes in an IDX header, and the unsigned-byte payload after it."""
+    with _open_maybe_gzip(path) as f:
+        (found,) = _read_u32s(f, 1, path, 0)
+        if found != magic:
+            raise FormatError(
+                f"{path}: bad {what} magic 0x{found:08x} at byte 0, expected 0x{magic:08x}"
+            )
+        sizes = _read_u32s(f, dims, path, 4)
+        count = math.prod(sizes)
+        raw = f.read(count)
     if len(raw) != count:
         raise FormatError(
-            f"{path}: truncated payload at byte {offset + len(raw)}, expected {count} bytes"
+            f"{path}: truncated payload at byte {4 + 4 * dims + len(raw)}, expected {count} bytes"
         )
-    return np.frombuffer(raw, dtype=np.uint8)
+    return sizes, np.frombuffer(raw, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     """Parse an IDX image/label file pair into a dataset with pixels in [0, 1]."""
-    with _open_maybe_gzip(images_path) as f:
-        (magic,) = _read_u32s(f, 1, images_path, 0)
-        if magic != _IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at byte 0, "
-                f"expected 0x{_IDX_IMAGE_MAGIC:08x}"
-            )
-        n, rows, cols = _read_u32s(f, 3, images_path, 4)
-        pixels = _read_payload(f, n * rows * cols, images_path, 16)
-    with _open_maybe_gzip(labels_path) as f:
-        (magic,) = _read_u32s(f, 1, labels_path, 0)
-        if magic != _IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at byte 0, "
-                f"expected 0x{_IDX_LABEL_MAGIC:08x}"
-            )
-        (n_labels,) = _read_u32s(f, 1, labels_path, 4)
-        labels = _read_payload(f, n_labels, labels_path, 8)
+    (n, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, "image", 3)
+    (n_labels,), labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, "label", 1)
     if n != n_labels:
         raise FormatError(
             f"count mismatch: {images_path} has {n} images but {labels_path} has "
@@ -162,6 +156,15 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     inputs = pixels.reshape(n, rows, cols).astype(DTYPE) / 255.0
     class_count = int(labels.max()) + 1 if n else 0
     return Dataset(inputs, labels.astype(np.int64), class_count, name=name)
+
+
+def read_lines(path, error=FormatError, newline=None) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise ``error`` naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _is_number(token: str) -> bool:
@@ -174,12 +177,7 @@ def _is_number(token: str) -> bool:
 
 def load_csv(path, class_count: int, name: str = "csv") -> Dataset:
     """Parse ``label,v1,...,vd`` rows; header row optional."""
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
+    rows = [line.strip().split(",") for line in read_lines(path) if line.strip()]
     if not rows:
         raise FormatError(f"{path}: empty file")
     start = 0
@@ -241,13 +239,10 @@ def stratified_subsample(dataset: Dataset, cap: int, seed: int = 0) -> Dataset:
     return replace(dataset, inputs=dataset.inputs[keep], labels=dataset.labels[keep])
 
 
-def split_and_subsample(
-    dataset: Dataset,
-    test_fraction: float,
-    pool_cap: int | None = None,
-    seed: int = 0,
+def stratified_split(
+    dataset: Dataset, test_fraction: float, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
-    """Carve out a stratified test set of ``test_fraction`` in (0, 1), then cap the pool."""
+    """(pool, test set): a stratified test set of ``test_fraction`` in (0, 1), and the rest."""
     rng = np.random.default_rng(seed)
     test_idx: list[np.ndarray] = []
     for c in range(dataset.class_count):
@@ -263,8 +258,6 @@ def split_and_subsample(
         )
     test_set = replace(dataset, inputs=dataset.inputs[mask], labels=dataset.labels[mask])
     train = replace(dataset, inputs=dataset.inputs[~mask], labels=dataset.labels[~mask])
-    if pool_cap is not None and pool_cap < len(train):
-        train = stratified_subsample(train, pool_cap, seed=seed + 1)
     return train, test_set
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from adval.config import ExperimentConfig, prepare_for_archs
+from adval.data import read_lines
 from adval.errors import ConfigError, FormatError
 from adval.loop import (
     STRATEGIES,
@@ -69,7 +70,6 @@ def _fmt(value) -> str:
 
 def write_table(path, header, rows) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -80,30 +80,29 @@ def write_table(path, header, rows) -> Path:
 
 def read_metrics(path) -> list[dict]:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"metrics file does not exist: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != METRICS_HEADER:
-            raise FormatError(
-                f"{path}: unexpected header {reader.fieldnames}; expected {list(METRICS_HEADER)}"
+    reader = csv.DictReader(read_lines(path, newline=""))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != METRICS_HEADER:
+        raise FormatError(
+            f"{path}: unexpected header {reader.fieldnames}; expected {list(METRICS_HEADER)}"
+        )
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        try:
+            rows.append(
+                {
+                    "strategy": row["strategy"],
+                    "seed": int(row["seed"]),
+                    "round": int(row["round"]),
+                    "annotations": int(row["annotations"]),
+                    "labeled_data": int(row["labeled_data"]),
+                    "test_accuracy": float(row["test_accuracy"]),
+                    "pseudo_corruptions": int(row["pseudo_corruptions"]),
+                }
             )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    {
-                        "strategy": row["strategy"],
-                        "seed": int(row["seed"]),
-                        "round": int(row["round"]),
-                        "annotations": int(row["annotations"]),
-                        "labeled_data": int(row["labeled_data"]),
-                        "test_accuracy": float(row["test_accuracy"]),
-                        "pseudo_corruptions": int(row["pseudo_corruptions"]),
-                    }
-                )
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: bad value in row {i}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad value in row {i}") from exc
     return rows
 
 
@@ -260,9 +259,9 @@ def run_timing(
     repetition draws a fresh candidate pool and runs only the selection.
     """
     if list(labeled_sizes) != sorted(labeled_sizes):
-        raise ConfigError("labeled sizes must be ascending")
+        raise ConfigError("--sizes must be ascending")
     if repetitions < 1:
-        raise ConfigError("repetitions must be positive")
+        raise ConfigError(f"--reps must be positive, got {repetitions}")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ConfigError(f"unknown strategies {unknown}; expected {tuple(STRATEGIES)}")
@@ -273,8 +272,11 @@ def run_timing(
     trained = {}
     for size in labeled_sizes:
         if size >= len(train_ds):
-            raise ConfigError(f"labeled size {size} must be below pool size {len(train_ds)}")
-        pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, 31))
+            raise ConfigError(f"--sizes {size}: must be below the pool's {len(train_ds)} samples")
+        try:
+            pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, 31))
+        except ConfigError as exc:
+            raise ConfigError(f"--sizes {size}: {exc}") from exc
         network = build_network(
             cfg.arch,
             train_ds.input_shape,

@@ -137,11 +137,9 @@ def init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
     """Stratified random initial labeled set: equal per-class counts, remainder random."""
     c = dataset.class_count
     if initial_labeled < c:
-        raise ConfigError(
-            f"initial_labeled={initial_labeled} cannot cover {c} classes"
-        )
+        raise ConfigError(f"{initial_labeled} labels cannot cover {c} classes")
     if initial_labeled > len(dataset):
-        raise ConfigError("initial_labeled exceeds dataset size")
+        raise ConfigError(f"{initial_labeled} labels exceed the pool's {len(dataset)} samples")
     rng = np.random.default_rng(seed)
     per_class = initial_labeled // c
     chosen: list[int] = []
@@ -319,9 +317,12 @@ def run_active_learning(
     if not dataset.classes_present():
         raise ConfigError("dataset is missing at least one class")
 
-    pools = init_pools(
-        dataset, cfg.initial_labeled, derive_seed(cfg.seed, 0, _STREAM_POOL_INIT)
-    )
+    try:
+        pools = init_pools(
+            dataset, cfg.initial_labeled, derive_seed(cfg.seed, 0, _STREAM_POOL_INIT)
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"initial_labeled: {exc}") from exc
     oracle = lambda i: int(dataset.labels[i])  # noqa: E731 - simulated annotator
     records: list[RoundRecord] = []
     round_index = 0

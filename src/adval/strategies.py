@@ -1,22 +1,17 @@
 """The seven query strategies.
 
-Every strategy scores a candidate pool against the current model and returns a
-``QueryBatch``: the pool indices whose labels should be requested, plus any
-synthetic training additions. Scoring is read-only on the network; selection is
-a deterministic reduction (stable sort on the score with pool-index tie-break),
-so a batch is reproducible bit-exactly from (net, pool order, seed).
+Every strategy scores a candidate pool against the current model, picks pool
+rows, and returns a ``QueryBatch``: the dataset indices of those rows, whose
+labels should be requested, plus any synthetic training additions. Scoring is
+read-only on the network. Ranking is one rule, ``rank_extremes``: the rows of
+the smallest scores, ties to the smaller dataset index; strategies that want
+the largest scores rank their negation. A batch is therefore reproducible
+bit-exactly from (net, pool order, seed).
 
 Adversarial-margin selection queries the candidates with the smallest
 perturbation norm and pairs each queried sample with its perturbed twin; the
 twin's label is filled in from the same oracle call as its source when the
 batch is applied, so twins can never be mislabeled.
-
-Expected gradient length (EGL) scores fixed blocks of ``_CHUNK // C``
-candidates from row 0, each with one forward pass and one class-batched
-backward pass; per-example norm identities (Dense: ||x||^2 ||delta||^2 +
-||delta||^2; Conv2D: ||delta^T cols||^2 + ||sum delta||^2) stand in for the
-per-class gradients. The scores agree with the per-class definition, one
-``grad_params`` call per (candidate, class), to ~1e-15 relative, not bit for bit.
 
 ``STRATEGIES`` in ``adval.loop`` registers each strategy: whether it scores a
 random candidate subset or the whole unlabeled pool, and how the round loop
@@ -48,9 +43,6 @@ logger = logging.getLogger(__name__)
 
 ADVERSARIAL_TWIN = "adversarial_twin"
 CEAL_PSEUDO = "ceal_pseudo"
-
-SMALLER_BETTER = "smaller_better"
-LARGER_BETTER = "larger_better"
 
 BALD_SAMPLES = 10  # dropout passes per BALD score
 _BLOCK = 128  # pool rows, and centers, per block of the nearest-center search
@@ -95,18 +87,25 @@ class QueryBatch:
     synthetic_additions: tuple[SyntheticAddition, ...]
 
 
-def rank_extremes(indices, scores, n_query: int, direction: str) -> np.ndarray:
-    """Dataset indices of the ``n_query`` extreme scores.
+def rank_extremes(indices, scores, n_query: int) -> np.ndarray:
+    """Rows of the ``n_query`` smallest scores, ties to the smaller dataset index.
 
-    Ascending stable sort on (score, index) for smaller-better; the sort key is
-    negated for larger-better. +inf scores therefore sort last under
-    smaller-better and are only picked once finite scores run out.
+    A stable ascending sort on (score, index), so +inf scores sort last and are
+    only picked once finite scores run out.
     """
-    indices = np.asarray(indices)
-    scores = np.asarray(scores, dtype=DTYPE)
-    key = scores if direction == SMALLER_BETTER else -scores
-    order = np.lexsort((indices, key))
-    return indices[order[: min(n_query, len(indices))]]
+    order = np.lexsort((np.asarray(indices), np.asarray(scores, dtype=DTYPE)))
+    return order[:n_query]
+
+
+def _batch(pool: CandidateSet, rows, additions=()) -> QueryBatch:
+    """The batch that queries ``pool``'s ``rows``, in that order."""
+    return QueryBatch(tuple(int(i) for i in pool.indices[rows]), tuple(additions))
+
+
+def _random_rows(pool: CandidateSet, n_query: int, seed: int) -> np.ndarray:
+    """A uniform draw of pool rows without replacement, fully determined by the seed."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(len(pool), size=min(n_query, len(pool)), replace=False)
 
 
 def prediction_entropy(probs: np.ndarray) -> np.ndarray:
@@ -185,17 +184,15 @@ def select_dfal(
     """
     results = batch_deepfool(net, pool.inputs, attack_cfg)
     scores = np.array([r.score() for r in results], dtype=DTYPE)
-    if not np.isfinite(scores).any():
+    if np.isfinite(scores).any():
+        rows = rank_extremes(pool.indices, scores, n_query)
+    else:
         logger.warning(
             "all %d adversarial attacks failed; falling back to random selection",
             len(pool),
         )
-        chosen = select_random(pool, n_query, fallback_seed).queried
-    else:
-        chosen = rank_extremes(pool.indices, scores, n_query, SMALLER_BETTER)
-    row_of = {int(idx): row for row, idx in enumerate(pool.indices)}
-    rows = [row_of[int(idx)] for idx in chosen]
-    additions = tuple(
+        rows = _random_rows(pool, n_query, fallback_seed)
+    twins = (
         SyntheticAddition(
             values=pool.inputs[row] + results[row].perturbation,
             provenance=ADVERSARIAL_TWIN,
@@ -204,14 +201,12 @@ def select_dfal(
         )
         for row in rows
     )
-    return QueryBatch(tuple(int(i) for i in chosen), additions)
+    return _batch(pool, rows, twins)
 
 
 def select_uncertainty(net: NetworkState, pool: CandidateSet, n_query: int) -> QueryBatch:
     """Query the candidates whose predicted distribution has the highest entropy."""
-    scores = entropy_scores(net, pool.inputs)
-    chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    return QueryBatch(tuple(int(i) for i in chosen), ())
+    return _batch(pool, rank_extremes(pool.indices, -entropy_scores(net, pool.inputs), n_query))
 
 
 def select_ceal(
@@ -227,28 +222,24 @@ def select_ceal(
         raise ConfigError(f"confidence threshold must be >= 0, got {delta}")
     probs = softmax_probs(forward_batch(net, pool.inputs))
     scores = prediction_entropy(probs)
-    chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    queried = set(int(i) for i in chosen)
-    additions = []
-    predicted = probs.argmax(axis=1)
-    for row, idx in enumerate(pool.indices):
-        if scores[row] < delta and int(idx) not in queried:
-            additions.append(
-                SyntheticAddition(
-                    values=None,
-                    provenance=CEAL_PSEUDO,
-                    label=int(predicted[row]),
-                    source_index=int(idx),
-                )
-            )
-    return QueryBatch(tuple(int(i) for i in chosen), tuple(additions))
+    rows = rank_extremes(pool.indices, -scores, n_query)
+    confident = scores < delta
+    confident[rows] = False
+    pseudo = (
+        SyntheticAddition(
+            values=None,
+            provenance=CEAL_PSEUDO,
+            label=int(probs[row].argmax()),
+            source_index=int(pool.indices[row]),
+        )
+        for row in np.flatnonzero(confident)
+    )
+    return _batch(pool, rows, pseudo)
 
 
 def select_egl(net: NetworkState, pool: CandidateSet, n_query: int) -> QueryBatch:
     """Query the candidates with the largest expected gradient length."""
-    scores = egl_scores(net, pool.inputs)
-    chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    return QueryBatch(tuple(int(i) for i in chosen), ())
+    return _batch(pool, rank_extremes(pool.indices, -egl_scores(net, pool.inputs), n_query))
 
 
 def select_bald(
@@ -260,8 +251,7 @@ def select_bald(
 ) -> QueryBatch:
     """Query the candidates with the highest dropout-posterior mutual information."""
     scores = bald_scores(net, pool.inputs, samples=samples, seed=seed)
-    chosen = rank_extremes(pool.indices, scores, n_query, LARGER_BETTER)
-    return QueryBatch(tuple(int(i) for i in chosen), ())
+    return _batch(pool, rank_extremes(pool.indices, -scores, n_query))
 
 
 def nearest_center_sq(pool_points: np.ndarray, center_points: np.ndarray) -> np.ndarray:
@@ -312,15 +302,12 @@ def select_coreset_greedy(
 ) -> QueryBatch:
     """Greedy k-center in embedding space, seeded with the labeled set's embeddings."""
     rows = k_center_greedy(embed_batch(net, pool.inputs), embed_batch(net, labeled_inputs), n_query)
-    chosen = [int(pool.indices[r]) for r in rows]
-    return QueryBatch(tuple(chosen), ())
+    return _batch(pool, rows)
 
 
 def select_random(pool: CandidateSet, n_query: int, seed: int) -> QueryBatch:
     """Uniform sample without replacement, fully determined by the seed."""
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(pool.indices, size=min(n_query, len(pool)), replace=False)
-    return QueryBatch(tuple(int(i) for i in chosen), ())
+    return _batch(pool, _random_rows(pool, n_query, seed))
 
 
 STRATEGY_IDS = ("dfal", "uncertainty", "ceal", "egl", "bald", "coreset", "random")

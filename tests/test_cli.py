@@ -226,6 +226,16 @@ class TestRunCommand:
             f"E_CONFIG: --seeds must not be negative: {option.split('=')[1]!r}"
         ]
 
+    def test_initial_labels_beyond_pool_give_both_counts(self, tmp_path):
+        config = write_config(tmp_path)
+        text = config.read_text().replace("initial_labeled = 6", "initial_labeled = 500")
+        config.write_text(text.replace("budget = 16", "budget = 600"))
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: initial_labeled: 500 labels exceed the pool's 120 samples"
+        ]
+
     def test_config_error_exit_code_and_single_line(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["run", "--config", str(tmp_path / "missing.ini")])
@@ -233,6 +243,53 @@ class TestRunCommand:
         err = result.stderr.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("E_CONFIG: ")
+
+
+class TestFileBoundary:
+    """A user mistake with a file or directory ends in one named error, never E_UNEXPECTED."""
+
+    def invoke(self, *args):
+        result = CliRunner().invoke(main, [str(a) for a in args])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        return result, err[0]
+
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "20"]])
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result, err = self.invoke(*command, "--config", write_config(tmp_path), "--out", taken)
+        assert err.startswith("E_IO: ") and str(taken) in err
+        assert result.stdout == ""  # no strategy ran
+
+    def test_config_that_is_a_directory_names_it(self, tmp_path):
+        _, err = self.invoke("run", "--config", tmp_path)
+        assert err == f"E_CONFIG: config file does not exist: {tmp_path}"
+
+    def test_metrics_that_is_a_directory_names_it(self, tmp_path):
+        _, err = self.invoke("compare", "--metrics", tmp_path)
+        assert err == f"E_CONFIG: metrics file does not exist: {tmp_path}"
+
+    def test_non_utf8_config_names_file(self, tmp_path):
+        config = write_config(tmp_path)
+        config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+        _, err = self.invoke("run", "--config", config, "--out", tmp_path / "o")
+        assert err.startswith(f"E_CONFIG: {config}: not UTF-8 text")
+
+    def test_non_utf8_csv_names_file(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"0,1.0\n1,2.0\n# caf\xe9\n")
+        config = tmp_path / "csv.ini"
+        config.write_text(f"[data]\nkind = csv\npath = {data}\nclass_count = 2\n")
+        _, err = self.invoke("run", "--config", config, "--out", tmp_path / "o")
+        assert err.startswith(f"E_FORMAT: {data}: not UTF-8 text")
+
+    def test_non_utf8_metrics_names_file(self, tmp_path):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(",".join(METRICS_HEADER).encode() + b"\ncaf\xe9\n")
+        _, err = self.invoke("compare", "--metrics", metrics)
+        assert err.startswith(f"E_FORMAT: {metrics}: not UTF-8 text")
 
 
 class TestCompare:
@@ -406,3 +463,21 @@ class TestTiming:
         )
         assert result.exit_code == 2
         assert "ascending" in result.stderr
+
+    def test_labeled_size_below_class_count_names_option(self, tmp_path):
+        config = write_config(tmp_path)
+        result = CliRunner().invoke(
+            main, ["timing", "--config", str(config), "--sizes", "2", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: --sizes 2: 2 labels cannot cover 3 classes"
+        ]
+
+    def test_zero_repetitions_names_option(self, tmp_path):
+        config = write_config(tmp_path)
+        result = CliRunner().invoke(
+            main, ["timing", "--config", str(config), "--reps", "0", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == ["E_CONFIG: --reps must be positive, got 0"]

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 
 from adval import nn
 from adval.cli import main
-from adval.config import load_experiment_config
+from adval.config import CsvData, load_experiment_config
 from adval.data import (
     Dataset,
     SyntheticSpec,
@@ -17,7 +18,7 @@ from adval.data import (
     load_csv,
     load_idx,
     margin_oracle,
-    split_and_subsample,
+    stratified_split,
     stratified_subsample,
 )
 from adval.errors import ConfigError, FormatError, InputError
@@ -210,7 +211,7 @@ class TestSplits:
 
     def test_fraction_split_disjoint_and_stratified(self):
         ds = gen_blobs(SyntheticSpec(class_count=4, points_per_class=50, seed=3))
-        train, test = split_and_subsample(ds, test_fraction=0.2, seed=0)
+        train, test = stratified_split(ds, test_fraction=0.2, seed=0)
         assert len(train) + len(test) == len(ds)
         counts = np.bincount(test.labels, minlength=4)
         np.testing.assert_array_equal(counts, [10, 10, 10, 10])
@@ -219,16 +220,18 @@ class TestSplits:
         # 20 rows per class: 0.01 of each rounds to 0, so no test row and NaN accuracies
         ds = gen_blobs(SyntheticSpec(class_count=4, points_per_class=20, seed=3))
         with pytest.raises(ConfigError, match="data.test_fraction"):
-            split_and_subsample(ds, test_fraction=0.01, seed=0)
-        _, test = split_and_subsample(ds, test_fraction=0.03, seed=0)  # 0.6 rounds to 1
+            stratified_split(ds, test_fraction=0.01, seed=0)
+        _, test = stratified_split(ds, test_fraction=0.03, seed=0)  # 0.6 rounds to 1
         assert len(test) == 4
 
-    def test_fraction_split_with_pool_cap(self):
+    def test_fraction_split_with_pool_cap(self, tmp_path):
         ds = gen_blobs(SyntheticSpec(class_count=2, points_per_class=30, seed=3))
-        train, test = split_and_subsample(ds, test_fraction=0.2, pool_cap=20, seed=0)
+        write_csv(ds, tmp_path / "blobs.csv")
+        source = CsvData(tmp_path / "blobs.csv", 2, test_fraction=0.2, pool_cap=20)
+        train, test = source.load()
         assert len(train) == 20 and len(test) == 12
         np.testing.assert_array_equal(np.bincount(train.labels), [10, 10])
-        _, uncapped_test = split_and_subsample(ds, test_fraction=0.2, seed=0)
+        _, uncapped_test = replace(source, pool_cap=None).load()
         np.testing.assert_array_equal(test.inputs, uncapped_test.inputs)
 
 
@@ -340,9 +343,8 @@ class TestConfigSources:
         train, test = load_experiment_config(config).data.load()
         np.testing.assert_array_equal(np.bincount(test.labels), [5, 5, 5])
         np.testing.assert_array_equal(np.bincount(train.labels), [8, 8, 8])
-        want_train, want_test = split_and_subsample(
-            load_csv(tmp_path / "blobs.csv", 3), test_fraction=0.25, pool_cap=24, seed=4
-        )
+        split = stratified_split(load_csv(tmp_path / "blobs.csv", 3), test_fraction=0.25, seed=4)
+        want_train, want_test = stratified_subsample(split[0], 24, seed=5), split[1]
         np.testing.assert_array_equal(train.inputs, want_train.inputs)
         np.testing.assert_array_equal(test.inputs, want_test.inputs)
 
@@ -404,3 +406,20 @@ class TestConfigSources:
         err = result.stderr.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"E_CONFIG: data.{key}") and "class count 3" in err[0]
+
+    def test_csv_pool_cap_classes_cannot_fill_names_key(self, tmp_path):
+        # 40/4/16 rows per class: after the 0.2 test split, class 1 keeps 3 of the 10
+        # that a balanced cap of 30 needs
+        labels = np.repeat([0, 1, 2], [40, 4, 16])
+        inputs = np.random.default_rng(0).normal(size=(60, 2))
+        write_csv(Dataset(inputs, labels, 3), tmp_path / "uneven.csv")
+        config = tmp_path / "csv.ini"
+        config.write_text(
+            f"[data]\nkind = csv\npath = {tmp_path / 'uneven.csv'}\nclass_count = 3\n"
+            f"pool_cap = 30\n{QUICK_RUN}"
+        )
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: data.pool_cap: class 1 has 3 samples, need 10 for a balanced pool"
+        ]

@@ -39,20 +39,105 @@ def pool_of(blobs, count, start=0):
 
 class TestRanking:
     def test_smallest_score_wins(self):
-        got = rank_extremes([7, 8, 9], [0.5, 0.1, 0.3], 1, "smaller_better")
-        np.testing.assert_array_equal(got, [8])
+        got = rank_extremes([7, 8, 9], [0.5, 0.1, 0.3], 1)
+        np.testing.assert_array_equal(got, [1])
 
     def test_index_tie_break(self):
-        got = rank_extremes([9, 3, 5], [1.0, 1.0, 1.0], 2, "smaller_better")
-        np.testing.assert_array_equal(got, [3, 5])
+        got = rank_extremes([9, 3, 5], [1.0, 1.0, 1.0], 2)
+        np.testing.assert_array_equal(got, [1, 2])  # dataset indices 3 and 5
 
     def test_larger_better(self):
-        got = rank_extremes([1, 2, 3], [0.1, 0.9, 0.5], 2, "larger_better")
-        np.testing.assert_array_equal(got, [2, 3])
+        got = rank_extremes([1, 2, 3], -np.array([0.1, 0.9, 0.5]), 2)
+        np.testing.assert_array_equal(got, [1, 2])
 
     def test_infinite_scores_sort_last(self):
-        got = rank_extremes([1, 2, 3], [np.inf, 0.2, np.inf], 2, "smaller_better")
-        np.testing.assert_array_equal(got, [2, 1])
+        got = rank_extremes([1, 2, 3], [np.inf, 0.2, np.inf], 2)
+        np.testing.assert_array_equal(got, [1, 0])
+
+
+def shuffled_pool(blobs, count, seed=0):
+    """A pool whose dataset indices are neither sorted nor contiguous."""
+    idx = np.random.default_rng(seed).choice(len(blobs), size=count, replace=False)
+    assert not np.array_equal(idx, np.sort(idx))
+    return CandidateSet(idx, blobs.inputs[idx])
+
+
+def naive_top(pool, scores, n, larger=False):
+    """Dataset indices of the n best scores, ties to the smaller index, by a Python sort."""
+    sign = -1.0 if larger else 1.0
+    ranked = sorted(zip(scores, pool.indices), key=lambda t: (sign * t[0], t[1]))
+    return tuple(int(i) for _, i in ranked[:n])
+
+
+class TestShuffledPools:
+    """Strategies pick rows; their batches must name the rows' dataset indices."""
+
+    def test_dfal_twin_is_its_source_row_plus_perturbation(self, trained3, blobs3):
+        pool = shuffled_pool(blobs3, 30)
+        results = batch_deepfool(trained3, pool.inputs)
+        scores = [r.score() for r in results]
+        batch = select_dfal(trained3, pool, 6)
+        assert batch.queried == naive_top(pool, scores, 6)
+        assert tuple(add.source_index for add in batch.synthetic_additions) == batch.queried
+        for add in batch.synthetic_additions:
+            row = int(np.flatnonzero(pool.indices == add.source_index)[0])
+            want = blobs3.inputs[add.source_index] + results[row].perturbation
+            assert add.values.tobytes() == want.tobytes()
+
+    def test_dfal_fallback_draws_rows_like_random(self, blobs3):
+        # NaN weights make every attack fail, as in TestDfal
+        spec = NetworkSpec((2,), (Dense(2, 2),), 2)
+        state = nn.NetworkState(spec, ({"W": np.full((2, 2), np.nan), "b": np.zeros(2)},))
+        pool = shuffled_pool(blobs3, 12, seed=1)
+        batch = select_dfal(state, pool, 4, fallback_seed=7)
+        assert batch.queried == select_random(pool, 4, seed=7).queried
+        assert tuple(add.source_index for add in batch.synthetic_additions) == batch.queried
+
+    def test_ceal_pseudo_labels_in_row_order_without_queried_rows(self, trained3, blobs3):
+        pool = shuffled_pool(blobs3, 60, seed=2)
+        scores = entropy_scores(trained3, pool.inputs)
+        # so high that some queried rows fall below it too
+        delta = float(np.quantile(scores, 0.95))
+        preds = nn.predict_batch(trained3, pool.inputs)
+        batch = select_ceal(trained3, pool, 10, delta=delta)
+        assert batch.queried == naive_top(pool, scores, 10, larger=True)
+        assert (scores[np.isin(pool.indices, batch.queried)] < delta).any()
+        want = [
+            (int(i), int(preds[row]))
+            for row, i in enumerate(pool.indices)
+            if scores[row] < delta and int(i) not in batch.queried
+        ]
+        got = [(add.source_index, add.label) for add in batch.synthetic_additions]
+        assert got == want and len(want) >= 20
+
+    @pytest.mark.parametrize("name", ["uncertainty", "egl"])
+    def test_larger_score_strategies_query_dataset_indices(self, trained3, blobs3, name):
+        pool = shuffled_pool(blobs3, 40, seed=3)
+        select, score = {
+            "uncertainty": (select_uncertainty, entropy_scores),
+            "egl": (select_egl, egl_scores),
+        }[name]
+        got = select(trained3, pool, 7).queried
+        assert got == naive_top(pool, score(trained3, pool.inputs), 7, larger=True)
+
+    def test_coreset_picks_are_pool_indices(self, trained3, blobs3):
+        pool = shuffled_pool(blobs3, 40, seed=4)
+        labeled = blobs3.inputs[:10]
+        rows = k_center_greedy(
+            nn.embed_batch(trained3, pool.inputs), nn.embed_batch(trained3, labeled), 5
+        )
+        batch = select_coreset_greedy(trained3, labeled, pool, 5)
+        assert batch.queried == tuple(int(pool.indices[r]) for r in rows)
+        assert batch.queried != tuple(rows)
+
+    def test_random_matches_choice_over_pool_indices(self, blobs3):
+        for seed in range(20):
+            pool = shuffled_pool(blobs3, 5 + 7 * seed, seed=seed)
+            n = 1 + seed % 9
+            want = np.random.default_rng(seed).choice(
+                pool.indices, size=min(n, len(pool)), replace=False
+            )
+            assert select_random(pool, n, seed=seed).queried == tuple(int(i) for i in want)
 
 
 class TestEntropy:
