@@ -225,11 +225,12 @@ def select_ceal(
     rows = rank_extremes(pool.indices, -scores, n_query)
     confident = scores < delta
     confident[rows] = False
+    predicted = probs.argmax(axis=1)
     pseudo = (
         SyntheticAddition(
             values=None,
             provenance=CEAL_PSEUDO,
-            label=int(probs[row].argmax()),
+            label=int(predicted[row]),
             source_index=int(pool.indices[row]),
         )
         for row in np.flatnonzero(confident)
