@@ -121,6 +121,8 @@ def run(config_path, out_dir, seeds, strategies):
 def compare(metrics_path, checkpoints, target_accuracy, out_dir):
     """Summarize mean accuracy per strategy at annotation checkpoints."""
     cps = parse_int_list(checkpoints, "--checkpoints")
+    if target_accuracy is not None and not 0.0 <= target_accuracy <= 1.0:  # NaN fails too
+        raise ConfigError(f"--target-accuracy must be in [0, 1], got {target_accuracy}")
     rows = read_metrics(metrics_path)
     summaries = compare_metrics(rows, cps, target_accuracy)
 

@@ -14,7 +14,8 @@ Each key is a field of the dataclass that declares its default: [data] of
 ``ExperimentConfig``; [active], ceal_delta and bald_samples of
 ``ActiveSettings``; [train] of ``TrainConfig``; [attack] of ``AttackConfig``.
 Required are data.kind and the fields with no default: csv's path and
-class_count, and idx's four files.
+class_count, and idx's four files. A relative csv path or idx file path is
+relative to the directory of the config file, not to the working directory.
 
 Loading checks value syntax, unknown sections and keys, and the rules of those
 dataclasses that need no data, such as existing files, n_query <= candidates,
@@ -292,7 +293,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("missing required key data.kind")
     if kind not in _DATA_KINDS:
         raise ConfigError(f"data.kind must be blobs, csv, or idx, got {kind!r}")
-    source = _build(_DATA_KINDS[kind], "data", **_read(raw, "data", _DATA_KINDS[kind]))
+    data = _read(raw, "data", _DATA_KINDS[kind])
+    data = {k: path.parent / v if isinstance(v, Path) else v for k, v in data.items()}
+    source = _build(_DATA_KINDS[kind], "data", **data)
 
     # The loop sets TrainConfig's epochs and seed each round.
     train_keys = ("learning_rate", "beta1", "beta2", "epsilon", "batch_size")

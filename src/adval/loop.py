@@ -22,7 +22,7 @@ import numpy as np
 from adval.attacks import AttackConfig
 from adval.data import Dataset
 from adval.errors import ConfigError, PoolInvariantError
-from adval.nn.network import NetworkSpec, NetworkState, accuracy, init_network
+from adval.nn.network import IndexedRows, NetworkSpec, NetworkState, accuracy, init_network
 from adval.nn.training import TrainConfig, epochs_for_budget, train
 from adval.strategies import (
     ADVERSARIAL_TWIN,
@@ -274,12 +274,16 @@ STRATEGIES = {
 def candidate_pool(
     strategy: str, pool_state: PoolState, dataset: Dataset, k: int, round_seed: int
 ) -> CandidateSet:
-    """The pool ``strategy`` scores: ``k`` random unlabeled samples, or all of them."""
+    """The pool ``strategy`` scores: ``k`` random unlabeled samples, or all of them.
+
+    A subset is gathered; the whole pool is a view of the dataset's inputs,
+    which the scorer gathers a chunk at a time.
+    """
     if STRATEGIES[strategy].scores_subset:
         indices = sample_candidates(pool_state, k, round_seed)
-    else:
-        indices = np.asarray(pool_state.unlabeled)
-    return CandidateSet(indices, dataset.inputs[indices])
+        return CandidateSet(indices, dataset.inputs[indices])
+    indices = np.asarray(pool_state.unlabeled)
+    return CandidateSet(indices, IndexedRows(dataset.inputs, indices))
 
 
 def _select(cfg: ActiveConfig, net, pool_state: PoolState, dataset: Dataset, round_index: int) -> QueryBatch:

@@ -7,9 +7,13 @@ treated as immutable once created.
 Batched evaluation (``forward_batch``, ``embed_batch``, ``predict_batch``)
 runs the layers over fixed chunks of ``_CHUNK`` rows from row 0: a batch
 evaluates the same way wherever it is scored from, and the peak memory of
-scoring a pool depends on the chunk size, not on the pool size. It runs no
-backward pass, so it builds no backward cache: MaxPool2D skips its pick and
-returns the same bits (see ``layers.forward``).
+scoring a pool depends on the chunk size, not on the pool size. Its input may
+be an ``IndexedRows`` view, rows of a larger array picked by index: each chunk
+is then gathered by index as it is evaluated, with the bits of the same chunk
+of the gathered rows, so scoring a whole pool by index copies at most one
+chunk of its inputs. It runs no backward pass, so it builds no backward
+cache: MaxPool2D skips its pick and returns the same bits (see
+``layers.forward``).
 
 Each backward pass computes only what its caller reads: training gets
 parameter gradients and no gradient w.r.t. the network input, while the input
@@ -98,13 +102,37 @@ def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _evaluate(state: NetworkState, x: np.ndarray, stop=None, dropout_seed=None) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class IndexedRows:
+    """The rows ``rows`` of ``source``, gathered only when sliced.
+
+    ``len(view)`` is ``len(rows)`` and ``view[a:b]`` is ``source[rows[a:b]]``.
+    Batched evaluation takes one in place of an input array.
+    """
+
+    source: np.ndarray  # (n_source, *input_shape)
+    rows: np.ndarray  # (n,) integer positions into source
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.source[self.rows[key]]
+
+
+def _evaluate(
+    state: NetworkState, x: np.ndarray | IndexedRows, stop=None, dropout_seed=None
+) -> np.ndarray:
     """Activations after ``layers[:stop]``, evaluated ``_CHUNK`` rows at a time.
 
-    Dropout masks come chunk by chunk from one generator; with a single
-    dropout layer that is the mask stream of one unchunked pass.
+    An ``IndexedRows`` input is gathered one chunk at a time. Dropout masks
+    come chunk by chunk from one generator; with a single dropout layer that
+    is the mask stream of one unchunked pass.
     """
-    x = _check_batch(state.spec, x)
+    if isinstance(x, IndexedRows):
+        x = IndexedRows(_check_batch(state.spec, x.source), x.rows)
+    else:
+        x = _check_batch(state.spec, x)
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     out = np.empty((len(x), *state.spec.shape_chain()[-1 if stop is None else stop]), DTYPE)
     for lo in range(0, len(x), _CHUNK):
@@ -114,7 +142,7 @@ def _evaluate(state: NetworkState, x: np.ndarray, stop=None, dropout_seed=None) 
 
 
 def forward_batch(
-    state: NetworkState, x: np.ndarray, *, dropout_seed: int | None = None
+    state: NetworkState, x: np.ndarray | IndexedRows, *, dropout_seed: int | None = None
 ) -> np.ndarray:
     """Logits (N, class_count). Dropout is identity unless ``dropout_seed`` is given."""
     return _evaluate(state, x, dropout_seed=dropout_seed)
@@ -287,7 +315,7 @@ def _last_dense_index(spec: NetworkSpec) -> int:
     raise UnsupportedArchitectureError("network has no dense layer to embed from")
 
 
-def embed_batch(state: NetworkState, x: np.ndarray) -> np.ndarray:
+def embed_batch(state: NetworkState, x: np.ndarray | IndexedRows) -> np.ndarray:
     """Pre-logit features: activations entering the final dense layer."""
     return _evaluate(state, x, stop=_last_dense_index(state.spec))
 

@@ -30,6 +30,7 @@ from adval.errors import ConfigError, UnsupportedArchitectureError
 from adval.nn.layers import DTYPE
 from adval.nn.network import (
     _CHUNK,
+    IndexedRows,
     NetworkState,
     embed_batch,
     forward_batch,
@@ -50,10 +51,15 @@ _BLOCK = 128  # pool rows, and centers, per block of the nearest-center search
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Pool samples under consideration this round, keyed by dataset index."""
+    """Pool samples under consideration this round, keyed by dataset index.
+
+    ``inputs`` is a gathered array, or an ``IndexedRows`` view of the
+    dataset's inputs at ``indices``, which the forward-only scorers gather
+    one chunk at a time.
+    """
 
     indices: np.ndarray  # (n,) dataset indices
-    inputs: np.ndarray  # (n, *input_shape)
+    inputs: np.ndarray | IndexedRows  # (n, *input_shape)
 
     def __post_init__(self):
         if len(self.indices) != len(self.inputs):

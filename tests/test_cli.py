@@ -353,6 +353,26 @@ class TestCompare:
         saved = read_rows(tmp_path / "compare.csv")
         assert saved[0][0] == "strategy"
 
+    @pytest.mark.parametrize("target", ["nan", "7", "-0.1", "inf"])
+    def test_target_accuracy_outside_unit_interval_rejected(self, tmp_path, target):
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, self.make_rows())
+        args = ["compare", "--metrics", str(path), "--checkpoints", "16", "--target-accuracy"]
+        result = CliRunner().invoke(main, [*args, target])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: --target-accuracy must be in [0, 1], got {float(target)}"
+        ]
+        # checked before the metrics file is read
+        result = CliRunner().invoke(main, ["compare", "--metrics", "nope.csv", "--target-accuracy", target])
+        assert result.stderr.startswith("E_CONFIG: --target-accuracy")
+
+    @pytest.mark.parametrize("target", ["0", "1"])
+    def test_target_accuracy_bounds_accepted(self, tmp_path, target):
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, self.make_rows())
+        args = ["compare", "--metrics", str(path), "--checkpoints", "16", "--target-accuracy"]
+        result = CliRunner().invoke(main, [*args, target])
+        assert result.exit_code == 0, result.output
+
     def test_missing_metrics_is_config_error(self):
         runner = CliRunner()
         result = runner.invoke(main, ["compare", "--metrics", "nope.csv"])

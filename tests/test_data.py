@@ -380,6 +380,21 @@ class TestConfigSources:
         rows = read_metrics(out / "metrics.csv")
         assert [(r["round"], r["annotations"]) for r in rows] == [(0, 6), (1, 9)]
 
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_relative_paths_resolve_against_config_directory(self, tmp_path, monkeypatch, kind):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        files = {"path": "blobs.csv"} if kind == "csv" else {
+            f"{split}_{what}": f"{split}_{stem}.idx"
+            for split in ("train", "test")
+            for what, stem in (("images", "imgs"), ("labels", "labels"))
+        }
+        getattr(self, f"{kind}_config")(sub, **files)
+        monkeypatch.chdir(tmp_path)  # the data files are not in the working directory
+        result = CliRunner().invoke(main, ["run", "--config", f"sub/{kind}.ini", "--out", "out"])
+        assert result.exit_code == 0, result.output
+        assert len(read_metrics(tmp_path / "out" / "metrics.csv")) == 2
+
     @pytest.mark.parametrize(
         "key, value",
         [("test_fraction", 1.5), ("test_fraction", 0), ("pool_cap", 2),

@@ -1,5 +1,6 @@
 """Pool bookkeeping, budget accounting, and full-loop behavior."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,26 +8,31 @@ import pytest
 
 import adval.loop
 from adval.attacks import AttackConfig
-from adval.data import SyntheticSpec, gen_blobs
+from adval.data import Dataset, SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, PoolInvariantError
 from adval.loop import (
     STRATEGIES,
     ActiveConfig,
+    ActiveSettings,
     PoolState,
     apply_query,
+    candidate_pool,
     init_pools,
     pseudo_label_counts,
     run_active_learning,
     sample_candidates,
     training_examples,
 )
-from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig
+from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig, build_network, init_network
+from adval.nn.network import _CHUNK
 from adval.strategies import (
     ADVERSARIAL_TWIN,
     CEAL_PSEUDO,
     STRATEGY_IDS,
+    CandidateSet,
     QueryBatch,
     SyntheticAddition,
+    entropy_scores,
 )
 
 
@@ -387,3 +393,57 @@ class TestConfigValidation:
             ActiveConfig(network=net, strategy="dfal", initial_labeled=2)
         with pytest.raises(ConfigError):
             ActiveConfig(network=net, strategy="dfal", budget=5, initial_labeled=10)
+
+
+FULL_POOL = tuple(sid for sid in STRATEGY_IDS if not STRATEGIES[sid].scores_subset)
+IMAGE_SHAPE = (1, 12, 12)
+
+
+def image_pool(rows, seed=0, classes=3):
+    """An untrained arch-A net, ``rows`` uniform images, and a pool state whose
+    unlabeled indices are shuffled and leave gaps."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(
+        rng.uniform(0.0, 1.0, size=(rows + 10, *IMAGE_SHAPE)), np.arange(rows + 10) % classes, classes
+    )
+    net = init_network(build_network("arch-A", IMAGE_SHAPE, classes, seed=seed))
+    unlabeled = tuple(int(i) for i in rng.permutation(len(data))[:rows])
+    return net, data, PoolState(labeled=(), unlabeled=unlabeled, synthetic=())
+
+
+class TestFullPoolByIndex:
+    def test_registered_full_pool_strategies(self):
+        assert FULL_POOL == ("uncertainty", "ceal", "random")
+
+    @pytest.mark.parametrize("strategy", FULL_POOL)
+    def test_same_batch_as_gathered_pool(self, strategy):
+        net, data, pools = image_pool(2 * _CHUNK + 3)
+        indices = np.asarray(pools.unlabeled)
+        gathered = CandidateSet(indices, data.inputs[indices])
+        # half the pool lies below CEAL's threshold and gets pseudo-labels
+        settings = ActiveSettings(ceal_delta=float(np.median(entropy_scores(net, gathered.inputs))))
+        select = STRATEGIES[strategy].select
+        pool = candidate_pool(strategy, pools, data, settings.candidates, 0)
+        want = select(settings, net, gathered, 10, 7, pools, data)
+        assert select(settings, net, pool, 10, 7, pools, data) == want
+        assert len(want.queried) == 10
+        assert len(want.synthetic_additions) == (len(indices) // 2 if strategy == "ceal" else 0)
+
+    @pytest.mark.parametrize("strategy", FULL_POOL)
+    def test_selection_does_not_copy_the_pool(self, strategy):
+        settings = ActiveSettings()
+
+        def peak_bytes(rows):
+            net, data, pools = image_pool(rows)
+            tracemalloc.start()
+            try:
+                pool = candidate_pool(strategy, pools, data, settings.candidates, 0)
+                STRATEGIES[strategy].select(settings, net, pool, settings.n_query, 7, pools, data)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 4 * _CHUNK, 12 * _CHUNK
+        row_bytes = 8 * int(np.prod(IMAGE_SHAPE))
+        # A copy of the pool's inputs alone grows the peak by row_bytes per pool row.
+        assert peak_bytes(large) - peak_bytes(small) < (large - small) * row_bytes

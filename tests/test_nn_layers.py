@@ -18,7 +18,7 @@ from adval.nn import (
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
 from adval.nn.layers import grad_sq_norms
-from adval.nn.network import _evaluate, _forward_caches
+from adval.nn.network import _CHUNK, IndexedRows, _evaluate, _forward_caches
 
 
 def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
@@ -456,3 +456,28 @@ class TestChunkedEvaluation:
         assert nn.forward_batch(state, x[:0], dropout_seed=1).shape == (0, 10)
         assert nn.embed_batch(state, x[:0]).shape == (0, 64)
         assert nn.predict_batch(state, x[:0]).shape == (0,)
+
+
+class TestIndexedRows:
+    """Scoring rows by index gives the bytes of scoring the gathered rows."""
+
+    @pytest.fixture(params=["arch-A", "arch-B"])
+    def state(self, request):
+        return nn.init_network(nn.build_network(request.param, (1, 12, 12), 10, seed=5))
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("dropout_seed", [None, 9])
+    def test_same_bytes_as_gathered_rows(self, state, n, dropout_seed):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 1.0, size=(3 * _CHUNK, 1, 12, 12))
+        rows = rng.choice(len(x), size=n, replace=False)  # shuffled, not contiguous
+        view = IndexedRows(x, rows)
+        assert len(view) == n
+        got = nn.forward_batch(state, view, dropout_seed=dropout_seed)
+        want = nn.forward_batch(state, x[rows], dropout_seed=dropout_seed)
+        assert got.tobytes() == want.tobytes()
+        assert nn.embed_batch(state, view).tobytes() == nn.embed_batch(state, x[rows]).tobytes()
+
+    def test_wrong_source_shape_rejected(self, state):
+        with pytest.raises(InputError):
+            nn.forward_batch(state, IndexedRows(np.zeros((4, 1, 10, 10)), np.arange(2)))
