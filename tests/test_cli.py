@@ -363,7 +363,8 @@ class TestCompare:
             f"E_CONFIG: --target-accuracy must be in [0, 1], got {float(target)}"
         ]
         # checked before the metrics file is read
-        result = CliRunner().invoke(main, ["compare", "--metrics", "nope.csv", "--target-accuracy", target])
+        missing = ["compare", "--metrics", "nope.csv", "--target-accuracy", target]
+        result = CliRunner().invoke(main, missing)
         assert result.stderr.startswith("E_CONFIG: --target-accuracy")
 
     @pytest.mark.parametrize("target", ["0", "1"])

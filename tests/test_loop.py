@@ -403,9 +403,8 @@ def image_pool(rows, seed=0, classes=3):
     """An untrained arch-A net, ``rows`` uniform images, and a pool state whose
     unlabeled indices are shuffled and leave gaps."""
     rng = np.random.default_rng(seed)
-    data = Dataset(
-        rng.uniform(0.0, 1.0, size=(rows + 10, *IMAGE_SHAPE)), np.arange(rows + 10) % classes, classes
-    )
+    n = rows + 10
+    data = Dataset(rng.uniform(0.0, 1.0, size=(n, *IMAGE_SHAPE)), np.arange(n) % classes, classes)
     net = init_network(build_network("arch-A", IMAGE_SHAPE, classes, seed=seed))
     unlabeled = tuple(int(i) for i in rng.permutation(len(data))[:rows])
     return net, data, PoolState(labeled=(), unlabeled=unlabeled, synthetic=())

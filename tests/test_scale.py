@@ -66,7 +66,8 @@ print(json.dumps({"peak_mb": peak_mb, "wall_s": time.monotonic() - start, "selec
 
 
 def test_every_strategy_on_a_60k_pool_stays_under_2gb():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=900
     )
