@@ -7,7 +7,7 @@ strategies and a command-line experiment harness.
 """
 
 from adval.attacks import AdversarialResult, AttackConfig, batch_deepfool, deepfool
-from adval.data import Dataset, SyntheticSpec, gen_blobs, load_csv, load_idx, margin_oracle
+from adval.data import Dataset, SyntheticSpec, gen_blobs, load_csv, load_idx
 from adval.loop import ActiveConfig, PoolState, RoundRecord, run_active_learning
 from adval.nn import NetworkSpec, NetworkState, TrainConfig, build_network, init_network, train
 from adval.strategies import (
@@ -46,7 +46,6 @@ __all__ = [
     "init_network",
     "load_csv",
     "load_idx",
-    "margin_oracle",
     "run_active_learning",
     "select_bald",
     "select_ceal",

@@ -17,9 +17,10 @@ Required are data.kind and the fields with no default: csv's path and
 class_count, and idx's four files. A relative csv path or idx file path is
 relative to the directory of the config file, not to the working directory.
 
-Loading checks value syntax, unknown sections and keys, and the rules of those
-dataclasses that need no data, such as existing files, n_query <= candidates,
-classes >= 2 or a csv test_fraction in (0, 1). A breach names its config key,
+Loading checks value syntax, unknown sections and keys, that each float is
+finite (attack.p may also be inf), and the rules of those dataclasses that
+need no data, such as existing files, n_query <= candidates, classes >= 2 or a
+csv test_fraction in (0, 1). A breach names its config key,
 such as ``active.n_query``. What depends on the data is checked when a run
 starts: input shape and class count against the network, initial_labeled
 against the class count and the pool size, csv and idx caps against the rows
@@ -29,6 +30,7 @@ each class holds, and test labels against the network's classes.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -202,7 +204,8 @@ class ExperimentConfig:
             dataset.class_count,
             seed=derive_seed(seed, 0, _NETWORK_SEED_STREAM),
         )
-        return ActiveConfig(network=network, strategy=strategy, seed=seed, **vars(self.active))
+        run = dict(network=network, strategy=strategy, seed=seed)
+        return _build(ActiveConfig, "active", **run, **vars(self.active))
 
 
 def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Dataset]:
@@ -239,6 +242,7 @@ def parse_strategy_list(text: str) -> tuple[str, ...]:
 _SECTIONS = ("data", "network", "active", "train", "attack", "experiment")
 _CASTS = {int: int, float: float, str: str, Path: Path, int | None: int}
 _CASTS[tuple[str, ...]] = parse_strategy_list
+_INFINITE_OK = ("attack.p",)  # p = inf is the L-inf attack; AttackConfig checks p itself
 
 
 def _read(raw: dict, section: str, cls, *names) -> dict:
@@ -263,9 +267,12 @@ def _read(raw: dict, section: str, cls, *names) -> dict:
             values[f.name] = parse_int_list(text, key)  # its errors name the key
             continue
         try:
-            values[f.name] = _CASTS[types[f.name]](text)
+            value = _CASTS[types[f.name]](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {text!r}") from exc
+        if isinstance(value, float) and not math.isfinite(value) and key not in _INFINITE_OK:
+            raise ConfigError(f"{key} must be finite, got {text!r}")
+        values[f.name] = value
     return values
 
 

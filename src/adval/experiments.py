@@ -1,7 +1,9 @@
 """Experiment execution and metrics tables behind the CLI.
 
 Metrics files are CSV with a fixed header; rows are emitted in deterministic
-(strategy, seed, round) order. All result columns are reproducible bit-for-bit
+(strategy, seed, round) order. ``run`` and ``transfer`` write their rows run by
+run, as each (strategy, seed) run finishes, so a failing run leaves the rows of
+every run before it in the table. All result columns are reproducible bit-for-bit
 under identical configs; the two wall-time columns are environmental
 measurements and vary between runs.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,10 +23,10 @@ from adval.data import read_lines
 from adval.errors import ConfigError, FormatError
 from adval.loop import (
     STRATEGIES,
-    candidate_pool,
     derive_seed,
     init_pools,
     run_active_learning,
+    select_round,
     train_fresh,
     training_examples,
 )
@@ -75,6 +78,7 @@ def write_table(path, header, rows) -> Path:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+            f.flush()  # a later row's failure leaves every earlier row on disk
     return path
 
 
@@ -106,18 +110,22 @@ def read_metrics(path) -> list[dict]:
     return rows
 
 
-def run_grid(cfg: ExperimentConfig, progress=None) -> list[tuple]:
-    """Execute every (strategy, seed) pair; returns metrics rows in order."""
+def run_grid(cfg: ExperimentConfig, progress=None) -> Iterator[tuple]:
+    """Execute every (strategy, seed) pair; yields metrics rows in order.
+
+    The data loads before this returns. Each run's rows are yielded as soon as
+    the run finishes, so a writer keeps every finished run when a later one fails.
+    """
     train_ds, test_ds = cfg.data.load()
     train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
-    rows = []
-    for strategy in cfg.strategies:
-        for seed in cfg.seeds:
-            active = cfg.active_config(strategy, seed, train_ds)
-            records = run_active_learning(active, train_ds, test_ds)
-            for r in records:
-                rows.append(
-                    (
+
+    def rows():
+        for strategy in cfg.strategies:
+            for seed in cfg.seeds:
+                active = cfg.active_config(strategy, seed, train_ds)
+                records = run_active_learning(active, train_ds, test_ds)
+                for r in records:
+                    yield (
                         strategy,
                         seed,
                         r.round_index,
@@ -128,10 +136,10 @@ def run_grid(cfg: ExperimentConfig, progress=None) -> list[tuple]:
                         r.train_seconds,
                         r.pseudo_corruptions,
                     )
-                )
-            if progress is not None:
-                progress(strategy, seed, records[-1].test_accuracy)
-    return rows
+                if progress is not None:
+                    progress(strategy, seed, records[-1].test_accuracy)
+
+    return rows()
 
 
 @dataclass(frozen=True)
@@ -195,12 +203,13 @@ def compare_metrics(
 
 def run_transfer(
     cfg: ExperimentConfig, selector_arch: str, consumer_arch: str, progress=None
-) -> list[tuple]:
+) -> Iterator[tuple]:
     """Select with one architecture, retrain the other on the same labeled set.
 
     The random baseline is always included for reference. Each round's
     consumer network trains from scratch on exactly the selector's accumulated
-    training set (twins included).
+    training set (twins included). As in ``run_grid``, the data loads before
+    this returns and each run's rows are yielded as soon as the run finishes.
     """
     if selector_arch == consumer_arch:
         raise ConfigError("transfer needs two distinct architectures")
@@ -209,42 +218,43 @@ def run_transfer(
     strategies = tuple(dict.fromkeys([*cfg.strategies, "random"]))
     selector_cfg = replace(cfg, arch=selector_arch)
 
-    rows = []
-    for strategy in strategies:
-        for seed in cfg.seeds:
-            active = selector_cfg.active_config(strategy, seed, train_ds)
-            consumer_spec = build_network(
-                consumer_arch,
-                train_ds.input_shape,
-                train_ds.class_count,
-                seed=derive_seed(seed, 1, 23),
-            )
-            run_rows = []
-
-            def consumer_hook(round_index, net, pools, record):
-                examples = training_examples(pools, train_ds)
-                consumer = train_fresh(
-                    consumer_spec, examples, cfg.active, derive_seed(seed, round_index, 29)
+    def rows():
+        for strategy in strategies:
+            for seed in cfg.seeds:
+                active = selector_cfg.active_config(strategy, seed, train_ds)
+                consumer_spec = build_network(
+                    consumer_arch,
+                    train_ds.input_shape,
+                    train_ds.class_count,
+                    seed=derive_seed(seed, 1, 23),
                 )
-                run_rows.append(
-                    (
-                        strategy,
-                        seed,
-                        round_index,
-                        record.annotations_used,
-                        record.training_set_size,
-                        record.test_accuracy,
-                        accuracy(consumer, test_ds.inputs, test_ds.labels),
-                        record.selection_seconds,
-                        record.train_seconds,
+                run_rows = []
+
+                def consumer_hook(round_index, net, pools, record):
+                    examples = training_examples(pools, train_ds)
+                    consumer = train_fresh(
+                        consumer_spec, examples, cfg.active, derive_seed(seed, round_index, 29)
                     )
-                )
+                    run_rows.append(
+                        (
+                            strategy,
+                            seed,
+                            round_index,
+                            record.annotations_used,
+                            record.training_set_size,
+                            record.test_accuracy,
+                            accuracy(consumer, test_ds.inputs, test_ds.labels),
+                            record.selection_seconds,
+                            record.train_seconds,
+                        )
+                    )
 
-            run_active_learning(active, train_ds, test_ds, round_hook=consumer_hook)
-            rows.extend(run_rows)
-            if progress is not None:
-                progress(strategy, seed, run_rows[-1][6])
-    return rows
+                run_active_learning(active, train_ds, test_ds, round_hook=consumer_hook)
+                yield from run_rows
+                if progress is not None:
+                    progress(strategy, seed, run_rows[-1][6])
+
+    return rows()
 
 
 def run_timing(
@@ -255,8 +265,10 @@ def run_timing(
 ) -> list[tuple]:
     """Mean per-round selection wall time at each labeled-set size.
 
-    Training happens once per size and is excluded from the timed region; a
-    repetition draws a fresh candidate pool and runs only the selection.
+    Training happens once per size and is excluded from the timed region. A
+    repetition times what the loop's ``selection_seconds`` times: a fresh
+    candidate draw and the selection, through ``select_round``. Repetition
+    ``r`` takes the seeds of round ``r`` under the first experiment seed.
     """
     if list(labeled_sizes) != sorted(labeled_sizes):
         raise ConfigError("--sizes must be ascending")
@@ -293,10 +305,9 @@ def run_timing(
             pools, net = trained[size]
             elapsed = []
             for rep in range(repetitions):
-                pool = candidate_pool(strategy, pools, train_ds, settings.candidates, rep)
                 t0 = time.monotonic()
-                STRATEGIES[strategy].select(
-                    settings, net, pool, settings.n_query, rep, pools, train_ds
+                select_round(
+                    strategy, settings, net, pools, train_ds, settings.n_query, cfg.seeds[0], rep
                 )
                 elapsed.append(time.monotonic() - t0)
             rows.append((strategy, size, repetitions, float(np.mean(elapsed))))

@@ -103,6 +103,8 @@ class ActiveSettings:
     bald_samples: int = BALD_SAMPLES
 
     def __post_init__(self):
+        if self.candidates < 1:
+            raise ConfigError(f"candidates must be >= 1, got {self.candidates}")
         if not 1 <= self.n_query <= self.candidates:
             raise ConfigError(
                 f"n_query must lie in [1, candidates={self.candidates}], got {self.n_query}"
@@ -233,7 +235,7 @@ def train_fresh(spec: NetworkSpec, examples, settings: ActiveSettings, seed: int
 @dataclass(frozen=True)
 class Strategy:
     scores_subset: bool  # scores a random candidate subset, not the whole unlabeled pool
-    # (settings, net, pool, n_query, seed, pool state, dataset) -> QueryBatch
+    # (settings, net, pool, n_query, seed, labeled inputs) -> QueryBatch
     select: Callable[..., QueryBatch]
 
 
@@ -242,31 +244,29 @@ class Strategy:
 STRATEGIES = {
     "dfal": Strategy(
         True,
-        lambda s, net, pool, n, seed, pools, ds: select_dfal(
+        lambda s, net, pool, n, seed, labeled: select_dfal(
             net, pool, n, s.attack, fallback_seed=seed
         ),
     ),
     "uncertainty": Strategy(
-        False, lambda s, net, pool, n, seed, pools, ds: select_uncertainty(net, pool, n)
+        False, lambda s, net, pool, n, seed, labeled: select_uncertainty(net, pool, n)
     ),
     "ceal": Strategy(
-        False, lambda s, net, pool, n, seed, pools, ds: select_ceal(net, pool, n, s.ceal_delta)
+        False, lambda s, net, pool, n, seed, labeled: select_ceal(net, pool, n, s.ceal_delta)
     ),
-    "egl": Strategy(True, lambda s, net, pool, n, seed, pools, ds: select_egl(net, pool, n)),
+    "egl": Strategy(True, lambda s, net, pool, n, seed, labeled: select_egl(net, pool, n)),
     "bald": Strategy(
         True,
-        lambda s, net, pool, n, seed, pools, ds: select_bald(
+        lambda s, net, pool, n, seed, labeled: select_bald(
             net, pool, n, samples=s.bald_samples, seed=seed
         ),
     ),
     "coreset": Strategy(
         True,
-        lambda s, net, pool, n, seed, pools, ds: select_coreset_greedy(
-            net, ds.inputs[list(pools.labeled_indices())], pool, n
-        ),
+        lambda s, net, pool, n, seed, labeled: select_coreset_greedy(net, labeled, pool, n),
     ),
     "random": Strategy(
-        False, lambda s, net, pool, n, seed, pools, ds: select_random(pool, n, seed=seed)
+        False, lambda s, net, pool, n, seed, labeled: select_random(pool, n, seed=seed)
     ),
 }
 
@@ -286,12 +286,31 @@ def candidate_pool(
     return CandidateSet(indices, IndexedRows(dataset.inputs, indices))
 
 
-def _select(cfg: ActiveConfig, net, pool_state: PoolState, dataset: Dataset, round_index: int) -> QueryBatch:
-    candidate_seed = derive_seed(cfg.seed, round_index, _STREAM_CANDIDATES)
-    pool = candidate_pool(cfg.strategy, pool_state, dataset, cfg.candidates, candidate_seed)
-    n_query = min(cfg.n_query, cfg.budget - len(pool_state.labeled), len(pool))
-    strategy_seed = derive_seed(cfg.seed, round_index, _STREAM_STRATEGY)
-    return STRATEGIES[cfg.strategy].select(cfg, net, pool, n_query, strategy_seed, pool_state, dataset)
+def select_round(
+    strategy: str,
+    settings: ActiveSettings,
+    net: NetworkState,
+    pool_state: PoolState,
+    dataset: Dataset,
+    n_query: int,
+    seed: int,
+    round_index: int,
+) -> QueryBatch:
+    """Draw a round's candidate pool and ask ``strategy`` for at most ``n_query`` of its rows.
+
+    The candidate draw and the strategy take their seeds from (seed,
+    round_index). The labeled set reaches the strategy as a view of the
+    dataset's inputs, gathered a chunk at a time by whatever reads it. This
+    is the one call of a ``STRATEGIES`` adapter, for the round loop and for
+    selection timing alike.
+    """
+    candidate_seed = derive_seed(seed, round_index, _STREAM_CANDIDATES)
+    pool = candidate_pool(strategy, pool_state, dataset, settings.candidates, candidate_seed)
+    labeled = IndexedRows(dataset.inputs, np.array(pool_state.labeled_indices(), dtype=np.intp))
+    strategy_seed = derive_seed(seed, round_index, _STREAM_STRATEGY)
+    return STRATEGIES[strategy].select(
+        settings, net, pool, min(n_query, len(pool)), strategy_seed, labeled
+    )
 
 
 def run_active_learning(
@@ -347,7 +366,10 @@ def run_active_learning(
         selection_seconds = 0.0
         if not done:
             t0 = time.monotonic()
-            batch = _select(cfg, net, pools, dataset, round_index)
+            n_query = min(cfg.n_query, cfg.budget - annotations)
+            batch = select_round(
+                cfg.strategy, cfg, net, pools, dataset, n_query, cfg.seed, round_index
+            )
             selection_seconds = time.monotonic() - t0
 
         pseudo_additions, pseudo_corruptions = pseudo_label_counts(pools, dataset)

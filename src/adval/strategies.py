@@ -14,8 +14,11 @@ twin's label is filled in from the same oracle call as its source when the
 batch is applied, so twins can never be mislabeled.
 
 ``STRATEGIES`` in ``adval.loop`` registers each strategy: whether it scores a
-random candidate subset or the whole unlabeled pool, and how the round loop
-calls its select function.
+random candidate subset or the whole unlabeled pool, and an adapter that calls
+its select function. Every adapter takes ``(settings, net, pool, n_query, seed,
+labeled)``, where ``labeled`` is an ``IndexedRows`` view of the labeled set's
+inputs that only core-set reads. ``adval.loop.select_round`` draws the pool and
+calls the adapter, for the round loop and for selection timing alike.
 """
 
 from __future__ import annotations
@@ -303,7 +306,7 @@ def k_center_greedy(
 
 def select_coreset_greedy(
     net: NetworkState,
-    labeled_inputs: np.ndarray,
+    labeled_inputs: np.ndarray | IndexedRows,
     pool: CandidateSet,
     n_query: int,
 ) -> QueryBatch:

@@ -158,6 +158,62 @@ def reference_egl_scores(state, inputs) -> np.ndarray:
     return scores
 
 
+def _unit_directions(dimension: int, count: int) -> np.ndarray:
+    if dimension == 1:
+        return np.array([[1.0], [-1.0]], dtype=float)
+    if dimension == 2:
+        angles = 2.0 * np.pi * np.arange(count, dtype=float) / count
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # dimension 3: Fibonacci sphere
+    i = np.arange(count, dtype=float) + 0.5
+    phi = np.arccos(1.0 - 2.0 * i / count)
+    theta = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return np.stack(
+        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1
+    )
+
+
+def margin_oracle(
+    net: nn.NetworkState,
+    x: np.ndarray,
+    radius_max: float,
+    steps_radial: int = 64,
+    directions: int = 360,
+    bisect_iters: int = 30,
+) -> float:
+    """Brute-force distance from ``x`` to the nearest prediction change.
+
+    Sweeps a dense direction/radius grid around ``x``, then bisects each
+    flipping direction down to a tight bracket. Returns +inf when no probe
+    inside ``radius_max`` changes the predicted class. Only practical for
+    inputs with at most 3 dimensions.
+    """
+    x = np.asarray(x, dtype=float)
+    dim = int(x.size)
+    if dim > 3:
+        raise InputError(f"margin oracle is brute force only; dimension {dim} > 3")
+    base_label = int(nn.predict_batch(net, x.reshape(1, *net.spec.input_shape))[0])
+    dirs = _unit_directions(dim, directions)
+    radii = np.linspace(radius_max / steps_radial, radius_max, steps_radial, dtype=float)
+    probes = x.reshape(1, 1, dim) + radii[None, :, None] * dirs[:, None, :]
+    flat = probes.reshape(-1, *net.spec.input_shape)
+    flips = (nn.predict_batch(net, flat) != base_label).reshape(len(dirs), steps_radial)
+    hit = flips.any(axis=1)
+    if not hit.any():
+        return float("inf")
+    first = flips[hit].argmax(axis=1)
+    hi = radii[first]
+    lo = np.where(first > 0, radii[np.maximum(first - 1, 0)], 0.0)
+    d = dirs[hit]
+    for _ in range(bisect_iters):
+        mid = 0.5 * (lo + hi)
+        pts = (x[None, :] + mid[:, None] * d).reshape(-1, *net.spec.input_shape)
+        mid_flip = nn.predict_batch(net, pts) != base_label
+        hi = np.where(mid_flip, mid, hi)
+        lo = np.where(mid_flip, lo, mid)
+    return float(hi.min())
+
+
 def rel_err(a, b, floor=1e-6):
     diff = abs(a - b)
     if diff < floor:

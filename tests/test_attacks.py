@@ -296,7 +296,7 @@ class TestJacobianCount:
 
 class TestAgainstMarginOracle:
     def test_attack_upper_bounds_oracle_and_tracks_it(self, trained3, blobs3):
-        from adval.data import margin_oracle
+        from conftest import margin_oracle
 
         cfg = AttackConfig()
         points = blobs3.inputs[:60]

@@ -1,16 +1,18 @@
 """CLI commands, config parsing, and metrics files."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import adval.loop
 from adval.cli import main
 from adval.config import load_experiment_config, prepare_for_archs
 from adval.data import SyntheticSpec, gen_blobs
-from adval.errors import ConfigError
+from adval.errors import ConfigError, PoolInvariantError
 from adval.experiments import (
     METRICS_HEADER,
     compare_metrics,
@@ -119,6 +121,64 @@ class TestConfigParsing:
     def test_attack_norm_inf_accepted(self, tmp_path):
         cfg = load_experiment_config(write_config(tmp_path, extra="\n[attack]\np = inf\n"))
         assert cfg.active.attack.p == np.inf
+
+    # Every numeric key of each [data] kind and of the other sections.
+    NUMERIC_KEYS = {
+        "blobs": (
+            "data.classes", "data.points_per_class", "data.test_points_per_class",
+            "data.dimension", "data.center_radius", "data.cov_scale", "data.seed",
+            "active.candidates", "active.n_query", "active.budget", "active.initial_labeled",
+            "active.base_steps", "train.learning_rate", "train.beta1", "train.beta2",
+            "train.epsilon", "train.batch_size", "attack.p", "attack.overshoot",
+            "attack.max_iter", "experiment.seeds", "experiment.ceal_delta",
+            "experiment.bald_samples",
+        ),
+        "csv": ("data.class_count", "data.test_fraction", "data.pool_cap", "data.seed"),
+        "idx": ("data.pool_cap", "data.test_cap", "data.seed"),
+    }
+    ODD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "")
+    # The (key, value) pairs that load; every other pair is a load-time error.
+    # initial_labeled <= 0 fails when a run starts, against the class count.
+    LOADS = {
+        ("data.center_radius", "0"), ("data.center_radius", "-1"),
+        ("data.center_radius", "1e300"), ("data.cov_scale", "1e300"), ("data.seed", "0"),
+        ("active.initial_labeled", "0"), ("active.initial_labeled", "-1"),
+        ("train.learning_rate", "1e300"), ("train.beta1", "0"), ("train.beta2", "0"),
+        ("train.epsilon", "1e300"), ("attack.p", "inf"), ("attack.overshoot", "0"),
+        ("attack.overshoot", "1e300"), ("experiment.seeds", "0"),
+        ("experiment.ceal_delta", "0"), ("experiment.ceal_delta", "1e300"),
+    }
+
+    @pytest.mark.parametrize("value", ODD_VALUES)
+    @pytest.mark.parametrize(
+        "kind, key", [(kind, key) for kind, keys in NUMERIC_KEYS.items() for key in keys]
+    )
+    def test_numeric_key_loads_or_names_itself(self, tmp_path, kind, key, value):
+        data = tmp_path / "data"
+        data.write_text("")  # never read: loading checks only that paths exist
+        idx_keys = ("train_images", "train_labels", "test_images", "test_labels")
+        sources = {
+            "blobs": QUICK_BLOBS.format(strategies="random", seeds="0"),
+            "csv": f"[data]\nkind = csv\npath = {data}\nclass_count = 2\n",
+            "idx": "[data]\nkind = idx\n" + "".join(f"{k} = {data}\n" for k in idx_keys),
+        }
+        section, name = key.split(".")
+        lines = [line for line in sources[kind].splitlines() if not line.startswith(f"{name} =")]
+        if f"[{section}]" not in lines:
+            lines.append(f"[{section}]")
+        lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
+        config = tmp_path / "odd.ini"
+        config.write_text("\n".join(lines) + "\n")
+        if (key, value) in self.LOADS:
+            load_experiment_config(config)
+            return
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_experiment_config(config)
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("E_CONFIG: ") and key in err[0]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, extra="\n[attack]\nstrength = 9\n")
@@ -235,6 +295,47 @@ class TestRunCommand:
         assert result.stderr.strip().splitlines() == [
             "E_CONFIG: initial_labeled: 500 labels exceed the pool's 120 samples"
         ]
+
+    @pytest.mark.parametrize("initial", [0, 2])
+    def test_initial_labels_below_class_count_name_section(self, tmp_path, initial):
+        config = write_config(tmp_path)
+        text = config.read_text()
+        config.write_text(text.replace("initial_labeled = 6", f"initial_labeled = {initial}"))
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: active.initial_labeled must cover at least one sample per class"
+        ]
+
+    @pytest.mark.parametrize(
+        "command, table, time_columns",
+        [
+            (["run"], "metrics.csv", (6, 7)),
+            (["transfer", "--selector", "arch-A", "--consumer", "arch-B"], "transfer.csv", (7, 8)),
+        ],
+    )
+    def test_failed_run_keeps_earlier_runs_rows(
+        self, tmp_path, monkeypatch, command, table, time_columns
+    ):
+        def run(strategies, out):
+            config = write_config(tmp_path, strategies=strategies)
+            text = config.read_text().replace("kind = blobs", "kind = blobs\ndimension = 64")
+            config.write_text(text)
+            args = [*command, "--config", str(config), "--out", str(out)]
+            result = CliRunner().invoke(main, args)
+            rows = read_rows(out / table)
+            return result, [[v for i, v in enumerate(r) if i not in time_columns] for r in rows]
+
+        _, want = run("random", tmp_path / "clean")
+
+        def fail(*args, **kwargs):
+            raise PoolInvariantError("injected failure")
+
+        monkeypatch.setattr(adval.loop, "select_uncertainty", fail)
+        result, rows = run("random,uncertainty", tmp_path / "failed")
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == ["E_INVARIANT: injected failure"]
+        assert len(want) > 2 and rows == want
 
     def test_config_error_exit_code_and_single_line(self, tmp_path):
         runner = CliRunner()

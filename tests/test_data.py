@@ -1,4 +1,4 @@
-"""Dataset loading, synthetic generation, splits, and the margin oracle."""
+"""Dataset loading, synthetic generation, splits, and the test suite's margin oracle."""
 
 import gzip
 import struct
@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import margin_oracle
 
 from adval import nn
 from adval.cli import main
@@ -17,7 +18,6 @@ from adval.data import (
     gen_blobs,
     load_csv,
     load_idx,
-    margin_oracle,
     stratified_split,
     stratified_subsample,
 )

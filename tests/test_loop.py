@@ -21,10 +21,11 @@ from adval.loop import (
     pseudo_label_counts,
     run_active_learning,
     sample_candidates,
+    select_round,
     training_examples,
 )
 from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig, build_network, init_network
-from adval.nn.network import _CHUNK
+from adval.nn.network import _CHUNK, IndexedRows, embed_batch
 from adval.strategies import (
     ADVERSARIAL_TWIN,
     CEAL_PSEUDO,
@@ -33,6 +34,7 @@ from adval.strategies import (
     QueryBatch,
     SyntheticAddition,
     entropy_scores,
+    select_coreset_greedy,
 )
 
 
@@ -397,6 +399,7 @@ class TestConfigValidation:
 
 FULL_POOL = tuple(sid for sid in STRATEGY_IDS if not STRATEGIES[sid].scores_subset)
 IMAGE_SHAPE = (1, 12, 12)
+ROW_BYTES = 8 * int(np.prod(IMAGE_SHAPE))
 
 
 def image_pool(rows, seed=0, classes=3):
@@ -408,6 +411,18 @@ def image_pool(rows, seed=0, classes=3):
     net = init_network(build_network("arch-A", IMAGE_SHAPE, classes, seed=seed))
     unlabeled = tuple(int(i) for i in rng.permutation(len(data))[:rows])
     return net, data, PoolState(labeled=(), unlabeled=unlabeled, synthetic=())
+
+
+def selection_peak_bytes(strategy, rows):
+    """Peak traced bytes of one round's selection on ``image_pool(rows)``, drawing all its rows."""
+    net, data, pools = image_pool(rows)
+    settings = ActiveSettings(candidates=rows)
+    tracemalloc.start()
+    try:
+        select_round(strategy, settings, net, pools, data, settings.n_query, 0, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFullPoolByIndex:
@@ -423,26 +438,37 @@ class TestFullPoolByIndex:
         settings = ActiveSettings(ceal_delta=float(np.median(entropy_scores(net, gathered.inputs))))
         select = STRATEGIES[strategy].select
         pool = candidate_pool(strategy, pools, data, settings.candidates, 0)
-        want = select(settings, net, gathered, 10, 7, pools, data)
-        assert select(settings, net, pool, 10, 7, pools, data) == want
+        labeled = IndexedRows(data.inputs, np.array(pools.labeled_indices(), dtype=np.intp))
+        want = select(settings, net, gathered, 10, 7, labeled)
+        assert select(settings, net, pool, 10, 7, labeled) == want
         assert len(want.queried) == 10
         assert len(want.synthetic_additions) == (len(indices) // 2 if strategy == "ceal" else 0)
 
+    def test_coreset_reads_the_labeled_set_through_a_view(self):
+        net, data, _ = image_pool(2 * _CHUNK + 200)
+        rows = np.arange(2 * _CHUNK + 188)  # three chunks, the last one partial
+        pool = CandidateSet(np.arange(len(rows), len(data)), data.inputs[len(rows) :])
+        view = IndexedRows(data.inputs, rows)
+        assert embed_batch(net, view).tobytes() == embed_batch(net, data.inputs[rows]).tobytes()
+        want = select_coreset_greedy(net, data.inputs[rows], pool, 10)
+        assert STRATEGIES["coreset"].select(ActiveSettings(), net, pool, 10, 0, view) == want
+
     @pytest.mark.parametrize("strategy", FULL_POOL)
     def test_selection_does_not_copy_the_pool(self, strategy):
-        settings = ActiveSettings()
-
-        def peak_bytes(rows):
-            net, data, pools = image_pool(rows)
-            tracemalloc.start()
-            try:
-                pool = candidate_pool(strategy, pools, data, settings.candidates, 0)
-                STRATEGIES[strategy].select(settings, net, pool, settings.n_query, 7, pools, data)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         small, large = 4 * _CHUNK, 12 * _CHUNK
-        row_bytes = 8 * int(np.prod(IMAGE_SHAPE))
-        # A copy of the pool's inputs alone grows the peak by row_bytes per pool row.
-        assert peak_bytes(large) - peak_bytes(small) < (large - small) * row_bytes
+        growth = selection_peak_bytes(strategy, large) - selection_peak_bytes(strategy, small)
+        # A copy of the pool's inputs alone grows the peak by ROW_BYTES per pool row.
+        assert growth < (large - small) * ROW_BYTES
+
+
+class TestCandidateScoringMemory:
+    @pytest.mark.parametrize("strategy", ["egl", "bald"])
+    def test_peak_grows_only_by_the_gathered_candidates(self, strategy):
+        small, large = 4 * _CHUNK, 12 * _CHUNK
+        growth = selection_peak_bytes(strategy, large) - selection_peak_bytes(strategy, small)
+        # The margin holds the per-candidate scores, and BALD's (samples, n, C)
+        # probabilities: 240 bytes a candidate here, 0.5 MB over the difference.
+        # Scoring all candidates in one pass, not chunk by chunk, would add
+        # about 18 kB a candidate.
+        margin = 1 << 20
+        assert growth < (large - small) * ROW_BYTES + margin
