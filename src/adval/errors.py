@@ -23,3 +23,7 @@ class FormatError(AdvalError, ValueError):
 
 class PoolInvariantError(AdvalError, RuntimeError):
     """Labeled/unlabeled bookkeeping was violated. This is a bug surface, not recoverable."""
+
+
+class TrainingError(AdvalError, RuntimeError):
+    """Training diverged: its last step's loss is not finite."""

@@ -5,7 +5,9 @@ Metrics files are CSV with a fixed header; rows are emitted in deterministic
 run, as each (strategy, seed) run finishes, so a failing run leaves the rows of
 every run before it in the table. All result columns are reproducible bit-for-bit
 under identical configs; the two wall-time columns are environmental
-measurements and vary between runs.
+measurements and vary between runs. Every strategy of a seed shares one round-0
+network (see ``adval.loop``), trained by the first run that needs it; in the
+later runs, round 0's ``train_seconds`` is the time of a memo lookup.
 """
 
 from __future__ import annotations
@@ -233,7 +235,11 @@ def run_transfer(
                 def consumer_hook(round_index, net, pools, record):
                     examples = training_examples(pools, train_ds)
                     consumer = train_fresh(
-                        consumer_spec, examples, cfg.active, derive_seed(seed, round_index, 29)
+                        consumer_spec,
+                        examples,
+                        cfg.active,
+                        derive_seed(seed, round_index, 29),
+                        round_index,
                     )
                     run_rows.append(
                         (

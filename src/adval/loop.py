@@ -9,11 +9,21 @@ unlabeled pool runs dry.
 Budget semantics: the budget counts oracle label requests. Adversarial twins
 are free, so a twin-producing run grows the training set by two items per
 annotation while charging one.
+
+Round 0 is shared: its labeled set and training seed depend only on the run
+seed, so every strategy of a seed trains the same round-0 network.
+``train_fresh`` keeps round-0 networks in a small memo keyed by content (the
+network spec, ``base_steps``, the train settings, the seed and a digest of the
+training examples) and hands later runs the same read-only ``NetworkState``.
+A run whose round-0 network comes from the memo records the lookup time as
+that round's ``train_seconds``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +31,8 @@ import numpy as np
 
 from adval.attacks import AttackConfig
 from adval.data import Dataset
-from adval.errors import ConfigError, PoolInvariantError
+from adval.errors import ConfigError, PoolInvariantError, TrainingError
+from adval.nn.layers import DTYPE
 from adval.nn.network import IndexedRows, NetworkSpec, NetworkState, accuracy, init_network
 from adval.nn.training import TrainConfig, epochs_for_budget, train
 from adval.strategies import (
@@ -79,7 +90,7 @@ class RoundRecord:
     training_set_size: int
     test_accuracy: float
     selection_seconds: float
-    train_seconds: float
+    train_seconds: float  # a memo lookup's time when round 0's network is reused
     pseudo_additions: int = 0
     pseudo_corruptions: int = 0
 
@@ -226,10 +237,62 @@ def pseudo_label_counts(pool_state: PoolState, dataset: Dataset) -> tuple[int, i
     return len(pseudo), sum(s.label != int(dataset.labels[s.source_index]) for s in pseudo)
 
 
-def train_fresh(spec: NetworkSpec, examples, settings: ActiveSettings, seed: int) -> NetworkState:
-    """Train a newly initialized ``spec`` on ``examples`` for about ``base_steps`` steps."""
+# Round-0 networks by content; each entry is one trained network, never its examples.
+_MEMO_SIZE = 16
+_round0_memo: OrderedDict[tuple, NetworkState] = OrderedDict()
+
+
+def _examples_digest(examples) -> str:
+    """sha256 over the inputs as ``train`` stacks them (shape and bytes) and the labels."""
+    x = np.asarray([row for row, _ in examples], dtype=DTYPE)
+    y = np.asarray([int(label) for _, label in examples], dtype=np.int64)
+    digest = hashlib.sha256(repr(x.shape).encode())
+    digest.update(x.tobytes())
+    digest.update(y.tobytes())
+    return digest.hexdigest()
+
+
+def _read_only(net: NetworkState) -> NetworkState:
+    for p in net.params:
+        for v in (p or {}).values():
+            v.flags.writeable = False
+    return net
+
+
+def train_fresh(
+    spec: NetworkSpec,
+    examples,
+    settings: ActiveSettings,
+    seed: int,
+    round_index: int | None = None,
+) -> NetworkState:
+    """Train a newly initialized ``spec`` on ``examples`` for about ``base_steps`` steps.
+
+    For round 0 the network comes from the memo when an equal training ran
+    before, and goes into it otherwise; either way its parameters are
+    read-only, since later runs share it. A training whose last step's loss
+    is not finite raises ``TrainingError`` naming the round and
+    ``train.learning_rate``, and never enters the memo.
+    """
+    key = None
+    if round_index == 0:
+        key = (spec, settings.base_steps, settings.train, seed, _examples_digest(examples))
+        if key in _round0_memo:
+            _round0_memo.move_to_end(key)
+            return _round0_memo[key]
     epochs = epochs_for_budget(settings.base_steps, settings.train.batch_size, len(examples))
-    return train(init_network(spec), examples, replace(settings.train, epochs=epochs, seed=seed))
+    try:
+        net = train(init_network(spec), examples, replace(settings.train, epochs=epochs, seed=seed))
+    except TrainingError as exc:
+        where = "" if round_index is None else f"round {round_index}: "
+        raise TrainingError(
+            f"{where}{exc}; train.learning_rate = {settings.train.learning_rate:g} may be too large"
+        ) from exc
+    if key is not None:
+        _round0_memo[key] = _read_only(net)
+        if len(_round0_memo) > _MEMO_SIZE:
+            _round0_memo.popitem(last=False)
+    return net
 
 
 @dataclass(frozen=True)
@@ -345,7 +408,7 @@ def run_active_learning(
             dataset, cfg.initial_labeled, derive_seed(cfg.seed, 0, _STREAM_POOL_INIT)
         )
     except ConfigError as exc:
-        raise ConfigError(f"initial_labeled: {exc}") from exc
+        raise ConfigError(f"active.initial_labeled: {exc}") from exc
     oracle = lambda i: int(dataset.labels[i])  # noqa: E731 - simulated annotator
     records: list[RoundRecord] = []
     round_index = 0
@@ -354,7 +417,11 @@ def run_active_learning(
         examples = training_examples(pools, dataset)
         t0 = time.monotonic()
         net = train_fresh(
-            cfg.network, examples, cfg, derive_seed(cfg.seed, round_index, _STREAM_TRAIN)
+            cfg.network,
+            examples,
+            cfg,
+            derive_seed(cfg.seed, round_index, _STREAM_TRAIN),
+            round_index,
         )
         train_seconds = time.monotonic() - t0
 

@@ -2,7 +2,8 @@
 
 Given the same initial state, example order, and seed, ``train`` produces
 bit-identical parameters. One generator drives both the per-epoch shuffle and
-the dropout masks, so the whole run is a pure function of its inputs.
+the dropout masks, so the whole run is a pure function of its inputs. A
+training whose last step's loss is not finite raises ``TrainingError``.
 
 ``train`` copies the parameters once into one contiguous float64 vector, in
 layer and then key order; the working state, which it returns, holds reshaped
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adval.errors import ConfigError, InputError
+from adval.errors import ConfigError, InputError, TrainingError
 from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkState, loss_and_param_grads
 
@@ -83,7 +84,10 @@ def _views(flat, like):
 
 
 def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
-    """Train on (input, label) pairs; returns a new state, input state untouched."""
+    """Train on (input, label) pairs; returns a new state, input state untouched.
+
+    Raises ``TrainingError`` when the last step's loss is not finite.
+    """
     pairs = list(examples)
     if not pairs:
         raise InputError("training set is empty")
@@ -100,11 +104,15 @@ def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
     rng = np.random.default_rng(cfg.seed)
     working = NetworkState(state.spec, params)
     n, t = len(x), 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            loss_and_param_grads(working, x[idx], y[idx], rng=rng, out=grads)
-            t += 1
-            _adam_step(cfg, t, flat, grad_flat, *adam)
+    # A diverging run is reported once, below, not as a warning per overflowing step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                loss, _ = loss_and_param_grads(working, x[idx], y[idx], rng=rng, out=grads)
+                t += 1
+                _adam_step(cfg, t, flat, grad_flat, *adam)
+    if not math.isfinite(loss):
+        raise TrainingError(f"training diverged: the last step's loss is {loss}")
     return working

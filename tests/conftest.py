@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import adval.loop
 from adval import nn
 from adval.data import Dataset, SyntheticSpec, gen_blobs
 from adval.errors import InputError
@@ -235,6 +236,12 @@ def small_blob_net(blobs: Dataset, hidden=(24,), seed=2, epochs=800) -> nn.Netwo
     state = nn.init_network(spec)
     cfg = TrainConfig(epochs=epochs, seed=seed)
     return nn.train(state, list(zip(blobs.inputs, blobs.labels)), cfg)
+
+
+@pytest.fixture(autouse=True)
+def cold_round0_memo():
+    """Every test starts with an empty round-0 memo, so each round 0 it runs trains."""
+    adval.loop._round0_memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,14 @@
 
 import csv
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import adval.experiments
 import adval.loop
 from adval.cli import main
 from adval.config import load_experiment_config, prepare_for_archs
@@ -15,6 +17,7 @@ from adval.data import SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, PoolInvariantError
 from adval.experiments import (
     METRICS_HEADER,
+    TRANSFER_HEADER,
     compare_metrics,
     read_metrics,
     run_grid,
@@ -293,8 +296,19 @@ class TestRunCommand:
         result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert result.stderr.strip().splitlines() == [
-            "E_CONFIG: initial_labeled: 500 labels exceed the pool's 120 samples"
+            "E_CONFIG: active.initial_labeled: 500 labels exceed the pool's 120 samples"
         ]
+
+    def test_diverged_training_is_runtime_error(self, tmp_path):
+        config = write_config(
+            tmp_path, strategies="dfal,random", extra="\n[train]\nlearning_rate = 1e300\n"
+        )
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("E_RUNTIME: round 0: training diverged: ")
+        assert "train.learning_rate = 1e+300" in err[0]
 
     @pytest.mark.parametrize("initial", [0, 2])
     def test_initial_labels_below_class_count_name_section(self, tmp_path, initial):
@@ -538,6 +552,62 @@ class TestTransfer:
         for row in rows[1:]:
             assert 0.0 <= float(row[5]) <= 1.0
             assert 0.0 <= float(row[6]) <= 1.0
+
+
+class TestRound0Reuse:
+    """Every strategy of a seed starts from one round-0 network, trained once."""
+
+    # table -> (command, header, networks trained per round)
+    TABLES = {
+        "metrics.csv": (["run"], METRICS_HEADER, 1),
+        "transfer.csv": (
+            ["transfer", "--selector", "arch-B", "--consumer", "arch-A"],
+            TRANSFER_HEADER,
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_tables_match_runs_from_a_cold_memo(self, tmp_path, monkeypatch, table):
+        command, header, per_round = self.TABLES[table]
+        config = write_config(tmp_path, strategies="dfal,random", seeds="0,1")
+        text = config.read_text()
+        config.write_text(text.replace("kind = blobs", "kind = blobs\ndimension = 64"))
+        timed = {header.index("selection_seconds"), header.index("train_seconds")}
+        trainings = Counter()
+        train = adval.loop.train
+
+        def counted(*args, **kwargs):
+            trainings["train"] += 1
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(adval.loop, "train", counted)
+
+        def run(out):
+            trainings.clear()
+            args = [*command, "--config", str(config), "--out", str(out)]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            header_row, *rows = read_rows(out / table)
+            assert header_row == list(header)
+            untimed = [[v for i, v in enumerate(r) if i not in timed] for r in rows]
+            return untimed, trainings["train"]
+
+        warm, warm_trainings = run(tmp_path / "warm")
+        run_active_learning = adval.experiments.run_active_learning
+
+        def cold_run(*args, **kwargs):
+            adval.loop._round0_memo.clear()
+            return run_active_learning(*args, **kwargs)
+
+        monkeypatch.setattr(adval.experiments, "run_active_learning", cold_run)
+        cold, cold_trainings = run(tmp_path / "cold")
+        assert warm == cold
+        # the second strategy of each of the two seeds reuses its round-0 networks
+        assert cold_trainings - warm_trainings == 2 * per_round
+        for seed in ("0", "1"):
+            round0 = [r[1:] for r in warm if r[1] == seed and r[2] == "0"]
+            assert len(round0) == 2 and round0[0] == round0[1]
 
 
 class TestTiming:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import adval.loop
 from adval.attacks import AttackConfig
 from adval.data import Dataset, SyntheticSpec, gen_blobs
-from adval.errors import ConfigError, PoolInvariantError
+from adval.errors import ConfigError, PoolInvariantError, TrainingError
 from adval.loop import (
     STRATEGIES,
     ActiveConfig,
@@ -22,6 +23,7 @@ from adval.loop import (
     run_active_learning,
     sample_candidates,
     select_round,
+    train_fresh,
     training_examples,
 )
 from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig, build_network, init_network
@@ -472,3 +474,123 @@ class TestCandidateScoringMemory:
         # about 18 kB a candidate.
         margin = 1 << 20
         assert growth < (large - small) * ROW_BYTES + margin
+
+
+def count_trainings(monkeypatch):
+    """Counts the trainings that run through ``adval.loop.train``."""
+    calls = Counter()
+    original = adval.loop.train
+
+    def counted(*args, **kwargs):
+        calls["train"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adval.loop, "train", counted)
+    return calls
+
+
+def round0_examples():
+    train_ds, _ = blob_pair()
+    return training_examples(init_pools(train_ds, 6, seed=0), train_ds)
+
+
+def flip_input_bit(examples):
+    x = examples[0][0].copy()
+    x.view(np.uint64)[0] ^= 1
+    return [(x, examples[0][1]), *examples[1:]]
+
+
+def relabel_one(examples):
+    x, label = examples[0]
+    return [(x, (label + 1) % 3), *examples[1:]]
+
+
+class TestRound0Memo:
+    SETTINGS = ActiveSettings(base_steps=20)
+
+    def test_strategies_of_a_seed_share_round0(self, monkeypatch):
+        calls = count_trainings(monkeypatch)
+        train_ds, test_ds = blob_pair()
+        nets = []
+        for strategy in ("random", "uncertainty"):
+            cfg = quick_config(strategy, budget=6, initial_labeled=6)
+            run_active_learning(
+                cfg, train_ds, test_ds, round_hook=lambda k, net, pools, rec: nets.append(net)
+            )
+        assert len(nets) == 2 and nets[0] is nets[1]
+        assert calls == {"train": 1}
+
+    def test_warm_run_records_equal_a_cold_run(self, monkeypatch):
+        train_ds, test_ds = blob_pair()
+        cfg = quick_config("dfal", budget=16, n_query=5, initial_labeled=6)
+        cold = run_active_learning(cfg, train_ds, test_ds)
+        adval.loop._round0_memo.clear()
+        run_active_learning(replace(cfg, strategy="random"), train_ds, test_ds)
+        calls = count_trainings(monkeypatch)
+        warm = run_active_learning(cfg, train_ds, test_ds)
+        assert calls == {"train": len(warm) - 1}  # every round but round 0
+        untimed = lambda r: replace(r, train_seconds=0.0, selection_seconds=0.0)  # noqa: E731
+        assert [untimed(r) for r in warm] == [untimed(r) for r in cold]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda spec, ex, s, seed: (spec, ex, s, seed + 1),
+            lambda spec, ex, s, seed: (spec, ex, replace(s, base_steps=21), seed),
+            lambda spec, ex, s, seed: (
+                spec, ex, replace(s, train=replace(s.train, beta2=0.998)), seed
+            ),
+            lambda spec, ex, s, seed: (replace(spec, init_seed=spec.init_seed + 1), ex, s, seed),
+            lambda spec, ex, s, seed: (spec, flip_input_bit(ex), s, seed),
+            lambda spec, ex, s, seed: (spec, relabel_one(ex), s, seed),
+        ],
+        ids=["seed", "base_steps", "train_config", "init_seed", "input_bit", "label"],
+    )
+    def test_any_changed_input_misses(self, monkeypatch, change):
+        calls = count_trainings(monkeypatch)
+        args = (small_net_spec(), round0_examples(), self.SETTINGS, 5)
+        first = train_fresh(*args, 0)
+        assert train_fresh(*args, 0) is first
+        changed = train_fresh(*change(*args), 0)
+        assert changed is not first
+        assert calls == {"train": 2}
+        assert len(adval.loop._round0_memo) == 2
+
+    def test_later_rounds_bypass_the_memo(self, monkeypatch):
+        calls = count_trainings(monkeypatch)
+        args = (small_net_spec(), round0_examples(), self.SETTINGS, 5)
+        assert train_fresh(*args, 1) is not train_fresh(*args, 1)
+        assert calls == {"train": 2}
+        assert not adval.loop._round0_memo
+
+    def test_shared_parameters_are_read_only(self):
+        args = (small_net_spec(), round0_examples(), self.SETTINGS, 5)
+        for net in (train_fresh(*args, 0), train_fresh(*args, 0)):  # a miss, then a hit
+            for params in net.params:
+                for v in (params or {}).values():
+                    with pytest.raises(ValueError, match="read-only"):
+                        v[...] = 0.0
+
+    def test_memo_holds_at_most_its_bound(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(
+            adval.loop, "train", lambda state, examples, cfg: trained.append(cfg.seed) or state
+        )
+        spec, examples = small_net_spec(), round0_examples()
+        bound = adval.loop._MEMO_SIZE
+        for seed in range(bound + 5):
+            train_fresh(spec, examples, self.SETTINGS, seed, 0)
+            assert len(adval.loop._round0_memo) <= bound
+        assert len(adval.loop._round0_memo) == bound
+        # The least recently used entries went first: seed 4 trains again, seed 5 does not.
+        trained.clear()
+        for seed in (5, 4):
+            train_fresh(spec, examples, self.SETTINGS, seed, 0)
+        assert trained == [4]
+
+    def test_diverged_training_names_round_and_learning_rate(self):
+        settings = replace(self.SETTINGS, train=TrainConfig(learning_rate=1e300))
+        args = (small_net_spec(), round0_examples(), settings, 5)
+        with pytest.raises(TrainingError, match=r"^round 0: .*train\.learning_rate"):
+            train_fresh(*args, 0)
+        assert not adval.loop._round0_memo
