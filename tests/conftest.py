@@ -1,5 +1,7 @@
 """Shared fixtures: random small networks, trained nets on blob data, oracles and references."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,24 @@ def small_blob_net(blobs: Dataset, hidden=(24,), seed=2, epochs=800) -> nn.Netwo
     state = nn.init_network(spec)
     cfg = TrainConfig(epochs=epochs, seed=seed)
     return nn.train(state, list(zip(blobs.inputs, blobs.labels)), cfg)
+
+
+def count_calls(monkeypatch, *names) -> Counter:
+    """Counts the calls to each of ``names``, made through ``adval.loop``'s attributes."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(adval.loop, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(adval.loop, name, counted(name))
+    return calls
 
 
 @pytest.fixture(autouse=True)

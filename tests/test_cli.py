@@ -2,12 +2,12 @@
 
 import csv
 import re
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import count_calls
 
 import adval.experiments
 import adval.loop
@@ -574,14 +574,7 @@ class TestRound0Reuse:
         text = config.read_text()
         config.write_text(text.replace("kind = blobs", "kind = blobs\ndimension = 64"))
         timed = {header.index("selection_seconds"), header.index("train_seconds")}
-        trainings = Counter()
-        train = adval.loop.train
-
-        def counted(*args, **kwargs):
-            trainings["train"] += 1
-            return train(*args, **kwargs)
-
-        monkeypatch.setattr(adval.loop, "train", counted)
+        trainings = count_calls(monkeypatch, "train")
 
         def run(out):
             trainings.clear()

@@ -1,11 +1,11 @@
 """Pool bookkeeping, budget accounting, and full-loop behavior."""
 
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
 import adval.loop
 from adval.attacks import AttackConfig
@@ -366,20 +366,8 @@ class TestStrategyTable:
 
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_round_calls_names_bound_in_loop(self, monkeypatch, strategy):
-        calls = Counter()
-
-        def count_calls(name):
-            original = getattr(adval.loop, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(adval.loop, name, counted)
-
         select_name = self.SELECT_NAMES[strategy]
-        count_calls(select_name)
-        count_calls("train")
+        calls = count_calls(monkeypatch, select_name, "train")
         train_ds, test_ds = blob_pair()
         cfg = quick_config(strategy, budget=11, n_query=5, initial_labeled=6)
         run_active_learning(cfg, train_ds, test_ds)
@@ -476,19 +464,6 @@ class TestCandidateScoringMemory:
         assert growth < (large - small) * ROW_BYTES + margin
 
 
-def count_trainings(monkeypatch):
-    """Counts the trainings that run through ``adval.loop.train``."""
-    calls = Counter()
-    original = adval.loop.train
-
-    def counted(*args, **kwargs):
-        calls["train"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(adval.loop, "train", counted)
-    return calls
-
-
 def round0_examples():
     train_ds, _ = blob_pair()
     return training_examples(init_pools(train_ds, 6, seed=0), train_ds)
@@ -509,7 +484,7 @@ class TestRound0Memo:
     SETTINGS = ActiveSettings(base_steps=20)
 
     def test_strategies_of_a_seed_share_round0(self, monkeypatch):
-        calls = count_trainings(monkeypatch)
+        calls = count_calls(monkeypatch, "train")
         train_ds, test_ds = blob_pair()
         nets = []
         for strategy in ("random", "uncertainty"):
@@ -526,7 +501,7 @@ class TestRound0Memo:
         cold = run_active_learning(cfg, train_ds, test_ds)
         adval.loop._round0_memo.clear()
         run_active_learning(replace(cfg, strategy="random"), train_ds, test_ds)
-        calls = count_trainings(monkeypatch)
+        calls = count_calls(monkeypatch, "train")
         warm = run_active_learning(cfg, train_ds, test_ds)
         assert calls == {"train": len(warm) - 1}  # every round but round 0
         untimed = lambda r: replace(r, train_seconds=0.0, selection_seconds=0.0)  # noqa: E731
@@ -547,7 +522,7 @@ class TestRound0Memo:
         ids=["seed", "base_steps", "train_config", "init_seed", "input_bit", "label"],
     )
     def test_any_changed_input_misses(self, monkeypatch, change):
-        calls = count_trainings(monkeypatch)
+        calls = count_calls(monkeypatch, "train")
         args = (small_net_spec(), round0_examples(), self.SETTINGS, 5)
         first = train_fresh(*args, 0)
         assert train_fresh(*args, 0) is first
@@ -557,7 +532,7 @@ class TestRound0Memo:
         assert len(adval.loop._round0_memo) == 2
 
     def test_later_rounds_bypass_the_memo(self, monkeypatch):
-        calls = count_trainings(monkeypatch)
+        calls = count_calls(monkeypatch, "train")
         args = (small_net_spec(), round0_examples(), self.SETTINGS, 5)
         assert train_fresh(*args, 1) is not train_fresh(*args, 1)
         assert calls == {"train": 2}
