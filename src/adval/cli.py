@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
-from functools import wraps
+from functools import partial, wraps
 from pathlib import Path
 
 import click
@@ -80,6 +80,16 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _write_runs(path: Path, header, label: str, runs) -> None:
+    """Write the rows of ``runs(progress=...)`` to ``path``, echoing ``label`` as each run ends."""
+
+    def progress(strategy, seed, value):
+        click.echo(f"done {strategy} seed={seed} {label}={value:.4f}")
+
+    rows = runs(progress=progress)  # loads the data before the table is opened
+    click.echo(f"wrote {write_table(path, header, rows)}")
+
+
 def _apply_overrides(cfg, seeds: str | None, strategies: str | None):
     if seeds is not None:
         cfg = replace(cfg, seeds=parse_int_list(seeds, "--seeds"))
@@ -103,13 +113,7 @@ def run(config_path, out_dir, seeds, strategies):
     """Run the strategy x seed grid and write metrics.csv."""
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, strategies)
     out = _out_dir(out_dir)
-
-    def progress(strategy, seed, final_acc):
-        click.echo(f"done {strategy} seed={seed} final_accuracy={final_acc:.4f}")
-
-    rows = run_grid(cfg, progress=progress)
-    path = write_table(out / "metrics.csv", METRICS_HEADER, rows)
-    click.echo(f"wrote {path}")
+    _write_runs(out / "metrics.csv", METRICS_HEADER, "final_accuracy", partial(run_grid, cfg))
 
 
 @main.command()
@@ -161,13 +165,8 @@ def transfer(config_path, selector, consumer, out_dir, seeds):
             raise ConfigError(f"{option} must be one of {ARCHITECTURES}, got {arch!r}")
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, None)
     out = _out_dir(out_dir)
-
-    def progress(strategy, seed, final_consumer_acc):
-        click.echo(f"done {strategy} seed={seed} consumer_accuracy={final_consumer_acc:.4f}")
-
-    rows = run_transfer(cfg, selector, consumer, progress=progress)
-    path = write_table(out / "transfer.csv", TRANSFER_HEADER, rows)
-    click.echo(f"wrote {path}")
+    runs = partial(run_transfer, cfg, selector, consumer)
+    _write_runs(out / "transfer.csv", TRANSFER_HEADER, "consumer_accuracy", runs)
 
 
 @main.command()

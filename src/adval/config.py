@@ -48,12 +48,10 @@ from adval.data import (
     stratified_subsample,
 )
 from adval.errors import ConfigError
-from adval.loop import ActiveConfig, ActiveSettings, derive_seed
+from adval.loop import _STREAM_NETWORK_INIT, ActiveConfig, ActiveSettings, derive_seed
 from adval.nn.architectures import ARCHITECTURES, build_network, conv_input_shape
 from adval.nn.training import TrainConfig
 from adval.strategies import STRATEGY_IDS
-
-_NETWORK_SEED_STREAM = 17
 
 
 def _build(cls, section: str, /, **values):
@@ -202,7 +200,7 @@ class ExperimentConfig:
             self.arch,
             dataset.input_shape,
             dataset.class_count,
-            seed=derive_seed(seed, 0, _NETWORK_SEED_STREAM),
+            seed=derive_seed(seed, 0, _STREAM_NETWORK_INIT),
         )
         run = dict(network=network, strategy=strategy, seed=seed)
         return _build(ActiveConfig, "active", **run, **vars(self.active))

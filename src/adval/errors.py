@@ -26,4 +26,4 @@ class PoolInvariantError(AdvalError, RuntimeError):
 
 
 class TrainingError(AdvalError, RuntimeError):
-    """Training diverged: its last step's loss is not finite."""
+    """Training diverged: the trained network's logits are not finite."""

@@ -1,13 +1,16 @@
 """Experiment execution and metrics tables behind the CLI.
 
-Metrics files are CSV with a fixed header; rows are emitted in deterministic
-(strategy, seed, round) order. ``run`` and ``transfer`` write their rows run by
-run, as each (strategy, seed) run finishes, so a failing run leaves the rows of
-every run before it in the table. All result columns are reproducible bit-for-bit
-under identical configs; the two wall-time columns are environmental
-measurements and vary between runs. Every strategy of a seed shares one round-0
-network (see ``adval.loop``), trained by the first run that needs it; in the
-later runs, round 0's ``train_seconds`` is the time of a memo lookup.
+``run_grid`` and ``run_transfer`` share one driver, ``_runs``. It runs every
+(strategy, seed) pair in order, builds each run's ``ActiveConfig``, turns each
+round into a table row through the loop's ``round_hook``, and yields a run's
+rows as soon as that run finishes, so a failing run leaves the rows of every
+run before it in the table. The two commands differ only in how a round
+becomes a row. Rows come in deterministic (strategy, seed, round) order. All
+result columns are reproducible bit-for-bit under identical configs; the two
+wall-time columns are environmental measurements and vary between runs. Every
+strategy of a seed shares one round-0 network (see ``adval.loop``), trained by
+the first run that needs it; in the later runs, round 0's ``train_seconds`` is
+the time of a memo lookup.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from adval.config import ExperimentConfig, prepare_for_archs
 from adval.data import read_lines
 from adval.errors import ConfigError, FormatError
 from adval.loop import (
+    _STREAM_CONSUMER_INIT,
+    _STREAM_CONSUMER_TRAIN,
+    _STREAM_TIMING_INIT,
+    _STREAM_TIMING_POOL,
+    _STREAM_TIMING_TRAIN,
     STRATEGIES,
     derive_seed,
     init_pools,
@@ -35,17 +43,19 @@ from adval.loop import (
 from adval.nn.architectures import build_network
 from adval.nn.network import accuracy
 
-METRICS_HEADER = (
-    "strategy",
-    "seed",
-    "round",
-    "annotations",
-    "labeled_data",
-    "test_accuracy",
-    "selection_seconds",
-    "train_seconds",
-    "pseudo_corruptions",
-)
+# metrics.csv's columns in order, each with the type ``read_metrics`` parses it as.
+_METRICS_COLUMNS = {
+    "strategy": str,
+    "seed": int,
+    "round": int,
+    "annotations": int,
+    "labeled_data": int,
+    "test_accuracy": float,
+    "selection_seconds": float,
+    "train_seconds": float,
+    "pseudo_corruptions": int,
+}
+METRICS_HEADER = tuple(_METRICS_COLUMNS)
 
 TRANSFER_HEADER = (
     "strategy",
@@ -96,20 +106,32 @@ def read_metrics(path) -> list[dict]:
     rows = []
     for i, row in enumerate(reader, start=2):
         try:
-            rows.append(
-                {
-                    "strategy": row["strategy"],
-                    "seed": int(row["seed"]),
-                    "round": int(row["round"]),
-                    "annotations": int(row["annotations"]),
-                    "labeled_data": int(row["labeled_data"]),
-                    "test_accuracy": float(row["test_accuracy"]),
-                    "pseudo_corruptions": int(row["pseudo_corruptions"]),
-                }
-            )
+            rows.append({name: parse(row[name]) for name, parse in _METRICS_COLUMNS.items()})
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad value in row {i}") from exc
     return rows
+
+
+def _runs(cfg: ExperimentConfig, strategies, train_ds, test_ds, tail, progress, progress_at):
+    """Every (strategy, seed) run of ``cfg``, in order; yields each run's rows as it finishes.
+
+    A round's row is (strategy, seed, round, annotations, labeled data)
+    followed by ``tail(seed, pool_state, record)``. After each run,
+    ``progress(strategy, seed, value)`` gets column ``progress_at`` of its last row.
+    """
+    for strategy in strategies:
+        for seed in cfg.seeds:
+            rows = []
+
+            def hook(round_index, net, pools, r):
+                head = (strategy, seed, round_index, r.annotations_used, r.training_set_size)
+                rows.append((*head, *tail(seed, pools, r)))
+
+            active = cfg.active_config(strategy, seed, train_ds)
+            run_active_learning(active, train_ds, test_ds, round_hook=hook)
+            yield from rows
+            if progress is not None:
+                progress(strategy, seed, rows[-1][progress_at])
 
 
 def run_grid(cfg: ExperimentConfig, progress=None) -> Iterator[tuple]:
@@ -121,27 +143,11 @@ def run_grid(cfg: ExperimentConfig, progress=None) -> Iterator[tuple]:
     train_ds, test_ds = cfg.data.load()
     train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
 
-    def rows():
-        for strategy in cfg.strategies:
-            for seed in cfg.seeds:
-                active = cfg.active_config(strategy, seed, train_ds)
-                records = run_active_learning(active, train_ds, test_ds)
-                for r in records:
-                    yield (
-                        strategy,
-                        seed,
-                        r.round_index,
-                        r.annotations_used,
-                        r.training_set_size,
-                        r.test_accuracy,
-                        r.selection_seconds,
-                        r.train_seconds,
-                        r.pseudo_corruptions,
-                    )
-                if progress is not None:
-                    progress(strategy, seed, records[-1].test_accuracy)
+    def tail(seed, pools, r):
+        return r.test_accuracy, r.selection_seconds, r.train_seconds, r.pseudo_corruptions
 
-    return rows()
+    at = METRICS_HEADER.index("test_accuracy")
+    return _runs(cfg, cfg.strategies, train_ds, test_ds, tail, progress, at)
 
 
 @dataclass(frozen=True)
@@ -217,50 +223,26 @@ def run_transfer(
         raise ConfigError("transfer needs two distinct architectures")
     train_ds, test_ds = cfg.data.load()
     train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (selector_arch, consumer_arch))
+    consumer_specs = {
+        seed: build_network(
+            consumer_arch,
+            train_ds.input_shape,
+            train_ds.class_count,
+            seed=derive_seed(seed, 1, _STREAM_CONSUMER_INIT),
+        )
+        for seed in cfg.seeds
+    }
+
+    def tail(seed, pools, r):
+        examples = training_examples(pools, train_ds)
+        train_seed = derive_seed(seed, r.round_index, _STREAM_CONSUMER_TRAIN)
+        consumer = train_fresh(consumer_specs[seed], examples, cfg.active, train_seed, r.round_index)
+        consumer_accuracy = accuracy(consumer, test_ds.inputs, test_ds.labels)
+        return r.test_accuracy, consumer_accuracy, r.selection_seconds, r.train_seconds
+
     strategies = tuple(dict.fromkeys([*cfg.strategies, "random"]))
-    selector_cfg = replace(cfg, arch=selector_arch)
-
-    def rows():
-        for strategy in strategies:
-            for seed in cfg.seeds:
-                active = selector_cfg.active_config(strategy, seed, train_ds)
-                consumer_spec = build_network(
-                    consumer_arch,
-                    train_ds.input_shape,
-                    train_ds.class_count,
-                    seed=derive_seed(seed, 1, 23),
-                )
-                run_rows = []
-
-                def consumer_hook(round_index, net, pools, record):
-                    examples = training_examples(pools, train_ds)
-                    consumer = train_fresh(
-                        consumer_spec,
-                        examples,
-                        cfg.active,
-                        derive_seed(seed, round_index, 29),
-                        round_index,
-                    )
-                    run_rows.append(
-                        (
-                            strategy,
-                            seed,
-                            round_index,
-                            record.annotations_used,
-                            record.training_set_size,
-                            record.test_accuracy,
-                            accuracy(consumer, test_ds.inputs, test_ds.labels),
-                            record.selection_seconds,
-                            record.train_seconds,
-                        )
-                    )
-
-                run_active_learning(active, train_ds, test_ds, round_hook=consumer_hook)
-                yield from run_rows
-                if progress is not None:
-                    progress(strategy, seed, run_rows[-1][6])
-
-    return rows()
+    at = TRANSFER_HEADER.index("consumer_accuracy")
+    return _runs(replace(cfg, arch=selector_arch), strategies, train_ds, test_ds, tail, progress, at)
 
 
 def run_timing(
@@ -292,17 +274,17 @@ def run_timing(
         if size >= len(train_ds):
             raise ConfigError(f"--sizes {size}: must be below the pool's {len(train_ds)} samples")
         try:
-            pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, 31))
+            pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, _STREAM_TIMING_POOL))
         except ConfigError as exc:
             raise ConfigError(f"--sizes {size}: {exc}") from exc
         network = build_network(
             cfg.arch,
             train_ds.input_shape,
             train_ds.class_count,
-            seed=derive_seed(cfg.seeds[0], size, 37),
+            seed=derive_seed(cfg.seeds[0], size, _STREAM_TIMING_INIT),
         )
         examples = training_examples(pools, train_ds)
-        net = train_fresh(network, examples, settings, derive_seed(cfg.seeds[0], size, 41))
+        net = train_fresh(network, examples, settings, derive_seed(cfg.seeds[0], size, _STREAM_TIMING_TRAIN))
         trained[size] = pools, net
 
     rows = []

@@ -57,6 +57,13 @@ _STREAM_POOL_INIT = 0
 _STREAM_TRAIN = 1
 _STREAM_CANDIDATES = 2
 _STREAM_STRATEGY = 3
+# The experiment layer's streams; the round slot holds what each comment says.
+_STREAM_NETWORK_INIT = 17  # a run's network initialization; round 0
+_STREAM_CONSUMER_INIT = 23  # a transfer run's consumer initialization; round 1
+_STREAM_CONSUMER_TRAIN = 29  # a transfer round's consumer training
+_STREAM_TIMING_POOL = 31  # selection timing's labeled set; the labeled size as round
+_STREAM_TIMING_INIT = 37  # its network initialization; the same
+_STREAM_TIMING_TRAIN = 41  # its training; the same
 
 
 def derive_seed(seed: int, round_index: int, stream: int) -> int:
@@ -270,8 +277,8 @@ def train_fresh(
 
     For round 0 the network comes from the memo when an equal training ran
     before, and goes into it otherwise; either way its parameters are
-    read-only, since later runs share it. A training whose last step's loss
-    is not finite raises ``TrainingError`` naming the round and
+    read-only, since later runs share it. A diverged training (see
+    ``adval.nn.training``) raises ``TrainingError`` naming the round and
     ``train.learning_rate``, and never enters the memo.
     """
     key = None

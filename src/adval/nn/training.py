@@ -2,8 +2,14 @@
 
 Given the same initial state, example order, and seed, ``train`` produces
 bit-identical parameters. One generator drives both the per-epoch shuffle and
-the dropout masks, so the whole run is a pure function of its inputs. A
-training whose last step's loss is not finite raises ``TrainingError``.
+the dropout masks, so the whole run is a pure function of its inputs.
+
+Divergence rule: after the last step, ``train`` runs the trained network once
+over the last batch, without dropout and drawing nothing from the generator,
+and raises ``TrainingError`` if any logit is not finite. The last step's loss
+cannot serve: it is computed before that step's update, so a single step that
+blows the parameters up to about 1e300 leaves it finite while the next
+forward pass overflows.
 
 ``train`` copies the parameters once into one contiguous float64 vector, in
 layer and then key order; the working state, which it returns, holds reshaped
@@ -23,7 +29,7 @@ import numpy as np
 
 from adval.errors import ConfigError, InputError, TrainingError
 from adval.nn.layers import DTYPE
-from adval.nn.network import NetworkState, loss_and_param_grads
+from adval.nn.network import NetworkState, forward_batch, loss_and_param_grads
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,8 @@ def _views(flat, like):
 def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
     """Train on (input, label) pairs; returns a new state, input state untouched.
 
-    Raises ``TrainingError`` when the last step's loss is not finite.
+    Raises ``TrainingError`` when the trained network's logits on the last
+    batch are not finite.
     """
     pairs = list(examples)
     if not pairs:
@@ -110,9 +117,10 @@ def train(state: NetworkState, examples, cfg: TrainConfig) -> NetworkState:
             order = rng.permutation(n)
             for lo in range(0, n, cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
-                loss, _ = loss_and_param_grads(working, x[idx], y[idx], rng=rng, out=grads)
+                loss_and_param_grads(working, x[idx], y[idx], rng=rng, out=grads)
                 t += 1
                 _adam_step(cfg, t, flat, grad_flat, *adam)
-    if not math.isfinite(loss):
-        raise TrainingError(f"training diverged: the last step's loss is {loss}")
+        logits = forward_batch(working, x[idx])
+    if not np.isfinite(logits).all():
+        raise TrainingError("training diverged: the trained network's logits are not finite")
     return working

@@ -14,7 +14,7 @@ import adval.loop
 from adval.cli import main
 from adval.config import load_experiment_config, prepare_for_archs
 from adval.data import SyntheticSpec, gen_blobs
-from adval.errors import ConfigError, PoolInvariantError
+from adval.errors import ConfigError, FormatError, PoolInvariantError
 from adval.experiments import (
     METRICS_HEADER,
     TRANSFER_HEADER,
@@ -310,6 +310,21 @@ class TestRunCommand:
         assert err[0].startswith("E_RUNTIME: round 0: training diverged: ")
         assert "train.learning_rate = 1e+300" in err[0]
 
+    def test_one_step_divergence_is_runtime_error(self, tmp_path):
+        # one 32-row batch: the only step's loss comes before its update and is finite
+        config = write_config(
+            tmp_path, strategies="dfal,random", extra="\n[train]\nlearning_rate = 1e300\n"
+        )
+        text = config.read_text().replace("base_steps = 30", "base_steps = 1")
+        text = text.replace("initial_labeled = 6", "initial_labeled = 32")
+        config.write_text(text.replace("budget = 16", "budget = 32"))
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("E_RUNTIME: round 0: training diverged: ")
+        assert "train.learning_rate = 1e+300" in err[0]
+
     @pytest.mark.parametrize("initial", [0, 2])
     def test_initial_labels_below_class_count_name_section(self, tmp_path, initial):
         config = write_config(tmp_path)
@@ -456,6 +471,13 @@ class TestCompare:
         summaries = compare_metrics(read_metrics(path), checkpoints=(16,))
         assert abs(summaries[0].checkpoint_accuracy[16] - 0.7) < 1e-9
 
+    def test_malformed_train_seconds_rejected(self, tmp_path):
+        rows = self.make_rows()
+        rows[1] = (*rows[1][:7], "1.5s", rows[1][8])
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, rows)
+        with pytest.raises(FormatError, match=r"metrics\.csv: bad value in row 3$"):
+            read_metrics(path)
+
     def test_cli_output_table(self, tmp_path):
         path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, self.make_rows())
         runner = CliRunner()
@@ -521,6 +543,18 @@ class TestTransfer:
         assert result.stderr.strip().splitlines() == [
             f"E_CONFIG: {option} must be one of ('arch-A', 'arch-B'), got 'bogus'"
         ]
+
+    def test_consumer_that_does_not_compose_fails_before_the_table(self, tmp_path):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("kind = blobs", "kind = blobs\ndimension = 16"))
+        out = tmp_path / "o"
+        args = ["--selector", "arch-B", "--consumer", "arch-A", "--out", str(out)]
+        result = CliRunner().invoke(main, ["transfer", "--config", str(config), *args])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: arch-A does not compose with input shape (1, 4, 4)"
+        ]
+        assert not (out / "transfer.csv").exists()
 
     def test_emits_selector_and_consumer_columns(self, tmp_path):
         path = tmp_path / "t.ini"
@@ -601,6 +635,41 @@ class TestRound0Reuse:
         for seed in ("0", "1"):
             round0 = [r[1:] for r in warm if r[1] == seed and r[2] == "0"]
             assert len(round0) == 2 and round0[0] == round0[1]
+
+
+class TestProgressLines:
+    """``run`` and ``transfer`` print one line per finished run, then the table's path."""
+
+    # table -> (command, header, printed name, column it reports)
+    TABLES = {
+        "metrics.csv": (["run"], METRICS_HEADER, "final_accuracy", "test_accuracy"),
+        "transfer.csv": (
+            ["transfer", "--selector", "arch-B", "--consumer", "arch-A"],
+            TRANSFER_HEADER,
+            "consumer_accuracy",
+            "consumer_accuracy",
+        ),
+    }
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_done_lines_report_each_runs_last_row(self, tmp_path, table):
+        command, header, name, column = self.TABLES[table]
+        config = write_config(tmp_path, strategies="dfal,random", seeds="0,1")
+        text = config.read_text()
+        config.write_text(text.replace("kind = blobs", "kind = blobs\ndimension = 64"))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        _, *rows = read_rows(out / table)
+        last = {}
+        for row in rows:
+            last[row[0], row[1]] = row
+        assert list(last) == [(s, seed) for s in ("dfal", "random") for seed in ("0", "1")]
+        done = [
+            f"done {s} seed={seed} {name}={float(row[header.index(column)]):.4f}"
+            for (s, seed), row in last.items()
+        ]
+        assert result.stdout.splitlines() == [*done, f"wrote {out / table}"]
 
 
 class TestTiming:

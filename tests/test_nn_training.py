@@ -9,7 +9,7 @@ from conftest import BLOB_SPEC_4C, clone_params, cross_entropy, small_blob_net, 
 
 from adval import nn
 from adval.data import gen_blobs
-from adval.errors import ConfigError, InputError
+from adval.errors import ConfigError, InputError, TrainingError
 from adval.nn import Dense, NetworkSpec, ReLU, TrainConfig, build_network
 
 
@@ -98,6 +98,15 @@ class TestTrain:
         spec = NetworkSpec((2,), (Dense(2, 2),), 2)
         with pytest.raises(InputError):
             nn.train(nn.init_network(spec), [], TrainConfig())
+
+    def test_one_step_divergence_raises(self):
+        # The step's loss is computed before its update, so it is finite; the logits after are not.
+        rng = np.random.default_rng(3)
+        examples = list(zip(rng.standard_normal((32, 2)), rng.integers(0, 3, 32)))
+        state = nn.init_network(build_network("arch-B", (2,), 3, seed=1))
+        cfg = TrainConfig(learning_rate=1e300, batch_size=32, epochs=1)
+        with pytest.raises(TrainingError, match="logits are not finite"):
+            nn.train(state, examples, cfg)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
