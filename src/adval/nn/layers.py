@@ -18,8 +18,9 @@ norm without forming any per-example gradient of a Dense layer.
 A forward kernel builds its cache only on request (``cache=True``, the
 default). A caller that will run no backward pass, such as batched
 evaluation, passes ``cache=False``: MaxPool2D then skips the pick that only
-its backward pass reads and returns None for the cache, with the same output
-bits. The other layers' caches cost no extra work and come back either way.
+its backward pass reads, and MaxPool2D and Conv2D return None for the cache,
+with the same output bits. The other layers' caches cost no extra work and
+come back either way.
 
 Conv2D's forward copies its receptive fields into im2col columns laid out
 (N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one
@@ -29,6 +30,15 @@ this is bit-equal to contracting the window view with ``np.tensordot`` on the
 OpenBLAS SkylakeX and Haswell kernels. On other shapes OpenBLAS may take
 another kernel path and round the last bit differently: 2×2 and 1×1 outputs,
 some multi-channel shapes, and a single filter (a matrix-vector product).
+
+Conv2D's cache is the input's shape and these columns. The backward pass
+and ``grad_sq_norms`` contract over output positions, so they copy the
+columns to (positions, C·k·k) rows: one transpose of a cached array, not a
+second gather from the input's windows. The rows are C-contiguous, as in a
+product over a fresh im2col, so the products keep their bits: a transposed
+operand would take another OpenBLAS path, whose small-matrix kernel on
+AVX-512 rounds differently. A pass without a cache keeps no columns, so each
+batch's columns are freed as soon as its product is done.
 """
 
 from __future__ import annotations
@@ -180,9 +190,10 @@ def forward(layer, params, x, *, rng=None, cache=True):
     so deterministic inference needs no rescaling).
 
     ``cache=False`` tells the layer that no backward pass will read its cache.
-    MaxPool2D then forms only its output and returns None for the cache; the
-    other layers' caches are the input itself, a view of it or a by-product
-    of the output, and come back as usual. The output bits are the same.
+    MaxPool2D then forms only its output, and it and Conv2D return None for
+    the cache; the other layers' caches are the input itself, a view of it or
+    a by-product of the output, and come back as usual. The output bits are
+    the same.
     """
     if isinstance(layer, Dense):
         return x @ params["W"] + params["b"], x
@@ -206,7 +217,7 @@ def forward(layer, params, x, *, rng=None, cache=True):
         cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, ho * wo)
         y = np.matmul(params["W"].reshape(layer.filters, -1), cols)
         y += params["b"][:, None]
-        return y.reshape(n, layer.filters, ho, wo), (x, windows)
+        return y.reshape(n, layer.filters, ho, wo), (x.shape, cols) if cache else None
     if isinstance(layer, MaxPool2D):
         return _maxpool(x, layer.size) if cache else (_maxpool_output(x, layer.size), None)
     raise TypeError(f"unknown layer {layer!r}")
@@ -237,17 +248,18 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
             grads = {"W": np.matmul(x.T, dy, out=w_out), "b": dy.sum(axis=0, out=b_out)}
         return dx, grads
     if isinstance(layer, Conv2D):
-        x, windows = cache
+        x_shape, cols = cache
         dx = None
         if input_grad:  # leading axes fold into the batch
-            dx = _conv_input_grad(layer, params["W"], x.shape[1:], dy.reshape(-1, *dy.shape[-3:]))
-            dx = dx.reshape(*dy.shape[:-4], *x.shape)
+            dx = _conv_input_grad(layer, params["W"], x_shape[1:], dy.reshape(-1, *dy.shape[-3:]))
+            dx = dx.reshape(*dy.shape[:-4], *x_shape)
         grads = None
         if param_grads:
-            # (F, C·k·k) <- contract batch and output positions, as np.tensordot does
+            # (F, C·k·k) <- contract batch and output positions, as np.tensordot does,
+            # over the forward's columns copied to (N·Ho·Wo, C·k·k) rows
             rows = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)
-            cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(rows.shape[1], -1)
-            dw = np.dot(rows, cols, out=None if w_out is None else w_out.reshape(len(rows), -1))
+            patches = cols.transpose(0, 2, 1).reshape(rows.shape[1], -1)
+            dw = np.dot(rows, patches, out=None if w_out is None else w_out.reshape(len(rows), -1))
             grads = {"W": dw.reshape(params["W"].shape), "b": dy.sum(axis=(0, 2, 3), out=b_out)}
         return dx, grads
     if not input_grad:
@@ -279,18 +291,17 @@ def grad_sq_norms(layer, cache, dy) -> np.ndarray:
     parameter gradients of a one-example ``backward`` with that row of ``dy``.
     Dense: ||x_n||^2 ||delta||^2 + ||delta||^2, with no outer product formed.
     Conv2D: ||delta^T cols_n||^2 + ||sum over positions of delta||^2, with
-    ``cols_n`` the example's im2col rows (positions x C·k·k).
+    ``cols_n`` the example's cached im2col columns copied to (positions x C·k·k).
     """
     if isinstance(layer, Dense):
         x = cache
         d2 = (dy * dy).sum(axis=-1)
         return (x * x).sum(axis=-1) * d2 + d2
     if isinstance(layer, Conv2D):
-        _, windows = cache
-        n, _, ho, wo = windows.shape[:4]
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
-        delta = dy.reshape(*dy.shape[:-2], ho * wo)  # (*lead, N, F, positions)
-        dw = np.matmul(delta, cols)  # (*lead, N, F, C·k·k): one small product per example
+        _, cols = cache
+        delta = dy.reshape(*dy.shape[:-2], cols.shape[-1])  # (*lead, N, F, positions)
+        # (*lead, N, F, C·k·k): one small product per example
+        dw = np.matmul(delta, np.ascontiguousarray(cols.transpose(0, 2, 1)))
         db = delta.sum(axis=-1)
         return (dw * dw).sum(axis=(-2, -1)) + (db * db).sum(axis=-1)
     raise TypeError(f"layer {layer!r} has no parameters")

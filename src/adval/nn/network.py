@@ -12,8 +12,17 @@ be an ``IndexedRows`` view, rows of a larger array picked by index: each chunk
 is then gathered by index as it is evaluated, with the bits of the same chunk
 of the gathered rows, so scoring a whole pool by index copies at most one
 chunk of its inputs. It runs no backward pass, so it builds no backward
-cache: MaxPool2D skips its pick and returns the same bits (see
-``layers.forward``).
+cache: MaxPool2D skips its pick and returns the same bits, and Conv2D keeps
+no im2col columns (see ``layers.forward``).
+
+Within a chunk, the layers below the first Dense or Dropout layer run on
+blocks of ``_BLOCK`` rows, so Conv2D's im2col columns, the largest array of a
+conv net's pass, stay the size of one block. The blocks' outputs fill one
+chunk-sized array, and the layers from the split up run on the whole chunk.
+The bits are those of an unblocked chunk: the layers below the split work row
+by row (the same argument as for ``logits_and_deferred_jacobian`` below), the
+Dense layers keep their chunk-sized products, and no block draws a dropout
+mask, so the mask stream is unchanged.
 
 Each backward pass computes only what its caller reads: training gets
 parameter gradients and no gradient w.r.t. the network input, while the input
@@ -44,6 +53,7 @@ from adval.nn import layers as L
 from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec
 
 _CHUNK = 256  # rows per chunk of a batched evaluation
+_BLOCK = 32  # rows per block of the layers below the first Dense or Dropout layer
 
 
 @dataclass(frozen=True)
@@ -128,16 +138,34 @@ def _evaluate(
     An ``IndexedRows`` input is gathered one chunk at a time. Dropout masks
     come chunk by chunk from one generator; with a single dropout layer that
     is the mask stream of one unchunked pass.
+
+    Each chunk first runs the layers below the first Dense or Dropout layer
+    (Conv2D, ReLU, MaxPool2D and Flatten on arch-A) on ``_BLOCK`` rows at a
+    time, into one array of the chunk's rows. Those layers are row-local, so
+    a row's bits do not depend on its block, and they hold no dropout layer,
+    so the blocks draw nothing from the generator. The layers above then run
+    on the whole chunk, as an unblocked pass runs them.
     """
+    spec = state.spec
     if isinstance(x, IndexedRows):
-        x = IndexedRows(_check_batch(state.spec, x.source), x.rows)
+        x = IndexedRows(_check_batch(spec, x.source), x.rows)
     else:
-        x = _check_batch(state.spec, x)
+        x = _check_batch(spec, x)
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-    out = np.empty((len(x), *state.spec.shape_chain()[-1 if stop is None else stop]), DTYPE)
+    stop = len(spec.layers) if stop is None else stop
+    split = min(stop, _first_index(spec, (Dense, Dropout)))
+    shapes = spec.shape_chain()
+    out = np.empty((len(x), *shapes[stop]), DTYPE)
+    below = np.empty((min(len(x), _CHUNK), *shapes[split]), DTYPE)
     for lo in range(0, len(x), _CHUNK):
         rows = x[lo : lo + _CHUNK]
-        out[lo : lo + _CHUNK] = _forward_caches(state, rows, stop=stop, rng=rng, cache=False)[0]
+        h = below[: len(rows)]
+        for b in range(0, len(rows), _BLOCK):
+            block = rows[b : b + _BLOCK]
+            h[b : b + _BLOCK] = _forward_caches(state, block, stop=split, cache=False)[0]
+        out[lo : lo + _CHUNK] = _forward_caches(
+            state, h, start=split, stop=stop, rng=rng, cache=False
+        )[0]
     return out
 
 
@@ -290,7 +318,7 @@ def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
     spec = state.spec
     c = spec.class_count
     x = _check_batch(spec, np.asarray(x, dtype=DTYPE)[None])
-    split = _first_dense_index(spec)
+    split = _first_index(spec, Dense)
     h, below = _forward_caches(state, x, stop=split)
     logits, above = _forward_caches(state, np.repeat(h, c, axis=0), start=split)
     caches = below + above
@@ -303,9 +331,9 @@ def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
     return logits, jacobian()
 
 
-def _first_dense_index(spec: NetworkSpec) -> int:
-    """Index of the first Dense layer, ``len(layers)`` if there is none."""
-    return next((i for i, l in enumerate(spec.layers) if isinstance(l, Dense)), len(spec.layers))
+def _first_index(spec: NetworkSpec, kinds) -> int:
+    """Index of the first layer that is an instance of ``kinds``, ``len(layers)`` if none is."""
+    return next((i for i, l in enumerate(spec.layers) if isinstance(l, kinds)), len(spec.layers))
 
 
 def _last_dense_index(spec: NetworkSpec) -> int:

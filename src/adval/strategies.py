@@ -118,10 +118,17 @@ def _random_rows(pool: CandidateSet, n_query: int, seed: int) -> np.ndarray:
 
 
 def prediction_entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy (natural log) along the last axis; 0 log 0 counts as 0."""
+    """Shannon entropy (natural log) along the last axis; 0 log 0 counts as 0.
+
+    Only a positive entry adds a term; zero, negative and NaN entries add 0.
+    The terms are formed in one array, in place: ``-(log(p) * p)`` has the
+    bits of ``-p * log(p)``, since IEEE products commute and a sign flip is exact.
+    """
     p = np.asarray(probs, dtype=DTYPE)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, -p * np.log(p), 0.0)
+    positive = p > 0
+    terms = np.log(p, out=np.zeros_like(p), where=positive)
+    np.multiply(terms, p, out=terms, where=positive)
+    np.negative(terms, out=terms, where=positive)
     return terms.sum(axis=-1)
 
 

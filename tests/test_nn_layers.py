@@ -1,5 +1,7 @@
 """Layer contracts: shapes, identity cases, conv/pool against naive loops, backward requests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import forward, reference_conv_forward
@@ -15,9 +17,9 @@ from adval.nn import (
     NetworkSpec,
     ReLU,
 )
+from adval.nn.layers import _conv_windows, grad_sq_norms
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
-from adval.nn.layers import grad_sq_norms
 from adval.nn.network import _CHUNK, IndexedRows, _evaluate, _forward_caches
 
 
@@ -354,6 +356,29 @@ class TestBackward:
                 else:
                     np.testing.assert_allclose(dx[lead], want, rtol=1e-12)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", [(32, 1, 28, 28, 8, 5), (5, 3, 9, 8, 4, 3)])
+    def test_conv_grads_from_cached_columns_equal_a_fresh_im2col(self, shape, stride):
+        # arch-A's layer on a training batch, and a multi-channel one
+        n, c, h, w, f, k = shape
+        rng = np.random.default_rng(stride)
+        layer = Conv2D(filters=f, kernel=k, stride=stride)
+        params = {"W": rng.standard_normal((f, c, k, k)), "b": rng.standard_normal(f)}
+        x = rng.standard_normal((n, c, h, w))
+        y, cache = layer_forward(layer, params, x)
+        positions = y.shape[2] * y.shape[3]
+        # (N, positions, C·k·k) rows, re-formed from the window view
+        fresh = _conv_windows(x, k, stride).transpose(0, 2, 3, 1, 4, 5).reshape(n, positions, -1)
+        dy = rng.standard_normal(y.shape)
+        _, grads = layer_backward(layer, params, cache, dy, input_grad=False)
+        want = np.dot(dy.transpose(1, 0, 2, 3).reshape(f, -1), fresh.reshape(n * positions, -1))
+        assert grads["W"].tobytes() == want.tobytes()
+        seeds = rng.standard_normal((3, *y.shape))
+        delta = seeds.reshape(3, n, f, positions)
+        dw, db = np.matmul(delta, fresh), delta.sum(axis=-1)
+        want = (dw * dw).sum(axis=(-2, -1)) + (db * db).sum(axis=-1)
+        assert grad_sq_norms(layer, cache, seeds).tobytes() == want.tobytes()
+
     def test_grad_sq_norms_equal_one_example_backward(self):
         rng = np.random.default_rng(10)
         for layer, params, x in layer_cases(rng):
@@ -456,6 +481,57 @@ class TestChunkedEvaluation:
         assert nn.forward_batch(state, x[:0], dropout_seed=1).shape == (0, 10)
         assert nn.embed_batch(state, x[:0]).shape == (0, 64)
         assert nn.predict_batch(state, x[:0]).shape == (0,)
+
+
+def per_chunk(state, x, stop=None, dropout_seed=None):
+    """``layers[:stop]`` by ``_forward_caches`` on each ``_CHUNK``-row slice, one mask stream."""
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    chunks = [x[lo : lo + _CHUNK] for lo in range(0, len(x), _CHUNK)]
+    return np.concatenate([_forward_caches(state, c, stop=stop, rng=rng)[0] for c in chunks])
+
+
+class TestBlockedEvaluation:
+    """Blocks below the first Dense or Dropout layer give the bytes of whole chunks."""
+
+    ROWS = 2 * _CHUNK + 37  # the last chunk and its last block are partial
+
+    def test_arch_a_matches_whole_chunks(self):
+        state = nn.init_network(nn.build_network("arch-A", (1, 28, 28), 10, seed=11))
+        x = np.random.default_rng(12).uniform(0.0, 1.0, size=(self.ROWS, 1, 28, 28))
+        assert nn.forward_batch(state, x).tobytes() == per_chunk(state, x).tobytes()
+        got = nn.forward_batch(state, x, dropout_seed=13)
+        assert got.tobytes() == per_chunk(state, x, dropout_seed=13).tobytes()
+        stop = len(state.spec.layers) - 1
+        assert nn.embed_batch(state, x).tobytes() == per_chunk(state, x, stop=stop).tobytes()
+
+    def test_blocks_draw_no_dropout_mask(self):
+        # a dropout layer below the first dense layer ends the blocked layers,
+        # so its masks are drawn chunk by chunk as an unblocked pass draws them
+        layers = (Conv2D(4, 3), ReLU(), Dropout(0.5), MaxPool2D(2), Flatten(), Dense(64, 6))
+        spec = NetworkSpec((1, 10, 10), (*layers, ReLU(), Dense(6, 3)), 3, init_seed=14)
+        state = nn.init_network(spec)
+        x = np.random.default_rng(15).uniform(0.0, 1.0, size=(self.ROWS, 1, 10, 10))
+        got = nn.forward_batch(state, x, dropout_seed=16)
+        assert got.tobytes() == per_chunk(state, x, dropout_seed=16).tobytes()
+        assert got.tobytes() != nn.forward_batch(state, x).tobytes()
+
+    def test_chunk_peak_is_set_by_a_block(self):
+        state = nn.init_network(nn.build_network("arch-A", (1, 28, 28), 10, seed=17))
+        x = np.random.default_rng(18).uniform(0.0, 1.0, size=(_CHUNK, 1, 28, 28))
+        tracemalloc.start()
+        try:
+            nn.forward_batch(state, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole chunk's im2col columns take 29.5 MB; a block's take 3.7 MB.
+        assert peak < 12 * 2**20
+
+    def test_conv_without_cache_keeps_no_columns(self):
+        layer = Conv2D(filters=2, kernel=3)
+        params = {"W": np.ones((2, 1, 3, 3)), "b": np.zeros(2)}
+        _, cache = layer_forward(layer, params, np.ones((4, 1, 5, 5)), cache=False)
+        assert cache is None
 
 
 class TestIndexedRows:

@@ -1,6 +1,11 @@
 """Training loop: determinism, convergence on easy problems, loss decrease."""
 
+import os
+import platform
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,3 +189,38 @@ class TestEpochBudget:
 
     def test_minimum_one_epoch(self):
         assert nn.epochs_for_budget(10, 32, 10**6) == 1
+
+
+STEP_FAULTS = """
+import resource
+
+import numpy as np
+
+from adval import nn
+from adval.nn.network import loss_and_param_grads
+
+state = nn.init_network(nn.build_network("arch-A", (1, 28, 28), 10, seed=0))
+x = np.random.default_rng(0).uniform(0.0, 1.0, size=(32, 1, 28, 28))
+y = np.arange(32) % 10
+loss_and_param_grads(state, x, y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    loss_and_param_grads(state, x, y)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are glibc's")
+def test_training_steps_reuse_freed_heap():
+    # A fresh process has freed no large array, so glibc's dynamic thresholds
+    # would still be at their minimum: every arch-A step would hand its few MB
+    # of temporaries back to the system and fault them in again, about 1,800
+    # pages a step. Importing adval.nn sets the thresholds, so steps reuse them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", STEP_FAULTS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 100

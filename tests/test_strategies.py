@@ -150,6 +150,17 @@ class TestEntropy:
         p[2] = 1.0
         assert prediction_entropy(p) == 0.0
 
+    def test_bits_of_the_masked_formula(self):
+        # zero, negative, NaN and infinite entries too, and non-contiguous layouts
+        rng = np.random.default_rng(1)
+        values = [0.0, -0.0, -0.5, np.nan, -np.nan, np.inf, -np.inf, 1.0, 5e-324, 1e-300, 0.3]
+        odd = rng.choice(values, size=(4, 6, 7))
+        probs = rng.dirichlet(np.ones(7), size=(4, 6))
+        for p in (odd, probs, np.asfortranarray(probs), probs[:, ::2], odd[0, 0]):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(p > 0, -p * np.log(p), 0.0).sum(axis=-1)
+            assert prediction_entropy(p).tobytes() == want.tobytes()
+
     def test_bounds_hold_over_random_cases(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
