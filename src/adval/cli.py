@@ -94,7 +94,7 @@ def _apply_overrides(cfg, seeds: str | None, strategies: str | None):
     if seeds is not None:
         cfg = replace(cfg, seeds=parse_int_list(seeds, "--seeds"))
     if strategies is not None:
-        cfg = replace(cfg, strategies=parse_strategy_list(strategies))
+        cfg = replace(cfg, strategies=parse_strategy_list(strategies, "--strategies"))
     return cfg
 
 
@@ -171,7 +171,7 @@ def transfer(config_path, selector, consumer, out_dir, seeds):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Experiment config file.")
-@click.option("--sizes", default="100,1000", show_default=True, help="Labeled-set sizes (ascending).")
+@click.option("--sizes", default="100,1000", show_default=True, help="Labeled-set sizes (strictly ascending).")
 @click.option("--reps", type=int, default=5, show_default=True, help="Selection repetitions per size.")
 @click.option("--out", "out_dir", default="runs", show_default=True)
 @friendly_errors

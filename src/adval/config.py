@@ -18,13 +18,14 @@ class_count, and idx's four files. A relative csv path or idx file path is
 relative to the directory of the config file, not to the working directory.
 
 Loading checks value syntax, unknown sections and keys, that each float is
-finite (attack.p may also be inf), and the rules of those dataclasses that
-need no data, such as existing files, n_query <= candidates, classes >= 2 or a
-csv test_fraction in (0, 1). A breach names its config key,
-such as ``active.n_query``. What depends on the data is checked when a run
-starts: input shape and class count against the network, initial_labeled
-against the class count and the pool size, csv and idx caps against the rows
-each class holds, and test labels against the network's classes.
+finite (attack.p may also be inf), that no list repeats an item, and the rules
+of those dataclasses that need no data, such as existing files, n_query <=
+candidates, classes >= 2 or a csv test_fraction in (0, 1). A breach names its
+config key, such as ``active.n_query``. What depends on the data is checked
+when a run starts: input shape and class count against the network,
+initial_labeled against the class count and the pool size, every class in a
+csv pool after its test split, csv and idx caps against the rows each class
+holds, and test labels against the network's classes.
 """
 
 from __future__ import annotations
@@ -139,6 +140,12 @@ class CsvData:
     def load(self) -> tuple[Dataset, Dataset]:
         data = load_csv(self.path, self.class_count)
         train, test = stratified_split(data, self.test_fraction, self.seed)
+        missing = ", ".join(map(str, train.missing_classes()))
+        if missing:
+            raise ConfigError(
+                f"data.class_count: {self.class_count} classes, but the pool left after "
+                f"data.test_fraction = {self.test_fraction:g} has no sample of class {missing}"
+            )
         return _capped(train, "pool_cap", self.pool_cap, self.seed + 1), test
 
 
@@ -218,6 +225,14 @@ def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Da
     return train, test
 
 
+def _distinct(items: tuple, text: str, what: str) -> tuple:
+    """``items``, parsed from ``text``; a repeated item is a ConfigError naming ``what``."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{what} must not repeat {item!r}: {text!r}")
+    return items
+
+
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         items = tuple(int(t) for t in text.replace(" ", "").split(",") if t)
@@ -227,19 +242,19 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ConfigError(f"{what} must not be empty")
     if min(items) < 0:
         raise ConfigError(f"{what} must not be negative: {text!r}")
-    return items
+    return _distinct(items, text, what)
 
 
-def parse_strategy_list(text: str) -> tuple[str, ...]:
+def parse_strategy_list(text: str, what: str) -> tuple[str, ...]:
     items = tuple(t.strip() for t in text.split(",") if t.strip())
     if not items:
-        raise ConfigError("strategy list must not be empty")
-    return items
+        raise ConfigError(f"{what} must not be empty")
+    return _distinct(items, text, what)
 
 
 _SECTIONS = ("data", "network", "active", "train", "attack", "experiment")
 _CASTS = {int: int, float: float, str: str, Path: Path, int | None: int}
-_CASTS[tuple[str, ...]] = parse_strategy_list
+_LISTS = {tuple[int, ...]: parse_int_list, tuple[str, ...]: parse_strategy_list}
 _INFINITE_OK = ("attack.p",)  # p = inf is the L-inf attack; AttackConfig checks p itself
 
 
@@ -261,8 +276,8 @@ def _read(raw: dict, section: str, cls, *names) -> dict:
                 raise ConfigError(f"missing required key {key}")
             continue
         text = raw[section].pop(f.name).strip()
-        if types[f.name] == tuple[int, ...]:
-            values[f.name] = parse_int_list(text, key)  # its errors name the key
+        if types[f.name] in _LISTS:
+            values[f.name] = _LISTS[types[f.name]](text, key)  # its errors name the key
             continue
         try:
             value = _CASTS[types[f.name]](text)

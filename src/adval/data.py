@@ -55,8 +55,9 @@ class Dataset:
     def input_shape(self) -> tuple[int, ...]:
         return self.inputs.shape[1:]
 
-    def classes_present(self) -> bool:
-        return len(np.unique(self.labels)) == self.class_count
+    def missing_classes(self) -> list[int]:
+        """The classes below ``class_count`` that no sample has, ascending."""
+        return np.setdiff1d(np.arange(self.class_count), self.labels).tolist()
 
     def reshape_inputs(self, shape: tuple[int, ...]) -> "Dataset":
         """Same samples viewed with a different per-sample shape."""

@@ -258,8 +258,8 @@ def run_timing(
     candidate draw and the selection, through ``select_round``. Repetition
     ``r`` takes the seeds of round ``r`` under the first experiment seed.
     """
-    if list(labeled_sizes) != sorted(labeled_sizes):
-        raise ConfigError("--sizes must be ascending")
+    if any(a >= b for a, b in zip(labeled_sizes, labeled_sizes[1:])):
+        raise ConfigError(f"--sizes must be strictly ascending, got {list(labeled_sizes)}")
     if repetitions < 1:
         raise ConfigError(f"--reps must be positive, got {repetitions}")
     unknown = [s for s in strategies if s not in STRATEGIES]

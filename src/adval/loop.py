@@ -10,6 +10,10 @@ Budget semantics: the budget counts oracle label requests. Adversarial twins
 are free, so a twin-producing run grows the training set by two items per
 annotation while charging one.
 
+Candidates, and core-set's labeled set, reach a strategy as a ``CandidateSet``
+of dataset rows by index (see ``adval.strategies``); ``candidate_pool`` builds
+one for a random subset and for the whole unlabeled pool alike.
+
 Round 0 is shared: its labeled set and training seed depend only on the run
 seed, so every strategy of a seed trains the same round-0 network.
 ``train_fresh`` keeps round-0 networks in a small memo keyed by content (the
@@ -33,7 +37,7 @@ from adval.attacks import AttackConfig
 from adval.data import Dataset
 from adval.errors import ConfigError, PoolInvariantError, TrainingError
 from adval.nn.layers import DTYPE
-from adval.nn.network import IndexedRows, NetworkSpec, NetworkState, accuracy, init_network
+from adval.nn.network import NetworkSpec, NetworkState, accuracy, init_network
 from adval.nn.training import TrainConfig, epochs_for_budget, train
 from adval.strategies import (
     ADVERSARIAL_TWIN,
@@ -184,8 +188,6 @@ def init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
 def sample_candidates(pool_state: PoolState, k: int, round_seed: int) -> np.ndarray:
     """Uniform without replacement from the unlabeled pool, fresh each round."""
     unlabeled = np.asarray(pool_state.unlabeled)
-    if len(unlabeled) == 0:
-        return unlabeled
     rng = np.random.default_rng(round_seed)
     take = min(k, len(unlabeled))
     return np.sort(rng.choice(unlabeled, size=take, replace=False))
@@ -305,7 +307,7 @@ def train_fresh(
 @dataclass(frozen=True)
 class Strategy:
     scores_subset: bool  # scores a random candidate subset, not the whole unlabeled pool
-    # (settings, net, pool, n_query, seed, labeled inputs) -> QueryBatch
+    # (settings, net, pool, n_query, seed, labeled set) -> QueryBatch
     select: Callable[..., QueryBatch]
 
 
@@ -346,14 +348,16 @@ def candidate_pool(
 ) -> CandidateSet:
     """The pool ``strategy`` scores: ``k`` random unlabeled samples, or all of them.
 
-    A subset is gathered; the whole pool is a view of the dataset's inputs,
-    which the scorer gathers a chunk at a time.
+    Either is a view of the dataset's inputs, which the scorer gathers as it
+    reads them. An empty pool raises ConfigError.
     """
     if STRATEGIES[strategy].scores_subset:
         indices = sample_candidates(pool_state, k, round_seed)
-        return CandidateSet(indices, dataset.inputs[indices])
-    indices = np.asarray(pool_state.unlabeled)
-    return CandidateSet(indices, IndexedRows(dataset.inputs, indices))
+    else:
+        indices = np.asarray(pool_state.unlabeled)
+    if not len(indices):
+        raise ConfigError("candidate pool is empty")
+    return CandidateSet(dataset.inputs, indices)
 
 
 def select_round(
@@ -369,14 +373,14 @@ def select_round(
     """Draw a round's candidate pool and ask ``strategy`` for at most ``n_query`` of its rows.
 
     The candidate draw and the strategy take their seeds from (seed,
-    round_index). The labeled set reaches the strategy as a view of the
-    dataset's inputs, gathered a chunk at a time by whatever reads it. This
+    round_index). The labeled set reaches the strategy as a ``CandidateSet``
+    too, gathered a chunk at a time by whatever reads it. This
     is the one call of a ``STRATEGIES`` adapter, for the round loop and for
     selection timing alike.
     """
     candidate_seed = derive_seed(seed, round_index, _STREAM_CANDIDATES)
     pool = candidate_pool(strategy, pool_state, dataset, settings.candidates, candidate_seed)
-    labeled = IndexedRows(dataset.inputs, np.array(pool_state.labeled_indices(), dtype=np.intp))
+    labeled = CandidateSet(dataset.inputs, np.array(pool_state.labeled_indices(), dtype=np.intp))
     strategy_seed = derive_seed(seed, round_index, _STREAM_STRATEGY)
     return STRATEGIES[strategy].select(
         settings, net, pool, min(n_query, len(pool)), strategy_seed, labeled
@@ -407,8 +411,9 @@ def run_active_learning(
             f"test set has label {int(test_set.labels.max())}, but the network "
             f"outputs {cfg.network.class_count} classes"
         )
-    if not dataset.classes_present():
-        raise ConfigError("dataset is missing at least one class")
+    missing = ", ".join(map(str, dataset.missing_classes()))
+    if missing:
+        raise ConfigError(f"{dataset.class_count} classes, but the pool has no sample of class {missing}")
 
     try:
         pools = init_pools(

@@ -7,13 +7,14 @@ treated as immutable once created.
 Batched evaluation (``forward_batch``, ``embed_batch``, ``predict_batch``)
 runs the layers over fixed chunks of ``_CHUNK`` rows from row 0: a batch
 evaluates the same way wherever it is scored from, and the peak memory of
-scoring a pool depends on the chunk size, not on the pool size. Its input may
-be an ``IndexedRows`` view, rows of a larger array picked by index: each chunk
-is then gathered by index as it is evaluated, with the bits of the same chunk
-of the gathered rows, so scoring a whole pool by index copies at most one
-chunk of its inputs. It runs no backward pass, so it builds no backward
-cache: MaxPool2D skips its pick and returns the same bits, and Conv2D keeps
-no im2col columns (see ``layers.forward``).
+scoring a pool depends on the chunk size, not on the pool size. Its input is
+any sized sequence of rows whose slices are arrays, and it slices one chunk
+at a time. A strategy's ``CandidateSet``, dataset rows picked by index, is
+such a sequence: each chunk is gathered as it is evaluated, with the bits of
+the same chunk of the gathered rows, so scoring a whole pool by index copies
+at most one chunk of its inputs. It runs no backward pass, so it builds no
+backward cache: MaxPool2D skips its pick and returns the same bits, and
+Conv2D keeps no im2col columns (see ``layers.forward``).
 
 Within a chunk, the layers below the first Dense or Dropout layer run on
 blocks of ``_BLOCK`` rows, so Conv2D's im2col columns, the largest array of a
@@ -112,32 +113,13 @@ def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class IndexedRows:
-    """The rows ``rows`` of ``source``, gathered only when sliced.
-
-    ``len(view)`` is ``len(rows)`` and ``view[a:b]`` is ``source[rows[a:b]]``.
-    Batched evaluation takes one in place of an input array.
-    """
-
-    source: np.ndarray  # (n_source, *input_shape)
-    rows: np.ndarray  # (n,) integer positions into source
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self.source[self.rows[key]]
-
-
-def _evaluate(
-    state: NetworkState, x: np.ndarray | IndexedRows, stop=None, dropout_seed=None
-) -> np.ndarray:
+def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarray:
     """Activations after ``layers[:stop]``, evaluated ``_CHUNK`` rows at a time.
 
-    An ``IndexedRows`` input is gathered one chunk at a time. Dropout masks
-    come chunk by chunk from one generator; with a single dropout layer that
-    is the mask stream of one unchunked pass.
+    ``x`` is a sized sequence of rows, sliced one chunk at a time. Each chunk's
+    shape is checked before its layers run, and so is the empty slice of an
+    ``x`` with no rows. Dropout masks come chunk by chunk from one generator;
+    with a single dropout layer that is the mask stream of one unchunked pass.
 
     Each chunk first runs the layers below the first Dense or Dropout layer
     (Conv2D, ReLU, MaxPool2D and Flatten on arch-A) on ``_BLOCK`` rows at a
@@ -147,10 +129,8 @@ def _evaluate(
     on the whole chunk, as an unblocked pass runs them.
     """
     spec = state.spec
-    if isinstance(x, IndexedRows):
-        x = IndexedRows(_check_batch(spec, x.source), x.rows)
-    else:
-        x = _check_batch(spec, x)
+    if not len(x):
+        _check_batch(spec, x[:0])
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     stop = len(spec.layers) if stop is None else stop
     split = min(stop, _first_index(spec, (Dense, Dropout)))
@@ -158,7 +138,7 @@ def _evaluate(
     out = np.empty((len(x), *shapes[stop]), DTYPE)
     below = np.empty((min(len(x), _CHUNK), *shapes[split]), DTYPE)
     for lo in range(0, len(x), _CHUNK):
-        rows = x[lo : lo + _CHUNK]
+        rows = _check_batch(spec, x[lo : lo + _CHUNK])
         h = below[: len(rows)]
         for b in range(0, len(rows), _BLOCK):
             block = rows[b : b + _BLOCK]
@@ -169,9 +149,7 @@ def _evaluate(
     return out
 
 
-def forward_batch(
-    state: NetworkState, x: np.ndarray | IndexedRows, *, dropout_seed: int | None = None
-) -> np.ndarray:
+def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) -> np.ndarray:
     """Logits (N, class_count). Dropout is identity unless ``dropout_seed`` is given."""
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
@@ -343,7 +321,7 @@ def _last_dense_index(spec: NetworkSpec) -> int:
     raise UnsupportedArchitectureError("network has no dense layer to embed from")
 
 
-def embed_batch(state: NetworkState, x: np.ndarray | IndexedRows) -> np.ndarray:
+def embed_batch(state: NetworkState, x) -> np.ndarray:
     """Pre-logit features: activations entering the final dense layer."""
     return _evaluate(state, x, stop=_last_dense_index(state.spec))
 

@@ -16,9 +16,14 @@ batch is applied, so twins can never be mislabeled.
 ``STRATEGIES`` in ``adval.loop`` registers each strategy: whether it scores a
 random candidate subset or the whole unlabeled pool, and an adapter that calls
 its select function. Every adapter takes ``(settings, net, pool, n_query, seed,
-labeled)``, where ``labeled`` is an ``IndexedRows`` view of the labeled set's
-inputs that only core-set reads. ``adval.loop.select_round`` draws the pool and
-calls the adapter, for the round loop and for selection timing alike.
+labeled)``, where ``labeled`` is the labeled set as a ``CandidateSet`` that only
+core-set reads. ``adval.loop.select_round`` draws the pool and calls the
+adapter, for the round loop and for selection timing alike.
+
+A pool is one type, ``CandidateSet``: the dataset's inputs and the indices of
+its rows, gathered only when the pool is indexed or sliced. Batched evaluation
+slices it a chunk at a time and DeepFool reads it a row at a time, so no
+strategy gathers its whole pool at once.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from adval.errors import ConfigError, UnsupportedArchitectureError
 from adval.nn.layers import DTYPE
 from adval.nn.network import (
     _CHUNK,
-    IndexedRows,
     NetworkState,
     embed_batch,
     forward_batch,
@@ -52,26 +56,21 @@ BALD_SAMPLES = 10  # dropout passes per BALD score
 _BLOCK = 128  # pool rows, and centers, per block of the nearest-center search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Pool samples under consideration this round, keyed by dataset index.
+    """The dataset rows ``indices`` of ``source``, gathered only when indexed or sliced.
 
-    ``inputs`` is a gathered array, or an ``IndexedRows`` view of the
-    dataset's inputs at ``indices``, which the forward-only scorers gather
-    one chunk at a time.
+    ``len(pool)`` is ``len(indices)`` and ``pool[key]`` is ``source[indices[key]]``.
     """
 
-    indices: np.ndarray  # (n,) dataset indices
-    inputs: np.ndarray | IndexedRows  # (n, *input_shape)
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.inputs):
-            raise ConfigError("candidate indices and inputs must align")
-        if len(self.indices) == 0:
-            raise ConfigError("candidate pool is empty")
+    source: np.ndarray  # (n_source, *input_shape), the dataset's inputs
+    indices: np.ndarray  # (n,) dataset indices, rows of source
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.source[self.indices[key]]
 
 
 @dataclass(frozen=True)
@@ -132,11 +131,11 @@ def prediction_entropy(probs: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
-def entropy_scores(net: NetworkState, inputs: np.ndarray) -> np.ndarray:
+def entropy_scores(net: NetworkState, inputs: CandidateSet | np.ndarray) -> np.ndarray:
     return prediction_entropy(softmax_probs(forward_batch(net, inputs)))
 
 
-def egl_scores(net: NetworkState, inputs: np.ndarray) -> np.ndarray:
+def egl_scores(net: NetworkState, inputs: CandidateSet | np.ndarray) -> np.ndarray:
     """Expected gradient length: sum_c p(c|x) * ||grad of loss at label c||_2.
 
     The norm is the global euclidean norm over all parameters jointly, of the
@@ -158,7 +157,7 @@ def egl_scores(net: NetworkState, inputs: np.ndarray) -> np.ndarray:
 
 
 def bald_probability_samples(
-    net: NetworkState, inputs: np.ndarray, samples: int, seed: int
+    net: NetworkState, inputs: CandidateSet | np.ndarray, samples: int, seed: int
 ) -> np.ndarray:
     """(T, n, C) softmax outputs under ``samples`` stochastic dropout passes.
 
@@ -177,7 +176,7 @@ def bald_probability_samples(
 
 
 def bald_scores(
-    net: NetworkState, inputs: np.ndarray, samples: int = BALD_SAMPLES, seed: int = 0
+    net: NetworkState, inputs: CandidateSet | np.ndarray, samples: int = BALD_SAMPLES, seed: int = 0
 ) -> np.ndarray:
     """Mutual information between the prediction and the dropout posterior."""
     p = bald_probability_samples(net, inputs, samples, seed)
@@ -198,7 +197,7 @@ def select_dfal(
     training items. Failed attacks score +inf; if every attack fails the batch
     falls back to a seeded random pick.
     """
-    results = batch_deepfool(net, pool.inputs, attack_cfg)
+    results = batch_deepfool(net, pool, attack_cfg)
     scores = np.array([r.score() for r in results], dtype=DTYPE)
     if np.isfinite(scores).any():
         rows = rank_extremes(pool.indices, scores, n_query)
@@ -210,7 +209,7 @@ def select_dfal(
         rows = _random_rows(pool, n_query, fallback_seed)
     twins = (
         SyntheticAddition(
-            values=pool.inputs[row] + results[row].perturbation,
+            values=pool[row] + results[row].perturbation,
             provenance=ADVERSARIAL_TWIN,
             label=None,
             source_index=int(pool.indices[row]),
@@ -222,7 +221,7 @@ def select_dfal(
 
 def select_uncertainty(net: NetworkState, pool: CandidateSet, n_query: int) -> QueryBatch:
     """Query the candidates whose predicted distribution has the highest entropy."""
-    return _batch(pool, rank_extremes(pool.indices, -entropy_scores(net, pool.inputs), n_query))
+    return _batch(pool, rank_extremes(pool.indices, -entropy_scores(net, pool), n_query))
 
 
 def select_ceal(
@@ -236,7 +235,7 @@ def select_ceal(
     """
     if delta < 0:
         raise ConfigError(f"confidence threshold must be >= 0, got {delta}")
-    probs = softmax_probs(forward_batch(net, pool.inputs))
+    probs = softmax_probs(forward_batch(net, pool))
     scores = prediction_entropy(probs)
     rows = rank_extremes(pool.indices, -scores, n_query)
     confident = scores < delta
@@ -256,7 +255,7 @@ def select_ceal(
 
 def select_egl(net: NetworkState, pool: CandidateSet, n_query: int) -> QueryBatch:
     """Query the candidates with the largest expected gradient length."""
-    return _batch(pool, rank_extremes(pool.indices, -egl_scores(net, pool.inputs), n_query))
+    return _batch(pool, rank_extremes(pool.indices, -egl_scores(net, pool), n_query))
 
 
 def select_bald(
@@ -267,7 +266,7 @@ def select_bald(
     seed: int = 0,
 ) -> QueryBatch:
     """Query the candidates with the highest dropout-posterior mutual information."""
-    scores = bald_scores(net, pool.inputs, samples=samples, seed=seed)
+    scores = bald_scores(net, pool, samples=samples, seed=seed)
     return _batch(pool, rank_extremes(pool.indices, -scores, n_query))
 
 
@@ -313,12 +312,12 @@ def k_center_greedy(
 
 def select_coreset_greedy(
     net: NetworkState,
-    labeled_inputs: np.ndarray | IndexedRows,
+    labeled: CandidateSet | np.ndarray,
     pool: CandidateSet,
     n_query: int,
 ) -> QueryBatch:
     """Greedy k-center in embedding space, seeded with the labeled set's embeddings."""
-    rows = k_center_greedy(embed_batch(net, pool.inputs), embed_batch(net, labeled_inputs), n_query)
+    rows = k_center_greedy(embed_batch(net, pool), embed_batch(net, labeled), n_query)
     return _batch(pool, rows)
 
 

@@ -222,6 +222,54 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="does not exist"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "key, text, item", [("seeds", "0,0", "0"), ("strategies", "dfal,random,dfal", "'dfal'")]
+    )
+    def test_repeated_list_item_names_key(self, tmp_path, key, text, item):
+        config = write_config(tmp_path, **{key: text})
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: experiment.{key} must not repeat {item}: {text!r}"
+        ]
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, option, item",
+        [
+            (["run", "--seeds", "3,1,3"], "--seeds", "3"),
+            (["run", "--strategies", "random,random"], "--strategies", "'random'"),
+            (["compare", "--metrics", "metrics.csv", "--checkpoints", "6,16,6"], "--checkpoints", "6"),
+            (["timing", "--sizes", "20,20"], "--sizes", "20"),
+        ],
+        ids=["seeds", "strategies", "checkpoints", "sizes"],
+    )
+    def test_repeated_option_item_names_option(self, tmp_path, args, option, item):
+        if args[0] != "compare":
+            args = [*args, "--config", str(write_config(tmp_path))]
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        text = args[args.index(option) + 1]
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: {option} must not repeat {item}: {text!r}"
+        ]
+        assert result.stdout == ""
+
+    def test_csv_pool_without_a_class_names_it_and_the_key(self, tmp_path):
+        # class 2 has one row, and a test fraction of 0.6 moves it to the test set
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 2},{i}.0\n" for i in range(20)) + "2,99.0\n")
+        config = tmp_path / "csv.ini"
+        config.write_text(
+            f"[data]\nkind = csv\npath = {data}\nclass_count = 3\ntest_fraction = 0.6\n"
+        )
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: data.class_count: 3 classes, but the pool left after "
+            "data.test_fraction = 0.6 has no sample of class 2"
+        ]
+
     def test_conv_arch_gets_image_view(self):
         train = gen_blobs(SyntheticSpec(class_count=2, points_per_class=10, dimension=64, seed=0))
         test = gen_blobs(SyntheticSpec(class_count=2, points_per_class=5, dimension=64, seed=1))
@@ -708,6 +756,11 @@ class TestTiming:
         name, size, reps, mean_s = rows[0]
         assert (name, size, reps) == (strategy, 20, 1)
         assert mean_s > 0
+
+    def test_sizes_must_rise_strictly(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path))
+        with pytest.raises(ConfigError, match=r"--sizes must be strictly ascending, got \[20, 20\]"):
+            run_timing(cfg, [20, 20], repetitions=1)
 
     def test_descending_sizes_rejected(self, tmp_path):
         config = write_config(tmp_path)

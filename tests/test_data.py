@@ -152,7 +152,7 @@ class TestBlobs:
     def test_counts_and_class_presence(self):
         ds = gen_blobs(SyntheticSpec(class_count=4, points_per_class=250, seed=1))
         assert len(ds) == 1000
-        assert ds.classes_present()
+        assert ds.missing_classes() == []
 
     def test_deterministic(self):
         spec = SyntheticSpec(class_count=3, points_per_class=15, seed=9)

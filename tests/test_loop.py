@@ -27,7 +27,7 @@ from adval.loop import (
     training_examples,
 )
 from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig, build_network, init_network
-from adval.nn.network import _CHUNK, IndexedRows, embed_batch
+from adval.nn.network import _CHUNK, embed_batch
 from adval.strategies import (
     ADVERSARIAL_TWIN,
     CEAL_PSEUDO,
@@ -339,6 +339,15 @@ class TestRunActiveLearning:
         with pytest.raises(ConfigError, match="test set has label 3"):
             run_active_learning(quick_config("random"), train_ds, test_ds)
 
+    def test_pool_without_a_class_names_the_missing_ones(self):
+        train_ds, test_ds = blob_pair(classes=4)
+        keep = np.isin(train_ds.labels, (0, 2))
+        pool = replace(train_ds, inputs=train_ds.inputs[keep], labels=train_ds.labels[keep])
+        cfg = quick_config("random", classes=4, initial_labeled=8)
+        with pytest.raises(ConfigError) as info:
+            run_active_learning(cfg, pool, test_ds)
+        assert str(info.value) == "4 classes, but the pool has no sample of class 1, 3"
+
     def test_round_hook_sees_every_round(self):
         train_ds, test_ds = blob_pair()
         cfg = quick_config("random", budget=16, n_query=5, initial_labeled=6)
@@ -403,6 +412,16 @@ def image_pool(rows, seed=0, classes=3):
     return net, data, PoolState(labeled=(), unlabeled=unlabeled, synthetic=())
 
 
+def batch_bytes(batch, indices=None):
+    """``batch`` as comparable tuples, its pool rows read as ``indices[row]`` if given."""
+    at = int if indices is None else (lambda row: int(indices[row]))
+    additions = tuple(
+        (at(a.source_index), a.provenance, a.label, None if a.values is None else a.values.tobytes())
+        for a in batch.synthetic_additions
+    )
+    return tuple(at(i) for i in batch.queried), additions
+
+
 def selection_peak_bytes(strategy, rows):
     """Peak traced bytes of one round's selection on ``image_pool(rows)``, drawing all its rows."""
     net, data, pools = image_pool(rows)
@@ -419,29 +438,52 @@ class TestFullPoolByIndex:
     def test_registered_full_pool_strategies(self):
         assert FULL_POOL == ("uncertainty", "ceal", "random")
 
-    @pytest.mark.parametrize("strategy", FULL_POOL)
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_same_batch_as_gathered_pool(self, strategy):
         net, data, pools = image_pool(2 * _CHUNK + 3)
-        indices = np.asarray(pools.unlabeled)
-        gathered = CandidateSet(indices, data.inputs[indices])
+        rest = sorted(set(range(len(data))) - set(pools.unlabeled))
+        pools = replace(pools, labeled=tuple((i, int(data.labels[i])) for i in rest))
         # half the pool lies below CEAL's threshold and gets pseudo-labels
-        settings = ActiveSettings(ceal_delta=float(np.median(entropy_scores(net, gathered.inputs))))
-        select = STRATEGIES[strategy].select
+        unlabeled = CandidateSet(data.inputs, np.asarray(pools.unlabeled))
+        median = float(np.median(entropy_scores(net, unlabeled)))
+        # more candidates than a chunk, so subset scorers cross a chunk boundary too
+        settings = ActiveSettings(candidates=_CHUNK + 50, ceal_delta=median)
         pool = candidate_pool(strategy, pools, data, settings.candidates, 0)
-        labeled = IndexedRows(data.inputs, np.array(pools.labeled_indices(), dtype=np.intp))
-        want = select(settings, net, gathered, 10, 7, labeled)
-        assert select(settings, net, pool, 10, 7, labeled) == want
+        labeled = CandidateSet(data.inputs, np.array(pools.labeled_indices(), dtype=np.intp))
+        # The same rows gathered into one array, and the labeled rows into another.
+        gathered = CandidateSet(pool[:], np.arange(len(pool)))
+        labeled_rows = CandidateSet(labeled[:], np.arange(len(labeled)))
+        select = STRATEGIES[strategy].select
+        want = select(settings, net, gathered, 10, 7, labeled_rows)
+        got = select(settings, net, pool, 10, 7, labeled)
+        assert batch_bytes(got) == batch_bytes(want, pool.indices)
         assert len(want.queried) == 10
-        assert len(want.synthetic_additions) == (len(indices) // 2 if strategy == "ceal" else 0)
+        pseudo = len(pool) // 2 if strategy == "ceal" else 0
+        twins = 10 if strategy == "dfal" else 0
+        assert len(want.synthetic_additions) == pseudo + twins
 
     def test_coreset_reads_the_labeled_set_through_a_view(self):
         net, data, _ = image_pool(2 * _CHUNK + 200)
         rows = np.arange(2 * _CHUNK + 188)  # three chunks, the last one partial
-        pool = CandidateSet(np.arange(len(rows), len(data)), data.inputs[len(rows) :])
-        view = IndexedRows(data.inputs, rows)
+        pool = CandidateSet(data.inputs, np.arange(len(rows), len(data)))
+        view = CandidateSet(data.inputs, rows)
         assert embed_batch(net, view).tobytes() == embed_batch(net, data.inputs[rows]).tobytes()
         want = select_coreset_greedy(net, data.inputs[rows], pool, 10)
         assert STRATEGIES["coreset"].select(ActiveSettings(), net, pool, 10, 0, view) == want
+
+    @pytest.mark.parametrize("strategy", ["dfal", "uncertainty"])
+    def test_empty_pool_rejected_where_it_is_drawn(self, strategy):
+        net, data, pools = image_pool(4)
+        everything = tuple((i, int(data.labels[i])) for i in range(len(data)))
+        drained = PoolState(labeled=everything, unlabeled=(), synthetic=())
+        assert len(CandidateSet(data.inputs, np.arange(0))) == 0  # a labeled set may be empty
+        with pytest.raises(ConfigError, match="candidate pool is empty"):
+            candidate_pool(strategy, drained, data, 30, 0)
+        with pytest.raises(ConfigError, match="candidate pool is empty"):
+            select_round(strategy, ActiveSettings(), net, drained, data, 5, 0, 0)
+        if STRATEGIES[strategy].scores_subset:  # a draw of no candidates is empty too
+            with pytest.raises(ConfigError, match="candidate pool is empty"):
+                candidate_pool(strategy, pools, data, 0, 0)
 
     @pytest.mark.parametrize("strategy", FULL_POOL)
     def test_selection_does_not_copy_the_pool(self, strategy):

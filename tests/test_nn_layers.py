@@ -20,7 +20,8 @@ from adval.nn import (
 from adval.nn.layers import _conv_windows, grad_sq_norms
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
-from adval.nn.network import _CHUNK, IndexedRows, _evaluate, _forward_caches
+from adval.nn.network import _CHUNK, _evaluate, _forward_caches
+from adval.strategies import CandidateSet
 
 
 def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
@@ -534,7 +535,7 @@ class TestBlockedEvaluation:
         assert cache is None
 
 
-class TestIndexedRows:
+class TestRowsByIndex:
     """Scoring rows by index gives the bytes of scoring the gathered rows."""
 
     @pytest.fixture(params=["arch-A", "arch-B"])
@@ -547,7 +548,7 @@ class TestIndexedRows:
         rng = np.random.default_rng(n)
         x = rng.uniform(0.0, 1.0, size=(3 * _CHUNK, 1, 12, 12))
         rows = rng.choice(len(x), size=n, replace=False)  # shuffled, not contiguous
-        view = IndexedRows(x, rows)
+        view = CandidateSet(x, rows)
         assert len(view) == n
         got = nn.forward_batch(state, view, dropout_seed=dropout_seed)
         want = nn.forward_batch(state, x[rows], dropout_seed=dropout_seed)
@@ -556,4 +557,19 @@ class TestIndexedRows:
 
     def test_wrong_source_shape_rejected(self, state):
         with pytest.raises(InputError):
-            nn.forward_batch(state, IndexedRows(np.zeros((4, 1, 10, 10)), np.arange(2)))
+            nn.forward_batch(state, CandidateSet(np.zeros((4, 1, 10, 10)), np.arange(2)))
+
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    def test_wrong_shape_with_no_rows_rejected_before_any_layer(self, state, view, monkeypatch):
+        x = np.zeros((4, 1, 10, 10))
+        rows = CandidateSet(x, np.arange(0)) if view else x[:0]
+        monkeypatch.setattr("adval.nn.layers.forward", lambda *a, **k: pytest.fail("a layer ran"))
+        with pytest.raises(InputError):
+            nn.forward_batch(state, rows)
+        with pytest.raises(InputError):
+            nn.embed_batch(state, rows)
+
+    def test_no_rows_by_index_give_no_outputs(self, state):
+        view = CandidateSet(np.zeros((4, 1, 12, 12)), np.arange(0))
+        assert nn.forward_batch(state, view).shape == (0, 10)
+        assert len(nn.embed_batch(state, view)) == 0

@@ -33,8 +33,29 @@ from adval.strategies import (
 
 
 def pool_of(blobs, count, start=0):
-    idx = np.arange(start, start + count)
-    return CandidateSet(idx, blobs.inputs[idx])
+    return CandidateSet(blobs.inputs, np.arange(start, start + count))
+
+
+def rows_at(indices, inputs):
+    """A pool whose dataset rows ``indices`` hold ``inputs``; every other row is NaN."""
+    source = np.full((max(indices) + 1, *np.shape(inputs)[1:]), np.nan)
+    source[indices] = inputs
+    return CandidateSet(source, np.asarray(indices))
+
+
+class TestCandidateSet:
+    def test_reads_dataset_rows_by_index(self, blobs3):
+        idx = np.array([7, 2, 9, 4])
+        pool = CandidateSet(blobs3.inputs, idx)
+        assert len(pool) == 4
+        assert pool[1:3].tobytes() == blobs3.inputs[[2, 9]].tobytes()
+        assert pool[3].tobytes() == blobs3.inputs[4].tobytes()
+        assert [row.tobytes() for row in pool] == [blobs3.inputs[i].tobytes() for i in idx]
+
+    def test_indices_first_fails_loudly(self, blobs3):
+        pool = CandidateSet(np.arange(4), blobs3.inputs[:4])  # (indices, inputs), the old order
+        with pytest.raises(IndexError):
+            pool[:]
 
 
 class TestRanking:
@@ -59,7 +80,7 @@ def shuffled_pool(blobs, count, seed=0):
     """A pool whose dataset indices are neither sorted nor contiguous."""
     idx = np.random.default_rng(seed).choice(len(blobs), size=count, replace=False)
     assert not np.array_equal(idx, np.sort(idx))
-    return CandidateSet(idx, blobs.inputs[idx])
+    return CandidateSet(blobs.inputs, idx)
 
 
 def naive_top(pool, scores, n, larger=False):
@@ -74,7 +95,7 @@ class TestShuffledPools:
 
     def test_dfal_twin_is_its_source_row_plus_perturbation(self, trained3, blobs3):
         pool = shuffled_pool(blobs3, 30)
-        results = batch_deepfool(trained3, pool.inputs)
+        results = batch_deepfool(trained3, pool[:])
         scores = [r.score() for r in results]
         batch = select_dfal(trained3, pool, 6)
         assert batch.queried == naive_top(pool, scores, 6)
@@ -95,10 +116,10 @@ class TestShuffledPools:
 
     def test_ceal_pseudo_labels_in_row_order_without_queried_rows(self, trained3, blobs3):
         pool = shuffled_pool(blobs3, 60, seed=2)
-        scores = entropy_scores(trained3, pool.inputs)
+        scores = entropy_scores(trained3, pool[:])
         # so high that some queried rows fall below it too
         delta = float(np.quantile(scores, 0.95))
-        preds = nn.predict_batch(trained3, pool.inputs)
+        preds = nn.predict_batch(trained3, pool[:])
         batch = select_ceal(trained3, pool, 10, delta=delta)
         assert batch.queried == naive_top(pool, scores, 10, larger=True)
         assert (scores[np.isin(pool.indices, batch.queried)] < delta).any()
@@ -118,13 +139,13 @@ class TestShuffledPools:
             "egl": (select_egl, egl_scores),
         }[name]
         got = select(trained3, pool, 7).queried
-        assert got == naive_top(pool, score(trained3, pool.inputs), 7, larger=True)
+        assert got == naive_top(pool, score(trained3, pool[:]), 7, larger=True)
 
     def test_coreset_picks_are_pool_indices(self, trained3, blobs3):
         pool = shuffled_pool(blobs3, 40, seed=4)
         labeled = blobs3.inputs[:10]
         rows = k_center_greedy(
-            nn.embed_batch(trained3, pool.inputs), nn.embed_batch(trained3, labeled), 5
+            nn.embed_batch(trained3, pool[:]), nn.embed_batch(trained3, labeled), 5
         )
         batch = select_coreset_greedy(trained3, labeled, pool, 5)
         assert batch.queried == tuple(int(pool.indices[r]) for r in rows)
@@ -184,7 +205,7 @@ class TestUncertainty:
                 [2.0, 0.0, 0.0],
             ]
         )
-        pool = CandidateSet(np.arange(5), inputs)
+        pool = CandidateSet(inputs, np.arange(5))
         hand = np.argsort(-entropy_scores(state, inputs), kind="stable")
         batch = select_uncertainty(state, pool, 2)
         np.testing.assert_array_equal(batch.queried, hand[:2])
@@ -194,7 +215,7 @@ class TestUncertainty:
     def test_never_prefers_onehot(self, trained3, blobs3):
         pool = pool_of(blobs3, 30)
         batch = select_uncertainty(trained3, pool, 5)
-        scores = entropy_scores(trained3, pool.inputs)
+        scores = entropy_scores(trained3, pool[:])
         chosen = np.isin(pool.indices, batch.queried)
         assert scores[chosen].min() >= scores[~chosen].max() - 1e-12
 
@@ -245,12 +266,12 @@ class TestCeal:
 
     def test_confident_candidate_pseudo_labeled_free(self, trained3, blobs3):
         pool = pool_of(blobs3, 60)
-        scores = entropy_scores(trained3, pool.inputs)
+        scores = entropy_scores(trained3, pool[:])
         delta = float(np.quantile(scores, 0.3))
         batch = select_ceal(trained3, pool, 5, delta=delta)
         assert len(batch.queried) == 5
         assert len(batch.synthetic_additions) >= 1
-        preds = nn.predict_batch(trained3, pool.inputs)
+        preds = nn.predict_batch(trained3, pool[:])
         by_row = {int(i): r for r, i in enumerate(pool.indices)}
         for add in batch.synthetic_additions:
             assert add.provenance == CEAL_PSEUDO
@@ -266,7 +287,7 @@ class TestCeal:
             spec, ({"W": np.array([[10.0, -10.0], [0.0, 0.0]]), "b": np.zeros(2)},)
         )
         x = np.array([[2.0, 0.0]])  # model says class 0 with huge margin
-        pool = CandidateSet(np.array([0]), x)
+        pool = CandidateSet(x, np.array([0]))
         batch = select_ceal(state, pool, 0, delta=0.05)
         assert len(batch.synthetic_additions) == 1
         assert batch.synthetic_additions[0].label == 0  # wrong vs ground truth 1
@@ -322,24 +343,24 @@ class TestEgl:
         state = nn.NetworkState(
             spec, ({"W": np.zeros((2, 2)), "b": np.array([2000.0, 0.0])},)
         )
-        pool = CandidateSet(np.array([4, 1, 3]), np.zeros((3, 2)))
-        scores = egl_scores(state, pool.inputs)
+        pool = rows_at([4, 1, 3], np.zeros((3, 2)))
+        scores = egl_scores(state, pool[:])
         np.testing.assert_array_equal(scores, 0.0)
         batch = select_egl(state, pool, 2)
         assert batch.queried == (1, 3)
 
     def test_ranking_matches_finite_difference_recomputation(self, trained3, blobs3):
         pool = pool_of(blobs3, 5)
-        scores = egl_scores(trained3, pool.inputs)
+        scores = egl_scores(trained3, pool[:])
 
         def fd_loss(state, x, label, layer_idx, key, flat, h=1e-5):
             from conftest import fd_loss_param_grad
 
             return fd_loss_param_grad(state, x, label, layer_idx, key, flat, h)
 
-        probs = nn.softmax_probs(nn.forward_batch(trained3, pool.inputs))
+        probs = nn.softmax_probs(nn.forward_batch(trained3, pool[:]))
         fd_scores = []
-        for i, x in enumerate(pool.inputs):
+        for i, x in enumerate(pool[:]):
             total = 0.0
             for c in range(3):
                 sq = 0.0
@@ -422,14 +443,14 @@ class TestCoreset:
 
     def test_farthest_point_first(self):
         state = self._identity_embed_net()
-        pool = CandidateSet(np.array([1, 10, 11]), np.array([[1.0], [10.0], [11.0]]))
+        pool = rows_at([1, 10, 11], np.array([[1.0], [10.0], [11.0]]))
         labeled = np.array([[0.0]])
         batch = select_coreset_greedy(state, labeled, pool, 1)
         assert batch.queried == (11,)  # distance 11 beats 10 and 1
 
     def test_tie_break_lowest_position(self):
         state = self._identity_embed_net()
-        pool = CandidateSet(np.array([1, 10, 11]), np.array([[1.0], [10.0], [11.0]]))
+        pool = rows_at([1, 10, 11], np.array([[1.0], [10.0], [11.0]]))
         labeled = np.array([[0.0]])
         batch = select_coreset_greedy(state, labeled, pool, 2)
         # after centers {0, 11}: distances 1 -> 1, 10 -> 1; tie picks pool row 0
@@ -437,7 +458,7 @@ class TestCoreset:
 
     def test_empty_labeled_set_starts_at_lowest_index(self):
         state = self._identity_embed_net()
-        pool = CandidateSet(np.array([5, 6]), np.array([[3.0], [9.0]]))
+        pool = rows_at([5, 6], np.array([[3.0], [9.0]]))
         batch = select_coreset_greedy(state, np.empty((0, 1)), pool, 1)
         assert batch.queried == (5,)
 
@@ -535,7 +556,7 @@ class TestRandom:
         assert a.queried == b.queried
 
     def test_uniform_frequencies(self):
-        pool = CandidateSet(np.array([0, 1, 2]), np.zeros((3, 2)))
+        pool = CandidateSet(np.zeros((3, 2)), np.arange(3))
         counts = np.zeros(3)
         for s in range(10_000):
             counts[select_random(pool, 1, seed=s).queried[0]] += 1
@@ -547,13 +568,13 @@ class TestRandom:
 class TestDfal:
     def test_argmin_selection(self, trained3, blobs3):
         pool = pool_of(blobs3, 30)
-        scores = np.array([r.score() for r in batch_deepfool(trained3, pool.inputs)])
+        scores = np.array([r.score() for r in batch_deepfool(trained3, pool[:])])
         batch = select_dfal(trained3, pool, 1)
         assert batch.queried[0] == pool.indices[np.argmin(scores)]
 
     def test_selected_norms_dominate_unselected(self, trained3, blobs3):
         pool = pool_of(blobs3, 40)
-        results = batch_deepfool(trained3, pool.inputs)
+        results = batch_deepfool(trained3, pool[:])
         scores = {int(i): r.score() for i, r in zip(pool.indices, results)}
         batch = select_dfal(trained3, pool, 8)
         chosen_max = max(scores[i] for i in batch.queried)
@@ -562,7 +583,7 @@ class TestDfal:
 
     def test_wrongly_shaped_pool_raises(self, trained3, blobs3):
         # Not a batch of failed attacks and a silent random fallback.
-        pool = CandidateSet(np.arange(4), np.ones((4, blobs3.inputs.shape[1] + 3)))
+        pool = CandidateSet(np.ones((4, blobs3.inputs.shape[1] + 3)), np.arange(4))
         with pytest.raises(ValueError):
             select_dfal(trained3, pool, 2)
 
@@ -581,9 +602,9 @@ class TestDfal:
         batch = select_dfal(trained3, pool, 3)
         for add in batch.synthetic_additions:
             row = int(np.flatnonzero(pool.indices == add.source_index)[0])
-            res = deepfool(trained3, pool.inputs[row])
+            res = deepfool(trained3, pool[row])
             np.testing.assert_allclose(
-                add.values, pool.inputs[row] + res.perturbation, atol=1e-12
+                add.values, pool[row] + res.perturbation, atol=1e-12
             )
 
     def test_all_failed_attacks_fall_back_to_random(self, caplog):
@@ -592,7 +613,7 @@ class TestDfal:
         state = nn.NetworkState(
             spec, ({"W": np.full((2, 2), np.nan), "b": np.zeros(2)},)
         )
-        pool = CandidateSet(np.arange(6), np.random.default_rng(0).normal(size=(6, 2)))
+        pool = CandidateSet(np.random.default_rng(0).normal(size=(6, 2)), np.arange(6))
         with caplog.at_level("WARNING"):
             batch = select_dfal(state, pool, 2, fallback_seed=3)
         assert len(batch.queried) == 2
