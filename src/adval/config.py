@@ -51,6 +51,7 @@ from adval.data import (
 from adval.errors import ConfigError
 from adval.loop import _STREAM_NETWORK_INIT, ActiveConfig, ActiveSettings, derive_seed
 from adval.nn.architectures import ARCHITECTURES, build_network, conv_input_shape
+from adval.nn.network import NetworkSpec
 from adval.nn.training import TrainConfig
 from adval.strategies import STRATEGY_IDS
 
@@ -202,14 +203,13 @@ class ExperimentConfig:
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"network.arch must be one of {ARCHITECTURES}, got {self.arch!r}")
 
+    def network(self, dataset: Dataset, seed: int) -> NetworkSpec:
+        """The network every run of ``seed`` on ``dataset`` starts from."""
+        init_seed = derive_seed(seed, 0, _STREAM_NETWORK_INIT)
+        return build_network(self.arch, dataset.input_shape, dataset.class_count, seed=init_seed)
+
     def active_config(self, strategy: str, seed: int, dataset: Dataset) -> ActiveConfig:
-        network = build_network(
-            self.arch,
-            dataset.input_shape,
-            dataset.class_count,
-            seed=derive_seed(seed, 0, _STREAM_NETWORK_INIT),
-        )
-        run = dict(network=network, strategy=strategy, seed=seed)
+        run = dict(network=self.network(dataset, seed), strategy=strategy, seed=seed)
         return _build(ActiveConfig, "active", **run, **vars(self.active))
 
 
@@ -234,8 +234,9 @@ def _distinct(items: tuple, text: str, what: str) -> tuple:
 
 
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; space around an item is dropped, space inside it is an error."""
     try:
-        items = tuple(int(t) for t in text.replace(" ", "").split(",") if t)
+        items = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise ConfigError(f"{what} must be a comma-separated integer list: {text!r}") from exc
     if not items:

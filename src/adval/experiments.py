@@ -8,14 +8,14 @@ run before it in the table. The two commands differ only in how a round
 becomes a row. Rows come in deterministic (strategy, seed, round) order. All
 result columns are reproducible bit-for-bit under identical configs; the two
 wall-time columns are environmental measurements and vary between runs. Every
-strategy of a seed shares one round-0 network (see ``adval.loop``), trained by
-the first run that needs it; in the later runs, round 0's ``train_seconds`` is
-the time of a memo lookup.
+strategy of a seed shares one round-0 network, and so does ``run_timing`` (see
+``adval.loop``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -29,9 +29,8 @@ from adval.errors import ConfigError, FormatError
 from adval.loop import (
     _STREAM_CONSUMER_INIT,
     _STREAM_CONSUMER_TRAIN,
-    _STREAM_TIMING_INIT,
-    _STREAM_TIMING_POOL,
-    _STREAM_TIMING_TRAIN,
+    _STREAM_POOL_INIT,
+    _STREAM_TRAIN,
     STRATEGIES,
     derive_seed,
     init_pools,
@@ -43,17 +42,20 @@ from adval.loop import (
 from adval.nn.architectures import build_network
 from adval.nn.network import accuracy
 
-# metrics.csv's columns in order, each with the type ``read_metrics`` parses it as.
+_COUNT = (int, lambda v: v >= 0, "a non-negative integer")
+_SECONDS = (float, lambda v: 0.0 <= v < math.inf, "finite and non-negative")
+# metrics.csv's columns in order, each with the type ``read_metrics`` parses it
+# as, the test of its domain, and that domain in words.
 _METRICS_COLUMNS = {
-    "strategy": str,
-    "seed": int,
-    "round": int,
-    "annotations": int,
-    "labeled_data": int,
-    "test_accuracy": float,
-    "selection_seconds": float,
-    "train_seconds": float,
-    "pseudo_corruptions": int,
+    "strategy": (str, lambda v: True, "text"),
+    "seed": _COUNT,
+    "round": _COUNT,
+    "annotations": _COUNT,
+    "labeled_data": _COUNT,
+    "test_accuracy": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "selection_seconds": _SECONDS,
+    "train_seconds": _SECONDS,
+    "pseudo_corruptions": _COUNT,
 }
 METRICS_HEADER = tuple(_METRICS_COLUMNS)
 
@@ -106,9 +108,17 @@ def read_metrics(path) -> list[dict]:
     rows = []
     for i, row in enumerate(reader, start=2):
         try:
-            rows.append({name: parse(row[name]) for name, parse in _METRICS_COLUMNS.items()})
+            values = {name: parse(row[name]) for name, (parse, _, _) in _METRICS_COLUMNS.items()}
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad value in row {i}") from exc
+        for name, (_, inside, domain) in _METRICS_COLUMNS.items():
+            if not inside(values[name]):
+                raise FormatError(
+                    f"{path}: bad value in row {i}, column {name}: must be {domain}, got {row[name]}"
+                )
+        rows.append(values)
+    if not rows:
+        raise FormatError(f"{path}: no rows below the header")
     return rows
 
 
@@ -253,6 +263,9 @@ def run_timing(
 ) -> list[tuple]:
     """Mean per-round selection wall time at each labeled-set size.
 
+    At size N it times the network that a run of the first experiment seed
+    starting from N labels trains at round 0: the same labeled set, the same
+    initialization and the same training, shared through the round-0 memo.
     Training happens once per size and is excluded from the timed region. A
     repetition times what the loop's ``selection_seconds`` times: a fresh
     candidate draw and the selection, through ``select_round``. Repetition
@@ -268,23 +281,18 @@ def run_timing(
     train_ds, test_ds = cfg.data.load()
     train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
 
-    settings = cfg.active
+    settings, seed = cfg.active, cfg.seeds[0]
+    network = cfg.network(train_ds, seed)
     trained = {}
     for size in labeled_sizes:
         if size >= len(train_ds):
             raise ConfigError(f"--sizes {size}: must be below the pool's {len(train_ds)} samples")
         try:
-            pools = init_pools(train_ds, size, seed=derive_seed(cfg.seeds[0], size, _STREAM_TIMING_POOL))
+            pools = init_pools(train_ds, size, derive_seed(seed, 0, _STREAM_POOL_INIT))
         except ConfigError as exc:
             raise ConfigError(f"--sizes {size}: {exc}") from exc
-        network = build_network(
-            cfg.arch,
-            train_ds.input_shape,
-            train_ds.class_count,
-            seed=derive_seed(cfg.seeds[0], size, _STREAM_TIMING_INIT),
-        )
         examples = training_examples(pools, train_ds)
-        net = train_fresh(network, examples, settings, derive_seed(cfg.seeds[0], size, _STREAM_TIMING_TRAIN))
+        net = train_fresh(network, examples, settings, derive_seed(seed, 0, _STREAM_TRAIN), 0)
         trained[size] = pools, net
 
     rows = []
@@ -294,9 +302,7 @@ def run_timing(
             elapsed = []
             for rep in range(repetitions):
                 t0 = time.monotonic()
-                select_round(
-                    strategy, settings, net, pools, train_ds, settings.n_query, cfg.seeds[0], rep
-                )
+                select_round(strategy, settings, net, pools, train_ds, settings.n_query, seed, rep)
                 elapsed.append(time.monotonic() - t0)
             rows.append((strategy, size, repetitions, float(np.mean(elapsed))))
     return rows

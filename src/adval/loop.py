@@ -15,19 +15,22 @@ of dataset rows by index (see ``adval.strategies``); ``candidate_pool`` builds
 one for a random subset and for the whole unlabeled pool alike.
 
 Round 0 is shared: its labeled set and training seed depend only on the run
-seed, so every strategy of a seed trains the same round-0 network.
-``train_fresh`` keeps round-0 networks in a small memo keyed by content (the
-network spec, ``base_steps``, the train settings, the seed and a digest of the
-training examples) and hands later runs the same read-only ``NetworkState``.
-A run whose round-0 network comes from the memo records the lookup time as
-that round's ``train_seconds``.
+seed, so every strategy of a seed, and selection timing at the same labeled-set
+size, trains the same round-0 network. ``train_fresh`` keeps round-0 networks
+in a memo keyed by content (the network spec, ``base_steps``, the train
+settings, the seed and a digest of the training examples) and hands later runs
+the same read-only ``NetworkState``; their round 0's ``train_seconds`` is the
+lookup's. The memo admits networks until it holds ``_MEMO_SIZE`` and never
+evicts: the commands loop over strategies outside and seeds inside, so in a
+grid of more networks, least-recently-used eviction would drop each entry just
+before its reuse. The cost: a process training more than ``_MEMO_SIZE``
+distinct round-0 networks reuses only the first ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -65,9 +68,6 @@ _STREAM_STRATEGY = 3
 _STREAM_NETWORK_INIT = 17  # a run's network initialization; round 0
 _STREAM_CONSUMER_INIT = 23  # a transfer run's consumer initialization; round 1
 _STREAM_CONSUMER_TRAIN = 29  # a transfer round's consumer training
-_STREAM_TIMING_POOL = 31  # selection timing's labeled set; the labeled size as round
-_STREAM_TIMING_INIT = 37  # its network initialization; the same
-_STREAM_TIMING_TRAIN = 41  # its training; the same
 
 
 def derive_seed(seed: int, round_index: int, stream: int) -> int:
@@ -248,7 +248,7 @@ def pseudo_label_counts(pool_state: PoolState, dataset: Dataset) -> tuple[int, i
 
 # Round-0 networks by content; each entry is one trained network, never its examples.
 _MEMO_SIZE = 16
-_round0_memo: OrderedDict[tuple, NetworkState] = OrderedDict()
+_round0_memo: dict[tuple, NetworkState] = {}
 
 
 def _examples_digest(examples) -> str:
@@ -269,38 +269,31 @@ def _read_only(net: NetworkState) -> NetworkState:
 
 
 def train_fresh(
-    spec: NetworkSpec,
-    examples,
-    settings: ActiveSettings,
-    seed: int,
-    round_index: int | None = None,
+    spec: NetworkSpec, examples, settings: ActiveSettings, seed: int, round_index: int
 ) -> NetworkState:
     """Train a newly initialized ``spec`` on ``examples`` for about ``base_steps`` steps.
 
     For round 0 the network comes from the memo when an equal training ran
-    before, and goes into it otherwise; either way its parameters are
-    read-only, since later runs share it. A diverged training (see
-    ``adval.nn.training``) raises ``TrainingError`` naming the round and
-    ``train.learning_rate``, and never enters the memo.
+    before; otherwise it enters the memo, read-only since later runs share it,
+    unless the memo is full (see the module docstring for why it never evicts).
+    A diverged training (see ``adval.nn.training``) raises ``TrainingError``
+    naming the round and ``train.learning_rate``, and never enters the memo.
     """
     key = None
     if round_index == 0:
         key = (spec, settings.base_steps, settings.train, seed, _examples_digest(examples))
         if key in _round0_memo:
-            _round0_memo.move_to_end(key)
             return _round0_memo[key]
     epochs = epochs_for_budget(settings.base_steps, settings.train.batch_size, len(examples))
     try:
         net = train(init_network(spec), examples, replace(settings.train, epochs=epochs, seed=seed))
     except TrainingError as exc:
-        where = "" if round_index is None else f"round {round_index}: "
         raise TrainingError(
-            f"{where}{exc}; train.learning_rate = {settings.train.learning_rate:g} may be too large"
+            f"round {round_index}: {exc}; "
+            f"train.learning_rate = {settings.train.learning_rate:g} may be too large"
         ) from exc
-    if key is not None:
+    if key is not None and len(_round0_memo) < _MEMO_SIZE:
         _round0_memo[key] = _read_only(net)
-        if len(_round0_memo) > _MEMO_SIZE:
-            _round0_memo.popitem(last=False)
     return net
 
 

@@ -9,10 +9,11 @@ import pytest
 from click.testing import CliRunner
 from conftest import count_calls
 
+import adval.cli
 import adval.experiments
 import adval.loop
 from adval.cli import main
-from adval.config import load_experiment_config, prepare_for_archs
+from adval.config import load_experiment_config, parse_int_list, prepare_for_archs
 from adval.data import SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, FormatError, PoolInvariantError
 from adval.experiments import (
@@ -22,6 +23,7 @@ from adval.experiments import (
     read_metrics,
     run_grid,
     run_timing,
+    run_transfer,
     write_table,
 )
 from adval.strategies import STRATEGY_IDS
@@ -255,6 +257,36 @@ class TestConfigParsing:
         ]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("where", ["experiment.seeds", "--seeds", "--checkpoints", "--sizes"])
+    @pytest.mark.parametrize(
+        "text, want",
+        [("1 2", None), ("0, 1 2", None), (" 0, 1 ", (0, 1)), ("0,\t1", (0, 1))],
+        ids=["inner-space", "inner-space-in-second-item", "outer-spaces", "tab"],
+    )
+    def test_space_in_an_int_list(self, tmp_path, where, text, want):
+        """Space around an item is dropped; space inside one fails, naming ``where``."""
+        if where == "experiment.seeds":
+            args = ["run", "--config", str(write_config(tmp_path, seeds=text))]
+        else:
+            command = {
+                "--seeds": ["run", "--config", str(write_config(tmp_path))],
+                "--checkpoints": ["compare", "--metrics", str(tmp_path / "metrics.csv")],
+                "--sizes": ["timing", "--config", str(write_config(tmp_path))],
+            }
+            args = [*command[where], where, text]
+        if want is not None:
+            if where == "experiment.seeds":
+                assert load_experiment_config(args[2]).seeds == want
+            else:
+                assert parse_int_list(text, where) == want
+            return
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: {where} must be a comma-separated integer list: {text!r}"
+        ]
+        assert result.stdout == ""
+
     def test_csv_pool_without_a_class_names_it_and_the_key(self, tmp_path):
         # class 2 has one row, and a test fraction of 0.6 moves it to the test set
         data = tmp_path / "data.csv"
@@ -316,6 +348,27 @@ class TestRunCommand:
             assert [v for i, v in enumerate(ra) if i not in drop] == [
                 v for i, v in enumerate(rb) if i not in drop
             ]
+
+    def test_every_written_row_reads_back(self, tmp_path, monkeypatch):
+        written = []
+
+        def recorded(*args, **kwargs):
+            return (written.append(row) or row for row in run_grid(*args, **kwargs))
+
+        monkeypatch.setattr(adval.cli, "run_grid", recorded)
+        config = write_config(tmp_path, strategies="dfal,ceal", seeds="0,1")
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rows = read_metrics(tmp_path / "metrics.csv")
+        assert len(rows) == len(written) == 2 * 2 * 3
+        for got, row in zip(rows, written):
+            for name, value in zip(METRICS_HEADER, row):
+                if isinstance(value, float):
+                    assert abs(got[name] - value) <= 5e-7, name  # written with 6 decimals
+                else:
+                    assert got[name] == value, name
+        # a run's last round selects nothing and writes 0.000000
+        assert [r["selection_seconds"] for r in rows if r["round"] == 2] == [0.0] * 4
 
     def test_seed_override(self, tmp_path):
         config = write_config(tmp_path, seeds="0,1,2")
@@ -526,6 +579,42 @@ class TestCompare:
         with pytest.raises(FormatError, match=r"metrics\.csv: bad value in row 3$"):
             read_metrics(path)
 
+    @pytest.mark.parametrize(
+        "column, cell, domain",
+        [
+            ("seed", "-1", "a non-negative integer"),
+            ("round", "-1", "a non-negative integer"),
+            ("annotations", "-11", "a non-negative integer"),
+            ("labeled_data", "-16", "a non-negative integer"),
+            ("test_accuracy", "inf", "in [0, 1]"),
+            ("test_accuracy", "nan", "in [0, 1]"),
+            ("test_accuracy", "1.5", "in [0, 1]"),
+            ("selection_seconds", "-0.5", "finite and non-negative"),
+            ("train_seconds", "inf", "finite and non-negative"),
+            ("train_seconds", "nan", "finite and non-negative"),
+            ("pseudo_corruptions", "-3", "a non-negative integer"),
+        ],
+    )
+    def test_cell_outside_its_domain_names_row_and_column(self, tmp_path, column, cell, domain):
+        rows = self.make_rows()
+        at = METRICS_HEADER.index(column)
+        rows[1] = (*rows[1][:at], cell, *rows[1][at + 1 :])
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, rows)
+        with pytest.raises(FormatError) as info:
+            read_metrics(path)
+        assert str(info.value) == (
+            f"{path}: bad value in row 3, column {column}: must be {domain}, got {cell}"
+        )
+
+    def test_header_only_metrics_names_file(self, tmp_path):
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, [])
+        result = CliRunner().invoke(main, ["compare", "--metrics", str(path), "--checkpoints", "6"])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_FORMAT: {path}: no rows below the header"
+        ]
+        assert result.stdout == ""
+
     def test_cli_output_table(self, tmp_path):
         path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, self.make_rows())
         runner = CliRunner()
@@ -684,6 +773,35 @@ class TestRound0Reuse:
             round0 = [r[1:] for r in warm if r[1] == seed and r[2] == "0"]
             assert len(round0) == 2 and round0[0] == round0[1]
 
+    def round0_only_config(self, tmp_path, seeds):
+        """Two strategies over ``seeds``, on 64-dimensional blobs, with no round after round 0."""
+        config = write_config(tmp_path, strategies="dfal,random", seeds=",".join(map(str, seeds)))
+        text = config.read_text().replace("kind = blobs", "kind = blobs\ndimension = 64")
+        config.write_text(text.replace("budget = 16", "budget = 6"))
+        return load_experiment_config(config)
+
+    def test_grid_beyond_the_memo_reuses_its_first_networks(self, tmp_path, monkeypatch):
+        bound = adval.loop._MEMO_SIZE
+        cfg = self.round0_only_config(tmp_path, range(bound + 1))
+        trainings = count_calls(monkeypatch, "train")
+        assert len(list(run_grid(cfg))) == 2 * (bound + 1)
+        # the second strategy trains only the seed the full memo did not admit
+        assert trainings == {"train": bound + 2}
+
+    def test_transfer_beyond_the_memo_reuses_its_first_networks(self, tmp_path, monkeypatch):
+        cfg = self.round0_only_config(tmp_path, range(9))  # 18 round-0 networks a strategy
+        trainings = count_calls(monkeypatch, "train")
+        assert len(list(run_transfer(cfg, "arch-B", "arch-A"))) == 2 * 9
+        assert trainings == {"train": 18 + 2}
+
+    def test_timing_times_the_runs_round0_network(self, tmp_path, monkeypatch):
+        cfg = load_experiment_config(write_config(tmp_path))
+        list(run_grid(cfg))
+        trainings = count_calls(monkeypatch, "train")
+        rows = run_timing(cfg, [cfg.active.initial_labeled], 1)
+        assert [r[:3] for r in rows] == [("dfal", 6, 1), ("coreset", 6, 1)]
+        assert trainings["train"] == 0
+
 
 class TestProgressLines:
     """``run`` and ``transfer`` print one line per finished run, then the table's path."""
@@ -780,6 +898,12 @@ class TestTiming:
         assert result.stderr.strip().splitlines() == [
             "E_CONFIG: --sizes 2: 2 labels cannot cover 3 classes"
         ]
+
+    def test_initial_labeled_below_class_count_still_times(self, tmp_path):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("initial_labeled = 6", "initial_labeled = 2"))
+        rows = run_timing(load_experiment_config(config), [20], repetitions=1)
+        assert [r[:3] for r in rows] == [("dfal", 20, 1), ("coreset", 20, 1)]
 
     def test_zero_repetitions_names_option(self, tmp_path):
         config = write_config(tmp_path)

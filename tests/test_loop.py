@@ -599,11 +599,13 @@ class TestRound0Memo:
             train_fresh(spec, examples, self.SETTINGS, seed, 0)
             assert len(adval.loop._round0_memo) <= bound
         assert len(adval.loop._round0_memo) == bound
-        # The least recently used entries went first: seed 4 trains again, seed 5 does not.
+        # The first entries stay; a later one trains each time and is never stored.
+        assert {key[3] for key in adval.loop._round0_memo} == set(range(bound))
         trained.clear()
-        for seed in (5, 4):
+        for seed in (0, bound - 1, bound, bound):
             train_fresh(spec, examples, self.SETTINGS, seed, 0)
-        assert trained == [4]
+        assert trained == [bound, bound]
+        assert len(adval.loop._round0_memo) == bound
 
     def test_diverged_training_names_round_and_learning_rate(self):
         settings = replace(self.SETTINGS, train=TrainConfig(learning_rate=1e300))
