@@ -7,6 +7,8 @@ Subcommands::
     adval transfer --config cfg.ini --selector arch-A --consumer arch-B [--out DIR]
     adval timing   --config cfg.ini --sizes 100,1000 [--reps 5] [--out DIR]
 
+``timing`` times the selection of each strategy in ``experiment.strategies``.
+
 Failures exit nonzero with a single machine-parsable line on stderr:
 ``E_<CODE>: human-readable message``.
 """
@@ -176,7 +178,7 @@ def transfer(config_path, selector, consumer, out_dir, seeds):
 @click.option("--out", "out_dir", default="runs", show_default=True)
 @friendly_errors
 def timing(config_path, sizes, reps, out_dir):
-    """Time query selection at several labeled-set sizes."""
+    """Time the query selection of each of experiment.strategies at several labeled-set sizes."""
     cfg = load_experiment_config(config_path)
     size_list = parse_int_list(sizes, "--sizes")
     out = _out_dir(out_dir)

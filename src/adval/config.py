@@ -18,14 +18,15 @@ class_count, and idx's four files. A relative csv path or idx file path is
 relative to the directory of the config file, not to the working directory.
 
 Loading checks value syntax, unknown sections and keys, that each float is
-finite (attack.p may also be inf), that no list repeats an item, and the rules
-of those dataclasses that need no data, such as existing files, n_query <=
-candidates, classes >= 2 or a csv test_fraction in (0, 1). A breach names its
-config key, such as ``active.n_query``. What depends on the data is checked
-when a run starts: input shape and class count against the network,
-initial_labeled against the class count and the pool size, every class in a
-csv pool after its test split, csv and idx caps against the rows each class
-holds, and test labels against the network's classes.
+finite (attack.p may also be inf), that no list repeats an item, that every
+strategy id is known, and the rules of those dataclasses that need no data,
+such as existing files, n_query <= candidates, classes >= 2 or a csv
+test_fraction in (0, 1). A breach names its config key, such as
+``active.n_query``. What depends on the data is checked when a run starts:
+input shape and class count against the network, initial_labeled against the
+class count and the pool size, every class in a csv pool after its test split,
+csv and idx caps against the rows each class holds, and test labels against the
+network's classes.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from adval.data import (
     stratified_subsample,
 )
 from adval.errors import ConfigError
-from adval.loop import _STREAM_NETWORK_INIT, ActiveConfig, ActiveSettings, derive_seed
+from adval.loop import _STREAM_NETWORK_INIT, STRATEGIES, ActiveConfig, ActiveSettings, derive_seed
 from adval.nn.architectures import ARCHITECTURES, build_network, conv_input_shape
 from adval.nn.network import NetworkSpec
 from adval.nn.training import TrainConfig
-from adval.strategies import STRATEGY_IDS
 
 
 def _build(cls, section: str, /, **values):
@@ -195,11 +195,6 @@ class ExperimentConfig:
     active: ActiveSettings = field(default_factory=ActiveSettings)
 
     def __post_init__(self):
-        for s in self.strategies:
-            if s not in STRATEGY_IDS:
-                raise ConfigError(
-                    f"experiment.strategies: unknown strategy {s!r}; expected {STRATEGY_IDS}"
-                )
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"network.arch must be one of {ARCHITECTURES}, got {self.arch!r}")
 
@@ -247,9 +242,13 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def parse_strategy_list(text: str, what: str) -> tuple[str, ...]:
+    """Comma-separated ids, each a key of ``STRATEGIES``; an error names ``what``."""
     items = tuple(t.strip() for t in text.split(",") if t.strip())
     if not items:
         raise ConfigError(f"{what} must not be empty")
+    for s in items:
+        if s not in STRATEGIES:
+            raise ConfigError(f"{what}: unknown strategy {s!r}; expected {tuple(STRATEGIES)}")
     return _distinct(items, text, what)
 
 

@@ -9,8 +9,8 @@ IDX (big-endian binary):
     Gzipped files are detected by magic and decompressed transparently.
     Pixels are scaled to [0, 1] by dividing by 255.
 
-CSV: UTF-8 text, one sample per row, ``label,v1,...,vd`` with a constant dimension d.
-    An optional header row is detected by a non-numeric first token.
+CSV: UTF-8 text less a leading BOM, one finite ``label,v1,...,vd`` row per sample, dimension d
+    constant. An optional header row is detected by a non-numeric first token.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
 
 
 def read_lines(path, error=FormatError, newline=None) -> list[str]:
-    """The lines of a UTF-8 text file; other bytes raise ``error`` naming the file."""
+    """The lines of a UTF-8 text file less a leading BOM; other bytes raise ``error``."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as f:
+        with open(path, encoding="utf-8-sig", newline=newline) as f:
             return f.readlines()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -202,6 +202,8 @@ def load_csv(path, class_count: int, name: str = "csv") -> Dataset:
             values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric value in row {rownum}") from exc
+        if not all(map(math.isfinite, values)):
+            raise FormatError(f"{path}: non-finite feature value in row {rownum}")
         # the range test comes first: it is False for nan and inf, which int() rejects
         if not 0 <= label < class_count or label != int(label):
             raise FormatError(

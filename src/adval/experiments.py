@@ -31,7 +31,6 @@ from adval.loop import (
     _STREAM_CONSUMER_TRAIN,
     _STREAM_POOL_INIT,
     _STREAM_TRAIN,
-    STRATEGIES,
     derive_seed,
     init_pools,
     run_active_learning,
@@ -255,29 +254,22 @@ def run_transfer(
     return _runs(replace(cfg, arch=selector_arch), strategies, train_ds, test_ds, tail, progress, at)
 
 
-def run_timing(
-    cfg: ExperimentConfig,
-    labeled_sizes,
-    repetitions: int,
-    strategies=("dfal", "coreset"),
-) -> list[tuple]:
-    """Mean per-round selection wall time at each labeled-set size.
+def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[tuple]:
+    """Mean selection wall time of each of ``cfg.strategies``, in order, at each size.
 
-    At size N it times the network that a run of the first experiment seed
-    starting from N labels trains at round 0: the same labeled set, the same
-    initialization and the same training, shared through the round-0 memo.
-    Training happens once per size and is excluded from the timed region. A
-    repetition times what the loop's ``selection_seconds`` times: a fresh
-    candidate draw and the selection, through ``select_round``. Repetition
-    ``r`` takes the seeds of round ``r`` under the first experiment seed.
+    ``cfg.strategies`` is ``experiment.strategies``. At size N it times the
+    network that a run of the first experiment seed starting from N labels
+    trains at round 0: the same labeled set, the same initialization and the
+    same training, shared through the round-0 memo. Training happens once per
+    size and is excluded from the timed region. A repetition times what the
+    loop's ``selection_seconds`` times: a fresh candidate draw and the
+    selection, through ``select_round``. Repetition ``r`` takes the seeds of
+    round ``r`` under the first experiment seed.
     """
     if any(a >= b for a, b in zip(labeled_sizes, labeled_sizes[1:])):
         raise ConfigError(f"--sizes must be strictly ascending, got {list(labeled_sizes)}")
     if repetitions < 1:
         raise ConfigError(f"--reps must be positive, got {repetitions}")
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise ConfigError(f"unknown strategies {unknown}; expected {tuple(STRATEGIES)}")
     train_ds, test_ds = cfg.data.load()
     train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
 
@@ -296,7 +288,7 @@ def run_timing(
         trained[size] = pools, net
 
     rows = []
-    for strategy in strategies:
+    for strategy in cfg.strategies:
         for size in labeled_sizes:
             pools, net = trained[size]
             elapsed = []

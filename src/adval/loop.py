@@ -46,7 +46,6 @@ from adval.strategies import (
     ADVERSARIAL_TWIN,
     BALD_SAMPLES,
     CEAL_PSEUDO,
-    STRATEGY_IDS,
     CandidateSet,
     QueryBatch,
     SyntheticAddition,
@@ -150,8 +149,8 @@ class ActiveConfig(ActiveSettings):
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGY_IDS:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected {STRATEGY_IDS}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; expected {tuple(STRATEGIES)}")
         super().__post_init__()
         if self.initial_labeled < self.network.class_count:
             raise ConfigError("initial_labeled must cover at least one sample per class")

@@ -15,10 +15,11 @@ batch is applied, so twins can never be mislabeled.
 
 ``STRATEGIES`` in ``adval.loop`` registers each strategy: whether it scores a
 random candidate subset or the whole unlabeled pool, and an adapter that calls
-its select function. Every adapter takes ``(settings, net, pool, n_query, seed,
-labeled)``, where ``labeled`` is the labeled set as a ``CandidateSet`` that only
-core-set reads. ``adval.loop.select_round`` draws the pool and calls the
-adapter, for the round loop and for selection timing alike.
+its select function; every id check in ``src`` reads its keys, and
+``STRATEGY_IDS`` is their public tuple. Every adapter takes ``(settings, net,
+pool, n_query, seed, labeled)``, where ``labeled`` is the labeled set as a
+``CandidateSet`` that only core-set reads. ``adval.loop.select_round`` draws the
+pool and calls the adapter, for the round loop and for selection timing alike.
 
 A pool is one type, ``CandidateSet``: the dataset's inputs and the indices of
 its rows, gathered only when the pool is indexed or sliced. Batched evaluation

@@ -13,7 +13,12 @@ import adval.cli
 import adval.experiments
 import adval.loop
 from adval.cli import main
-from adval.config import load_experiment_config, parse_int_list, prepare_for_archs
+from adval.config import (
+    load_experiment_config,
+    parse_int_list,
+    parse_strategy_list,
+    prepare_for_archs,
+)
 from adval.data import SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, FormatError, PoolInvariantError
 from adval.experiments import (
@@ -217,6 +222,38 @@ class TestConfigParsing:
     def test_unknown_strategy_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="strategies"):
             load_experiment_config(write_config(tmp_path, strategies="magic"))
+
+    # where a strategy list comes from -> the `adval run` arguments that give it "random,magic"
+    STRATEGY_SOURCES = {
+        "experiment.strategies": lambda tmp_path: [
+            "--config", str(write_config(tmp_path, strategies="random,magic"))
+        ],
+        "--strategies": lambda tmp_path: [
+            "--config", str(write_config(tmp_path)), "--strategies", "random,magic"
+        ],
+    }
+
+    @pytest.mark.parametrize("source", STRATEGY_SOURCES)
+    def test_unknown_strategy_names_its_source(self, tmp_path, source):
+        args = self.STRATEGY_SOURCES[source](tmp_path)
+        result = CliRunner().invoke(main, ["run", *args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        known = "('dfal', 'uncertainty', 'ceal', 'egl', 'bald', 'coreset', 'random')"
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: {source}: unknown strategy 'magic'; expected {known}"
+        ]
+        assert result.stdout == ""
+
+    def test_all_seven_strategies_parse(self, tmp_path):
+        text = "dfal, uncertainty, ceal, egl, bald, coreset, random"
+        want = tuple(text.split(", "))
+        assert parse_strategy_list(text, "--strategies") == want
+        assert load_experiment_config(write_config(tmp_path, strategies=text)).strategies == want
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        config = write_config(tmp_path)
+        config.write_text("\ufeff" + config.read_text(), encoding="utf-8")
+        assert load_experiment_config(config).active.candidates == 30
 
     def test_missing_csv_path_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -795,7 +832,7 @@ class TestRound0Reuse:
         assert trainings == {"train": 18 + 2}
 
     def test_timing_times_the_runs_round0_network(self, tmp_path, monkeypatch):
-        cfg = load_experiment_config(write_config(tmp_path))
+        cfg = load_experiment_config(write_config(tmp_path, strategies="dfal,coreset"))
         list(run_grid(cfg))
         trainings = count_calls(monkeypatch, "train")
         rows = run_timing(cfg, [cfg.active.initial_labeled], 1)
@@ -840,7 +877,7 @@ class TestProgressLines:
 
 class TestTiming:
     def test_one_row_per_strategy_size(self, tmp_path):
-        config = write_config(tmp_path)
+        config = write_config(tmp_path, strategies="dfal,coreset")
         runner = CliRunner()
         result = runner.invoke(
             main,
@@ -868,8 +905,8 @@ class TestTiming:
 
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_every_strategy_can_be_timed(self, tmp_path, strategy):
-        cfg = load_experiment_config(write_config(tmp_path))
-        rows = run_timing(cfg, [20], repetitions=1, strategies=(strategy,))
+        cfg = load_experiment_config(write_config(tmp_path, strategies=strategy))
+        rows = run_timing(cfg, [20], repetitions=1)
         assert len(rows) == 1
         name, size, reps, mean_s = rows[0]
         assert (name, size, reps) == (strategy, 20, 1)
@@ -900,10 +937,16 @@ class TestTiming:
         ]
 
     def test_initial_labeled_below_class_count_still_times(self, tmp_path):
-        config = write_config(tmp_path)
+        config = write_config(tmp_path, strategies="dfal,coreset")
         config.write_text(config.read_text().replace("initial_labeled = 6", "initial_labeled = 2"))
         rows = run_timing(load_experiment_config(config), [20], repetitions=1)
         assert [r[:3] for r in rows] == [("dfal", 20, 1), ("coreset", 20, 1)]
+
+    def test_times_experiment_strategies_in_config_order(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path, strategies="random,egl,dfal"))
+        rows = run_timing(cfg, [10, 20], repetitions=1)
+        want = [(s, size) for s in ("random", "egl", "dfal") for size in (10, 20)]
+        assert [r[:2] for r in rows] == want
 
     def test_zero_repetitions_names_option(self, tmp_path):
         config = write_config(tmp_path)

@@ -132,6 +132,20 @@ class TestCsv:
         with pytest.raises(FormatError, match="d.csv: row 2 label"):
             load_csv(path, class_count=2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_names_file_and_row(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,0.0,0.0\n1,0.0,{value}\n")
+        with pytest.raises(FormatError, match="d.csv: non-finite feature value in row 2"):
+            load_csv(path, class_count=2)
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeff0,0.0,0.0\n1,1.0,1.0\n0,2.0,2.0\n", encoding="utf-8")
+        ds = load_csv(path, class_count=2)
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+        np.testing.assert_array_equal(ds.inputs[:, 0], [0.0, 1.0, 2.0])
+
     def test_roundtrip(self, tmp_path):
         ds = gen_blobs(SyntheticSpec(class_count=3, points_per_class=20, seed=5))
         write_csv(ds, tmp_path / "blobs.csv")
