@@ -7,7 +7,9 @@ Subcommands::
     adval transfer --config cfg.ini --selector arch-A --consumer arch-B [--out DIR]
     adval timing   --config cfg.ini --sizes 100,1000 [--reps 5] [--out DIR]
 
-``timing`` times the selection of each strategy in ``experiment.strategies``.
+``run`` and ``transfer`` print one ``done`` line as each run finishes, then
+the table's path. ``timing`` times the selection of each strategy in
+``experiment.strategies``.
 
 Failures exit nonzero with a single machine-parsable line on stderr:
 ``E_<CODE>: human-readable message``.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
-from functools import partial, wraps
+from functools import wraps
 from pathlib import Path
 
 import click
@@ -82,14 +84,19 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _write_runs(path: Path, header, label: str, runs) -> None:
-    """Write the rows of ``runs(progress=...)`` to ``path``, echoing ``label`` as each run ends."""
+def _write_runs(path: Path, header, runs, done: str) -> None:
+    """Write each run's rows to ``path``, then echo ``done`` formatted with its last row.
 
-    def progress(strategy, seed, value):
-        click.echo(f"done {strategy} seed={seed} {label}={value:.4f}")
+    ``done`` names the row's fields by their ``header`` names. ``runs`` has
+    loaded its data already, so a data error leaves no table behind.
+    """
 
-    rows = runs(progress=progress)  # loads the data before the table is opened
-    click.echo(f"wrote {write_table(path, header, rows)}")
+    def rows():
+        for run in runs:
+            yield from run
+            click.echo(done.format_map(dict(zip(header, run[-1]))))
+
+    click.echo(f"wrote {write_table(path, header, rows())}")
 
 
 def _apply_overrides(cfg, seeds: str | None, strategies: str | None):
@@ -115,7 +122,8 @@ def run(config_path, out_dir, seeds, strategies):
     """Run the strategy x seed grid and write metrics.csv."""
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, strategies)
     out = _out_dir(out_dir)
-    _write_runs(out / "metrics.csv", METRICS_HEADER, "final_accuracy", partial(run_grid, cfg))
+    done = "done {strategy} seed={seed} final_accuracy={test_accuracy:.4f}"
+    _write_runs(out / "metrics.csv", METRICS_HEADER, run_grid(cfg), done)
 
 
 @main.command()
@@ -167,8 +175,8 @@ def transfer(config_path, selector, consumer, out_dir, seeds):
             raise ConfigError(f"{option} must be one of {ARCHITECTURES}, got {arch!r}")
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, None)
     out = _out_dir(out_dir)
-    runs = partial(run_transfer, cfg, selector, consumer)
-    _write_runs(out / "transfer.csv", TRANSFER_HEADER, "consumer_accuracy", runs)
+    done = "done {strategy} seed={seed} consumer_accuracy={consumer_accuracy:.4f}"
+    _write_runs(out / "transfer.csv", TRANSFER_HEADER, run_transfer(cfg, selector, consumer), done)
 
 
 @main.command()

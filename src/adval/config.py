@@ -178,6 +178,9 @@ class IdxData:
     def load(self) -> tuple[Dataset, Dataset]:
         train = load_idx(self.train_images, self.train_labels, name="idx-train")
         test = load_idx(self.test_images, self.test_labels, name="idx-test")
+        for key, dataset in (("train_images", train), ("test_images", test)):
+            if not len(dataset):
+                raise ConfigError(f"data.{key}: no samples in {getattr(self, key)}")
         pool = _capped(train, "pool_cap", self.pool_cap, self.seed)
         return pool, _capped(test, "test_cap", self.test_cap, self.seed + 1)
 
@@ -197,6 +200,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"network.arch must be one of {ARCHITECTURES}, got {self.arch!r}")
+        _check_strategies(self.strategies, "experiment.strategies")
 
     def network(self, dataset: Dataset, seed: int) -> NetworkSpec:
         """The network every run of ``seed`` on ``dataset`` starts from."""
@@ -241,14 +245,19 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return _distinct(items, text, what)
 
 
+def _check_strategies(items: tuple, what: str) -> None:
+    """Every item is a key of ``STRATEGIES``; an unknown one is a ConfigError naming ``what``."""
+    for s in items:
+        if s not in STRATEGIES:
+            raise ConfigError(f"{what}: unknown strategy {s!r}; expected {tuple(STRATEGIES)}")
+
+
 def parse_strategy_list(text: str, what: str) -> tuple[str, ...]:
     """Comma-separated ids, each a key of ``STRATEGIES``; an error names ``what``."""
     items = tuple(t.strip() for t in text.split(",") if t.strip())
     if not items:
         raise ConfigError(f"{what} must not be empty")
-    for s in items:
-        if s not in STRATEGIES:
-            raise ConfigError(f"{what}: unknown strategy {s!r}; expected {tuple(STRATEGIES)}")
+    _check_strategies(items, what)
     return _distinct(items, text, what)
 
 

@@ -1,15 +1,17 @@
 """Experiment execution and metrics tables behind the CLI.
 
 ``run_grid`` and ``run_transfer`` share one driver, ``_runs``. It runs every
-(strategy, seed) pair in order, builds each run's ``ActiveConfig``, turns each
-round into a table row through the loop's ``round_hook``, and yields a run's
-rows as soon as that run finishes, so a failing run leaves the rows of every
-run before it in the table. The two commands differ only in how a round
-becomes a row. Rows come in deterministic (strategy, seed, round) order. All
-result columns are reproducible bit-for-bit under identical configs; the two
-wall-time columns are environmental measurements and vary between runs. Every
-strategy of a seed shares one round-0 network, and so does ``run_timing`` (see
-``adval.loop``).
+(strategy, seed) pair of its config in order, builds each run's
+``ActiveConfig``, turns each round into a table row through the loop's
+``round_hook``, and yields each run whole, as the list of its rows, as soon as
+it finishes, so a failing run leaves the rows of every run before it in the
+table. The CLI prints the per-run line from those rows. The two commands
+differ only in how a round becomes a row. Rows come in deterministic
+(strategy, seed, round) order. All result columns are reproducible
+bit-for-bit under identical configs; the two wall-time columns are
+environmental measurements and vary between runs. Every strategy of a seed
+shares one round-0 network, and so does ``run_timing``: both start a run
+through ``adval.loop``'s ``round0_pools`` and ``train_round``.
 """
 
 from __future__ import annotations
@@ -24,18 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from adval.config import ExperimentConfig, prepare_for_archs
-from adval.data import read_lines
+from adval.data import Dataset, read_lines
 from adval.errors import ConfigError, FormatError
 from adval.loop import (
     _STREAM_CONSUMER_INIT,
     _STREAM_CONSUMER_TRAIN,
-    _STREAM_POOL_INIT,
-    _STREAM_TRAIN,
     derive_seed,
-    init_pools,
+    round0_pools,
     run_active_learning,
     select_round,
     train_fresh,
+    train_round,
     training_examples,
 )
 from adval.nn.architectures import build_network
@@ -121,14 +122,27 @@ def read_metrics(path) -> list[dict]:
     return rows
 
 
-def _runs(cfg: ExperimentConfig, strategies, train_ds, test_ds, tail, progress, progress_at):
+def _load(cfg: ExperimentConfig, sources: dict[str, str]) -> tuple[Dataset, Dataset]:
+    """``cfg``'s pool and test set, viewed so that every arch in ``sources`` composes.
+
+    ``sources`` maps each arch to the config key or option it came from,
+    which prefixes the error of an arch the samples do not fit.
+    """
+    train_ds, test_ds = cfg.data.load()
+    try:
+        return prepare_for_archs(train_ds, test_ds, tuple(sources))
+    except ConfigError as exc:
+        raise ConfigError(f"{sources['arch-A']}: {exc}") from exc  # only arch-A needs a shape
+
+
+def _runs(cfg: ExperimentConfig, train_ds, test_ds, tail) -> Iterator[list]:
     """Every (strategy, seed) run of ``cfg``, in order; yields each run's rows as it finishes.
 
     A round's row is (strategy, seed, round, annotations, labeled data)
-    followed by ``tail(seed, pool_state, record)``. After each run,
-    ``progress(strategy, seed, value)`` gets column ``progress_at`` of its last row.
+    followed by ``tail(seed, pool_state, record)``. A run comes whole, as the
+    list of its rows, so that the CLI can print a line about it.
     """
-    for strategy in strategies:
+    for strategy in cfg.strategies:
         for seed in cfg.seeds:
             rows = []
 
@@ -138,25 +152,22 @@ def _runs(cfg: ExperimentConfig, strategies, train_ds, test_ds, tail, progress, 
 
             active = cfg.active_config(strategy, seed, train_ds)
             run_active_learning(active, train_ds, test_ds, round_hook=hook)
-            yield from rows
-            if progress is not None:
-                progress(strategy, seed, rows[-1][progress_at])
+            yield rows
 
 
-def run_grid(cfg: ExperimentConfig, progress=None) -> Iterator[tuple]:
-    """Execute every (strategy, seed) pair; yields metrics rows in order.
+def run_grid(cfg: ExperimentConfig) -> Iterator[list]:
+    """Execute every (strategy, seed) pair; yields each run's metrics rows, in order.
 
-    The data loads before this returns. Each run's rows are yielded as soon as
-    the run finishes, so a writer keeps every finished run when a later one fails.
+    The data loads before this returns. Each run's rows are yielded together as
+    soon as the run finishes, so a writer keeps every finished run when a later
+    one fails; the CLI prints the per-run line.
     """
-    train_ds, test_ds = cfg.data.load()
-    train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
+    train_ds, test_ds = _load(cfg, {cfg.arch: "network.arch"})
 
     def tail(seed, pools, r):
         return r.test_accuracy, r.selection_seconds, r.train_seconds, r.pseudo_corruptions
 
-    at = METRICS_HEADER.index("test_accuracy")
-    return _runs(cfg, cfg.strategies, train_ds, test_ds, tail, progress, at)
+    return _runs(cfg, train_ds, test_ds, tail)
 
 
 @dataclass(frozen=True)
@@ -218,20 +229,18 @@ def compare_metrics(
     return summaries
 
 
-def run_transfer(
-    cfg: ExperimentConfig, selector_arch: str, consumer_arch: str, progress=None
-) -> Iterator[tuple]:
+def run_transfer(cfg: ExperimentConfig, selector_arch: str, consumer_arch: str) -> Iterator[list]:
     """Select with one architecture, retrain the other on the same labeled set.
 
     The random baseline is always included for reference. Each round's
     consumer network trains from scratch on exactly the selector's accumulated
     training set (twins included). As in ``run_grid``, the data loads before
-    this returns and each run's rows are yielded as soon as the run finishes.
+    this returns and each run's rows are yielded together as soon as the run
+    finishes; the CLI prints the per-run line.
     """
     if selector_arch == consumer_arch:
         raise ConfigError("transfer needs two distinct architectures")
-    train_ds, test_ds = cfg.data.load()
-    train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (selector_arch, consumer_arch))
+    train_ds, test_ds = _load(cfg, {selector_arch: "--selector", consumer_arch: "--consumer"})
     consumer_specs = {
         seed: build_network(
             consumer_arch,
@@ -250,8 +259,7 @@ def run_transfer(
         return r.test_accuracy, consumer_accuracy, r.selection_seconds, r.train_seconds
 
     strategies = tuple(dict.fromkeys([*cfg.strategies, "random"]))
-    at = TRANSFER_HEADER.index("consumer_accuracy")
-    return _runs(replace(cfg, arch=selector_arch), strategies, train_ds, test_ds, tail, progress, at)
+    return _runs(replace(cfg, arch=selector_arch, strategies=strategies), train_ds, test_ds, tail)
 
 
 def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[tuple]:
@@ -260,7 +268,8 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
     ``cfg.strategies`` is ``experiment.strategies``. At size N it times the
     network that a run of the first experiment seed starting from N labels
     trains at round 0: the same labeled set, the same initialization and the
-    same training, shared through the round-0 memo. Training happens once per
+    same training, drawn and trained through the loop's own ``round0_pools``
+    and ``train_round`` and shared through the round-0 memo. Training happens once per
     size and is excluded from the timed region. A repetition times what the
     loop's ``selection_seconds`` times: a fresh candidate draw and the
     selection, through ``select_round``. Repetition ``r`` takes the seeds of
@@ -270,8 +279,7 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
         raise ConfigError(f"--sizes must be strictly ascending, got {list(labeled_sizes)}")
     if repetitions < 1:
         raise ConfigError(f"--reps must be positive, got {repetitions}")
-    train_ds, test_ds = cfg.data.load()
-    train_ds, test_ds = prepare_for_archs(train_ds, test_ds, (cfg.arch,))
+    train_ds, _ = _load(cfg, {cfg.arch: "network.arch"})
 
     settings, seed = cfg.active, cfg.seeds[0]
     network = cfg.network(train_ds, seed)
@@ -280,11 +288,10 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
         if size >= len(train_ds):
             raise ConfigError(f"--sizes {size}: must be below the pool's {len(train_ds)} samples")
         try:
-            pools = init_pools(train_ds, size, derive_seed(seed, 0, _STREAM_POOL_INIT))
+            pools = round0_pools(train_ds, size, seed)
         except ConfigError as exc:
             raise ConfigError(f"--sizes {size}: {exc}") from exc
-        examples = training_examples(pools, train_ds)
-        net = train_fresh(network, examples, settings, derive_seed(seed, 0, _STREAM_TRAIN), 0)
+        net = train_round(network, training_examples(pools, train_ds), settings, seed, 0)
         trained[size] = pools, net
 
     rows = []

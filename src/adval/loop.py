@@ -16,15 +16,17 @@ one for a random subset and for the whole unlabeled pool alike.
 
 Round 0 is shared: its labeled set and training seed depend only on the run
 seed, so every strategy of a seed, and selection timing at the same labeled-set
-size, trains the same round-0 network. ``train_fresh`` keeps round-0 networks
-in a memo keyed by content (the network spec, ``base_steps``, the train
-settings, the seed and a digest of the training examples) and hands later runs
-the same read-only ``NetworkState``; their round 0's ``train_seconds`` is the
-lookup's. The memo admits networks until it holds ``_MEMO_SIZE`` and never
-evicts: the commands loop over strategies outside and seeds inside, so in a
-grid of more networks, least-recently-used eviction would drop each entry just
-before its reuse. The cost: a process training more than ``_MEMO_SIZE``
-distinct round-0 networks reuses only the first ones.
+size, trains the same round-0 network. ``round0_pools`` and ``train_round`` are
+the only place a run's labeled-set and training seeds are derived, for the
+loop and for timing alike. ``train_fresh`` keeps round-0 networks in a memo
+keyed by content (the network spec, ``base_steps``, the train settings, the
+seed and a digest of the training examples) and hands later runs the same
+read-only ``NetworkState``; their round 0's ``train_seconds`` is the lookup's.
+The memo admits networks until it holds ``_MEMO_SIZE`` and never evicts: the
+commands loop over strategies outside and seeds inside, so in a grid of more
+networks, least-recently-used eviction would drop each entry just before its
+reuse. The cost: a process training more than ``_MEMO_SIZE`` distinct round-0
+networks reuses only the first ones.
 """
 
 from __future__ import annotations
@@ -184,6 +186,11 @@ def init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
     return PoolState(labeled=labeled, unlabeled=unlabeled, synthetic=())
 
 
+def round0_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
+    """The labeled and unlabeled pools that a run of ``seed`` starts round 0 from."""
+    return init_pools(dataset, initial_labeled, derive_seed(seed, 0, _STREAM_POOL_INIT))
+
+
 def sample_candidates(pool_state: PoolState, k: int, round_seed: int) -> np.ndarray:
     """Uniform without replacement from the unlabeled pool, fresh each round."""
     unlabeled = np.asarray(pool_state.unlabeled)
@@ -296,6 +303,12 @@ def train_fresh(
     return net
 
 
+def train_round(spec: NetworkSpec, examples, settings, seed: int, round_index: int) -> NetworkState:
+    """The network that round ``round_index`` of a run of ``seed`` trains on ``examples``."""
+    train_seed = derive_seed(seed, round_index, _STREAM_TRAIN)
+    return train_fresh(spec, examples, settings, train_seed, round_index)
+
+
 @dataclass(frozen=True)
 class Strategy:
     scores_subset: bool  # scores a random candidate subset, not the whole unlabeled pool
@@ -398,7 +411,9 @@ def run_active_learning(
         )
     if dataset.class_count != cfg.network.class_count:
         raise ConfigError("dataset and network disagree on class count")
-    if len(test_set) and int(test_set.labels.max()) >= cfg.network.class_count:
+    if not len(test_set):
+        raise ConfigError("the test set has no samples")
+    if int(test_set.labels.max()) >= cfg.network.class_count:
         raise ConfigError(
             f"test set has label {int(test_set.labels.max())}, but the network "
             f"outputs {cfg.network.class_count} classes"
@@ -408,9 +423,7 @@ def run_active_learning(
         raise ConfigError(f"{dataset.class_count} classes, but the pool has no sample of class {missing}")
 
     try:
-        pools = init_pools(
-            dataset, cfg.initial_labeled, derive_seed(cfg.seed, 0, _STREAM_POOL_INIT)
-        )
+        pools = round0_pools(dataset, cfg.initial_labeled, cfg.seed)
     except ConfigError as exc:
         raise ConfigError(f"active.initial_labeled: {exc}") from exc
     oracle = lambda i: int(dataset.labels[i])  # noqa: E731 - simulated annotator
@@ -420,13 +433,7 @@ def run_active_learning(
         pools.check_conservation(len(dataset))
         examples = training_examples(pools, dataset)
         t0 = time.monotonic()
-        net = train_fresh(
-            cfg.network,
-            examples,
-            cfg,
-            derive_seed(cfg.seed, round_index, _STREAM_TRAIN),
-            round_index,
-        )
+        net = train_round(cfg.network, examples, cfg, cfg.seed, round_index)
         train_seconds = time.monotonic() - t0
 
         test_accuracy = accuracy(net, test_set.inputs, test_set.labels)

@@ -1,5 +1,6 @@
 """Shared fixtures: random small networks, trained nets on blob data, oracles and references."""
 
+import struct
 from collections import Counter
 
 import numpy as np
@@ -238,6 +239,20 @@ def small_blob_net(blobs: Dataset, hidden=(24,), seed=2, epochs=800) -> nn.Netwo
     state = nn.init_network(spec)
     cfg = TrainConfig(epochs=epochs, seed=seed)
     return nn.train(state, list(zip(blobs.inputs, blobs.labels)), cfg)
+
+
+def tiny_idx_pair(tmp_path, pixels, labels, prefix=""):
+    """An IDX image file and label file holding ``pixels`` (n, rows, cols) and ``labels``."""
+    n, rows, cols = pixels.shape
+    img = tmp_path / f"{prefix}imgs.idx"
+    lab = tmp_path / f"{prefix}labels.idx"
+    with open(img, "wb") as f:
+        f.write(struct.pack(">4I", 0x803, n, rows, cols))
+        f.write(pixels.astype(np.uint8).tobytes())
+    with open(lab, "wb") as f:
+        f.write(struct.pack(">2I", 0x801, n))
+        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+    return img, lab
 
 
 def count_calls(monkeypatch, *names) -> Counter:

@@ -2,12 +2,13 @@
 
 import csv
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import count_calls
+from conftest import count_calls, tiny_idx_pair
 
 import adval.cli
 import adval.experiments
@@ -244,6 +245,13 @@ class TestConfigParsing:
         ]
         assert result.stdout == ""
 
+    def test_python_built_config_rejects_unknown_strategy(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path))
+        known = "('dfal', 'uncertainty', 'ceal', 'egl', 'bald', 'coreset', 'random')"
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, strategies=("random", "foo"))
+        assert str(info.value) == f"experiment.strategies: unknown strategy 'foo'; expected {known}"
+
     def test_all_seven_strategies_parse(self, tmp_path):
         text = "dfal, uncertainty, ceal, egl, bald, coreset, random"
         want = tuple(text.split(", "))
@@ -366,7 +374,7 @@ class TestRunCommand:
 
     def test_grid_covers_strategy_seed_pairs(self, tmp_path):
         cfg = load_experiment_config(write_config(tmp_path, strategies="random,uncertainty", seeds="0,1"))
-        rows = run_grid(cfg)
+        rows = [row for run in run_grid(cfg) for row in run]
         groups = {(r[0], r[1]) for r in rows}
         assert groups == {("random", 0), ("random", 1), ("uncertainty", 0), ("uncertainty", 1)}
 
@@ -390,7 +398,7 @@ class TestRunCommand:
         written = []
 
         def recorded(*args, **kwargs):
-            return (written.append(row) or row for row in run_grid(*args, **kwargs))
+            return (written.extend(run) or run for run in run_grid(*args, **kwargs))
 
         monkeypatch.setattr(adval.cli, "run_grid", recorded)
         config = write_config(tmp_path, strategies="dfal,ceal", seeds="0,1")
@@ -511,6 +519,52 @@ class TestRunCommand:
         err = result.stderr.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("E_CONFIG: ")
+
+
+class TestDataShape:
+    """Data that no run can use fails before any run, naming the key or option at fault."""
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_idx_pair_without_samples_names_its_key(self, tmp_path, empty):
+        rng = np.random.default_rng(0)
+        lines = ["[data]", "kind = idx"]
+        for split in ("train", "test"):
+            n = 0 if split == empty else 12
+            labels = np.arange(n) % 3
+            pixels = rng.integers(0, 256, size=(n, 4, 4))
+            img, lab = tiny_idx_pair(tmp_path, pixels, labels, prefix=f"{split}_")
+            lines += [f"{split}_images = {img}", f"{split}_labels = {lab}"]
+        config = tmp_path / "idx.ini"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: data.{empty}_images: no samples in {tmp_path / f'{empty}_imgs.idx'}"
+        ]
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "20"]], ids=["run", "timing"])
+    def test_arch_a_on_flat_samples_names_network_arch(self, tmp_path, command):
+        config = write_config(tmp_path)
+        text = config.read_text().replace("arch = arch-B", "arch = arch-A")
+        config.write_text(text.replace("kind = blobs", "kind = blobs\ndimension = 3"))
+        args = [*command, "--config", str(config), "--out", str(tmp_path / "o")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: network.arch: arch-A needs image-shaped input; 3 is not a perfect square"
+        ]
+
+    @pytest.mark.parametrize("option", ["--selector", "--consumer"])
+    def test_arch_a_on_flat_samples_names_transfer_option(self, tmp_path, option):
+        archs = {"--selector": "arch-B", "--consumer": "arch-B", option: "arch-A"}
+        args = ["transfer", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]
+        result = CliRunner().invoke(main, [*args, *[v for a in archs.items() for v in a]])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: {option}: arch-A needs image-shaped input; 2 is not a perfect square"
+        ]
 
 
 class TestFileBoundary:
@@ -821,14 +875,14 @@ class TestRound0Reuse:
         bound = adval.loop._MEMO_SIZE
         cfg = self.round0_only_config(tmp_path, range(bound + 1))
         trainings = count_calls(monkeypatch, "train")
-        assert len(list(run_grid(cfg))) == 2 * (bound + 1)
+        assert sum(len(run) for run in run_grid(cfg)) == 2 * (bound + 1)
         # the second strategy trains only the seed the full memo did not admit
         assert trainings == {"train": bound + 2}
 
     def test_transfer_beyond_the_memo_reuses_its_first_networks(self, tmp_path, monkeypatch):
         cfg = self.round0_only_config(tmp_path, range(9))  # 18 round-0 networks a strategy
         trainings = count_calls(monkeypatch, "train")
-        assert len(list(run_transfer(cfg, "arch-B", "arch-A"))) == 2 * 9
+        assert sum(len(run) for run in run_transfer(cfg, "arch-B", "arch-A")) == 2 * 9
         assert trainings == {"train": 18 + 2}
 
     def test_timing_times_the_runs_round0_network(self, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import margin_oracle
+from conftest import margin_oracle, tiny_idx_pair
 
 from adval import nn
 from adval.cli import main
@@ -30,19 +30,6 @@ def write_csv(dataset, path):
     with open(path, "w", encoding="utf-8") as f:
         for label, values in zip(dataset.labels, dataset.inputs.reshape(len(dataset), -1)):
             f.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in values) + "\n")
-
-
-def tiny_idx_pair(tmp_path, pixels, labels, prefix=""):
-    n, rows, cols = pixels.shape
-    img = tmp_path / f"{prefix}imgs.idx"
-    lab = tmp_path / f"{prefix}labels.idx"
-    with open(img, "wb") as f:
-        f.write(struct.pack(">4I", 0x803, n, rows, cols))
-        f.write(pixels.astype(np.uint8).tobytes())
-    with open(lab, "wb") as f:
-        f.write(struct.pack(">2I", 0x801, n))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
-    return img, lab
 
 
 class TestIdx:

@@ -339,6 +339,12 @@ class TestRunActiveLearning:
         with pytest.raises(ConfigError, match="test set has label 3"):
             run_active_learning(quick_config("random"), train_ds, test_ds)
 
+    def test_empty_test_set_rejected(self):
+        train_ds, test_ds = blob_pair(classes=3)
+        empty = replace(test_ds, inputs=test_ds.inputs[:0], labels=test_ds.labels[:0])
+        with pytest.raises(ConfigError, match="^the test set has no samples$"):
+            run_active_learning(quick_config("random"), train_ds, empty)
+
     def test_pool_without_a_class_names_the_missing_ones(self):
         train_ds, test_ds = blob_pair(classes=4)
         keep = np.isin(train_ds.labels, (0, 2))
