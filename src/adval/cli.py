@@ -12,7 +12,8 @@ the table's path. ``timing`` times the selection of each strategy in
 ``experiment.strategies``.
 
 Failures exit nonzero with a single machine-parsable line on stderr:
-``E_<CODE>: human-readable message``.
+``E_<CODE>: human-readable message``. Data too large to allocate is
+``E_MEMORY``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ _ERROR_CODES = (
     (PoolInvariantError, "E_INVARIANT"),
     (AdvalError, "E_RUNTIME"),
     (OSError, "E_IO"),
+    (MemoryError, "E_MEMORY"),
 )
 
 

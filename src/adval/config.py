@@ -22,11 +22,14 @@ finite (attack.p may also be inf), that no list repeats an item, that every
 strategy id is known, and the rules of those dataclasses that need no data,
 such as existing files, n_query <= candidates, classes >= 2 or a csv
 test_fraction in (0, 1). A breach names its config key, such as
-``active.n_query``. What depends on the data is checked when a run starts:
-input shape and class count against the network, initial_labeled against the
-class count and the pool size, every class in a csv pool after its test split,
-csv and idx caps against the rows each class holds, and test labels against the
-network's classes.
+``active.n_query``. What depends on the data is checked when the data loads,
+before any run starts: every class in a csv pool after its test split and in an
+idx train file, an idx test set's image shape against the pool's, csv and idx
+caps against the rows each class holds, and each arch's view of the samples:
+``experiments._load`` asks ``build_network`` for it, so arch-A's perfect-square
+and composition errors name the key or option that set the arch. When a run
+starts, initial_labeled is checked against the class count and the pool size,
+and test labels against the network's classes.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from adval.data import (
 )
 from adval.errors import ConfigError
 from adval.loop import _STREAM_NETWORK_INIT, STRATEGIES, ActiveConfig, ActiveSettings, derive_seed
-from adval.nn.architectures import ARCHITECTURES, build_network, conv_input_shape
+from adval.nn.architectures import ARCHITECTURES, build_network
 from adval.nn.network import NetworkSpec
 from adval.nn.training import TrainConfig
 
@@ -181,6 +184,19 @@ class IdxData:
         for key, dataset in (("train_images", train), ("test_images", test)):
             if not len(dataset):
                 raise ConfigError(f"data.{key}: no samples in {getattr(self, key)}")
+        if test.input_shape != train.input_shape:
+            raise ConfigError(
+                f"data.test_images: {test.input_shape} images in {self.test_images}, but "
+                f"data.train_images holds {train.input_shape} images"
+            )
+        if train.class_count < 2:
+            raise ConfigError(f"data.train_labels: {self.train_labels} has class 0 alone; need 2 or more")
+        missing = ", ".join(map(str, train.missing_classes()))
+        if missing:
+            raise ConfigError(
+                f"data.train_labels: {train.class_count} classes, but {self.train_labels} "
+                f"has no sample of class {missing}"
+            )
         pool = _capped(train, "pool_cap", self.pool_cap, self.seed)
         return pool, _capped(test, "test_cap", self.test_cap, self.seed + 1)
 
@@ -210,18 +226,6 @@ class ExperimentConfig:
     def active_config(self, strategy: str, seed: int, dataset: Dataset) -> ActiveConfig:
         run = dict(network=self.network(dataset, seed), strategy=strategy, seed=seed)
         return _build(ActiveConfig, "active", **run, **vars(self.active))
-
-
-def prepare_for_archs(train: Dataset, test: Dataset, archs) -> tuple[Dataset, Dataset]:
-    """Reshape samples so every architecture in ``archs`` composes.
-
-    The conv architecture needs (channels, h, w) samples; the dense one
-    flattens whatever it gets, so the conv view wins when both appear.
-    """
-    if "arch-A" in archs and len(train.input_shape) != 3:
-        shape = conv_input_shape(train.input_shape)
-        return train.reshape_inputs(shape), test.reshape_inputs(shape)
-    return train, test
 
 
 def _distinct(items: tuple, text: str, what: str) -> tuple:

@@ -59,12 +59,6 @@ class Dataset:
         """The classes below ``class_count`` that no sample has, ascending."""
         return np.setdiff1d(np.arange(self.class_count), self.labels).tolist()
 
-    def reshape_inputs(self, shape: tuple[int, ...]) -> "Dataset":
-        """Same samples viewed with a different per-sample shape."""
-        if int(np.prod(shape)) != int(np.prod(self.input_shape)):
-            raise ConfigError(f"cannot view {self.input_shape} samples as {shape}")
-        return replace(self, inputs=self.inputs.reshape(len(self), *shape))
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:

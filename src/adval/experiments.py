@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from adval.config import ExperimentConfig, prepare_for_archs
+from adval.config import ExperimentConfig
 from adval.data import Dataset, read_lines
 from adval.errors import ConfigError, FormatError
 from adval.loop import (
@@ -123,16 +123,23 @@ def read_metrics(path) -> list[dict]:
 
 
 def _load(cfg: ExperimentConfig, sources: dict[str, str]) -> tuple[Dataset, Dataset]:
-    """``cfg``'s pool and test set, viewed so that every arch in ``sources`` composes.
+    """``cfg``'s pool and test set, viewed as the input of every arch in ``sources``.
 
+    Each arch's ``build_network`` spec for the samples' shape says the view
+    it reads, and the samples take the view with the most axes: arch-B
+    flattens whatever it reads, so arch-A's (channels, h, w) serves both.
     ``sources`` maps each arch to the config key or option it came from,
     which prefixes the error of an arch the samples do not fit.
     """
     train_ds, test_ds = cfg.data.load()
-    try:
-        return prepare_for_archs(train_ds, test_ds, tuple(sources))
-    except ConfigError as exc:
-        raise ConfigError(f"{sources['arch-A']}: {exc}") from exc  # only arch-A needs a shape
+    views = []
+    for arch, source in sources.items():
+        try:
+            views.append(build_network(arch, train_ds.input_shape, train_ds.class_count).input_shape)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
+    shape = max(views, key=len)
+    return tuple(replace(ds, inputs=ds.inputs.reshape(len(ds), *shape)) for ds in (train_ds, test_ds))
 
 
 def _runs(cfg: ExperimentConfig, train_ds, test_ds, tail) -> Iterator[list]:
@@ -239,7 +246,10 @@ def run_transfer(cfg: ExperimentConfig, selector_arch: str, consumer_arch: str) 
     finishes; the CLI prints the per-run line.
     """
     if selector_arch == consumer_arch:
-        raise ConfigError("transfer needs two distinct architectures")
+        raise ConfigError(
+            f"--consumer must differ from --selector: transfer needs two distinct "
+            f"architectures, got {consumer_arch!r} for both"
+        )
     train_ds, test_ds = _load(cfg, {selector_arch: "--selector", consumer_arch: "--consumer"})
     consumer_specs = {
         seed: build_network(

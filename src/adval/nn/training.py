@@ -57,7 +57,14 @@ class TrainConfig:
 
 
 def epochs_for_budget(base_steps: int, batch_size: int, n_examples: int) -> int:
-    """Epoch count that keeps total gradient steps roughly constant across rounds."""
+    """``ceil(base_steps * batch_size / n_examples)`` epochs, at least one.
+
+    An epoch runs ``ceil(n_examples / batch_size)`` steps, so a round runs at
+    least ``base_steps`` steps, and more when ``n_examples`` is not a multiple
+    of ``batch_size``: both ceilings round up. Below one batch, every step is
+    the whole set and the round runs as many steps as epochs; the default
+    config's round 0 (20 examples, batch 32, 2000 base steps) runs 3200.
+    """
     return max(1, math.ceil(base_steps * batch_size / max(1, n_examples)))
 
 

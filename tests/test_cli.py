@@ -15,12 +15,12 @@ import adval.experiments
 import adval.loop
 from adval.cli import main
 from adval.config import (
+    BlobsData,
+    ExperimentConfig,
     load_experiment_config,
     parse_int_list,
     parse_strategy_list,
-    prepare_for_archs,
 )
-from adval.data import SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, FormatError, PoolInvariantError
 from adval.experiments import (
     METRICS_HEADER,
@@ -348,12 +348,11 @@ class TestConfigParsing:
         ]
 
     def test_conv_arch_gets_image_view(self):
-        train = gen_blobs(SyntheticSpec(class_count=2, points_per_class=10, dimension=64, seed=0))
-        test = gen_blobs(SyntheticSpec(class_count=2, points_per_class=5, dimension=64, seed=1))
-        a, b = prepare_for_archs(train, test, ("arch-A", "arch-B"))
+        cfg = ExperimentConfig(BlobsData(classes=2, points_per_class=10, test_points_per_class=5, dimension=64))
+        a, b = adval.experiments._load(cfg, {"arch-A": "--selector", "arch-B": "--consumer"})
         assert a.input_shape == (1, 8, 8)
         assert b.input_shape == (1, 8, 8)
-        c, d = prepare_for_archs(train, test, ("arch-B",))
+        c, d = adval.experiments._load(cfg, {"arch-B": "network.arch"})
         assert c.input_shape == (64,)
 
 
@@ -520,6 +519,18 @@ class TestRunCommand:
         assert len(err) == 1
         assert err[0].startswith("E_CONFIG: ")
 
+    def test_data_too_large_to_allocate_is_a_memory_error(self, tmp_path, monkeypatch):
+        # The driver raises what numpy raises for a pool it cannot allocate; nothing is allocated.
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 43.7 TiB for an array with shape (3000000000000, 2)")
+
+        monkeypatch.setattr(adval.cli, "run_grid", too_large)
+        result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_MEMORY: Unable to allocate 43.7 TiB for an array with shape (3000000000000, 2)"
+        ]
+
 
 class TestDataShape:
     """Data that no run can use fails before any run, naming the key or option at fault."""
@@ -544,26 +555,85 @@ class TestDataShape:
         ]
         assert not (out / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "20"]], ids=["run", "timing"])
-    def test_arch_a_on_flat_samples_names_network_arch(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, dimension, error",
+        [
+            (["run"], 3, "arch-A needs image-shaped input; 3 is not a perfect square"),
+            (["timing", "--sizes", "20"], 3, "arch-A needs image-shaped input; 3 is not a perfect square"),
+            (["run"], 9, "arch-A does not compose with input shape (1, 3, 3)"),
+            (["timing", "--sizes", "20"], 9, "arch-A does not compose with input shape (1, 3, 3)"),
+        ],
+        ids=["run", "timing", "run-composition", "timing-composition"],
+    )
+    def test_arch_a_on_flat_samples_names_network_arch(self, tmp_path, command, dimension, error):
         config = write_config(tmp_path)
         text = config.read_text().replace("arch = arch-B", "arch = arch-A")
-        config.write_text(text.replace("kind = blobs", "kind = blobs\ndimension = 3"))
+        config.write_text(text.replace("kind = blobs", f"kind = blobs\ndimension = {dimension}"))
         args = [*command, "--config", str(config), "--out", str(tmp_path / "o")]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
-        assert result.stderr.strip().splitlines() == [
-            "E_CONFIG: network.arch: arch-A needs image-shaped input; 3 is not a perfect square"
-        ]
+        assert result.stderr.strip().splitlines() == [f"E_CONFIG: network.arch: {error}"]
 
-    @pytest.mark.parametrize("option", ["--selector", "--consumer"])
-    def test_arch_a_on_flat_samples_names_transfer_option(self, tmp_path, option):
+    @pytest.mark.parametrize(
+        "option, dimension, error",
+        [
+            ("--selector", 2, "arch-A needs image-shaped input; 2 is not a perfect square"),
+            ("--consumer", 2, "arch-A needs image-shaped input; 2 is not a perfect square"),
+            ("--selector", 9, "arch-A does not compose with input shape (1, 3, 3)"),
+            ("--consumer", 9, "arch-A does not compose with input shape (1, 3, 3)"),
+        ],
+        ids=["--selector", "--consumer", "--selector-composition", "--consumer-composition"],
+    )
+    def test_arch_a_on_flat_samples_names_transfer_option(self, tmp_path, option, dimension, error):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("kind = blobs", f"kind = blobs\ndimension = {dimension}"))
         archs = {"--selector": "arch-B", "--consumer": "arch-B", option: "arch-A"}
-        args = ["transfer", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]
+        args = ["transfer", "--config", str(config), "--out", str(tmp_path)]
         result = CliRunner().invoke(main, [*args, *[v for a in archs.items() for v in a]])
         assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [f"E_CONFIG: {option}: {error}"]
+
+    @staticmethod
+    def _idx_config(tmp_path, train_labels, test_rows=4):
+        """An idx config: 4x4 training images with ``train_labels``, 12 test images of three classes."""
+        rng = np.random.default_rng(0)
+        lines = ["[data]", "kind = idx"]
+        for split, labels, rows in (("train", train_labels, 4), ("test", np.arange(12) % 3, test_rows)):
+            pixels = rng.integers(0, 256, size=(len(labels), rows, 4))
+            img, lab = tiny_idx_pair(tmp_path, pixels, labels, prefix=f"{split}_")
+            lines += [f"{split}_images = {img}", f"{split}_labels = {lab}"]
+        config = tmp_path / "idx.ini"
+        config.write_text("\n".join(lines) + "\n[active]\ninitial_labeled = 6\n")
+        return config
+
+    @pytest.mark.parametrize(
+        "command, labels, error",
+        [
+            (["run"], [0, 2], "3 classes, but {path} has no sample of class 1"),
+            (["timing", "--sizes", "6"], [0, 2], "3 classes, but {path} has no sample of class 1"),
+            (["run"], [0], "{path} has class 0 alone; need 2 or more"),
+        ],
+        ids=["run", "timing", "one-class"],
+    )
+    def test_idx_train_labels_without_a_class_name_the_file(self, tmp_path, command, labels, error):
+        config = self._idx_config(tmp_path, np.resize(labels, 12))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
         assert result.stderr.strip().splitlines() == [
-            f"E_CONFIG: {option}: arch-A needs image-shaped input; 2 is not a perfect square"
+            "E_CONFIG: data.train_labels: " + error.format(path=tmp_path / "train_labels.idx")
+        ]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
+    def test_idx_test_images_of_another_shape_name_their_key(self, tmp_path, arch):
+        config = self._idx_config(tmp_path, np.arange(12) % 3, test_rows=5)
+        config.write_text(config.read_text() + f"[network]\narch = {arch}\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: data.test_images: (5, 4) images in {tmp_path / 'test_imgs.idx'}, "
+            "but data.train_images holds (4, 4) images"
         ]
 
 
@@ -757,6 +827,15 @@ class TestTransfer:
         assert result.exit_code == 2
         assert "distinct" in result.stderr
 
+    def test_identical_architectures_name_both_options(self, tmp_path):
+        args = ["--selector", "arch-A", "--consumer", "arch-A", "--out", str(tmp_path / "o")]
+        result = CliRunner().invoke(main, ["transfer", "--config", str(write_config(tmp_path)), *args])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: --consumer must differ from --selector: transfer needs two distinct "
+            "architectures, got 'arch-A' for both"
+        ]
+
     @pytest.mark.parametrize("option", ["--selector", "--consumer"])
     def test_unknown_architecture_names_option_before_loading(self, tmp_path, option):
         bad = tmp_path / "bad.csv"
@@ -780,7 +859,7 @@ class TestTransfer:
         result = CliRunner().invoke(main, ["transfer", "--config", str(config), *args])
         assert result.exit_code == 2
         assert result.stderr.strip().splitlines() == [
-            "E_CONFIG: arch-A does not compose with input shape (1, 4, 4)"
+            "E_CONFIG: --consumer: arch-A does not compose with input shape (1, 4, 4)"
         ]
         assert not (out / "transfer.csv").exists()
 

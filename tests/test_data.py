@@ -288,13 +288,6 @@ class TestDatasetValidation:
         with pytest.raises(InputError):
             Dataset(np.array([[np.nan, 0.0]]), np.array([0]), 2)
 
-    def test_reshape_inputs(self):
-        ds = gen_blobs(SyntheticSpec(class_count=2, points_per_class=3, dimension=4, seed=0))
-        img = ds.reshape_inputs((1, 2, 2))
-        assert img.input_shape == (1, 2, 2)
-        with pytest.raises(ConfigError):
-            ds.reshape_inputs((3, 3))
-
 
 # A run small enough for a few dozen rows: round 0, then one query round.
 QUICK_RUN = """
