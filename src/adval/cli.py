@@ -7,9 +7,10 @@ Subcommands::
     adval transfer --config cfg.ini --selector arch-A --consumer arch-B [--out DIR]
     adval timing   --config cfg.ini --sizes 100,1000 [--reps 5] [--out DIR]
 
-``run`` and ``transfer`` print one ``done`` line as each run finishes, then
-the table's path. ``timing`` times the selection of each strategy in
-``experiment.strategies``.
+``run``, ``transfer`` and ``timing`` write their tables through one writer,
+which prints one line as each run finishes, then the table's path; each of
+``timing``'s rows is a run of its own. ``timing`` times the selection of each
+strategy in ``experiment.strategies``.
 
 Failures exit nonzero with a single machine-parsable line on stderr:
 ``E_<CODE>: human-readable message``. Data too large to allocate is
@@ -21,6 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from functools import wraps
+from itertools import chain, islice
 from pathlib import Path
 
 import click
@@ -90,11 +92,16 @@ def _write_runs(path: Path, header, runs, done: str) -> None:
     """Write each run's rows to ``path``, then echo ``done`` formatted with its last row.
 
     ``done`` names the row's fields by their ``header`` names. ``runs`` has
-    loaded its data already, so a data error leaves no table behind.
+    loaded its data already, and the first run finishes before ``path`` is
+    opened, so a data error or an error at the first run's start leaves no
+    table behind, and a file already at ``path`` as it was. A later run's
+    failure keeps the rows of every run before it.
     """
+    runs = iter(runs)
+    first = list(islice(runs, 1))
 
     def rows():
-        for run in runs:
+        for run in chain(first, runs):
             yield from run
             click.echo(done.format_map(dict(zip(header, run[-1]))))
 
@@ -140,7 +147,10 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
     if target_accuracy is not None and not 0.0 <= target_accuracy <= 1.0:  # NaN fails too
         raise ConfigError(f"--target-accuracy must be in [0, 1], got {target_accuracy}")
     rows = read_metrics(metrics_path)
-    summaries = compare_metrics(rows, cps, target_accuracy)
+    try:
+        summaries = compare_metrics(rows, cps, target_accuracy)
+    except FormatError as exc:  # a table whose rounds do not line up across seeds
+        raise FormatError(f"{metrics_path}: {exc}") from exc
 
     header = ["strategy", *[f"acc@{cp}" for cp in cps]]
     if target_accuracy is not None:
@@ -148,19 +158,15 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
     click.echo("  ".join(f"{h:>18}" for h in header))
     out_rows = []
     for s in summaries:
-        cells = [s.strategy]
-        for cp in cps:
-            value = s.checkpoint_accuracy[cp]
-            cells.append("absent" if value is None else f"{value:.4f}")
+        values = (s.checkpoint_accuracy[cp] for cp in cps)
+        cells = [s.strategy, *("absent" if v is None else f"{v:.4f}" for v in values)]
         if target_accuracy is not None:
             prefix = "" if s.target_reached else ">="
-            cells.append(f"{prefix}{s.target_annotations}")
-            cells.append(f"{prefix}{s.target_labeled_data:.1f}")
+            cells += [f"{prefix}{s.target_annotations}", f"{prefix}{s.target_labeled_data:.1f}"]
         click.echo("  ".join(f"{c:>18}" for c in cells))
-        out_rows.append(tuple(cells))
+        out_rows.append(cells)
     if out_dir is not None:
-        path = write_table(_out_dir(out_dir) / "compare.csv", tuple(header), out_rows)
-        click.echo(f"wrote {path}")
+        click.echo(f"wrote {write_table(_out_dir(out_dir) / 'compare.csv', header, out_rows)}")
 
 
 @main.command()
@@ -192,11 +198,9 @@ def timing(config_path, sizes, reps, out_dir):
     cfg = load_experiment_config(config_path)
     size_list = parse_int_list(sizes, "--sizes")
     out = _out_dir(out_dir)
-    rows = run_timing(cfg, size_list, repetitions=reps)
-    for strategy, size, n, mean_s in rows:
-        click.echo(f"{strategy} |L|={size} reps={n} mean_selection={mean_s:.4f}s")
-    path = write_table(out / "timing.csv", TIMING_HEADER, rows)
-    click.echo(f"wrote {path}")
+    runs = ([row] for row in run_timing(cfg, size_list, repetitions=reps))
+    done = "{strategy} |L|={labeled_size} reps={repetitions} mean_selection={mean_selection_seconds:.4f}s"
+    _write_runs(out / "timing.csv", TIMING_HEADER, runs, done)
 
 
 if __name__ == "__main__":

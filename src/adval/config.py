@@ -24,12 +24,14 @@ such as existing files, n_query <= candidates, classes >= 2 or a csv
 test_fraction in (0, 1). A breach names its config key, such as
 ``active.n_query``. What depends on the data is checked when the data loads,
 before any run starts: every class in a csv pool after its test split and in an
-idx train file, an idx test set's image shape against the pool's, csv and idx
-caps against the rows each class holds, and each arch's view of the samples:
-``experiments._load`` asks ``build_network`` for it, so arch-A's perfect-square
-and composition errors name the key or option that set the arch. When a run
-starts, initial_labeled is checked against the class count and the pool size,
-and test labels against the network's classes.
+idx train file, an idx test set's image shape and labels against the pool's,
+csv and idx caps against the rows each class holds, and each arch's view of the
+samples: ``experiments._load`` asks ``build_network`` for it, so arch-A's
+perfect-square and composition errors name the key or option that set the arch.
+When a run starts, initial_labeled is checked against the class count and the
+pool size, and test labels against the network's classes. The CLI opens a
+table only once its first run has finished, so an error at a run's start, like
+a data error, leaves no table behind.
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ class IdxData:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def load(self) -> tuple[Dataset, Dataset]:
-        train = load_idx(self.train_images, self.train_labels, name="idx-train")
-        test = load_idx(self.test_images, self.test_labels, name="idx-test")
+        train = load_idx(self.train_images, self.train_labels)
+        test = load_idx(self.test_images, self.test_labels)
         for key, dataset in (("train_images", train), ("test_images", test)):
             if not len(dataset):
                 raise ConfigError(f"data.{key}: no samples in {getattr(self, key)}")
@@ -196,6 +198,11 @@ class IdxData:
             raise ConfigError(
                 f"data.train_labels: {train.class_count} classes, but {self.train_labels} "
                 f"has no sample of class {missing}"
+            )
+        if test.class_count > train.class_count:
+            raise ConfigError(
+                f"data.test_labels: {self.test_labels} has label {test.class_count - 1}, but "
+                f"data.train_labels holds {train.class_count} classes"
             )
         pool = _capped(train, "pool_cap", self.pool_cap, self.seed)
         return pool, _capped(test, "test_cap", self.test_cap, self.seed + 1)

@@ -138,7 +138,7 @@ def _read_idx(path, magic: int, what: str, dims: int) -> tuple[tuple[int, ...], 
     return sizes, np.frombuffer(raw, dtype=np.uint8)
 
 
-def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a dataset with pixels in [0, 1]."""
     (n, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, "image", 3)
     (n_labels,), labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, "label", 1)
@@ -149,7 +149,7 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
         )
     inputs = pixels.reshape(n, rows, cols).astype(DTYPE) / 255.0
     class_count = int(labels.max()) + 1 if n else 0
-    return Dataset(inputs, labels.astype(np.int64), class_count, name=name)
+    return Dataset(inputs, labels.astype(np.int64), class_count)
 
 
 def read_lines(path, error=FormatError, newline=None) -> list[str]:
@@ -169,7 +169,7 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def load_csv(path, class_count: int, name: str = "csv") -> Dataset:
+def load_csv(path, class_count: int) -> Dataset:
     """Parse ``label,v1,...,vd`` rows; header row optional."""
     rows = [line.strip().split(",") for line in read_lines(path) if line.strip()]
     if not rows:
@@ -205,7 +205,7 @@ def load_csv(path, class_count: int, name: str = "csv") -> Dataset:
             )
         labels[i] = int(label)
         inputs[i] = values
-    return Dataset(inputs, labels, class_count, name=name)
+    return Dataset(inputs, labels, class_count)
 
 
 def _balanced_counts(total: int, class_count: int, rng: np.random.Generator) -> np.ndarray:

@@ -186,9 +186,8 @@ class CheckpointSummary:
     target_reached: bool = True
 
 
-def _round_at_or_below(rows, checkpoint):
-    eligible = (r for r in rows if r["annotations"] <= checkpoint)
-    return max(eligible, key=lambda r: r["annotations"], default=None)
+def _mean(group: list[dict], column: str) -> float:
+    return float(np.mean([g[column] for g in group]))
 
 
 def compare_metrics(
@@ -196,43 +195,40 @@ def compare_metrics(
 ) -> list[CheckpointSummary]:
     """Per strategy: mean accuracy over seeds at each annotation checkpoint.
 
-    The value at a checkpoint is the accuracy of the nearest round at or below
-    it; a checkpoint below the first round is reported as absent (None). With a
-    target accuracy, also reports the annotations and labeled-data counts of
-    the first round whose seed-mean accuracy reaches the target.
+    Each strategy's rows are grouped by round once, each group in ascending
+    seed order, and every figure is a mean over one group. Rounds line up
+    across seeds: a group that repeats a seed, or whose seeds disagree on the
+    annotations, is a ``FormatError`` naming the strategy and the round. A
+    checkpoint reads the last round whose annotations are at most the
+    checkpoint; a checkpoint below the first round is reported as absent
+    (None). With a target accuracy, also reports the annotations and
+    labeled-data counts of the first round whose seed-mean accuracy reaches
+    the target, or of the last round if none does.
     """
-    strategies = sorted({r["strategy"] for r in rows})
     summaries = []
-    for strategy in strategies:
-        mine = [r for r in rows if r["strategy"] == strategy]
-        seeds = sorted({r["seed"] for r in mine})
+    for strategy in sorted({r["strategy"] for r in rows}):
+        by_round: dict[int, list[dict]] = {}
+        for r in sorted((r for r in rows if r["strategy"] == strategy), key=lambda r: r["seed"]):
+            by_round.setdefault(r["round"], []).append(r)
+        groups = [by_round[rnd] for rnd in sorted(by_round)]
+        for group in groups:
+            if len({g["seed"] for g in group}) < len(group) or len({g["annotations"] for g in group}) > 1:
+                pairs = [(g["seed"], g["annotations"]) for g in group]
+                raise FormatError(
+                    f"strategy {strategy!r}, round {group[0]['round']}: each seed must appear once and "
+                    f"all seeds must agree on the annotations, got (seed, annotations) {pairs}"
+                )
+
         per_checkpoint = {}
         for cp in checkpoints:
-            values = []
-            for seed in seeds:
-                hit = _round_at_or_below([r for r in mine if r["seed"] == seed], cp)
-                if hit is not None:
-                    values.append(hit["test_accuracy"])
-            per_checkpoint[cp] = float(np.mean(values)) if values else None
-        summary = CheckpointSummary(strategy, per_checkpoint)
+            below = [g for g in groups if g[0]["annotations"] <= cp]
+            per_checkpoint[cp] = _mean(below[-1], "test_accuracy") if below else None
+        target = ()
         if target_accuracy is not None:
-            by_round: dict[int, list[dict]] = {}
-            for r in mine:
-                by_round.setdefault(r["round"], []).append(r)
-            reached = None
-            for rnd in sorted(by_round):
-                group = by_round[rnd]
-                if float(np.mean([g["test_accuracy"] for g in group])) >= target_accuracy:
-                    reached = group
-                    break
-            group = reached or by_round[max(by_round)]
-            summary = replace(
-                summary,
-                target_annotations=int(round(np.mean([g["annotations"] for g in group]))),
-                target_labeled_data=float(np.mean([g["labeled_data"] for g in group])),
-                target_reached=reached is not None,
-            )
-        summaries.append(summary)
+            reached = next((g for g in groups if _mean(g, "test_accuracy") >= target_accuracy), None)
+            group = reached or groups[-1]
+            target = group[0]["annotations"], _mean(group, "labeled_data"), reached is not None
+        summaries.append(CheckpointSummary(strategy, per_checkpoint, *target))
     return summaries
 
 

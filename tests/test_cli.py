@@ -482,6 +482,43 @@ class TestRunCommand:
         ]
 
     @pytest.mark.parametrize(
+        "command, table",
+        [
+            (["run"], "metrics.csv"),
+            (["transfer", "--selector", "arch-B", "--consumer", "arch-A"], "transfer.csv"),
+        ],
+        ids=["run", "transfer"],
+    )
+    @pytest.mark.parametrize(
+        "initial, budget, error",
+        [
+            (500, 600, "active.initial_labeled: 500 labels exceed the pool's 120 samples"),
+            (2, 16, "active.initial_labeled must cover at least one sample per class"),
+        ],
+        ids=["beyond-pool", "below-classes"],
+    )
+    @pytest.mark.parametrize("existing", [None, b"strategy\nan earlier table\n"], ids=["new", "existing"])
+    def test_error_at_the_first_runs_start_leaves_no_table(
+        self, tmp_path, command, table, initial, budget, error, existing
+    ):
+        config = write_config(tmp_path)
+        text = config.read_text().replace("kind = blobs", "kind = blobs\ndimension = 64")
+        text = text.replace("initial_labeled = 6", f"initial_labeled = {initial}")
+        config.write_text(text.replace("budget = 16", f"budget = {budget}"))
+        out = tmp_path / "o"
+        out.mkdir()
+        if existing is not None:
+            (out / table).write_bytes(existing)
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [f"E_CONFIG: {error}"]
+        assert result.stdout == ""
+        if existing is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert (out / table).read_bytes() == existing
+
+    @pytest.mark.parametrize(
         "command, table, time_columns",
         [
             (["run"], "metrics.csv", (6, 7)),
@@ -625,6 +662,19 @@ class TestDataShape:
         ]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
+    def test_idx_test_labels_beyond_the_train_classes_name_their_key(self, tmp_path, command):
+        config = self._idx_config(tmp_path, np.arange(12) % 3)
+        pixels = np.random.default_rng(1).integers(0, 256, size=(12, 4, 4))
+        _, labels = tiny_idx_pair(tmp_path, pixels, np.arange(12) % 4, prefix="test_")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: data.test_labels: {labels} has label 3, but data.train_labels holds 3 classes"
+        ]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
     def test_idx_test_images_of_another_shape_name_their_key(self, tmp_path, arch):
         config = self._idx_config(tmp_path, np.arange(12) % 3, test_rows=5)
@@ -732,6 +782,43 @@ class TestCompare:
         path = write_table(tmp_path / "m.csv", METRICS_HEADER, rows)
         summaries = compare_metrics(read_metrics(path), checkpoints=(16,))
         assert abs(summaries[0].checkpoint_accuracy[16] - 0.7) < 1e-9
+
+    def test_seed_order_in_the_table_does_not_matter(self, tmp_path):
+        # seeds listed 2,0,1, as `adval run` writes them for `seeds = 2,0,1`
+        rows = []
+        for strategy, base in (("dfal", 0.3), ("random", 0.0)):
+            for seed in (2, 0, 1):
+                for rnd, ann in enumerate((6, 11, 16)):
+                    accuracy = base + 0.1 * seed + 0.07 * rnd
+                    rows.append((strategy, seed, rnd, ann, ann + seed, accuracy, 0.0, 0.0, 0))
+        listed = read_metrics(write_table(tmp_path / "listed.csv", METRICS_HEADER, rows))
+        by_seed = sorted(listed, key=lambda r: (r["strategy"], r["seed"], r["round"]))
+        assert [r["seed"] for r in listed[:9:3]] == [2, 0, 1]
+        checkpoints = (5, 6, 12, 16, 100)
+        for target in (None, 0.4, 0.99):
+            assert compare_metrics(listed, checkpoints, target) == compare_metrics(by_seed, checkpoints, target)
+
+    @pytest.mark.parametrize(
+        "column, value, pairs",
+        [("seed", 0, "[(0, 11), (0, 11)]"), ("annotations", 12, "[(0, 11), (1, 12)]")],
+        ids=["repeated-seed", "annotations-disagree"],
+    )
+    def test_rounds_that_do_not_line_up_name_strategy_and_round(self, tmp_path, column, value, pairs):
+        rows = self.make_rows()
+        at = METRICS_HEADER.index(column)
+        rows[4] = (*rows[4][:at], value, *rows[4][at + 1 :])  # dfal, seed 1, round 1
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, rows)
+        want = (
+            "strategy 'dfal', round 1: each seed must appear once and all seeds must agree on "
+            f"the annotations, got (seed, annotations) {pairs}"
+        )
+        with pytest.raises(FormatError) as info:
+            compare_metrics(read_metrics(path), checkpoints=(16,))
+        assert str(info.value) == want
+        result = CliRunner().invoke(main, ["compare", "--metrics", str(path), "--checkpoints", "16"])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [f"E_FORMAT: {path}: {want}"]
+        assert result.stdout == ""
 
     def test_malformed_train_seconds_rejected(self, tmp_path):
         rows = self.make_rows()
@@ -1035,6 +1122,26 @@ class TestTiming:
             ("coreset", "20"),
             ("coreset", "40"),
         }
+
+    def test_stdout_is_one_line_per_row_then_the_table(self, tmp_path, monkeypatch):
+        rows = [("dfal", 10, 2, 0.012345), ("dfal", 20, 2, 0.5), ("random", 10, 2, 1.99999)]
+        monkeypatch.setattr(adval.cli, "run_timing", lambda cfg, sizes, repetitions: rows)
+        out = tmp_path / "o"
+        args = ["timing", "--config", str(write_config(tmp_path)), "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [
+            "dfal |L|=10 reps=2 mean_selection=0.0123s",
+            "dfal |L|=20 reps=2 mean_selection=0.5000s",
+            "random |L|=10 reps=2 mean_selection=2.0000s",
+            f"wrote {out / 'timing.csv'}",
+        ]
+        assert read_rows(out / "timing.csv") == [
+            ["strategy", "labeled_size", "repetitions", "mean_selection_seconds"],
+            ["dfal", "10", "2", "0.012345"],
+            ["dfal", "20", "2", "0.500000"],
+            ["random", "10", "2", "1.999990"],
+        ]
 
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_every_strategy_can_be_timed(self, tmp_path, strategy):
