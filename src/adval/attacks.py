@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adval.errors import ConfigError
+from adval.errors import ConfigError, require_at_least
 from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkState, logits_and_deferred_jacobian
 # Re-exported for perfbench, whose tracer wraps adval.attacks.logits_and_input_jacobian.
@@ -44,10 +44,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.p not in (2.0, 2, np.inf, float("inf")):
             raise ConfigError(f"p must be 2 or inf, got {self.p}")
-        if self.overshoot < 0:
-            raise ConfigError(f"overshoot must be >= 0, got {self.overshoot}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        require_at_least(self, overshoot=0, max_iter=1)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from adval.errors import (
     InputError,
     PoolInvariantError,
     UnsupportedArchitectureError,
+    prefixed,
 )
 from adval.experiments import (
     METRICS_HEADER,
@@ -147,10 +148,8 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
     if target_accuracy is not None and not 0.0 <= target_accuracy <= 1.0:  # NaN fails too
         raise ConfigError(f"--target-accuracy must be in [0, 1], got {target_accuracy}")
     rows = read_metrics(metrics_path)
-    try:
+    with prefixed(FormatError, f"{metrics_path}: "):  # rounds that do not line up across seeds
         summaries = compare_metrics(rows, cps, target_accuracy)
-    except FormatError as exc:  # a table whose rounds do not line up across seeds
-        raise FormatError(f"{metrics_path}: {exc}") from exc
 
     header = ["strategy", *[f"acc@{cp}" for cp in cps]]
     if target_accuracy is not None:

@@ -20,18 +20,23 @@ relative to the directory of the config file, not to the working directory.
 Loading checks value syntax, unknown sections and keys, that each float is
 finite (attack.p may also be inf), that no list repeats an item, that every
 strategy id is known, and the rules of those dataclasses that need no data,
-such as existing files, n_query <= candidates, classes >= 2 or a csv
-test_fraction in (0, 1). A breach names its config key, such as
-``active.n_query``. What depends on the data is checked when the data loads,
-before any run starts: every class in a csv pool after its test split and in an
-idx train file, an idx test set's image shape and labels against the pool's,
-csv and idx caps against the rows each class holds, and each arch's view of the
-samples: ``experiments._load`` asks ``build_network`` for it, so arch-A's
-perfect-square and composition errors name the key or option that set the arch.
-When a run starts, initial_labeled is checked against the class count and the
-pool size, and test labels against the network's classes. The CLI opens a
-table only once its first run has finished, so an error at a run's start, like
-a data error, leaves no table behind.
+such as existing files, n_query <= candidates, classes >= 2, a csv
+test_fraction in (0, 1), or blobs sizes too large for one numpy array. A
+breach names its config key, such as ``active.n_query``: each rule's message
+starts with its field (``adval.errors.require_at_least`` writes every lower
+bound) and ``_build`` puts the section in front (through
+``adval.errors.prefixed``). What depends on the data is checked when the data
+loads, before any run starts: that generated blobs are finite, every class in
+a csv pool after its test split and in an idx train file, an idx test set's
+image shape and labels against the pool's, csv and idx caps against the rows
+each class holds, and each arch's view of the samples: ``experiments._load``
+asks ``build_network`` for it, so arch-A's perfect-square and composition
+errors name the key or option that set the arch. ``adval timing`` loads and
+checks only the pool; ``run`` and ``transfer`` load the test set too. When a
+run starts, initial_labeled is checked against the class count and the pool
+size, and test labels against the network's classes. The CLI opens a table
+only once its first run has finished, so an error at a run's start, like a
+data error, leaves no table behind.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import get_type_hints
+
+import numpy as np
 
 from adval.attacks import AttackConfig
 from adval.data import (
@@ -54,9 +61,10 @@ from adval.data import (
     stratified_split,
     stratified_subsample,
 )
-from adval.errors import ConfigError
+from adval.errors import ConfigError, prefixed, require_at_least
 from adval.loop import _STREAM_NETWORK_INIT, STRATEGIES, ActiveConfig, ActiveSettings, derive_seed
 from adval.nn.architectures import ARCHITECTURES, build_network
+from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkSpec
 from adval.nn.training import TrainConfig
 
@@ -65,22 +73,20 @@ def _build(cls, section: str, /, **values):
     """``cls(**values)``; a rule it breaks is named by its ``section.field`` key.
 
     ``cls`` may also build a dataclass, as ``partial(replace, settings)`` does.
-    Relies on each of the class's error messages starting with its field.
+    Relies on each of the class's error messages starting with its field, as
+    ``adval.errors.require_at_least`` writes them, and puts the section in
+    front through ``adval.errors.prefixed``.
     """
-    try:
+    with prefixed(ConfigError, f"{section}."):
         return cls(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _capped(dataset: Dataset, key: str, cap: int | None, seed: int) -> Dataset:
     """``dataset`` cut to a class-balanced ``cap`` rows; a cap it cannot fill names its key."""
     if cap is None or cap >= len(dataset):
         return dataset
-    try:
+    with prefixed(ConfigError, f"data.{key}: "):
         return stratified_subsample(dataset, cap, seed=seed)
-    except ConfigError as exc:
-        raise ConfigError(f"data.{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -99,13 +105,17 @@ class BlobsData:
     seed: int = SyntheticSpec.seed
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if self.test_points_per_class < 1:
-            raise ConfigError(
-                f"test_points_per_class must be >= 1, got {self.test_points_per_class}"
-            )
+        require_at_least(self, classes=2, test_points_per_class=1)
         self.specs()
+        # gen_blobs fills one (classes * points, dimension) array for each set
+        for points in ("points_per_class", "test_points_per_class"):
+            sizes = {"classes": self.classes, points: getattr(self, points), "dimension": self.dimension}
+            if math.prod(sizes.values()) > np.iinfo(np.intp).max // np.dtype(DTYPE).itemsize:
+                name = max(sizes, key=sizes.get)
+                raise ConfigError(
+                    f"{name} = {sizes[name]} is too large: {self.classes} classes of {sizes[points]} "
+                    f"points in {self.dimension} dimensions make an array numpy cannot index"
+                )
 
     def specs(self) -> tuple[SyntheticSpec, SyntheticSpec]:
         """The pool's spec and the test set's."""
@@ -114,9 +124,10 @@ class BlobsData:
         test = replace(pool, points_per_class=self.test_points_per_class, seed=self.seed + 10_000)
         return pool, test
 
-    def load(self) -> tuple[Dataset, Dataset]:
+    def load(self, test_set: bool = True) -> tuple[Dataset, Dataset | None]:
         pool, test = self.specs()
-        return gen_blobs(pool), gen_blobs(test)
+        with prefixed(ConfigError, "data.cov_scale, data.center_radius: "):
+            return gen_blobs(pool), gen_blobs(test) if test_set else None
 
 
 @dataclass(frozen=True)
@@ -132,27 +143,25 @@ class CsvData:
     def __post_init__(self):
         if not self.path.is_file():
             raise ConfigError(f"path: file does not exist: {self.path}")
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
+        require_at_least(self, class_count=2)
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.pool_cap is not None and self.pool_cap < self.class_count:
             raise ConfigError(
                 f"pool_cap must be >= class_count={self.class_count}, got {self.pool_cap}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        require_at_least(self, seed=0)
 
-    def load(self) -> tuple[Dataset, Dataset]:
+    def load(self, test_set: bool = True) -> tuple[Dataset, Dataset | None]:
         data = load_csv(self.path, self.class_count)
-        train, test = stratified_split(data, self.test_fraction, self.seed)
+        train, test = stratified_split(data, self.test_fraction, self.seed)  # the split defines the pool
         missing = ", ".join(map(str, train.missing_classes()))
         if missing:
             raise ConfigError(
                 f"data.class_count: {self.class_count} classes, but the pool left after "
                 f"data.test_fraction = {self.test_fraction:g} has no sample of class {missing}"
             )
-        return _capped(train, "pool_cap", self.pool_cap, self.seed + 1), test
+        return _capped(train, "pool_cap", self.pool_cap, self.seed + 1), test if test_set else None
 
 
 @dataclass(frozen=True)
@@ -174,19 +183,15 @@ class IdxData:
         for name in ("train_images", "train_labels", "test_images", "test_labels"):
             if not getattr(self, name).is_file():
                 raise ConfigError(f"{name}: file does not exist: {getattr(self, name)}")
-        for name in ("pool_cap", "test_cap"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        require_at_least(self, pool_cap=1, test_cap=1, seed=0)
 
-    def load(self) -> tuple[Dataset, Dataset]:
+    def load(self, test_set: bool = True) -> tuple[Dataset, Dataset | None]:
         train = load_idx(self.train_images, self.train_labels)
-        test = load_idx(self.test_images, self.test_labels)
+        test = load_idx(self.test_images, self.test_labels) if test_set else None
         for key, dataset in (("train_images", train), ("test_images", test)):
-            if not len(dataset):
+            if dataset is not None and not len(dataset):
                 raise ConfigError(f"data.{key}: no samples in {getattr(self, key)}")
-        if test.input_shape != train.input_shape:
+        if test is not None and test.input_shape != train.input_shape:
             raise ConfigError(
                 f"data.test_images: {test.input_shape} images in {self.test_images}, but "
                 f"data.train_images holds {train.input_shape} images"
@@ -199,16 +204,16 @@ class IdxData:
                 f"data.train_labels: {train.class_count} classes, but {self.train_labels} "
                 f"has no sample of class {missing}"
             )
-        if test.class_count > train.class_count:
+        if test is not None and test.class_count > train.class_count:
             raise ConfigError(
                 f"data.test_labels: {self.test_labels} has label {test.class_count - 1}, but "
                 f"data.train_labels holds {train.class_count} classes"
             )
         pool = _capped(train, "pool_cap", self.pool_cap, self.seed)
-        return pool, _capped(test, "test_cap", self.test_cap, self.seed + 1)
+        return pool, None if test is None else _capped(test, "test_cap", self.test_cap, self.seed + 1)
 
 
-# data.kind -> its dataclass, whose load() builds (train pool, test set)
+# data.kind -> its dataclass, whose load(test_set) builds (train pool, test set or None)
 _DATA_KINDS = {"blobs": BlobsData, "csv": CsvData, "idx": IdxData}
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from adval.errors import ConfigError, FormatError, InputError
+from adval.errors import ConfigError, FormatError, InputError, require_at_least
 from adval.nn.layers import DTYPE
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -70,13 +70,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:  # messages start with their field, for the config loader
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("points_per_class", "dimension"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require_at_least(self, class_count=2, seed=0, points_per_class=1, dimension=1)
         if self.cov_scale <= 0:
             raise ConfigError(f"cov_scale must be positive, got {self.cov_scale}")
 
@@ -99,10 +93,16 @@ def gen_blobs(spec: SyntheticSpec) -> Dataset:
             center[1] = spec.center_radius * np.sin(angle)
         lo = c * spec.points_per_class
         hi = lo + spec.points_per_class
-        inputs[lo:hi] = center + spec.cov_scale * rng.standard_normal(
-            (spec.points_per_class, spec.dimension)
-        )
+        with np.errstate(over="ignore"):  # reported once, below
+            inputs[lo:hi] = center + spec.cov_scale * rng.standard_normal(
+                (spec.points_per_class, spec.dimension)
+            )
         labels[lo:hi] = c
+    if not np.isfinite(inputs).all():
+        raise ConfigError(
+            f"blobs at center_radius {spec.center_radius} with cov_scale {spec.cov_scale} "
+            "hold non-finite samples"
+        )
     order = rng.permutation(n)
     return Dataset(inputs[order], labels[order], spec.class_count, name="blobs")
 

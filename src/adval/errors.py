@@ -1,4 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the two helpers that name a rejected value.
+
+How a user error names its key: a rule that a dataclass's field breaks
+raises an error whose message starts with that field, as
+``require_at_least`` writes the commonest rule, ``<field> must be >= <min>,
+got <value>``. The config loader puts ``section.`` in front (through
+``prefixed``), so the user reads ``section.key``. A value that came from a
+CLI option or from a derived place, such as a cap, an arch or a labeled-set
+size, has that key or option put in front the same way, as ``key: message``.
+"""
+
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 class AdvalError(Exception):
@@ -27,3 +39,26 @@ class PoolInvariantError(AdvalError, RuntimeError):
 
 class TrainingError(AdvalError, RuntimeError):
     """Training diverged: the trained network's logits are not finite."""
+
+
+def require_at_least(obj, **minimums) -> None:
+    """``ConfigError`` for the first of ``obj``'s fields, in argument order, below its minimum.
+
+    A field holding None is unset and passes.
+    """
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if value is not None and value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+@contextmanager
+def prefixed(error_type: type[Exception], prefix: str) -> Iterator[None]:
+    """Re-raise an ``error_type`` from the block with ``prefix`` in front of its message.
+
+    The new error has the caught one's type, and the caught one as its ``__cause__``.
+    """
+    try:
+        yield
+    except error_type as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc

@@ -27,7 +27,7 @@ import numpy as np
 
 from adval.config import ExperimentConfig
 from adval.data import Dataset, read_lines
-from adval.errors import ConfigError, FormatError
+from adval.errors import ConfigError, FormatError, prefixed
 from adval.loop import (
     _STREAM_CONSUMER_INIT,
     _STREAM_CONSUMER_TRAIN,
@@ -122,24 +122,28 @@ def read_metrics(path) -> list[dict]:
     return rows
 
 
-def _load(cfg: ExperimentConfig, sources: dict[str, str]) -> tuple[Dataset, Dataset]:
+def _load(
+    cfg: ExperimentConfig, sources: dict[str, str], test_set: bool = True
+) -> tuple[Dataset, Dataset | None]:
     """``cfg``'s pool and test set, viewed as the input of every arch in ``sources``.
 
     Each arch's ``build_network`` spec for the samples' shape says the view
     it reads, and the samples take the view with the most axes: arch-B
     flattens whatever it reads, so arch-A's (channels, h, w) serves both.
     ``sources`` maps each arch to the config key or option it came from,
-    which prefixes the error of an arch the samples do not fit.
+    which prefixes the error of an arch the samples do not fit. Without
+    ``test_set`` the test set is neither loaded nor checked, and comes back None.
     """
-    train_ds, test_ds = cfg.data.load()
+    train_ds, test_ds = cfg.data.load(test_set)
     views = []
     for arch, source in sources.items():
-        try:
+        with prefixed(ConfigError, f"{source}: "):
             views.append(build_network(arch, train_ds.input_shape, train_ds.class_count).input_shape)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
     shape = max(views, key=len)
-    return tuple(replace(ds, inputs=ds.inputs.reshape(len(ds), *shape)) for ds in (train_ds, test_ds))
+    return tuple(
+        None if ds is None else replace(ds, inputs=ds.inputs.reshape(len(ds), *shape))
+        for ds in (train_ds, test_ds)
+    )
 
 
 def _runs(cfg: ExperimentConfig, train_ds, test_ds, tail) -> Iterator[list]:
@@ -279,13 +283,14 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
     size and is excluded from the timed region. A repetition times what the
     loop's ``selection_seconds`` times: a fresh candidate draw and the
     selection, through ``select_round``. Repetition ``r`` takes the seeds of
-    round ``r`` under the first experiment seed.
+    round ``r`` under the first experiment seed. Timing reads only the pool,
+    so the test set is neither loaded nor checked.
     """
     if any(a >= b for a, b in zip(labeled_sizes, labeled_sizes[1:])):
         raise ConfigError(f"--sizes must be strictly ascending, got {list(labeled_sizes)}")
     if repetitions < 1:
         raise ConfigError(f"--reps must be positive, got {repetitions}")
-    train_ds, _ = _load(cfg, {cfg.arch: "network.arch"})
+    train_ds, _ = _load(cfg, {cfg.arch: "network.arch"}, test_set=False)
 
     settings, seed = cfg.active, cfg.seeds[0]
     network = cfg.network(train_ds, seed)
@@ -293,10 +298,8 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
     for size in labeled_sizes:
         if size >= len(train_ds):
             raise ConfigError(f"--sizes {size}: must be below the pool's {len(train_ds)} samples")
-        try:
+        with prefixed(ConfigError, f"--sizes {size}: "):
             pools = round0_pools(train_ds, size, seed)
-        except ConfigError as exc:
-            raise ConfigError(f"--sizes {size}: {exc}") from exc
         net = train_round(network, training_examples(pools, train_ds), settings, seed, 0)
         trained[size] = pools, net
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from adval.attacks import AttackConfig
 from adval.data import Dataset
-from adval.errors import ConfigError, PoolInvariantError, TrainingError
+from adval.errors import ConfigError, PoolInvariantError, TrainingError, prefixed, require_at_least
 from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkSpec, NetworkState, accuracy, init_network
 from adval.nn.training import TrainConfig, epochs_for_budget, train
@@ -112,7 +112,9 @@ class ActiveSettings:
     """The settings of a run that need no data: ActiveConfig less network, strategy and seed.
 
     Its checks run when an experiment config loads. Each error message starts
-    with the field it rejects, so the loader can name the ``section.key``.
+    with the field it rejects, so the loader can name the ``section.key``; the
+    lower bounds go through ``adval.errors.require_at_least``, one call on each
+    side of the two cross-field rules so that the same error comes first.
     """
 
     candidates: int = 200  # size of the random candidate pool drawn each round
@@ -126,8 +128,7 @@ class ActiveSettings:
     bald_samples: int = BALD_SAMPLES
 
     def __post_init__(self):
-        if self.candidates < 1:
-            raise ConfigError(f"candidates must be >= 1, got {self.candidates}")
+        require_at_least(self, candidates=1)
         if not 1 <= self.n_query <= self.candidates:
             raise ConfigError(
                 f"n_query must lie in [1, candidates={self.candidates}], got {self.n_query}"
@@ -136,12 +137,7 @@ class ActiveSettings:
             raise ConfigError(
                 f"budget must be >= initial_labeled={self.initial_labeled}, got {self.budget}"
             )
-        if self.base_steps < 1:
-            raise ConfigError(f"base_steps must be >= 1, got {self.base_steps}")
-        if self.ceal_delta < 0:
-            raise ConfigError(f"ceal_delta must be >= 0, got {self.ceal_delta}")
-        if self.bald_samples < 2:
-            raise ConfigError(f"bald_samples must be >= 2, got {self.bald_samples}")
+        require_at_least(self, base_steps=1, ceal_delta=0, bald_samples=2)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -283,7 +279,9 @@ def train_fresh(
     before; otherwise it enters the memo, read-only since later runs share it,
     unless the memo is full (see the module docstring for why it never evicts).
     A diverged training (see ``adval.nn.training``) raises ``TrainingError``
-    naming the round and ``train.learning_rate``, and never enters the memo.
+    with ``round N: `` in front (through ``adval.errors.prefixed``), and never
+    enters the memo. It names no config key: a large learning rate, a small
+    ``train.beta2`` or far-flung data diverge alike.
     """
     key = None
     if round_index == 0:
@@ -291,13 +289,8 @@ def train_fresh(
         if key in _round0_memo:
             return _round0_memo[key]
     epochs = epochs_for_budget(settings.base_steps, settings.train.batch_size, len(examples))
-    try:
+    with prefixed(TrainingError, f"round {round_index}: "):
         net = train(init_network(spec), examples, replace(settings.train, epochs=epochs, seed=seed))
-    except TrainingError as exc:
-        raise TrainingError(
-            f"round {round_index}: {exc}; "
-            f"train.learning_rate = {settings.train.learning_rate:g} may be too large"
-        ) from exc
     if key is not None and len(_round0_memo) < _MEMO_SIZE:
         _round0_memo[key] = _read_only(net)
     return net
@@ -422,10 +415,8 @@ def run_active_learning(
     if missing:
         raise ConfigError(f"{dataset.class_count} classes, but the pool has no sample of class {missing}")
 
-    try:
+    with prefixed(ConfigError, "active.initial_labeled: "):
         pools = round0_pools(dataset, cfg.initial_labeled, cfg.seed)
-    except ConfigError as exc:
-        raise ConfigError(f"active.initial_labeled: {exc}") from exc
     oracle = lambda i: int(dataset.labels[i])  # noqa: E731 - simulated annotator
     records: list[RoundRecord] = []
     round_index = 0

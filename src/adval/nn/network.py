@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from adval.errors import ConfigError, InputError, UnsupportedArchitectureError
+from adval.errors import ConfigError, InputError, UnsupportedArchitectureError, require_at_least
 from adval.nn import layers as L
 from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec
 
@@ -65,8 +65,7 @@ class NetworkSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
+        require_at_least(self, class_count=2)
         if not self.input_shape or any(d < 1 for d in self.input_shape):
             raise ConfigError(f"input shape must be positive dims, got {self.input_shape}")
         for layer in self.layers:

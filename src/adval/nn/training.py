@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adval.errors import ConfigError, InputError, TrainingError
+from adval.errors import ConfigError, InputError, TrainingError, require_at_least
 from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkState, forward_batch, loss_and_param_grads
 
@@ -47,10 +47,7 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        require_at_least(self, batch_size=1, epochs=1)
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")

@@ -159,6 +159,19 @@ class TestConfigParsing:
         ("attack.overshoot", "1e300"), ("experiment.seeds", "0"),
         ("experiment.ceal_delta", "0"), ("experiment.ceal_delta", "1e300"),
     }
+    # Each key of a kind whose rule is "must be >= <minimum>": (minimum, the type it reads as).
+    MINIMUMS = {
+        "blobs": {
+            "data.classes": (2, int), "data.points_per_class": (1, int),
+            "data.test_points_per_class": (1, int), "data.dimension": (1, int),
+            "data.seed": (0, int), "active.candidates": (1, int), "active.base_steps": (1, int),
+            "train.batch_size": (1, int), "attack.overshoot": (0, float),
+            "attack.max_iter": (1, int), "experiment.ceal_delta": (0, float),
+            "experiment.bald_samples": (2, int),
+        },
+        "csv": {"data.class_count": (2, int), "data.seed": (0, int)},
+        "idx": {"data.pool_cap": (1, int), "data.test_cap": (1, int), "data.seed": (0, int)},
+    }
 
     @pytest.mark.parametrize("value", ODD_VALUES)
     @pytest.mark.parametrize(
@@ -190,6 +203,9 @@ class TestConfigParsing:
         err = result.stderr.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("E_CONFIG: ") and key in err[0]
+        minimum, read_as = self.MINIMUMS[kind].get(key, (None, None))
+        if value in ("0", "-1") and minimum is not None and int(value) < minimum:
+            assert err[0] == f"E_CONFIG: {key} must be >= {minimum}, got {read_as(value)}"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, extra="\n[attack]\nstrength = 9\n")
@@ -444,16 +460,18 @@ class TestRunCommand:
             "E_CONFIG: active.initial_labeled: 500 labels exceed the pool's 120 samples"
         ]
 
-    def test_diverged_training_is_runtime_error(self, tmp_path):
-        config = write_config(
-            tmp_path, strategies="dfal,random", extra="\n[train]\nlearning_rate = 1e300\n"
-        )
+    DIVERGED = "E_RUNTIME: round 0: training diverged: the trained network's logits are not finite"
+
+    # The message names no key: a large learning rate and a zero beta2 diverge alike.
+    @pytest.mark.parametrize("train", ["learning_rate = 1e300", "beta2 = 0"])
+    def test_diverged_training_is_runtime_error(self, tmp_path, train):
+        config = write_config(tmp_path, strategies="dfal,random", extra=f"\n[train]\n{train}\n")
         result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path)])
         assert result.exit_code == 2
         err = result.stderr.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("E_RUNTIME: round 0: training diverged: ")
-        assert "train.learning_rate = 1e+300" in err[0]
+        assert err[0] == self.DIVERGED
 
     def test_one_step_divergence_is_runtime_error(self, tmp_path):
         # one 32-row batch: the only step's loss comes before its update and is finite
@@ -468,7 +486,7 @@ class TestRunCommand:
         err = result.stderr.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("E_RUNTIME: round 0: training diverged: ")
-        assert "train.learning_rate = 1e+300" in err[0]
+        assert err[0] == self.DIVERGED
 
     @pytest.mark.parametrize("initial", [0, 2])
     def test_initial_labels_below_class_count_name_section(self, tmp_path, initial):
@@ -662,18 +680,123 @@ class TestDataShape:
         ]
         assert list(out.iterdir()) == []
 
+    # timing reads only the pool, so it times what run would reject
     @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
     def test_idx_test_labels_beyond_the_train_classes_name_their_key(self, tmp_path, command):
         config = self._idx_config(tmp_path, np.arange(12) % 3)
+        config.write_text(config.read_text() + "base_steps = 30\n")
         pixels = np.random.default_rng(1).integers(0, 256, size=(12, 4, 4))
         _, labels = tiny_idx_pair(tmp_path, pixels, np.arange(12) % 4, prefix="test_")
         out = tmp_path / "o"
         result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
+        if command[0] == "timing":
+            assert result.exit_code == 0, result.output
+            assert [p.name for p in out.iterdir()] == ["timing.csv"]
+            return
         assert result.exit_code == 2
         assert result.stderr.strip().splitlines() == [
             f"E_CONFIG: data.test_labels: {labels} has label 3, but data.train_labels holds 3 classes"
         ]
         assert list(out.iterdir()) == []
+
+    def test_timing_reads_only_the_pool(self, tmp_path):
+        """An empty idx test pair stops ``run`` by name, but not ``timing``, which evaluates nothing."""
+        rng = np.random.default_rng(0)
+        lines = ["[data]", "kind = idx"]
+        for split, n in (("train", 12), ("test", 0)):
+            pixels = rng.integers(0, 256, size=(n, 4, 4))
+            img, lab = tiny_idx_pair(tmp_path, pixels, np.arange(n) % 3, prefix=f"{split}_")
+            lines += [f"{split}_images = {img}", f"{split}_labels = {lab}"]
+        config = tmp_path / "idx.ini"
+        config.write_text("\n".join(lines) + "\n[active]\ninitial_labeled = 6\nbase_steps = 30\n")
+        out = tmp_path / "o"
+        args = ["--config", str(config), "--out", str(out)]
+        result = CliRunner().invoke(main, ["timing", "--sizes", "6", "--reps", "1", *args])
+        assert result.exit_code == 0, result.output
+        assert [r[:3] for r in read_rows(out / "timing.csv")[1:]] == [
+            ["dfal", "6", "1"], ["random", "6", "1"]
+        ]
+        result = CliRunner().invoke(main, ["run", *args])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: data.test_images: no samples in {tmp_path / 'test_imgs.idx'}"
+        ]
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["blobs", "csv", "idx"])
+    def test_the_pool_is_the_same_without_the_test_set(self, tmp_path, kind):
+        rng = np.random.default_rng(0)
+        if kind == "blobs":
+            text = "[data]\nkind = blobs\nclasses = 3\npoints_per_class = 10\n"
+        elif kind == "csv":
+            rows = [f"{i % 3},{v:.6f},{-v:.6f}" for i, v in enumerate(rng.standard_normal(30))]
+            (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+            text = "[data]\nkind = csv\npath = d.csv\nclass_count = 3\ntest_fraction = 0.3\npool_cap = 9\n"
+        else:
+            text = "[data]\nkind = idx\npool_cap = 6\ntest_cap = 3\n"
+            for split in ("train", "test"):
+                pixels = rng.integers(0, 256, size=(12, 4, 4))
+                img, lab = tiny_idx_pair(tmp_path, pixels, np.arange(12) % 3, prefix=f"{split}_")
+                text += f"{split}_images = {img}\n{split}_labels = {lab}\n"
+        config = tmp_path / "c.ini"
+        config.write_text(text)
+        data = load_experiment_config(config).data
+        (pool, test), (pool_alone, none) = data.load(), data.load(test_set=False)
+        assert none is None and len(test)
+        np.testing.assert_array_equal(pool_alone.inputs, pool.inputs)
+        np.testing.assert_array_equal(pool_alone.labels, pool.labels)
+
+    HUGE = "99999999999999999999999"
+
+    # key -> the shape that the first set numpy cannot index would have: (classes, points, dimension)
+    UNINDEXABLE = {
+        "classes": (HUGE, 40, 2),
+        "points_per_class": (3, HUGE, 2),
+        "test_points_per_class": (3, HUGE, 2),
+        "dimension": (3, 40, HUGE),
+    }
+
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
+    @pytest.mark.parametrize("key", UNINDEXABLE)
+    def test_blobs_size_numpy_cannot_index_names_its_key(self, tmp_path, key, command):
+        config = write_config(tmp_path)
+        lines = [line for line in config.read_text().splitlines() if not line.startswith(f"{key} =")]
+        config.write_text("\n".join(lines).replace("kind = blobs", f"kind = blobs\n{key} = {self.HUGE}"))
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        classes, points, dimension = self.UNINDEXABLE[key]
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: data.{key} = {self.HUGE} is too large: {classes} classes of {points} points "
+            f"in {dimension} dimensions make an array numpy cannot index"
+        ]
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_blobs_size_numpy_can_index_but_not_allocate_is_a_memory_error(self, tmp_path):
+        # 3 classes x points x 2 float64 values, the most whose bytes an array can index;
+        # a request that large fails at once, touching no memory.
+        points = np.iinfo(np.intp).max // 8 // 6
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("points_per_class = 40", f"points_per_class = {points}"))
+        args = ["--config", str(config), "--out", str(tmp_path / "o")]
+        result = CliRunner().invoke(main, ["run", *args])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines()[0].startswith("E_MEMORY: ")
+        config.write_text(config.read_text().replace(f"= {points}", f"= {points + 1}"))
+        result = CliRunner().invoke(main, ["run", *args])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines()[0].startswith("E_CONFIG: data.points_per_class = ")
+
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
+    def test_blobs_that_are_not_finite_name_their_keys(self, tmp_path, command):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("cov_scale = 0.5", "cov_scale = 1e308"))
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: data.cov_scale, data.center_radius: blobs at center_radius 2.0 with "
+            "cov_scale 1e+308 hold non-finite samples"
+        ]
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
     def test_idx_test_images_of_another_shape_name_their_key(self, tmp_path, arch):

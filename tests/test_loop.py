@@ -613,9 +613,9 @@ class TestRound0Memo:
         assert trained == [bound, bound]
         assert len(adval.loop._round0_memo) == bound
 
-    def test_diverged_training_names_round_and_learning_rate(self):
+    def test_diverged_training_names_round(self):
         settings = replace(self.SETTINGS, train=TrainConfig(learning_rate=1e300))
         args = (small_net_spec(), round0_examples(), settings, 5)
-        with pytest.raises(TrainingError, match=r"^round 0: .*train\.learning_rate"):
+        with pytest.raises(TrainingError, match=r"^round 0: training diverged: [^;]*$"):
             train_fresh(*args, 0)
         assert not adval.loop._round0_memo
