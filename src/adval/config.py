@@ -54,6 +54,7 @@ from adval.attacks import AttackConfig
 from adval.data import (
     Dataset,
     SyntheticSpec,
+    blobs_indexable,
     gen_blobs,
     load_csv,
     load_idx,
@@ -61,10 +62,9 @@ from adval.data import (
     stratified_split,
     stratified_subsample,
 )
-from adval.errors import ConfigError, prefixed, require_at_least
+from adval.errors import ConfigError, InputError, prefixed, require_at_least
 from adval.loop import _STREAM_NETWORK_INIT, STRATEGIES, ActiveConfig, ActiveSettings, derive_seed
 from adval.nn.architectures import ARCHITECTURES, build_network
-from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkSpec
 from adval.nn.training import TrainConfig
 
@@ -106,11 +106,9 @@ class BlobsData:
 
     def __post_init__(self):
         require_at_least(self, classes=2, test_points_per_class=1)
-        self.specs()
-        # gen_blobs fills one (classes * points, dimension) array for each set
-        for points in ("points_per_class", "test_points_per_class"):
-            sizes = {"classes": self.classes, points: getattr(self, points), "dimension": self.dimension}
-            if math.prod(sizes.values()) > np.iinfo(np.intp).max // np.dtype(DTYPE).itemsize:
+        for spec, points in zip(self.specs(), ("points_per_class", "test_points_per_class")):
+            if not blobs_indexable(spec):
+                sizes = {"classes": self.classes, points: spec.points_per_class, "dimension": self.dimension}
                 name = max(sizes, key=sizes.get)
                 raise ConfigError(
                     f"{name} = {sizes[name]} is too large: {self.classes} classes of {sizes[points]} "
@@ -126,8 +124,14 @@ class BlobsData:
 
     def load(self, test_set: bool = True) -> tuple[Dataset, Dataset | None]:
         pool, test = self.specs()
-        with prefixed(ConfigError, "data.cov_scale, data.center_radius: "):
-            return gen_blobs(pool), gen_blobs(test) if test_set else None
+        try:
+            with np.errstate(over="ignore"):  # the overflow is reported once, below
+                return gen_blobs(pool), gen_blobs(test) if test_set else None
+        except InputError as exc:  # the one InputError of gen_blobs: non-finite samples
+            raise ConfigError(
+                f"data.cov_scale, data.center_radius: blobs at center_radius {self.center_radius} "
+                f"with cov_scale {self.cov_scale} hold non-finite samples"
+            ) from exc
 
 
 @dataclass(frozen=True)

@@ -680,46 +680,44 @@ class TestDataShape:
         ]
         assert list(out.iterdir()) == []
 
-    # timing reads only the pool, so it times what run would reject
-    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
-    def test_idx_test_labels_beyond_the_train_classes_name_their_key(self, tmp_path, command):
+    def test_idx_test_labels_beyond_the_train_classes_name_their_key(self, tmp_path):
         config = self._idx_config(tmp_path, np.arange(12) % 3)
-        config.write_text(config.read_text() + "base_steps = 30\n")
         pixels = np.random.default_rng(1).integers(0, 256, size=(12, 4, 4))
         _, labels = tiny_idx_pair(tmp_path, pixels, np.arange(12) % 4, prefix="test_")
         out = tmp_path / "o"
-        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
-        if command[0] == "timing":
-            assert result.exit_code == 0, result.output
-            assert [p.name for p in out.iterdir()] == ["timing.csv"]
-            return
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 2
         assert result.stderr.strip().splitlines() == [
             f"E_CONFIG: data.test_labels: {labels} has label 3, but data.train_labels holds 3 classes"
         ]
         assert list(out.iterdir()) == []
 
-    def test_timing_reads_only_the_pool(self, tmp_path):
-        """An empty idx test pair stops ``run`` by name, but not ``timing``, which evaluates nothing."""
-        rng = np.random.default_rng(0)
-        lines = ["[data]", "kind = idx"]
-        for split, n in (("train", 12), ("test", 0)):
-            pixels = rng.integers(0, 256, size=(n, 4, 4))
-            img, lab = tiny_idx_pair(tmp_path, pixels, np.arange(n) % 3, prefix=f"{split}_")
-            lines += [f"{split}_images = {img}", f"{split}_labels = {lab}"]
-        config = tmp_path / "idx.ini"
-        config.write_text("\n".join(lines) + "\n[active]\ninitial_labeled = 6\nbase_steps = 30\n")
+    @pytest.mark.parametrize(
+        "test_labels, error",
+        [
+            ([], "data.test_images: no samples in {images}"),
+            (np.arange(12) % 4, "data.test_labels: {labels} has label 3, but data.train_labels holds 3 classes"),
+        ],
+        ids=["empty", "labels-beyond-the-train-classes"],
+    )
+    def test_timing_reads_only_the_pool(self, tmp_path, test_labels, error):
+        """An idx test pair that stops ``run`` by name does not stop ``timing``, which evaluates nothing."""
+        config = self._idx_config(tmp_path, np.arange(12) % 3)
+        config.write_text(config.read_text() + "base_steps = 30\n")
+        pixels = np.random.default_rng(1).integers(0, 256, size=(len(test_labels), 4, 4))
+        images, labels = tiny_idx_pair(tmp_path, pixels, test_labels, prefix="test_")
         out = tmp_path / "o"
         args = ["--config", str(config), "--out", str(out)]
         result = CliRunner().invoke(main, ["timing", "--sizes", "6", "--reps", "1", *args])
         assert result.exit_code == 0, result.output
+        assert [p.name for p in out.iterdir()] == ["timing.csv"]
         assert [r[:3] for r in read_rows(out / "timing.csv")[1:]] == [
             ["dfal", "6", "1"], ["random", "6", "1"]
         ]
         result = CliRunner().invoke(main, ["run", *args])
         assert result.exit_code == 2
         assert result.stderr.strip().splitlines() == [
-            f"E_CONFIG: data.test_images: no samples in {tmp_path / 'test_imgs.idx'}"
+            "E_CONFIG: " + error.format(images=images, labels=labels)
         ]
         assert not (out / "metrics.csv").exists()
 
