@@ -12,11 +12,16 @@ logits, so its Jacobian is never formed (nor checked for finiteness). Each
 point's logits and Jacobian come from ``logits_and_deferred_jacobian``, which
 runs the layers below the first Dense layer (arch-A's convolution and
 pooling) once per point and only the Dense layers on C copies of it.
+
+A non-finite value has one outcome: ``deepfool`` runs under
+``np.errstate(all="ignore")``, so an overflow, invalid value or division
+anywhere in the attack (its own arithmetic, the layers it runs, the norms)
+neither warns nor raises ``FloatingPointError``, whatever numpy's error state
+is. The attack's finiteness checks then end it as a failure scored +inf.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +31,6 @@ from adval.nn.layers import DTYPE
 from adval.nn.network import NetworkState, logits_and_deferred_jacobian
 # Re-exported for perfbench, whose tracer wraps adval.attacks.logits_and_input_jacobian.
 from adval.nn.network import logits_and_input_jacobian  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 # Escape step used when the current point sits exactly on a linearized
 # boundary (|f_l - f_orig| == 0): any positive nudge crosses the tie.
@@ -62,10 +65,7 @@ class AdversarialResult:
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
-    flat = np.asarray(v).ravel()
-    if p == np.inf:
-        return float(np.abs(flat).max()) if flat.size else 0.0
-    return float(np.linalg.norm(flat, ord=p))
+    return float(np.linalg.norm(np.ravel(v), ord=p))
 
 
 def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
@@ -73,16 +73,12 @@ def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
 
     ``diffs[k] = f_k - f_orig`` and ``grads[k] = grad f_k - grad f_orig`` for the
     competing classes. Ties in the argmin resolve to the lowest class position
-    for determinism.
+    for determinism. It runs under ``deepfool``'s error state, which silences
+    the division by a zero norm that ``np.where`` then masks.
     """
     flat = grads.reshape(len(grads), -1)
-    if p == np.inf:
-        denom = np.abs(flat).sum(axis=1)
-    else:
-        denom = np.linalg.norm(flat, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.abs(diffs) / denom
-    dist = np.where(denom > 0, dist, np.inf)
+    denom = np.linalg.norm(flat, ord=1 if p == np.inf else 2, axis=1)  # the dual norm
+    dist = np.where(denom > 0, np.abs(diffs) / denom, np.inf)
     l = int(np.argmin(dist))
     margin = float(dist[l])
     if not np.isfinite(margin):
@@ -101,14 +97,17 @@ def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
     return step
 
 
+@np.errstate(all="ignore")
 def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig()) -> AdversarialResult:
     """Minimal L_p adversarial perturbation of ``x`` against ``net``.
 
     The returned perturbation includes the (1 + overshoot) factor: when the
     attack succeeds, ``argmax f(x + perturbation)`` differs from
-    ``argmax f(x)``. Non-finite logits, or a non-finite Jacobian at a point
-    the attack steps from, yield a failure result with norm=+inf rather than
-    raising; when that happens at ``x`` itself ``original_label`` is None.
+    ``argmax f(x)``. Any non-finite value ends the attack as a failure with
+    norm=+inf, with no warning and no ``FloatingPointError``, whatever
+    numpy's error state: non-finite logits, a non-finite Jacobian at a point
+    the attack steps from, or a step that overflows. When that happens at
+    ``x`` itself ``original_label`` is None.
     The Jacobian is formed only where a step is taken: ``iterations``
     backward passes in all, none at the point where the attack stops. An
     ``x`` that does not have the network's input shape raises InputError.
@@ -175,16 +174,8 @@ def batch_deepfool(
     """Per-sample DeepFool over a collection; order preserved.
 
     Each element equals the single-call result exactly: the attack is a pure
-    function of (net, x, cfg). A ``FloatingPointError`` becomes that element's
-    failure result; any other error, such as the InputError of a wrongly
-    shaped input, raises.
+    function of (net, x, cfg), and a non-finite value fails that element's
+    attack alone, as in ``deepfool``. Any error, such as the InputError of a
+    wrongly shaped input, raises.
     """
-
-    def attack(x):
-        try:
-            return deepfool(net, x, cfg)
-        except FloatingPointError:
-            logger.warning("floating-point error in attack; recording failure", exc_info=True)
-            return _failure(np.zeros_like(np.asarray(x, dtype=DTYPE)), 0, None)
-
-    return [attack(x) for x in xs]
+    return [deepfool(net, x, cfg) for x in xs]

@@ -12,9 +12,11 @@ which prints one line as each run finishes, then the table's path; each of
 ``timing``'s rows is a run of its own. ``timing`` times the selection of each
 strategy in ``experiment.strategies``.
 
-Failures exit nonzero with a single machine-parsable line on stderr:
-``E_<CODE>: human-readable message``. Data too large to allocate is
-``E_MEMORY``.
+Failures exit nonzero with one machine-parsable line on stderr,
+``E_<CODE>: human-readable message``, and it is the last stderr line. A
+warning the library logs may come before it, such as DFAL's "all N
+adversarial attacks failed; falling back to random selection". Data too
+large to allocate is ``E_MEMORY``.
 """
 
 from __future__ import annotations

@@ -29,13 +29,15 @@ bound) and ``_build`` puts the section in front (through
 loads, before any run starts: that generated blobs are finite, every class in
 a csv pool after its test split and in an idx train file, an idx test set's
 image shape and labels against the pool's, csv and idx caps against the rows
-each class holds, and each arch's view of the samples: ``experiments._load``
+each class holds, each arch's view of the samples (``experiments._load``
 asks ``build_network`` for it, so arch-A's perfect-square and composition
-errors name the key or option that set the arch. ``adval timing`` loads and
-checks only the pool; ``run`` and ``transfer`` load the test set too. When a
-run starts, initial_labeled is checked against the class count and the pool
-size, and test labels against the network's classes. The CLI opens a table
-only once its first run has finished, so an error at a run's start, like a
+errors name the key or option that set the arch), and, when BALD runs, that
+experiment.bald_samples dropout passes over a round's candidates fit one
+array numpy can index. ``adval timing`` loads and checks only the pool;
+``run`` and ``transfer`` load the test set too. When a run starts,
+initial_labeled is checked against the class count and the pool size, and
+test labels against the network's classes. The CLI opens a table only once
+its first run has finished, so an error at a run's start, like a
 data error, leaves no table behind.
 """
 

@@ -41,6 +41,7 @@ from adval.loop import (
 )
 from adval.nn.architectures import build_network
 from adval.nn.network import accuracy
+from adval.strategies import bald_indexable
 
 _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _SECONDS = (float, lambda v: 0.0 <= v < math.inf, "finite and non-negative")
@@ -133,8 +134,16 @@ def _load(
     ``sources`` maps each arch to the config key or option it came from,
     which prefixes the error of an arch the samples do not fit. Without
     ``test_set`` the test set is neither loaded nor checked, and comes back None.
+    When ``cfg`` runs BALD, its dropout samples of the most candidates a round
+    can draw must fit one array numpy can index.
     """
     train_ds, test_ds = cfg.data.load(test_set)
+    samples, rows = cfg.active.bald_samples, min(cfg.active.candidates, len(train_ds))
+    if "bald" in cfg.strategies and not bald_indexable(samples, rows, train_ds.class_count):
+        raise ConfigError(
+            f"experiment.bald_samples = {samples} is too large: {samples} dropout passes over "
+            f"{rows} candidates of {train_ds.class_count} classes make an array numpy cannot index"
+        )
     views = []
     for arch, source in sources.items():
         with prefixed(ConfigError, f"{source}: "):

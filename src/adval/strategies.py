@@ -157,6 +157,12 @@ def egl_scores(net: NetworkState, inputs: CandidateSet | np.ndarray) -> np.ndarr
     return scores
 
 
+def bald_indexable(samples: int, rows: int, classes: int) -> bool:
+    """Whether numpy can index the ``(samples, rows, classes)`` array of ``DTYPE``
+    that ``bald_probability_samples`` fills for ``rows`` candidates."""
+    return samples * rows * classes <= np.iinfo(np.intp).max // np.dtype(DTYPE).itemsize
+
+
 def bald_probability_samples(
     net: NetworkState, inputs: CandidateSet | np.ndarray, samples: int, seed: int
 ) -> np.ndarray:

@@ -1,5 +1,7 @@
 """DeepFool: analytic linear cases, flip guarantees, batch contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import forward, random_conv_spec
@@ -177,22 +179,42 @@ class TestBatch:
         with pytest.raises(InputError):
             batch_deepfool(net, [x])
 
-    def test_floating_point_error_becomes_failure(self, trained3, blobs3, monkeypatch):
-        import adval.attacks as attacks
 
-        linearize = attacks.logits_and_deferred_jacobian
-        bad = blobs3.inputs[1]
+class TestNonFiniteValues:
+    """An attack whose step overflows fails, whatever numpy's error state."""
 
-        def flaky(net, x):
-            if np.array_equal(x, bad):
-                raise FloatingPointError("overflow")
-            return linearize(net, x)
+    # Stepping 1 + 1e308 times across the boundary overflows every attack.
+    OVERFLOW = AttackConfig(overshoot=1e308)
 
-        monkeypatch.setattr(attacks, "logits_and_deferred_jacobian", flaky)
-        results = batch_deepfool(trained3, blobs3.inputs[:3])
-        assert [r.success for r in results] == [True, False, True]
-        assert results[1].score() == np.inf
-        assert results[1].original_label is None
+    def assert_overflow_failure(self, res):
+        assert not res.success
+        assert res.score() == np.inf
+        assert res.adversarial_label is None
+
+    def test_overflow_under_raise_is_a_failure(self, trained3, blobs3):
+        with np.errstate(all="raise"):
+            res = deepfool(trained3, blobs3.inputs[0], self.OVERFLOW)
+        self.assert_overflow_failure(res)
+
+    def test_overflow_under_warnings_as_errors_is_a_failure(self, trained3, blobs3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = deepfool(trained3, blobs3.inputs[0], self.OVERFLOW)
+        self.assert_overflow_failure(res)
+        with np.errstate(all="raise"):
+            raised = deepfool(trained3, blobs3.inputs[0], self.OVERFLOW)
+        np.testing.assert_array_equal(res.perturbation, raised.perturbation)
+        assert (res.iterations, res.original_label) == (raised.iterations, raised.original_label)
+
+    def test_batch_under_raise_equals_single_calls(self, trained3, blobs3):
+        xs = blobs3.inputs[:5]
+        with np.errstate(all="raise"):
+            batch = batch_deepfool(trained3, xs, self.OVERFLOW)
+        for x, res in zip(xs, batch):
+            self.assert_overflow_failure(res)
+            ref = deepfool(trained3, x, self.OVERFLOW)
+            np.testing.assert_array_equal(res.perturbation, ref.perturbation)
+            assert (res.iterations, res.original_label) == (ref.iterations, ref.original_label)
 
 
 def conv_net_and_points():

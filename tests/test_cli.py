@@ -2,7 +2,9 @@
 
 import csv
 import re
+import warnings
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -796,6 +798,37 @@ class TestDataShape:
         ]
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
+    def test_bald_samples_numpy_cannot_index_names_its_key(self, tmp_path, monkeypatch, command):
+        trainings = count_calls(monkeypatch, "train")
+        config = write_config(tmp_path, strategies="random,bald", extra=f"bald_samples = {self.HUGE}\n")
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: experiment.bald_samples = {self.HUGE} is too large: {self.HUGE} dropout "
+            "passes over 30 candidates of 3 classes make an array numpy cannot index"
+        ]
+        assert trainings["train"] == 0
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_bald_samples_numpy_can_index_but_not_allocate_is_a_memory_error(self, tmp_path):
+        # samples x 30 candidates x 3 classes float64 values, the most whose bytes an array
+        # can index; a request that large fails at once, touching no memory.
+        samples = np.iinfo(np.intp).max // 8 // 90
+        args = ["--out", str(tmp_path / "o"), "--config"]
+        for strategies, n, want in [
+            ("bald", samples, "E_MEMORY: "),
+            ("bald", samples + 1, "E_CONFIG: experiment.bald_samples = "),
+            ("random", samples + 1, None),  # checked only when BALD runs
+        ]:
+            config = write_config(tmp_path, strategies=strategies, extra=f"bald_samples = {n}\n")
+            result = CliRunner().invoke(main, ["run", *args, str(config)])
+            if want is None:
+                assert result.exit_code == 0, result.output
+                continue
+            assert result.exit_code == 2
+            assert result.stderr.strip().splitlines()[0].startswith(want)
+
     @pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
     def test_idx_test_images_of_another_shape_name_their_key(self, tmp_path, arch):
         config = self._idx_config(tmp_path, np.arange(12) % 3, test_rows=5)
@@ -806,6 +839,123 @@ class TestDataShape:
             f"E_CONFIG: data.test_images: (5, 4) images in {tmp_path / 'test_imgs.idx'}, "
             "but data.train_images holds (4, 4) images"
         ]
+
+
+class _ReachedTraining(BaseException):
+    """Raised in place of the first training step; the CLI's error handler does not catch it."""
+
+
+class TestBadValueSweep:
+    """Every bad value of every key of the CI blobs config ends in a named error or runs cleanly.
+
+    The config is the one the CI workflow's console-script step writes. Each
+    of its keys, and every other key a blobs config takes, is set to each of
+    ``VALUES`` in turn, through ``run``, and for ``[data]`` keys through
+    ``timing`` too, with warnings turned into errors. A value fails at load
+    when the command exits before its first training step: it exits 2 with
+    exactly one stderr line, ``E_CONFIG: `` naming the key (or, for the six
+    cross-field cases of ``PARTNERS``, the key or option it breaks a rule
+    with), and leaves no table. A value that loads is checked only to load,
+    except the ``RUN_CASES``, which run whole: they print no warning, and
+    end in their ``E_`` line or exit 0.
+
+    Left out are values that only ask for a lot of work, ``active.base_steps``
+    and ``train.batch_size`` at 99999999999999999999999: each asks for more
+    than 10^23 training steps. So are the csv and idx keys, and the CLI options.
+    """
+
+    CI_BLOBS = (
+        "[data]\nkind = blobs\nclasses = 3\npoints_per_class = 40\ntest_points_per_class = 20\n"
+        "[active]\ncandidates = 30\nn_query = 5\ninitial_labeled = 6\nbudget = 16\nbase_steps = 30\n"
+        "[experiment]\nstrategies = dfal,random\nseeds = 0,1\n"
+    )
+    KEYS = {
+        "data": ("classes", "points_per_class", "test_points_per_class", "dimension",
+                 "center_radius", "cov_scale", "seed"),
+        "active": ("candidates", "n_query", "budget", "initial_labeled", "base_steps"),
+        "train": ("learning_rate", "beta1", "beta2", "epsilon", "batch_size"),
+        "attack": ("p", "overshoot", "max_iter"),
+        "experiment": ("strategies", "seeds", "ceal_delta", "bald_samples"),
+        "network": ("arch",),
+    }
+    HUGE = "99999999999999999999999"
+    VALUES = ("", "0", "-1", "1", "2", "0.5", "nan", "inf", "-inf", "1e308", "1e-320", "abc",
+              "1e30", "3.0", HUGE)
+    COMMANDS = {"run": ["run"], "timing": ["timing", "--sizes", "6,10", "--reps", "1"]}
+    LEFT_OUT = {("run", "active.base_steps", HUGE), ("run", "train.batch_size", HUGE)}
+    # (command, key, value) -> the key or option its E_CONFIG line names instead of the key
+    PARTNERS = {
+        ("run", "data.points_per_class", "1"): "active.initial_labeled",
+        ("timing", "data.points_per_class", "1"): "--sizes",
+        ("timing", "data.points_per_class", "2"): "--sizes",
+        ("run", "active.candidates", "1"): "active.n_query",
+        ("run", "active.candidates", "2"): "active.n_query",
+        ("run", "active.initial_labeled", HUGE): "active.budget",
+    }
+    DIVERGED = "E_RUNTIME: round 1: training diverged: the trained network's logits are not finite"
+    # (command, key, value) -> (extra options, the last stderr line, or None for exit 0)
+    RUN_CASES = {
+        ("run", "data.center_radius", "1e308"): ((), DIVERGED),
+        ("timing", "data.center_radius", "1e308"): ((), None),
+        ("run", "attack.overshoot", "1e308"): ((), DIVERGED),
+        ("run", "experiment.bald_samples", HUGE): (
+            ("--strategies", "bald"),
+            f"E_CONFIG: experiment.bald_samples = {HUGE} is too large: {HUGE} dropout passes "
+            "over 30 candidates of 3 classes make an array numpy cannot index",
+        ),
+    }
+    CASES = [
+        (command, key, value)
+        for command, key, value in product(
+            COMMANDS, [f"{section}.{k}" for section, keys in KEYS.items() for k in keys], VALUES
+        )
+        if command == "run" or key.startswith("data.")
+    ]
+    for case in LEFT_OUT:
+        CASES.remove(case)
+    del case
+
+    def config(self, tmp_path, key, value):
+        section, name = key.split(".")
+        lines = [line for line in self.CI_BLOBS.splitlines() if not line.startswith(f"{name} =")]
+        if f"[{section}]" not in lines:
+            lines.append(f"[{section}]")
+        lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
+        path = tmp_path / "bad.ini"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command, key, value", CASES, ids=[f"{c}-{k}={v}" for c, k, v in CASES])
+    def test_bad_value_fails_by_name_or_runs_cleanly(self, tmp_path, monkeypatch, command, key, value):
+        out = tmp_path / "out"
+        run_case = self.RUN_CASES.get((command, key, value))
+        options = run_case[0] if run_case else ()
+        if run_case is None:
+            def stop(*args, **kwargs):
+                raise _ReachedTraining
+
+            monkeypatch.setattr(adval.loop, "train", stop)
+        config = self.config(tmp_path, key, value)
+        args = [*self.COMMANDS[command], "--config", str(config), "--out", str(out), *options]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = CliRunner().invoke(main, args)
+            except _ReachedTraining:
+                return  # the value loads
+        err = result.stderr.strip().splitlines()
+        assert not any("Warning" in line for line in err), err
+        if run_case is not None:
+            want = run_case[1]
+            if want is None:
+                assert result.exit_code == 0, err
+            else:
+                assert (result.exit_code, err[-1:]) == (2, [want])
+            return
+        assert result.exit_code == 2
+        assert len(err) == 1 and err[0].startswith("E_CONFIG: "), err
+        assert self.PARTNERS.get((command, key, value), key) in err[0]
+        assert not list(out.rglob("*.csv"))
 
 
 class TestFileBoundary:
