@@ -16,7 +16,12 @@ Failures exit nonzero with one machine-parsable line on stderr,
 ``E_<CODE>: human-readable message``, and it is the last stderr line. A
 warning the library logs may come before it, such as DFAL's "all N
 adversarial attacks failed; falling back to random selection". Data too
-large to allocate is ``E_MEMORY``.
+large to allocate is ``E_MEMORY``. A subcommand line that click cannot parse
+(an option value of the wrong type, a missing required option, an unknown
+option or subcommand) exits the same way, with ``E_CONFIG: `` and click's own
+message, such as ``E_CONFIG: Invalid value for '--reps': 'abc' is not a valid
+integer.``. ``--help``, bare ``adval`` and an unknown option before the
+subcommand still get click's usage text.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import replace
 from functools import wraps
 from itertools import chain, islice
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -71,17 +77,32 @@ def _error_code(exc: Exception) -> str:
     return "E_UNEXPECTED"
 
 
+def _exit_with(exc: Exception) -> NoReturn:
+    """The single exit path for a failure: its one ``E_`` line on stderr, then exit 2."""
+    message = str(exc).replace("\n", " ")
+    click.echo(f"{_error_code(exc)}: {message}", err=True)
+    sys.exit(2)
+
+
 def friendly_errors(fn):
     @wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - single exit path for the CLI
-            message = str(exc).replace("\n", " ")
-            click.echo(f"{_error_code(exc)}: {message}", err=True)
-            sys.exit(2)
+            _exit_with(exc)
 
     return wrapper
+
+
+class _Commands(click.Group):
+    """The subcommands: a subcommand line click cannot parse fails as ``E_CONFIG`` too."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:  # a bad option value, a missing option, an unknown subcommand
+            _exit_with(ConfigError(exc.format_message()))
 
 
 def _out_dir(path) -> Path:
@@ -119,7 +140,7 @@ def _apply_overrides(cfg, seeds: str | None, strategies: str | None):
     return cfg
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Margin-based active learning experiments."""
 

@@ -26,19 +26,20 @@ breach names its config key, such as ``active.n_query``: each rule's message
 starts with its field (``adval.errors.require_at_least`` writes every lower
 bound) and ``_build`` puts the section in front (through
 ``adval.errors.prefixed``). What depends on the data is checked when the data
-loads, before any run starts: that generated blobs are finite, every class in
-a csv pool after its test split and in an idx train file, an idx test set's
-image shape and labels against the pool's, csv and idx caps against the rows
-each class holds, each arch's view of the samples (``experiments._load``
-asks ``build_network`` for it, so arch-A's perfect-square and composition
-errors name the key or option that set the arch), and, when BALD runs, that
-experiment.bald_samples dropout passes over a round's candidates fit one
-array numpy can index. ``adval timing`` loads and checks only the pool;
-``run`` and ``transfer`` load the test set too. When a run starts,
-initial_labeled is checked against the class count and the pool size, and
-test labels against the network's classes. The CLI opens a table only once
-its first run has finished, so an error at a run's start, like a
-data error, leaves no table behind.
+loads, before any run starts: that generated blobs are finite, a csv
+class_count no larger than the file's row count (checked before the split),
+every class in a csv pool after its test split and in an idx train file, an
+idx test set's image shape and labels against the pool's, csv and idx caps
+against the rows each class holds, each arch's view of the samples
+(``experiments._load`` asks ``build_network`` for it, so arch-A's
+perfect-square and composition errors name the key or option that set the
+arch), and, when BALD runs, that experiment.bald_samples dropout passes
+over a round's candidates fit one array numpy can index. ``adval timing``
+loads and checks only the pool; ``run`` and ``transfer`` load the test set
+too. When a run starts, initial_labeled is checked against the class count
+and the pool size, and test labels against the network's classes. The CLI
+opens a table only once its first run has finished, so an error at a run's
+start, like a data error, leaves no table behind.
 """
 
 from __future__ import annotations
@@ -160,6 +161,10 @@ class CsvData:
 
     def load(self, test_set: bool = True) -> tuple[Dataset, Dataset | None]:
         data = load_csv(self.path, self.class_count)
+        if self.class_count > len(data):  # no split could leave a pool sample of each class
+            raise ConfigError(
+                f"data.class_count: {self.class_count} classes, but {self.path} has {len(data)} rows"
+            )
         train, test = stratified_split(data, self.test_fraction, self.seed)  # the split defines the pool
         missing = ", ".join(map(str, train.missing_classes()))
         if missing:

@@ -9,11 +9,10 @@ which BALD's posterior sampling relies on.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from functools import reduce
 
 from adval.errors import ConfigError
-from adval.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from adval.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, output_shape
 from adval.nn.network import NetworkSpec
 
 ARCHITECTURES = ("arch-A", "arch-B")
@@ -40,27 +39,24 @@ def conv_input_shape(input_shape: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def build_network(arch: str, input_shape: tuple[int, ...], class_count: int, seed: int = 0) -> NetworkSpec:
+    """The ``arch`` network for samples of ``input_shape``.
+
+    Each arch's first Dense width is what its layers below make of the input,
+    read from ``layers.output_shape``, the one owner of the layers' shape
+    arithmetic: arch-A's convolutional head, arch-B's Flatten. A head that
+    does not fit the input is reported as arch-A not composing.
+    """
     if arch == "arch-A":
         shape = conv_input_shape(tuple(input_shape))
-        _, h, w = shape
-        conv = Conv2D(filters=8, kernel=5, stride=1)
-        ho, wo = h - 4, w - 4
-        if ho < 2 or wo < 2 or ho % 2 or wo % 2:
-            raise ConfigError(f"arch-A does not compose with input shape {shape}")
-        flat = 8 * (ho // 2) * (wo // 2)
-        layers = (
-            conv,
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Dense(flat, 64),
-            ReLU(),
-            Dropout(0.25),
-            Dense(64, class_count),
-        )
+        head = (Conv2D(filters=8, kernel=5, stride=1), ReLU(), MaxPool2D(2), Flatten())
+        try:
+            (flat,) = reduce(lambda s, layer: output_shape(layer, s), head, shape)
+        except ConfigError as exc:
+            raise ConfigError(f"arch-A does not compose with input shape {shape}") from exc
+        layers = (*head, Dense(flat, 64), ReLU(), Dropout(0.25), Dense(64, class_count))
         return NetworkSpec(shape, layers, class_count, init_seed=seed)
     if arch == "arch-B":
-        flat = int(np.prod(input_shape))
+        (flat,) = output_shape(Flatten(), tuple(input_shape))
         layers = (
             Flatten(),
             Dense(flat, 256),

@@ -101,33 +101,26 @@ class Flatten:
 LayerSpec = Dense | Conv2D | MaxPool2D | ReLU | Dropout | Flatten
 
 
-def validate_layer(layer: LayerSpec) -> None:
-    if isinstance(layer, Dense):
-        if layer.in_features < 1 or layer.out_features < 1:
-            raise ConfigError(f"dense layer dimensions must be positive, got {layer}")
-    elif isinstance(layer, Conv2D):
-        if layer.filters < 1 or layer.kernel < 1 or layer.stride < 1:
-            raise ConfigError(f"conv2d parameters must be positive, got {layer}")
-    elif isinstance(layer, MaxPool2D):
-        if layer.size < 1:
-            raise ConfigError(f"maxpool size must be positive, got {layer}")
-    elif isinstance(layer, Dropout):
-        if not 0.0 <= layer.rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {layer.rate}")
-
-
 def output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Per-sample output shape of ``layer`` applied to per-sample ``in_shape``.
 
-    Raises ConfigError when the shapes do not compose.
+    The one owner of each layer kind's rules: its parameter rule (positive
+    sizes, a dropout rate in [0, 1)), checked first, then the shape
+    arithmetic. ``NetworkSpec`` checks a network by walking its layers through
+    here, and arch-A reads its Dense width from the same walk. Raises
+    ConfigError when a parameter breaks its rule or the shapes do not compose.
     """
     if isinstance(layer, Dense):
+        if layer.in_features < 1 or layer.out_features < 1:
+            raise ConfigError(f"dense layer dimensions must be positive, got {layer}")
         if in_shape != (layer.in_features,):
             raise ConfigError(
                 f"dense layer expects ({layer.in_features},), got input shape {in_shape}"
             )
         return (layer.out_features,)
     if isinstance(layer, Conv2D):
+        if layer.filters < 1 or layer.kernel < 1 or layer.stride < 1:
+            raise ConfigError(f"conv2d parameters must be positive, got {layer}")
         if len(in_shape) != 3:
             raise ConfigError(f"conv2d expects (channels, h, w) input, got {in_shape}")
         c, h, w = in_shape
@@ -136,6 +129,8 @@ def output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]
             raise ConfigError(f"conv2d kernel {k} does not fit input {in_shape}")
         return (layer.filters, (h - k) // s + 1, (w - k) // s + 1)
     if isinstance(layer, MaxPool2D):
+        if layer.size < 1:
+            raise ConfigError(f"maxpool size must be positive, got {layer}")
         if len(in_shape) != 3:
             raise ConfigError(f"maxpool expects (channels, h, w) input, got {in_shape}")
         c, h, w = in_shape
@@ -144,6 +139,8 @@ def output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]
                 f"maxpool size {layer.size} must divide spatial dims of {in_shape}"
             )
         return (c, h // layer.size, w // layer.size)
+    if isinstance(layer, Dropout) and not 0.0 <= layer.rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {layer.rate}")
     if isinstance(layer, Flatten):
         return (int(np.prod(in_shape)),)
     # ReLU / Dropout are shape-preserving
@@ -151,21 +148,22 @@ def output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]
 
 
 def init_params(layer: LayerSpec, in_shape: tuple[int, ...], rng: np.random.Generator):
-    """Glorot-uniform weights, zero biases. Returns None for parameterless layers."""
+    """Glorot-uniform weights, zero biases. Returns None for parameterless layers.
+
+    A Dense layer is a 1×1 receptive field over ``in_features`` channels: both
+    kinds take fans of (channels in + units) · receptive area.
+    """
     if isinstance(layer, Dense):
-        fan_in, fan_out = layer.in_features, layer.out_features
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DTYPE)
-        return {"W": w, "b": np.zeros(fan_out, dtype=DTYPE)}
-    if isinstance(layer, Conv2D):
-        c_in = in_shape[0]
-        k = layer.kernel
-        fan_in = c_in * k * k
-        fan_out = layer.filters * k * k
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(layer.filters, c_in, k, k)).astype(DTYPE)
-        return {"W": w, "b": np.zeros(layer.filters, dtype=DTYPE)}
-    return None
+        c_in, units, area = layer.in_features, layer.out_features, 1
+        shape = (c_in, units)
+    elif isinstance(layer, Conv2D):
+        c_in, units, area = in_shape[0], layer.filters, layer.kernel**2
+        shape = (units, c_in, layer.kernel, layer.kernel)
+    else:
+        return None
+    limit = np.sqrt(6.0 / ((c_in + units) * area))
+    w = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+    return {"W": w, "b": np.zeros(units, dtype=DTYPE)}
 
 
 def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:

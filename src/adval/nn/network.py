@@ -51,7 +51,7 @@ import numpy as np
 
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError, require_at_least
 from adval.nn import layers as L
-from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec
+from adval.nn.layers import DTYPE, Conv2D, Dense, Dropout, LayerSpec
 
 _CHUNK = 256  # rows per chunk of a batched evaluation
 _BLOCK = 32  # rows per block of the layers below the first Dense or Dropout layer
@@ -59,6 +59,13 @@ _BLOCK = 32  # rows per block of the layers below the first Dense or Dropout lay
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """Layers applied to a fixed per-sample input shape, ending in ``class_count`` logits.
+
+    Construction checks the spec by walking ``shape_chain``: each layer's
+    parameter rule and shape arithmetic live in one place, ``layers.output_shape``,
+    so a spec with a bad layer fails at its first such layer.
+    """
+
     input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
     class_count: int
@@ -68,8 +75,6 @@ class NetworkSpec:
         require_at_least(self, class_count=2)
         if not self.input_shape or any(d < 1 for d in self.input_shape):
             raise ConfigError(f"input shape must be positive dims, got {self.input_shape}")
-        for layer in self.layers:
-            L.validate_layer(layer)
         out = self.shape_chain()[-1]
         if out != (self.class_count,):
             raise ConfigError(
@@ -77,7 +82,11 @@ class NetworkSpec:
             )
 
     def shape_chain(self) -> list[tuple[int, ...]]:
-        """Per-sample shapes: [input, after layer 0, ..., output]."""
+        """Per-sample shapes: [input, after layer 0, ..., output].
+
+        Each step is ``layers.output_shape``, which owns every layer rule, so
+        this walk is also how a spec checks its layers.
+        """
         shapes = [tuple(self.input_shape)]
         for layer in self.layers:
             shapes.append(L.output_shape(layer, shapes[-1]))
@@ -97,9 +106,7 @@ def init_network(spec: NetworkSpec) -> NetworkState:
     """Fresh parameters from the spec's init seed: Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng(spec.init_seed)
     shapes = spec.shape_chain()
-    params = tuple(
-        L.init_params(layer, shapes[i], rng) for i, layer in enumerate(spec.layers)
-    )
+    params = tuple(L.init_params(layer, shape, rng) for layer, shape in zip(spec.layers, shapes))
     return NetworkState(spec=spec, params=params)
 
 
@@ -165,11 +172,6 @@ def _forward_caches(state, x, *, start=0, stop=None, rng=None, cache=True):
     return x, caches
 
 
-def _lowest_param_layer(state) -> int:
-    """Index of the lowest layer with parameters (``len(layers)`` if none has any)."""
-    return next((i for i, p in enumerate(state.params) if p is not None), len(state.params))
-
-
 def _param_grads(state, caches, dlogits, out=None):
     """Per-layer parameter gradients; None for parameterless layers.
 
@@ -178,7 +180,7 @@ def _param_grads(state, caches, dlogits, out=None):
     ``out`` (per-layer arrays shaped like ``state.params``) receives the gradients.
     """
     layers = state.spec.layers
-    lowest = _lowest_param_layer(state)
+    lowest = _first_index(state.spec, (Conv2D, Dense))
     grads = list(out or [None] * len(layers))
     dy = dlogits
     for i in range(len(layers) - 1, lowest - 1, -1):
@@ -262,7 +264,7 @@ def probs_and_grad_sq_norms(state: NetworkState, x: np.ndarray):
     dy = probs - np.eye(c, dtype=DTYPE)[:, None, :]  # (C, N, C): seed c is softmax - e_c
     sq = np.zeros((c, len(x)), dtype=DTYPE)
     layers = state.spec.layers
-    lowest = _lowest_param_layer(state)
+    lowest = _first_index(state.spec, (Conv2D, Dense))
     for i in range(len(layers) - 1, lowest - 1, -1):
         if state.params[i] is not None:
             sq += L.grad_sq_norms(layers[i], caches[i], dy)
@@ -313,16 +315,12 @@ def _first_index(spec: NetworkSpec, kinds) -> int:
     return next((i for i, l in enumerate(spec.layers) if isinstance(l, kinds)), len(spec.layers))
 
 
-def _last_dense_index(spec: NetworkSpec) -> int:
-    for i in range(len(spec.layers) - 1, -1, -1):
-        if isinstance(spec.layers[i], Dense):
-            return i
-    raise UnsupportedArchitectureError("network has no dense layer to embed from")
-
-
 def embed_batch(state: NetworkState, x) -> np.ndarray:
     """Pre-logit features: activations entering the final dense layer."""
-    return _evaluate(state, x, stop=_last_dense_index(state.spec))
+    dense = [i for i, layer in enumerate(state.spec.layers) if isinstance(layer, Dense)]
+    if not dense:
+        raise UnsupportedArchitectureError("network has no dense layer to embed from")
+    return _evaluate(state, x, stop=dense[-1])
 
 
 def predict_batch(state: NetworkState, x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import csv
 import re
 import warnings
 from dataclasses import replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from conftest import count_calls, tiny_idx_pair
 
 import adval.cli
+import adval.config
 import adval.experiments
 import adval.loop
 from adval.cli import main
@@ -589,6 +590,19 @@ class TestRunCommand:
         ]
 
 
+def split_only_with_rows_for_each_class(monkeypatch):
+    """Make a csv split with more classes than rows fail at once, not loop over every class."""
+    split = adval.config.stratified_split
+
+    def guarded(dataset, *args, **kwargs):
+        assert dataset.class_count <= len(dataset), (
+            f"split reached with {dataset.class_count} classes in {len(dataset)} rows"
+        )
+        return split(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(adval.config, "stratified_split", guarded)
+
+
 class TestDataShape:
     """Data that no run can use fails before any run, naming the key or option at fault."""
 
@@ -748,6 +762,22 @@ class TestDataShape:
 
     HUGE = "99999999999999999999999"
 
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
+    def test_csv_class_count_above_the_row_count_names_its_key(self, tmp_path, monkeypatch, command):
+        """It fails before the split, whose loop over each class once ran for minutes."""
+        split_only_with_rows_for_each_class(monkeypatch)
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{i % 3},{i}.0,{-i}.0\n" for i in range(60)))
+        config = tmp_path / "csv.ini"
+        config.write_text(f"[data]\nkind = csv\npath = d.csv\nclass_count = {self.HUGE}\n")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_CONFIG: data.class_count: {self.HUGE} classes, but {data} has 60 rows"
+        ]
+        assert list(out.iterdir()) == []
+
     # key -> the shape that the first set numpy cannot index would have: (classes, points, dimension)
     UNINDEXABLE = {
         "classes": (HUGE, 40, 2),
@@ -846,7 +876,7 @@ class _ReachedTraining(BaseException):
 
 
 class TestBadValueSweep:
-    """Every bad value of every key of the CI blobs config ends in a named error or runs cleanly.
+    """Every bad value of every key and every CLI option ends in a named error or runs cleanly.
 
     The config is the one the CI workflow's console-script step writes. Each
     of its keys, and every other key a blobs config takes, is set to each of
@@ -859,9 +889,23 @@ class TestBadValueSweep:
     except the ``RUN_CASES``, which run whole: they print no warning, and
     end in their ``E_`` line or exit 0.
 
+    The csv and idx keys (``DATA_FILE_KEYS``) go the same way through ``run``
+    and ``timing``, with the CI config's ``[data]`` section replaced by a
+    60-row, 3-class csv file or a pair of idx files of 4x4 images (60 pool
+    images and 12 test images of 3 classes). A path that names no file fails by
+    its key. One value names the file and row instead, as a data error does:
+    ``DATA_FILE_LINES``. Each option of each command (``OPTIONS``) takes the
+    same values, one option at a time, the others keeping a value that works:
+    a value fails with one ``E_CONFIG: `` line naming its option (an option
+    that names a file, with the file it names), or loads and is stopped at its
+    first training step, or, for ``compare``, which trains nothing, exits 0.
+    A value of the wrong type fails through click with the same one line.
+
     Left out are values that only ask for a lot of work, ``active.base_steps``
     and ``train.batch_size`` at 99999999999999999999999: each asks for more
-    than 10^23 training steps. So are the csv and idx keys, and the CLI options.
+    than 10^23 training steps; and ``timing --reps 99999999999999999999999``,
+    as many selection repetitions. ``--seeds 99999999999999999999999`` is one
+    seed, not many, and stays in.
     """
 
     CI_BLOBS = (
@@ -870,7 +914,7 @@ class TestBadValueSweep:
         "[experiment]\nstrategies = dfal,random\nseeds = 0,1\n"
     )
     KEYS = {
-        "data": ("classes", "points_per_class", "test_points_per_class", "dimension",
+        "data": ("kind", "classes", "points_per_class", "test_points_per_class", "dimension",
                  "center_radius", "cov_scale", "seed"),
         "active": ("candidates", "n_query", "budget", "initial_labeled", "base_steps"),
         "train": ("learning_rate", "beta1", "beta2", "epsilon", "batch_size"),
@@ -915,9 +959,42 @@ class TestBadValueSweep:
         CASES.remove(case)
     del case
 
-    def config(self, tmp_path, key, value):
+    # data.kind -> the keys of that kind, set in place of the CI config's [data] section
+    DATA_FILE_KEYS = {
+        "csv": ("path", "class_count", "test_fraction", "pool_cap", "seed"),
+        "idx": ("train_images", "train_labels", "test_images", "test_labels", "pool_cap", "test_cap", "seed"),
+    }
+    # (command, kind, key, value) -> the one stderr line, where it names the file and row, not the key
+    DATA_FILE_LINES = {
+        (command, "csv", "data.class_count", "2"): "E_FORMAT: {dir}/d.csv: row 3 label 2 outside [0, 2)"
+        for command in ("run", "timing")
+    }
+    DATA_FILE_CASES = [
+        (command, kind, f"data.{key}", value)
+        for command, (kind, keys), value in product(COMMANDS, DATA_FILE_KEYS.items(), VALUES)
+        for key in keys
+    ]
+    # command -> each of its options with a value that works; a case replaces one of them
+    OPTIONS = {
+        "run": {"--config": "ci.ini", "--out": "out", "--seeds": "0,1", "--strategies": "dfal,random"},
+        "timing": {"--config": "ci.ini", "--sizes": "6,10", "--reps": "1", "--out": "out"},
+        "transfer": {"--config": "ci64.ini", "--selector": "arch-B", "--consumer": "arch-A",
+                     "--out": "out", "--seeds": "0,1"},
+        "compare": {"--metrics": "metrics.csv", "--checkpoints": "6,16", "--target-accuracy": "0.6",
+                    "--out": "out"},
+    }
+    FILE_OPTIONS = ("--config", "--metrics")
+    OPTION_CASES = [
+        (command, option, value)
+        for (command, option), value in product(
+            [(command, option) for command, options in OPTIONS.items() for option in options], VALUES
+        )
+    ]
+    OPTION_CASES.remove(("timing", "--reps", HUGE))
+
+    def config(self, tmp_path, key, value, text=CI_BLOBS):
         section, name = key.split(".")
-        lines = [line for line in self.CI_BLOBS.splitlines() if not line.startswith(f"{name} =")]
+        lines = [line for line in text.splitlines() if not line.startswith(f"{name} =")]
         if f"[{section}]" not in lines:
             lines.append(f"[{section}]")
         lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
@@ -956,6 +1033,119 @@ class TestBadValueSweep:
         assert len(err) == 1 and err[0].startswith("E_CONFIG: "), err
         assert self.PARTNERS.get((command, key, value), key) in err[0]
         assert not list(out.rglob("*.csv"))
+
+    @staticmethod
+    def invoke_until_training(monkeypatch, args):
+        """The command's result, with warnings as errors, or None once it reaches a training step."""
+        def stop(*args, **kwargs):
+            raise _ReachedTraining
+
+        monkeypatch.setattr(adval.loop, "train", stop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return CliRunner().invoke(main, args)
+            except _ReachedTraining:
+                return None
+
+    def data_file_config(self, tmp_path, kind, key, value):
+        """The CI config with a ``kind`` [data] section over files in ``tmp_path``, and ``key`` set."""
+        rng = np.random.default_rng(0)
+        if kind == "csv":
+            rows = (f"{i % 3},{v:.6f},{-v:.6f}\n" for i, v in enumerate(rng.standard_normal(60)))
+            (tmp_path / "d.csv").write_text("".join(rows))
+            data = "[data]\nkind = csv\npath = d.csv\nclass_count = 3\n"
+        else:
+            data = "[data]\nkind = idx\n"
+            for split, n in (("train", 60), ("test", 12)):
+                pixels = rng.integers(0, 256, size=(n, 4, 4))
+                img, lab = tiny_idx_pair(tmp_path, pixels, np.arange(n) % 3, prefix=f"{split}_")
+                data += f"{split}_images = {img.name}\n{split}_labels = {lab.name}\n"
+        rest = self.CI_BLOBS[self.CI_BLOBS.index("[active]"):]
+        return self.config(tmp_path, key, value, data + rest)
+
+    @pytest.mark.parametrize(
+        "command, kind, key, value", DATA_FILE_CASES, ids=[f"{c}-{k}-{key}={v}" for c, k, key, v in DATA_FILE_CASES]
+    )
+    def test_bad_data_file_value_fails_by_name_or_loads(self, tmp_path, monkeypatch, command, kind, key, value):
+        split_only_with_rows_for_each_class(monkeypatch)
+        config = self.data_file_config(tmp_path, kind, key, value)
+        out = tmp_path / "out"
+        result = self.invoke_until_training(
+            monkeypatch, [*self.COMMANDS[command], "--config", str(config), "--out", str(out)]
+        )
+        if result is None:
+            return  # the value loads
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        want = self.DATA_FILE_LINES.get((command, kind, key, value))
+        if want is not None:
+            assert err == [want.format(dir=tmp_path)]
+        else:
+            assert len(err) == 1 and err[0].startswith("E_CONFIG: ") and key in err[0], err
+        assert not list(out.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, option, value", OPTION_CASES, ids=[f"{c}{o}={v}" for c, o, v in OPTION_CASES]
+    )
+    def test_bad_option_value_fails_by_name_or_loads(self, tmp_path, monkeypatch, command, option, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ci.ini").write_text(self.CI_BLOBS)
+        (tmp_path / "ci64.ini").write_text(self.CI_BLOBS.replace("kind = blobs\n", "kind = blobs\ndimension = 64\n"))
+        rows = [
+            (strategy, seed, r, n, n, 0.5 + 0.1 * r, 0.0, 0.0, 0)
+            for strategy, seed in product(("dfal", "random"), (0, 1))
+            for r, n in enumerate((6, 11, 16))
+        ]
+        write_table(tmp_path / "metrics.csv", METRICS_HEADER, rows)
+        options = {**self.OPTIONS[command], option: value}
+        result = self.invoke_until_training(monkeypatch, [command, *chain.from_iterable(options.items())])
+        if result is None:
+            return  # the value loads
+        err = result.stderr.strip().splitlines()
+        if command == "compare" and result.exit_code == 0:
+            assert err == []
+            return
+        assert result.exit_code == 2
+        named = f"file does not exist: {Path(value)}" if option in self.FILE_OPTIONS else option
+        assert len(err) == 1 and err[0].startswith("E_CONFIG: ") and named in err[0], err
+        assert [p.name for p in tmp_path.rglob("*.csv")] == ["metrics.csv"]
+
+
+class TestUsageErrors:
+    """A subcommand line that click cannot parse ends in one ``E_CONFIG`` line with click's message."""
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["timing", "--config", "c.ini", "--reps", "abc"],
+             "E_CONFIG: Invalid value for '--reps': 'abc' is not a valid integer."),
+            (["compare", "--metrics", "m.csv", "--target-accuracy", "abc"],
+             "E_CONFIG: Invalid value for '--target-accuracy': 'abc' is not a valid float."),
+            (["run"], "E_CONFIG: Missing option '--config'."),
+            (["run", "--config"], "E_CONFIG: Option '--config' requires an argument."),
+            (["bogus"], "E_CONFIG: No such command 'bogus'."),
+        ],
+        ids=["reps-abc", "target-accuracy-abc", "missing-config", "config-without-value", "unknown-command"],
+    )
+    def test_usage_error_is_one_config_line(self, args, line):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [line]
+        assert result.stdout == ""
+
+    def test_unknown_option_is_named(self):
+        result = CliRunner().invoke(main, ["run", "--config", "c.ini", "--bogus"])
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("E_CONFIG: No such option '--bogus'."), err
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["timing", "--help"]])
+    def test_help_is_clicks(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ")
+        assert result.stderr == ""
 
 
 class TestFileBoundary:

@@ -1,5 +1,6 @@
 """Layer contracts: shapes, identity cases, conv/pool against naive loops, backward requests."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,93 @@ class TestConvAndPool:
     def test_final_width_must_match_class_count(self):
         with pytest.raises(ConfigError):
             NetworkSpec((2,), (Dense(2, 3),), 2)
+
+
+# case -> (input shape, layers, the error message): one layer parameter rule broken, in the first layer
+# it reaches; the layers after it would compose with a valid version of it
+POSITIVE = "{} must be positive, got {}"
+LAYER_RULES = {
+    "dense-in": ((4,), (Dense(0, 2),), POSITIVE.format("dense layer dimensions", Dense(0, 2))),
+    "dense-out": ((4,), (Dense(4, 0),), POSITIVE.format("dense layer dimensions", Dense(4, 0))),
+    "conv-filters": (
+        (1, 6, 6), (Conv2D(0, 3), Flatten(), Dense(16, 2)),
+        POSITIVE.format("conv2d parameters", Conv2D(0, 3)),
+    ),
+    "conv-kernel": (
+        (1, 6, 6), (Conv2D(1, 0), Flatten(), Dense(36, 2)),
+        POSITIVE.format("conv2d parameters", Conv2D(1, 0)),
+    ),
+    "conv-stride": (
+        (1, 6, 6), (Conv2D(1, 3, 0), Flatten(), Dense(16, 2)),
+        POSITIVE.format("conv2d parameters", Conv2D(1, 3, 0)),
+    ),
+    "maxpool-size": (
+        (1, 4, 4), (MaxPool2D(0), Flatten(), Dense(16, 2)),
+        POSITIVE.format("maxpool size", MaxPool2D(0)),
+    ),
+    "dropout-negative": ((4,), (Dense(4, 2), Dropout(-0.1)), "dropout rate must be in [0, 1), got -0.1"),
+    "dropout-one": ((4,), (Dense(4, 2), Dropout(1.0)), "dropout rate must be in [0, 1), got 1.0"),
+    "dropout-nan": ((4,), (Dense(4, 2), Dropout(float("nan"))), "dropout rate must be in [0, 1), got nan"),
+}
+
+
+class TestLayerRules:
+    """Each layer kind's parameter rule, as a ``NetworkSpec`` reports it."""
+
+    @pytest.mark.parametrize("case", LAYER_RULES)
+    def test_broken_rule_names_the_layer(self, case):
+        input_shape, layers, message = LAYER_RULES[case]
+        with pytest.raises(ConfigError) as info:
+            NetworkSpec(input_shape, layers, 2)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rate", [0.0, 0.999])
+    def test_dropout_rate_in_range_is_accepted(self, rate):
+        assert NetworkSpec((4,), (Dense(4, 2), Dropout(rate)), 2).shape_chain()[-1] == (2,)
+
+
+def arch_a_oracle(shape):
+    """arch-A's Dense width for a (c, h, w) input, or None where a 5x5 conv and 2x2 pool do not fit."""
+    _, h, w = shape
+    ho, wo = h - 4, w - 4
+    if ho < 2 or wo < 2 or ho % 2 or wo % 2:
+        return None
+    return 8 * (ho // 2) * (wo // 2)
+
+
+ARCH_A_SHAPES = (
+    [(1, s, s) for s in range(1, 33)]
+    + [(1, h, w) for h, w in [(1, 32), (32, 1), (5, 6), (6, 5), (6, 7), (7, 6), (6, 8), (8, 6),
+                              (6, 9), (12, 28), (28, 12), (10, 30), (4, 6), (6, 4)]]
+    + [(3, h, w) for h, w in [(5, 5), (6, 6), (7, 7), (8, 8), (8, 12), (9, 9), (28, 28)]]
+)
+
+
+class TestArchA:
+    """arch-A's Dense width and composition error, against the closed form of its conv and pool."""
+
+    @pytest.mark.parametrize("shape", ARCH_A_SHAPES, ids=["x".join(map(str, s)) for s in ARCH_A_SHAPES])
+    def test_dense_width_or_composition_error(self, shape):
+        flat = arch_a_oracle(shape)
+        if flat is None:
+            with pytest.raises(ConfigError) as info:
+                nn.build_network("arch-A", shape, 3)
+            assert str(info.value) == f"arch-A does not compose with input shape {shape}"
+            return
+        spec = nn.build_network("arch-A", shape, 3)
+        assert spec.layers[4] == Dense(flat, 64)
+        assert spec.shape_chain()[4] == (flat,)
+
+    @pytest.mark.parametrize(
+        "input_shape, shape", [((64,), (1, 8, 8)), ((81,), (1, 9, 9)), ((12, 10), (1, 12, 10))]
+    )
+    def test_flat_and_grid_inputs_take_the_image_view(self, input_shape, shape):
+        flat = arch_a_oracle(shape)
+        if flat is None:
+            with pytest.raises(ConfigError, match=re.escape(f"input shape {shape}")):
+                nn.build_network("arch-A", input_shape, 3)
+        else:
+            assert nn.build_network("arch-A", input_shape, 3).layers[4] == Dense(flat, 64)
 
 
 def naive_maxpool(x, dy, s):
