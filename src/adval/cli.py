@@ -20,8 +20,7 @@ large to allocate is ``E_MEMORY``. A subcommand line that click cannot parse
 (an option value of the wrong type, a missing required option, an unknown
 option or subcommand) exits the same way, with ``E_CONFIG: `` and click's own
 message, such as ``E_CONFIG: Invalid value for '--reps': 'abc' is not a valid
-integer.``. ``--help``, bare ``adval`` and an unknown option before the
-subcommand still get click's usage text.
+integer.``. ``--help`` and bare ``adval`` still get click's usage text.
 """
 
 from __future__ import annotations
@@ -96,7 +95,16 @@ def friendly_errors(fn):
 
 
 class _Commands(click.Group):
-    """The subcommands: a subcommand line click cannot parse fails as ``E_CONFIG`` too."""
+    """The subcommands: a command line click cannot parse fails as ``E_CONFIG`` too."""
+
+    def parse_args(self, ctx, args):
+        bare = not args  # read first: click's parser consumes ``args``
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:  # an unknown option before the subcommand
+            if bare:  # bare ``adval``: click 8.2+ raises its help as a usage error
+                raise
+            _exit_with(ConfigError(exc.format_message()))
 
     def invoke(self, ctx):
         try:

@@ -41,30 +41,27 @@ def conv_input_shape(input_shape: tuple[int, ...]) -> tuple[int, int, int]:
 def build_network(arch: str, input_shape: tuple[int, ...], class_count: int, seed: int = 0) -> NetworkSpec:
     """The ``arch`` network for samples of ``input_shape``.
 
-    Each arch's first Dense width is what its layers below make of the input,
-    read from ``layers.output_shape``, the one owner of the layers' shape
-    arithmetic: arch-A's convolutional head, arch-B's Flatten. A head that
-    does not fit the input is reported as arch-A not composing.
+    Each arch is a head that flattens the input, a Dense + ReLU pair per
+    hidden width, Dropout(0.25) and the class layer. The first Dense width is
+    what the head makes of the input, read from ``layers.output_shape``, the
+    one owner of the layers' shape arithmetic; a head that does not fit the
+    input is reported as the arch not composing with it.
     """
+    shape = tuple(input_shape)
     if arch == "arch-A":
-        shape = conv_input_shape(tuple(input_shape))
+        shape = conv_input_shape(shape)
         head = (Conv2D(filters=8, kernel=5, stride=1), ReLU(), MaxPool2D(2), Flatten())
-        try:
-            (flat,) = reduce(lambda s, layer: output_shape(layer, s), head, shape)
-        except ConfigError as exc:
-            raise ConfigError(f"arch-A does not compose with input shape {shape}") from exc
-        layers = (*head, Dense(flat, 64), ReLU(), Dropout(0.25), Dense(64, class_count))
-        return NetworkSpec(shape, layers, class_count, init_seed=seed)
-    if arch == "arch-B":
-        (flat,) = output_shape(Flatten(), tuple(input_shape))
-        layers = (
-            Flatten(),
-            Dense(flat, 256),
-            ReLU(),
-            Dense(256, 64),
-            ReLU(),
-            Dropout(0.25),
-            Dense(64, class_count),
-        )
-        return NetworkSpec(tuple(input_shape), layers, class_count, init_seed=seed)
-    raise ConfigError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+        widths = (64,)
+    elif arch == "arch-B":
+        head, widths = (Flatten(),), (256, 64)
+    else:
+        raise ConfigError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    try:
+        (flat,) = reduce(lambda s, layer: output_shape(layer, s), head, shape)
+    except ConfigError as exc:
+        raise ConfigError(f"{arch} does not compose with input shape {shape}") from exc
+    layers = list(head)
+    for n_in, n_out in zip((flat, *widths), widths):
+        layers += [Dense(n_in, n_out), ReLU()]
+    layers += [Dropout(0.25), Dense(widths[-1], class_count)]
+    return NetworkSpec(shape, tuple(layers), class_count, init_seed=seed)

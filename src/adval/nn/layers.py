@@ -147,6 +147,10 @@ def output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]
     return in_shape
 
 
+# the layer kinds that carry parameters: the ones init_params draws weights for
+PARAM_KINDS = (Conv2D, Dense)
+
+
 def init_params(layer: LayerSpec, in_shape: tuple[int, ...], rng: np.random.Generator):
     """Glorot-uniform weights, zero biases. Returns None for parameterless layers.
 
@@ -167,17 +171,27 @@ def init_params(layer: LayerSpec, in_shape: tuple[int, ...], rng: np.random.Gene
 
 
 def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Strided view (N, C, Ho, Wo, k, k) of every receptive field."""
+    """Read-only strided view (N, C, Ho, Wo, k, k) of every receptive field.
+
+    The view is built by the ndarray constructor over a C-contiguous ``x``.
+    ``as_strided`` would round-trip ``__array_interface__``, which interns
+    strings and drops them again on every call, so every ~10^4 calls the
+    interpreter rebuilds its interned-string table (about 1.9 MB) inside
+    whatever layer call happens to cross the count.
+    """
+    x = np.ascontiguousarray(x)
     n, c, h, w = x.shape
     ho = (h - kernel) // stride + 1
     wo = (w - kernel) // stride + 1
     sn, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, ho, wo, kernel, kernel),
+    windows = np.ndarray(
+        (n, c, ho, wo, kernel, kernel),
+        x.dtype,
+        buffer=x,
         strides=(sn, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
     )
+    windows.flags.writeable = False
+    return windows
 
 
 def forward(layer, params, x, *, rng=None, cache=True):

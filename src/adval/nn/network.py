@@ -51,7 +51,7 @@ import numpy as np
 
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError, require_at_least
 from adval.nn import layers as L
-from adval.nn.layers import DTYPE, Conv2D, Dense, Dropout, LayerSpec
+from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec
 
 _CHUNK = 256  # rows per chunk of a batched evaluation
 _BLOCK = 32  # rows per block of the layers below the first Dense or Dropout layer
@@ -106,7 +106,9 @@ def init_network(spec: NetworkSpec) -> NetworkState:
     """Fresh parameters from the spec's init seed: Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng(spec.init_seed)
     shapes = spec.shape_chain()
-    params = tuple(L.init_params(layer, shape, rng) for layer, shape in zip(spec.layers, shapes))
+    params = tuple(
+        L.init_params(layer, shapes[i], rng) for i, layer in enumerate(spec.layers)
+    )
     return NetworkState(spec=spec, params=params)
 
 
@@ -180,7 +182,7 @@ def _param_grads(state, caches, dlogits, out=None):
     ``out`` (per-layer arrays shaped like ``state.params``) receives the gradients.
     """
     layers = state.spec.layers
-    lowest = _first_index(state.spec, (Conv2D, Dense))
+    lowest = _first_index(state.spec, L.PARAM_KINDS)
     grads = list(out or [None] * len(layers))
     dy = dlogits
     for i in range(len(layers) - 1, lowest - 1, -1):
@@ -264,7 +266,7 @@ def probs_and_grad_sq_norms(state: NetworkState, x: np.ndarray):
     dy = probs - np.eye(c, dtype=DTYPE)[:, None, :]  # (C, N, C): seed c is softmax - e_c
     sq = np.zeros((c, len(x)), dtype=DTYPE)
     layers = state.spec.layers
-    lowest = _first_index(state.spec, (Conv2D, Dense))
+    lowest = _first_index(state.spec, L.PARAM_KINDS)
     for i in range(len(layers) - 1, lowest - 1, -1):
         if state.params[i] is not None:
             sq += L.grad_sq_norms(layers[i], caches[i], dy)

@@ -1113,7 +1113,7 @@ class TestBadValueSweep:
 
 
 class TestUsageErrors:
-    """A subcommand line that click cannot parse ends in one ``E_CONFIG`` line with click's message."""
+    """A command line that click cannot parse ends in one ``E_CONFIG`` line with click's message."""
 
     @pytest.mark.parametrize(
         "args, line",
@@ -1125,8 +1125,18 @@ class TestUsageErrors:
             (["run"], "E_CONFIG: Missing option '--config'."),
             (["run", "--config"], "E_CONFIG: Option '--config' requires an argument."),
             (["bogus"], "E_CONFIG: No such command 'bogus'."),
+            (["--bogus", "run"], "E_CONFIG: No such option '--bogus'."),
+            (["--bogus"], "E_CONFIG: No such option '--bogus'."),
         ],
-        ids=["reps-abc", "target-accuracy-abc", "missing-config", "config-without-value", "unknown-command"],
+        ids=[
+            "reps-abc",
+            "target-accuracy-abc",
+            "missing-config",
+            "config-without-value",
+            "unknown-command",
+            "unknown-option-before-command",
+            "unknown-option-alone",
+        ],
     )
     def test_usage_error_is_one_config_line(self, args, line):
         result = CliRunner().invoke(main, args)
@@ -1139,6 +1149,11 @@ class TestUsageErrors:
         assert result.exit_code == 2
         err = result.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("E_CONFIG: No such option '--bogus'."), err
+
+    def test_bare_adval_is_clicks_help(self):
+        result = CliRunner().invoke(main, [])
+        assert "Usage: " in result.output  # on stderr with exit code 2 since click 8.2
+        assert "E_" not in result.output
 
     @pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["timing", "--help"]])
     def test_help_is_clicks(self, args):

@@ -96,6 +96,42 @@ class TestForward:
 
 
 class TestConvAndPool:
+    def test_conv_of_a_strided_input_equals_conv_of_its_copy(self):
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal((3, 2, 14, 9))
+        layer = Conv2D(filters=4, kernel=3, stride=2)
+        params = {"W": rng.standard_normal((4, 2, 3, 3)), "b": rng.standard_normal(4)}
+        for x in (base[:, :, ::2], base.transpose(0, 1, 3, 2), base[1:, :, 1:, 2:]):
+            y, _ = layer_forward(layer, params, x)
+            want, _ = layer_forward(layer, params, np.ascontiguousarray(x))
+            assert y.tobytes() == want.tobytes()
+
+    def test_window_view_is_read_only(self):
+        x = np.zeros((2, 1, 5, 5))
+        windows = _conv_windows(x, 3, 1)
+        assert windows.shape == (2, 1, 3, 3, 3, 3) and not windows.flags.writeable
+        assert np.shares_memory(windows, x)
+
+    def test_forward_leaves_no_allocation_behind(self):
+        """Tens of thousands of Conv2D forwards keep nothing once their outputs are dropped.
+
+        A window view made by ``np.lib.stride_tricks.as_strided`` interns a few
+        strings and drops them again on each call, so the interpreter rebuilds
+        its interned-string table (about 1.9 MB, kept) every ~10^4 calls, in
+        the middle of whatever memory measurement is running.
+        """
+        layer = Conv2D(filters=1, kernel=2)
+        params = {"W": np.ones((1, 1, 2, 2)), "b": np.zeros(1)}
+        x = np.ones((1, 1, 3, 3))
+        tracemalloc.start()
+        try:
+            for _ in range(30_000):
+                layer_forward(layer, params, x, cache=False)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+
     def test_conv_matches_naive_loops(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 7, 6))

@@ -220,33 +220,19 @@ class TestUncertainty:
         assert scores[chosen].min() >= scores[~chosen].max() - 1e-12
 
 
-def traced_peak(fn, *args) -> int:
-    """Peak bytes traced while ``fn(*args)`` runs: the lower of two runs.
-
-    The interpreter now and then makes a one-off allocation that outlives the
-    call, such as a rebuild of its interned-strings table (about 1.9 MB late in
-    the tier-1 session), and one landing inside a run counts toward its peak.
-    Such a rebuild comes thousands of calls apart, so it lands in one of two
-    back-to-back runs at most; a peak that grows with the input shows in both.
-    """
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks)
-
-
 class TestScoringMemory:
     def test_entropy_peak_does_not_grow_with_pool(self):
         state = nn.init_network(nn.build_network("arch-A", (1, 12, 12), 10, seed=0))
         rng = np.random.default_rng(0)
 
         def peak_bytes(rows):
-            return traced_peak(entropy_scores, state, rng.uniform(0.0, 1.0, size=(rows, 1, 12, 12)))
+            x = rng.uniform(0.0, 1.0, size=(rows, 1, 12, 12))
+            tracemalloc.start()
+            try:
+                entropy_scores(state, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
         small, large = peak_bytes(256), peak_bytes(1024)
         # Unchunked, the peak grows about 4x from 256 to 1024 rows.
@@ -257,7 +243,13 @@ class TestScoringMemory:
         rng = np.random.default_rng(0)
 
         def peak_bytes(rows):
-            return traced_peak(egl_scores, state, rng.uniform(0.0, 1.0, size=(rows, 1, 12, 12)))
+            x = rng.uniform(0.0, 1.0, size=(rows, 1, 12, 12))
+            tracemalloc.start()
+            try:
+                egl_scores(state, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
         small, large = peak_bytes(100), peak_bytes(400)
         # Scored in one block, the class-batched backward would grow 4x with the pool.
