@@ -5,19 +5,29 @@ nearest class boundary of that linear model, and steps just across it. The
 loop stops as soon as the prediction (evaluated with the overshoot applied)
 differs from the prediction at the starting point.
 
+``batch_deepfool`` attacks its candidates in lockstep groups of
+``_CHUNK // C``, the block size of ``egl_scores``: the candidates of a group
+still attacking are all at the same iteration, so each iteration takes one
+``logits_and_deferred_jacobian`` call for all of their current points, whose
+forward pass runs the Dense layers on a (G, C, ...) stack of each point's C
+copies, and one Jacobian call for those that step from there. ``deepfool``
+is the same kernel on a group of one. Every candidate keeps the bits of its
+lone attack: ``np.matmul`` makes one product per point on the stack, each
+with the rows of a lone point's C copies; the attack's own arithmetic is
+element by element or row by row; and each step's norm is one BLAS ddot per
+candidate, as ``np.linalg.norm`` of that candidate's vector is.
+
 An attack forms the input Jacobian only at the points it steps from: the
 starting point and each iterate that has not flipped while iterations remain.
 The point where the attack flips or runs out of iterations needs only its
-logits, so its Jacobian is never formed (nor checked for finiteness). Each
-point's logits and Jacobian come from ``logits_and_deferred_jacobian``, which
-runs the layers below the first Dense layer (arch-A's convolution and
-pooling) once per point and only the Dense layers on C copies of it.
+logits, so its Jacobian is never formed (nor checked for finiteness).
 
-A non-finite value has one outcome: ``deepfool`` runs under
+A non-finite value has one outcome: each group runs under
 ``np.errstate(all="ignore")``, so an overflow, invalid value or division
 anywhere in the attack (its own arithmetic, the layers it runs, the norms)
 neither warns nor raises ``FloatingPointError``, whatever numpy's error state
-is. The attack's finiteness checks then end it as a failure scored +inf.
+is. The attack's finiteness checks then end that candidate's attack alone as
+a failure scored +inf.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from adval.errors import ConfigError, require_at_least
 from adval.nn.layers import DTYPE
-from adval.nn.network import NetworkState, logits_and_deferred_jacobian
+from adval.nn.network import _CHUNK, NetworkState, logits_and_deferred_jacobian
 # Re-exported for perfbench, whose tracer wraps adval.attacks.logits_and_input_jacobian.
 from adval.nn.network import logits_and_input_jacobian  # noqa: F401
 
@@ -68,36 +78,48 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     return float(np.linalg.norm(np.ravel(v), ord=p))
 
 
-def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
-    """Smallest step across the nearest linearized boundary, or None.
+def _euclidean_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``w`` (S, D), bit for bit ``np.linalg.norm`` of that row.
 
-    ``diffs[k] = f_k - f_orig`` and ``grads[k] = grad f_k - grad f_orig`` for the
-    competing classes. Ties in the argmin resolve to the lowest class position
-    for determinism. It runs under ``deepfool``'s error state, which silences
-    the division by a zero norm that ``np.where`` then masks.
+    ``np.linalg.norm`` of a vector is ``sqrt(v.dot(v))``, one BLAS ddot. A
+    stacked (1, D) @ (D, 1) ``np.matmul`` makes that same ddot call once per
+    row, where a reduction such as ``np.einsum`` sums in another order.
     """
-    flat = grads.reshape(len(grads), -1)
-    denom = np.linalg.norm(flat, ord=1 if p == np.inf else 2, axis=1)  # the dual norm
+    return np.sqrt(np.matmul(w[:, None], w[:, :, None])).reshape(len(w))
+
+
+def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
+    """Each candidate's smallest step across its nearest linearized boundary.
+
+    ``diffs[i, k] = f_k - f_orig`` and ``grads[i, k] = grad f_k - grad f_orig``
+    (flattened to D values) for candidate i and every class k; the original
+    class's own entries are exact zeros, so its zero dual norm puts it at
+    distance +inf. Returns the (S, D) steps and whether each candidate's
+    margin is finite: a candidate whose margin is not has no step. Ties in
+    the argmin resolve to the lowest class for determinism. Each step has
+    the bits of its candidate's lone computation: the dual norms reduce row
+    by row, and the step's euclidean norm is ``_euclidean_norms``. It runs
+    under ``_attack_group``'s error state, which silences the division by a
+    zero norm that ``np.where`` then masks.
+    """
+    denom = np.linalg.norm(grads, ord=1 if p == np.inf else 2, axis=-1)  # the dual norm
     dist = np.where(denom > 0, np.abs(diffs) / denom, np.inf)
-    l = int(np.argmin(dist))
-    margin = float(dist[l])
-    if not np.isfinite(margin):
-        return None
-    if margin < _ZERO_MARGIN:
-        margin = _BOUNDARY_STEP
-    w = grads[l]
+    rows = np.arange(len(dist))
+    l = dist.argmin(axis=1)
+    margin = dist[rows, l]
+    finite = np.isfinite(margin)
+    margin[margin < _ZERO_MARGIN] = _BOUNDARY_STEP
+    w = grads[rows, l]
     if p == np.inf:
-        step = margin * np.sign(w)
+        step = margin[:, None] * np.sign(w)
     else:
-        step = (margin / np.linalg.norm(w.ravel())) * w
+        step = (margin / _euclidean_norms(w))[:, None] * w
     # diffs[l] <= 0 while the original class still wins, so stepping along +w
     # raises f_l toward the boundary; flip the sign in the opposite case.
-    if diffs[l] > 0:
-        step = -step
-    return step
+    np.negative(step, out=step, where=(diffs[rows, l] > 0)[:, None])
+    return step, finite
 
 
-@np.errstate(all="ignore")
 def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig()) -> AdversarialResult:
     """Minimal L_p adversarial perturbation of ``x`` against ``net``.
 
@@ -111,59 +133,76 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
     The Jacobian is formed only where a step is taken: ``iterations``
     backward passes in all, none at the point where the attack stops. An
     ``x`` that does not have the network's input shape raises InputError.
+    It is ``batch_deepfool``'s kernel run on a group of one.
+    """
+    return _attack_group(net, np.asarray(x, dtype=DTYPE)[None], cfg)[0]
+
+
+def _result(perturbation, p, iterations, original_label, current=None):
+    """The result of an attack that stopped at class ``current``, flipped or out of
+    iterations, or of a failed attack, scored +inf, when ``current`` is None."""
+    success = current is not None and current != original_label
+    norm = float("inf") if current is None else lp_norm(perturbation, p)
+    return AdversarialResult(
+        perturbation, norm, iterations, success, current if success else None, original_label
+    )
+
+
+@np.errstate(all="ignore")
+def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[AdversarialResult]:
+    """DeepFool on each input of the group ``x0`` (G, *input_shape), all in lockstep.
+
+    The candidates still attacking are all at the same iteration, so one
+    linearization per iteration serves them all: the logits at each one's
+    current point, then the Jacobians of those that step from it. A
+    candidate leaves when it flips, fails or runs out of iterations, with
+    the result of its lone attack: each candidate's arithmetic is element by
+    element or runs on its own row, so it keeps its bits.
     """
     p = float(cfg.p)
-    x0 = np.asarray(x, dtype=DTYPE)
     scale = 1.0 + cfg.overshoot
-
-    logits, jacobian = logits_and_deferred_jacobian(net, x0)
-    if not np.all(np.isfinite(logits)):
-        return _failure(np.zeros_like(x0), 0, None)
-    orig = int(np.argmax(logits))
-    others = [k for k in range(len(logits)) if k != orig]
-
+    shape = x0.shape[1:]
+    x0 = x0.reshape(len(x0), -1)
     r_total = np.zeros_like(x0)
-    current = orig
+    results = [None] * len(x0)
+
+    def perturbation(i):
+        return (scale * r_total[i]).reshape(shape)
+
+    active = np.arange(len(x0))  # the candidates still attacking, by position in the group
+    point = x0
     iterations = 0
-    while current == orig and iterations < cfg.max_iter:
-        jac = jacobian()
-        if not np.all(np.isfinite(jac)):
-            # at x itself this reports no label, as non-finite logits there do
-            return _failure(scale * r_total, iterations, orig if iterations else None)
-        diffs = logits[others] - logits[orig]
-        grads = jac[others] - jac[orig]
-        step = _min_boundary_step(diffs, grads, p)
-        if step is None:
-            return _failure(scale * r_total, iterations, orig)
-        r_total = r_total + step
+    while active.size:
+        logits, jacobian = logits_and_deferred_jacobian(net, point.reshape(-1, *shape))
+        if not iterations:
+            orig = logits.argmax(axis=1)
+        current = logits.argmax(axis=1)
+        finite = np.isfinite(logits).all(axis=1)
+        for i in active[~finite]:  # at x itself no class was ever predicted
+            delta, label = (perturbation(i), int(orig[i])) if iterations else (np.zeros(shape), None)
+            results[i] = _result(delta, p, iterations, label)
+        stop = finite & ((current != orig[active]) | (iterations == cfg.max_iter))
+        for i, label in zip(active[stop], current[stop]):
+            results[i] = _result(perturbation(i), p, iterations, int(orig[i]), int(label))
+        rows = np.flatnonzero(finite & ~stop)  # the rows that step, in this linearization
+        active = active[rows]
+        if not active.size:
+            break
+        jac = jacobian(rows).reshape(len(rows), logits.shape[1], -1)
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        for i in active[~finite]:  # at x itself no label, as for non-finite logits there
+            results[i] = _result(perturbation(i), p, iterations, int(orig[i]) if iterations else None)
+        active, rows, jac = active[finite], rows[finite], jac[finite]
+        k, o, f = np.arange(len(rows)), orig[active], logits[rows]
+        step, finite = _min_boundary_step(f - f[k, o][:, None], jac - jac[k, o][:, None], p)
+        for i in active[~finite]:
+            results[i] = _result(perturbation(i), p, iterations, int(orig[i]))
+        active = active[finite]
+        r_total[active] += step[finite]
         iterations += 1
         # The overshot point doubles as flip probe and next linearization point.
-        logits, jacobian = logits_and_deferred_jacobian(net, x0 + scale * r_total)
-        if not np.all(np.isfinite(logits)):
-            return _failure(scale * r_total, iterations, orig)
-        current = int(np.argmax(logits))
-
-    perturbation = scale * r_total
-    success = current != orig
-    return AdversarialResult(
-        perturbation=perturbation,
-        norm=lp_norm(perturbation, p),
-        iterations=iterations,
-        success=success,
-        adversarial_label=current if success else None,
-        original_label=orig,
-    )
-
-
-def _failure(perturbation, iterations, original_label):
-    return AdversarialResult(
-        perturbation=np.asarray(perturbation, dtype=DTYPE),
-        norm=float("inf"),
-        iterations=iterations,
-        success=False,
-        adversarial_label=None,
-        original_label=original_label,
-    )
+        point = x0[active] + scale * r_total[active]
+    return results
 
 
 def batch_deepfool(
@@ -171,11 +210,20 @@ def batch_deepfool(
     xs,
     cfg: AttackConfig = AttackConfig(),
 ) -> list[AdversarialResult]:
-    """Per-sample DeepFool over a collection; order preserved.
+    """Per-sample DeepFool over a sized sequence of inputs; order preserved.
 
-    Each element equals the single-call result exactly: the attack is a pure
-    function of (net, x, cfg), and a non-finite value fails that element's
-    attack alone, as in ``deepfool``. Any error, such as the InputError of a
-    wrongly shaped input, raises.
+    The inputs are attacked in lockstep groups of ``_CHUNK // C`` from row 0,
+    the block size of ``egl_scores``: each iteration runs one stacked
+    forward pass and one stacked Jacobian for a group's candidates still
+    attacking. Each element equals the single-call result exactly, bit for
+    bit: the attack is a pure function of (net, x, cfg) and its group does
+    not change its bits (see ``_attack_group`` and
+    ``logits_and_deferred_jacobian``), and a non-finite value fails that
+    element's attack alone, as in ``deepfool``. Any error, such as the
+    InputError of a wrongly shaped input, raises.
     """
-    return [deepfool(net, x, cfg) for x in xs]
+    group = max(1, _CHUNK // net.spec.class_count)
+    results = []
+    for lo in range(0, len(xs), group):
+        results += _attack_group(net, np.asarray(xs[lo : lo + group], dtype=DTYPE), cfg)
+    return results

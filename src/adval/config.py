@@ -126,15 +126,27 @@ class BlobsData:
         return pool, test
 
     def load(self, test_set: bool = True) -> tuple[Dataset, Dataset | None]:
+        """The pool and, on request, the test set.
+
+        Blobs whose samples are not finite, or finite but with a squared
+        euclidean norm that overflows (the squares that training, DeepFool and
+        core-set distances sum), raise ConfigError naming both keys that set
+        their scale, before any training.
+        """
         pool, test = self.specs()
+        blobs = (
+            f"data.cov_scale, data.center_radius: blobs at center_radius {self.center_radius} "
+            f"with cov_scale {self.cov_scale} hold"
+        )
         try:
             with np.errstate(over="ignore"):  # the overflow is reported once, below
-                return gen_blobs(pool), gen_blobs(test) if test_set else None
+                sets = gen_blobs(pool), gen_blobs(test) if test_set else None
+                squares = [np.einsum("ij,ij->i", d.inputs, d.inputs) for d in sets if d is not None]
         except InputError as exc:  # the one InputError of gen_blobs: non-finite samples
-            raise ConfigError(
-                f"data.cov_scale, data.center_radius: blobs at center_radius {self.center_radius} "
-                f"with cov_scale {self.cov_scale} hold non-finite samples"
-            ) from exc
+            raise ConfigError(f"{blobs} non-finite samples") from exc
+        if not all(np.isfinite(s).all() for s in squares):
+            raise ConfigError(f"{blobs} samples whose squared euclidean norm overflows")
+        return sets
 
 
 @dataclass(frozen=True)

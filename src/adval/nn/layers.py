@@ -19,8 +19,11 @@ A forward kernel builds its cache only on request (``cache=True``, the
 default). A caller that will run no backward pass, such as batched
 evaluation, passes ``cache=False``: MaxPool2D then skips the pick that only
 its backward pass reads, and MaxPool2D and Conv2D return None for the cache,
-with the same output bits. The other layers' caches cost no extra work and
-come back either way.
+with the same output bits. A caller whose backward pass forms input
+gradients only, such as DeepFool's Jacobians, passes ``cache="input_grad"``:
+Conv2D then keeps the input's shape and not its im2col columns, and Dense
+keeps no input, which only parameter gradients read. The other layers'
+caches cost no extra work and come back either way.
 
 Conv2D's forward copies its receptive fields into im2col columns laid out
 (N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one
@@ -31,7 +34,7 @@ OpenBLAS SkylakeX and Haswell kernels. On other shapes OpenBLAS may take
 another kernel path and round the last bit differently: 2×2 and 1×1 outputs,
 some multi-channel shapes, and a single filter (a matrix-vector product).
 
-Conv2D's cache is the input's shape and these columns. The backward pass
+Conv2D's full cache is the input's shape and these columns. The backward pass
 and ``grad_sq_norms`` contract over output positions, so they copy the
 columns to (positions, C·k·k) rows: one transpose of a cached array, not a
 second gather from the input's windows. The rows are C-contiguous, as in a
@@ -204,11 +207,13 @@ def forward(layer, params, x, *, rng=None, cache=True):
     ``cache=False`` tells the layer that no backward pass will read its cache.
     MaxPool2D then forms only its output, and it and Conv2D return None for
     the cache; the other layers' caches are the input itself, a view of it or
-    a by-product of the output, and come back as usual. The output bits are
-    the same.
+    a by-product of the output, and come back as usual. ``cache="input_grad"``
+    tells it that the backward pass will form no parameter gradient: Conv2D
+    then caches None for its columns, and Dense None for its input. The
+    output bits are the same.
     """
     if isinstance(layer, Dense):
-        return x @ params["W"] + params["b"], x
+        return x @ params["W"] + params["b"], None if cache == "input_grad" else x
     if isinstance(layer, ReLU):
         mask = x > 0
         return x * mask, mask
@@ -229,7 +234,8 @@ def forward(layer, params, x, *, rng=None, cache=True):
         cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, ho * wo)
         y = np.matmul(params["W"].reshape(layer.filters, -1), cols)
         y += params["b"][:, None]
-        return y.reshape(n, layer.filters, ho, wo), (x.shape, cols) if cache else None
+        kept = None if cache == "input_grad" else cols
+        return y.reshape(n, layer.filters, ho, wo), (x.shape, kept) if cache else None
     if isinstance(layer, MaxPool2D):
         return _maxpool(x, layer.size) if cache else (_maxpool_output(x, layer.size), None)
     raise TypeError(f"unknown layer {layer!r}")
@@ -249,7 +255,9 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
     cached batch, ``(*lead, N, ...)``, and ``dx`` is then ``(*lead, *x.shape)``:
     each leading index gets the gradient an ordinary call would give it. Dense,
     ReLU and Dropout broadcast; Flatten and MaxPool2D place the leading axes
-    explicitly; Conv2D takes its rows over lead x batch.
+    explicitly; Conv2D runs one example at a time, with that example's
+    leading seeds as the batch of an ordinary call, so each example's
+    products have the rows of a one-example call whatever the batch size.
     """
     w_out, b_out = (None, None) if out is None else (out["W"], out["b"])
     if isinstance(layer, Dense):
@@ -262,9 +270,12 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
     if isinstance(layer, Conv2D):
         x_shape, cols = cache
         dx = None
-        if input_grad:  # leading axes fold into the batch
-            dx = _conv_input_grad(layer, params["W"], x_shape[1:], dy.reshape(-1, *dy.shape[-3:]))
-            dx = dx.reshape(*dy.shape[:-4], *x_shape)
+        if input_grad and dy.ndim == 4:
+            dx = _conv_input_grad(layer, params["W"], x_shape[1:], dy)
+        elif input_grad:  # leading axes: one example at a time, with its seeds as the batch
+            per_example = [_conv_input_grad(layer, params["W"], x_shape[1:], d.reshape(-1, *d.shape[-3:]))
+                           for d in np.moveaxis(dy, -4, 0)]
+            dx = np.stack(per_example, axis=-4).reshape(*dy.shape[:-4], *x_shape)
         grads = None
         if param_grads:
             # (F, C·k·k) <- contract batch and output positions, as np.tensordot does,

@@ -31,11 +31,13 @@ gradients and Jacobians used by DeepFool get no parameter gradients.
 ``probs_and_grad_sq_norms`` serves EGL with neither: its backward pass carries
 a leading class axis in front of the batch (see ``layers.backward``) and sums
 each example's squared parameter-gradient norm per class as it goes down.
-``logits_and_deferred_jacobian`` splits a Jacobian into its forward pass,
-run at once, and its backward pass, run only when the caller asks for it. Its
-forward pass runs the layers below the first Dense layer on the one point and
-only the Dense layers and those above them on C copies, with the bits of an
-all-C-row pass.
+``logits_and_deferred_jacobian`` splits the Jacobians of a group of points
+into one forward pass, run at once, and a backward pass for the points the
+caller asks for, run only when it asks. Its forward pass runs the layers
+below the first Dense layer once on the group's rows and only the Dense
+layers and those above them on C copies of each point, stacked on a leading
+point axis; each point gets the bits of an all-C-row pass over it alone. Its
+backward pass runs below the first Dense layer on a few points at a time.
 
 The training loss comes from ``loss_and_param_grads``, out of the max-shifted
 exponentials ``e = exp(z)`` that also give the gradient's softmax ``e / sum(e)``
@@ -192,22 +194,17 @@ def _param_grads(state, caches, dlogits, out=None):
     return tuple(grads)
 
 
-def _input_grad(state, caches, dlogits, split=0):
-    """Gradient w.r.t. the network input, with no parameter gradients formed.
+def _input_grad(state, caches, dy, start=0, stop=None):
+    """Gradient w.r.t. the input of ``layers[start:stop]``, with no parameter gradients formed.
 
-    Returns one input gradient per row of ``dlogits``, ``(len(dlogits), *input_shape)``.
-    A ``split`` > 0 says that ``layers[:split]`` ran on one input row and the
-    layers above on as many copies of its output as ``dlogits`` has rows
-    (see ``logits_and_deferred_jacobian``): below the split, those rows become
-    a leading axis of seeds over the one cached row.
+    ``caches`` are those layers' forward caches and ``dy`` the gradient at
+    their output, which may carry leading axes in front of the cached batch
+    (see ``layers.backward``).
     """
-    layers, params = state.spec.layers, state.params
-    dy = dlogits
-    for i in range(len(layers) - 1, -1, -1):
-        if i == split - 1:
-            dy = dy[:, None]
-        dy, _ = L.backward(layers[i], params[i], caches[i], dy, param_grads=False)
-    return dy.reshape(len(dlogits), *state.spec.input_shape)
+    layers = zip(state.spec.layers[start:stop], state.params[start:stop], caches)
+    for layer, params, cache in reversed(list(layers)):
+        dy, _ = L.backward(layer, params, cache, dy, param_grads=False)
+    return dy
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -276,40 +273,69 @@ def probs_and_grad_sq_norms(state: NetworkState, x: np.ndarray):
 
 
 def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
-    """Logits at one input ``x`` plus a function that returns d logits / d input, (C, *input_shape).
+    """Logits (G, C) at a group of G >= 1 inputs, plus ``jacobian(rows)``: the input
+    Jacobians d logits / d input at the inputs ``rows``, (len(rows), C, *input_shape).
 
-    The layers below the first Dense layer run once, on ``x`` alone; their
-    output is copied to C rows, and the Dense layers and everything above
-    them run on that C-row batch. Calling the returned function runs the
-    backward pass from identity upstream seeds, one per row, which equals C
-    separate per-logit backward passes; below the split the seeds ride on a
-    leading axis (see ``_input_grad``). A caller that reads only the logits
-    never pays for the backward.
+    The layers below the first Dense layer run once on the G rows, as
+    ``_evaluate`` runs them, keeping no cache. Their output is copied C times
+    along a new axis, and the Dense layers and everything above them run once
+    on that (G, C, ...) stack. ``jacobian`` runs the backward pass from
+    identity upstream seeds, one per copy, which equals C separate per-logit
+    backward passes, for the requested inputs only: above the split on their
+    part of the stack, below it on blocks of ``_BLOCK // C`` of them, so that
+    a block's C seeds per input make one block of rows. Each block first runs
+    the layers below the split again on its inputs for their caches, then
+    carries its seeds on a leading axis in front of their rows (see
+    ``layers.backward``). A caller that reads only the logits never pays for
+    a backward pass, and one that needs some inputs' Jacobians pays for
+    theirs alone. The caches are those of a backward pass that forms input
+    gradients only (``cache="input_grad"``): no Conv2D im2col columns and no
+    Dense inputs, so a group holds little more than its masks.
 
-    The result is bit for bit that of running every layer on C copies of
-    ``x``. Below the first Dense layer each row's bits do not depend on how
-    many rows run together: ReLU, MaxPool2D, Flatten and inactive Dropout
-    work element by element or only reshape, and Conv2D's batched product
-    runs one product per example. A Dense layer's matrix product may round a
-    row differently with a different row count, so the Dense layers keep
-    their C rows. With no Dense layer, every layer runs on ``x`` alone.
+    Each input's logits and Jacobian are bit for bit those of running every
+    layer on C copies of that input alone. Below the first Dense layer a
+    row's bits do not depend on the rows run with it: ReLU, MaxPool2D,
+    Flatten and inactive Dropout work element by element or only reshape,
+    Conv2D's batched product runs one product per example, and its input
+    gradient runs one example at a time over that example's C seeds. A Dense
+    layer's matrix product may round a row differently with another row
+    count, so each input keeps its own C rows: on the (G, C, n) stack
+    ``np.matmul`` makes one (C, n) @ (n, m) product per input, the product
+    of that input's C copies alone, where one product over G·C rows would
+    round some rows differently. Above the first Dense layer every sample is
+    a vector, and Dense, ReLU and inactive Dropout broadcast over the leading
+    input axis; a Flatten there would flatten the copies together, and no
+    architecture has one. With no Dense layer every layer runs on the rows.
 
-    Raises InputError when ``x`` does not have the network's input shape.
+    Raises InputError when ``x`` is not a batch of the network's input shape.
     """
     spec = state.spec
     c = spec.class_count
-    x = _check_batch(spec, np.asarray(x, dtype=DTYPE)[None])
+    x = _check_batch(spec, x)
     split = _first_index(spec, Dense)
-    h, below = _forward_caches(state, x, stop=split)
-    logits, above = _forward_caches(state, np.repeat(h, c, axis=0), start=split)
-    caches = below + above
-    return logits[0], lambda: _input_grad(state, caches, np.eye(c, dtype=DTYPE), split)
+    h = _evaluate(state, x, stop=split)
+    copies = np.repeat(h[:, None], c, axis=1)
+    logits, above = _forward_caches(state, copies, start=split, cache="input_grad")
+
+    def jacobian(rows):
+        caches = [cache if cache is None else cache[rows] for cache in above]
+        seeds = np.broadcast_to(np.eye(c, dtype=DTYPE), (len(rows), c, c))
+        dy = _input_grad(state, caches, seeds, start=split)  # (rows, C, ...)
+        jac = np.empty((len(rows), c, *spec.input_shape), DTYPE)
+        block = max(1, _BLOCK // c)  # inputs whose C seeds make one block of rows
+        for lo in range(0, len(rows), block):
+            below = _forward_caches(state, x[rows[lo : lo + block]], stop=split, cache="input_grad")[1]
+            dx = _input_grad(state, below, dy[lo : lo + block].swapaxes(0, 1), stop=split)
+            jac[lo : lo + block] = dx.swapaxes(0, 1)
+        return jac
+
+    return logits[:, 0], jacobian
 
 
 def logits_and_input_jacobian(state: NetworkState, x: np.ndarray):
-    """Logits plus the full Jacobian d logits / d input, shape (C, *input_shape)."""
-    logits, jacobian = logits_and_deferred_jacobian(state, x)
-    return logits, jacobian()
+    """Logits plus the full Jacobian d logits / d input, shape (C, *input_shape), at one input."""
+    logits, jacobian = logits_and_deferred_jacobian(state, np.asarray(x, dtype=DTYPE)[None])
+    return logits[0], jacobian([0])[0]
 
 
 def _first_index(spec: NetworkSpec, kinds) -> int:

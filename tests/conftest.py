@@ -20,6 +20,7 @@ from adval.nn import (
     ReLU,
     TrainConfig,
 )
+from adval.attacks import AdversarialResult
 from adval.nn.layers import _conv_windows
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
@@ -143,6 +144,60 @@ def reference_logits_and_jacobian(state, x):
     for layer, params, cache in reversed(list(zip(state.spec.layers, state.params, caches))):
         dy, _ = layer_backward(layer, params, cache, dy, param_grads=False)
     return h[0], dy
+
+
+def _reference_boundary_step(diffs, grads, p):
+    flat = grads.reshape(len(grads), -1)
+    denom = np.linalg.norm(flat, ord=1 if p == np.inf else 2, axis=1)
+    dist = np.where(denom > 0, np.abs(diffs) / denom, np.inf)
+    l = int(np.argmin(dist))
+    margin = float(dist[l])
+    if not np.isfinite(margin):
+        return None
+    if margin < 1e-12:
+        margin = 1e-4
+    w = grads[l]
+    step = margin * np.sign(w) if p == np.inf else (margin / np.linalg.norm(w.ravel())) * w
+    return -step if diffs[l] > 0 else step
+
+
+def _reference_result(perturbation, p, iterations, success, adversarial, original):
+    norm = float(np.linalg.norm(np.ravel(perturbation), ord=p)) if success is not None else float("inf")
+    return AdversarialResult(perturbation, norm, iterations, bool(success), adversarial, original)
+
+
+@np.errstate(all="ignore")
+def reference_deepfool(net, x, cfg) -> AdversarialResult:
+    """DeepFool on one point, iterate by iterate: ``deepfool`` before its attacks ran in lockstep.
+
+    Each point is linearized on its own by ``reference_logits_and_jacobian``,
+    which also forms the Jacobians the attack never reads.
+    """
+    p = float(cfg.p)
+    x0 = np.asarray(x, dtype=float)
+    scale = 1.0 + cfg.overshoot
+    logits, jac = reference_logits_and_jacobian(net, x0)
+    if not np.all(np.isfinite(logits)):
+        return _reference_result(np.zeros_like(x0), p, 0, None, None, None)
+    orig = int(np.argmax(logits))
+    others = [k for k in range(len(logits)) if k != orig]
+    r_total = np.zeros_like(x0)
+    current = orig
+    iterations = 0
+    while current == orig and iterations < cfg.max_iter:
+        if not np.all(np.isfinite(jac)):
+            return _reference_result(scale * r_total, p, iterations, None, None, orig if iterations else None)
+        step = _reference_boundary_step(logits[others] - logits[orig], jac[others] - jac[orig], p)
+        if step is None:
+            return _reference_result(scale * r_total, p, iterations, None, None, orig)
+        r_total = r_total + step
+        iterations += 1
+        logits, jac = reference_logits_and_jacobian(net, x0 + scale * r_total)
+        if not np.all(np.isfinite(logits)):
+            return _reference_result(scale * r_total, p, iterations, None, None, orig)
+        current = int(np.argmax(logits))
+    success = current != orig
+    return _reference_result(scale * r_total, p, iterations, success, current if success else None, orig)
 
 
 def reference_egl_scores(state, inputs) -> np.ndarray:

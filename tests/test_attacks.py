@@ -1,15 +1,17 @@
 """DeepFool: analytic linear cases, flip guarantees, batch contracts."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import forward, random_conv_spec
+from conftest import forward, random_conv_spec, reference_deepfool
 
 from adval import nn
 from adval.attacks import AdversarialResult, AttackConfig, batch_deepfool, deepfool, lp_norm
 from adval.errors import ConfigError, InputError
 from adval.nn import Dense, NetworkSpec, build_network
+from adval.nn.network import logits_and_deferred_jacobian
 
 
 def linear_state(w: np.ndarray, b: np.ndarray) -> nn.NetworkState:
@@ -229,25 +231,33 @@ class TestJacobianCount:
 
     @pytest.fixture
     def log(self, monkeypatch):
+        """Hooks on the batched linearization: each point linearized, each Jacobian formed.
+
+        ``groups`` holds each linearization's points, ``formed`` the (call, row)
+        pairs whose Jacobians were formed, and ``backward`` counts the inputs
+        that backward passes differentiate down to the network input: the
+        passes that reach it carry C seeds for each of them, (C, rows, ...).
+        """
         import adval.attacks as attacks
         import adval.nn.network as network
 
         linearize = attacks.logits_and_deferred_jacobian
         backward = network._input_grad
-        log = {"points": 0, "formed": [], "backward": 0}
+        log = {"groups": [], "formed": [], "backward": 0}
 
-        def counted_backward(*args):
-            log["backward"] += 1
-            return backward(*args)
+        def counted_backward(state, caches, dy, start=0, stop=None):
+            if start == 0:
+                log["backward"] += dy.shape[1]
+            return backward(state, caches, dy, start, stop)
 
-        def recorded(net, x):
-            logits, jacobian = linearize(net, x)
-            point = log["points"]
-            log["points"] += 1
+        def recorded(net, points):
+            logits, jacobian = linearize(net, points)
+            call = len(log["groups"])
+            log["groups"].append(points.copy())
 
-            def formed():
-                log["formed"].append(point)
-                return jacobian()
+            def formed(rows):
+                log["formed"] += [(call, int(row)) for row in rows]
+                return jacobian(rows)
 
             return logits, formed
 
@@ -257,7 +267,7 @@ class TestJacobianCount:
 
     @staticmethod
     def attack(log, net, x, cfg=AttackConfig()):
-        log.update(points=0, formed=[], backward=0)
+        log.update(groups=[], formed=[], backward=0)
         return deepfool(net, x, cfg)
 
     def test_flip_after_k_steps_runs_k_backward_passes(self, log):
@@ -270,8 +280,8 @@ class TestJacobianCount:
             steps.add(k)
             assert log["backward"] == k
             # Jacobians at x and at each iterate before the flip; the flip point's is never formed
-            assert log["formed"] == list(range(k))
-            assert log["points"] == k + 1
+            assert log["formed"] == [(t, 0) for t in range(k)]
+            assert len(log["groups"]) == k + 1
         assert steps >= {1, 2, 3}
 
     def test_exhausted_max_iter_runs_max_iter_backward_passes(self, log):
@@ -285,10 +295,30 @@ class TestJacobianCount:
             res = self.attack(log, net, x, AttackConfig(max_iter=k))
             assert not res.success and res.iterations == k
             assert log["backward"] == k
-            assert log["formed"] == list(range(k))
-            assert log["points"] == k + 1
+            assert log["formed"] == [(t, 0) for t in range(k)]
+            assert len(log["groups"]) == k + 1
             exhausted += 1
         assert exhausted >= 5
+
+    def test_each_candidate_of_a_batch_forms_jacobians_where_it_steps(self, log):
+        net, xs = conv_net_and_points()
+        log.update(groups=[], formed=[], backward=0)
+        results = batch_deepfool(net, xs)
+        steps = [res.iterations for res in results]
+        assert all(res.success for res in results) and set(steps) >= {1, 2, 3}
+        # Linearization t holds, in batch order, the candidates that took t steps or
+        # more; those that took more step from there, and each Jacobian is formed once.
+        assert len(log["groups"]) == max(steps) + 1
+        expected = []
+        for t, points in enumerate(log["groups"]):
+            here = [i for i, k in enumerate(steps) if k >= t]
+            assert len(points) == len(here)
+            expected += [(t, row) for row, i in enumerate(here) if steps[i] > t]
+            for row, i in enumerate(here):
+                if steps[i] == t:  # the flip point: x plus the perturbation, no Jacobian
+                    assert points[row].tobytes() == (xs[i] + results[i].perturbation).tobytes()
+        assert log["formed"] == expected
+        assert log["backward"] == sum(steps)
 
     @pytest.mark.parametrize("bad_point", [0, 1])
     def test_nonfinite_jacobian_fails_where_it_steps(self, monkeypatch, bad_point):
@@ -299,11 +329,11 @@ class TestJacobianCount:
         linearize = attacks.logits_and_deferred_jacobian
         points = []
 
-        def poisoned(net, point):
-            logits, jacobian = linearize(net, point)
-            points.append(point)
+        def poisoned(net, group):
+            logits, jacobian = linearize(net, group)
+            points.append(group[0])
             if len(points) - 1 == bad_point:
-                return logits, lambda: np.full_like(jacobian(), np.nan)
+                return logits, lambda rows: np.full_like(jacobian(rows), np.nan)
             return logits, jacobian
 
         monkeypatch.setattr(attacks, "logits_and_deferred_jacobian", poisoned)
@@ -314,6 +344,142 @@ class TestJacobianCount:
         # at x itself no step was taken and, as for non-finite logits, no label is reported
         expected = None if bad_point == 0 else int(np.argmax(forward(net, x)))
         assert res.original_label == expected
+
+
+class TestJacobianMemory:
+    """A linearization keeps no im2col columns or Dense inputs, and an attack holds one group at a time."""
+
+    def test_jacobian_caches_hold_no_columns(self, monkeypatch):
+        import adval.nn.layers as layers
+
+        net, xs = lockstep_case("arch-A")
+        kept = []
+        forward = layers.forward
+
+        def recorded(layer, params, x, **kwargs):
+            y, cache = forward(layer, params, x, **kwargs)
+            kept.append((layer, cache))
+            return y, cache
+
+        monkeypatch.setattr(layers, "forward", recorded)
+        _, jacobian = logits_and_deferred_jacobian(net, xs[:25])
+        jacobian(np.arange(25))
+        conv = [cache for layer, cache in kept if isinstance(layer, nn.Conv2D)]
+        # the logits' pass keeps no cache; the Jacobian's runs 3 inputs (30 seeds) at a time
+        assert conv[0] is None
+        assert [shape[0] for shape, _ in conv[1:]] == [3] * 8 + [1]
+        assert all(cols is None for _, cols in conv[1:])
+        assert all(cache is None for layer, cache in kept if isinstance(layer, Dense))
+
+    def test_peak_is_about_one_group(self):
+        net, xs = lockstep_case("arch-A")
+        xs = np.concatenate([xs] * 4)[:100]  # four groups of 25
+        jacobians = 25 * 10 * 28 * 28 * 8  # bytes of one group's Jacobians
+        batch_deepfool(net, xs[:1])
+        tracemalloc.start()
+        try:
+            linearized = logits_and_deferred_jacobian(net, xs[:25])
+            held = tracemalloc.get_traced_memory()[0]
+            del linearized
+            peaks = []
+            for n in (25, 100):
+                tracemalloc.reset_peak()
+                batch_deepfool(net, xs[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # The (25, C, 1152) stack of Dense inputs alone would be 2.3 MB, Conv2D's
+        # im2col columns 2.9 MB, and the layers below the Dense layers, run on
+        # all 25 inputs' seeds at once, would peak at 24 MB.
+        assert held < jacobians / 4
+        assert peaks[0] < 5 * jacobians
+        assert peaks[1] < 1.15 * peaks[0]
+
+
+def assert_same_result(got, want):
+    """Every field of two ``AdversarialResult``s, byte for byte."""
+    assert got.perturbation.dtype == want.perturbation.dtype
+    assert got.perturbation.shape == want.perturbation.shape
+    assert got.perturbation.tobytes() == want.perturbation.tobytes()
+    assert np.float64(got.norm).tobytes() == np.float64(want.norm).tobytes()
+    fields = ("iterations", "success", "adversarial_label", "original_label")
+    assert [(getattr(got, f), type(getattr(got, f))) for f in fields] == [
+        (getattr(want, f), type(getattr(want, f))) for f in fields
+    ]
+
+
+def lockstep_case(arch):
+    """A fresh ``arch`` net and more candidates than one lockstep group holds.
+
+    arch-A on 10 classes attacks groups of 25, so its 26 images make two
+    groups; arch-B on 4 classes attacks groups of 64, so its 65 points do.
+    """
+    rng = np.random.default_rng(5)
+    if arch == "arch-A":
+        net = nn.init_network(build_network("arch-A", (1, 28, 28), 10, seed=1))
+        return net, rng.uniform(0.0, 1.0, size=(26, 1, 28, 28))
+    net = nn.init_network(build_network("arch-B", (2,), 4, seed=1))
+    return net, 3.0 * rng.standard_normal((65, 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 31, 64, 100, 784, 2000])
+def test_step_norms_are_those_of_each_row_alone(dim):
+    from adval.attacks import _euclidean_norms
+
+    rng = np.random.default_rng(dim)
+    w = rng.standard_normal((70, dim)) * rng.uniform(1e-3, 1e3, size=(70, 1))
+    want = np.array([np.linalg.norm(v) for v in w])
+    assert _euclidean_norms(w).tobytes() == want.tobytes()
+
+
+class TestAgainstSequentialReference:
+    """``batch_deepfool`` against the sequential one-point attack of ``conftest``."""
+
+    CONFIGS = {
+        "default": AttackConfig(),
+        "linf": AttackConfig(p=np.inf),
+        "capped": AttackConfig(max_iter=1),
+        "linf-capped": AttackConfig(p=np.inf, max_iter=2),
+        "overflow": AttackConfig(overshoot=1e308),
+    }
+
+    def assert_matches_reference(self, net, xs, cfg):
+        results = batch_deepfool(net, xs, cfg)
+        assert len(results) == len(xs)
+        for x, res in zip(xs, results):
+            assert_same_result(res, reference_deepfool(net, x, cfg))
+        return results
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
+    def test_every_field_is_byte_equal(self, arch, config):
+        net, xs = lockstep_case(arch)
+        results = self.assert_matches_reference(net, xs, self.CONFIGS[config])
+        assert any(res.success for res in results)
+
+    def test_overflowing_steps_fail_byte_equal(self, trained3, blobs3):
+        results = self.assert_matches_reference(trained3, blobs3.inputs[:30], AttackConfig(overshoot=1e308))
+        assert all(res.score() == np.inf and res.adversarial_label is None for res in results)
+
+    @pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
+    def test_nonfinite_parameters_fail_byte_equal(self, arch):
+        net, xs = lockstep_case(arch)
+        params = [None if p is None else {k: v.copy() for k, v in p.items()} for p in net.params]
+        params[-1]["W"][0, 0] = np.nan
+        broken = nn.NetworkState(net.spec, tuple(params))
+        results = self.assert_matches_reference(broken, xs, AttackConfig())
+        assert all(res.score() == np.inf and res.original_label is None for res in results)
+
+    def test_exact_tie_is_byte_equal(self):
+        state = linear_state(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
+        xs = np.array([[0.0, 0.3], [0.5, -0.2], [0.0, -1.0], [-2.0, 0.1]])
+        results = self.assert_matches_reference(state, xs, AttackConfig())
+        assert results[0].success and results[0].norm < 1e-3
+
+    def test_empty_batch(self):
+        net, _ = lockstep_case("arch-B")
+        assert batch_deepfool(net, np.empty((0, 2))) == []
+        assert batch_deepfool(net, []) == []
 
 
 class TestAgainstMarginOracle:

@@ -829,6 +829,20 @@ class TestDataShape:
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
+    def test_blobs_whose_squared_norms_overflow_name_their_keys(self, tmp_path, monkeypatch, command):
+        trainings = count_calls(monkeypatch, "train")
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("[data]\n", "[data]\ncenter_radius = 1e308\n"))
+        result = CliRunner().invoke(main, [*command, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            "E_CONFIG: data.cov_scale, data.center_radius: blobs at center_radius 1e+308 with "
+            "cov_scale 0.5 hold samples whose squared euclidean norm overflows"
+        ]
+        assert not trainings
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", [["run"], ["timing", "--sizes", "6"]], ids=["run", "timing"])
     def test_bald_samples_numpy_cannot_index_names_its_key(self, tmp_path, monkeypatch, command):
         trainings = count_calls(monkeypatch, "train")
         config = write_config(tmp_path, strategies="random,bald", extra=f"bald_samples = {self.HUGE}\n")
@@ -939,8 +953,6 @@ class TestBadValueSweep:
     DIVERGED = "E_RUNTIME: round 1: training diverged: the trained network's logits are not finite"
     # (command, key, value) -> (extra options, the last stderr line, or None for exit 0)
     RUN_CASES = {
-        ("run", "data.center_radius", "1e308"): ((), DIVERGED),
-        ("timing", "data.center_radius", "1e308"): ((), None),
         ("run", "attack.overshoot", "1e308"): ((), DIVERGED),
         ("run", "experiment.bald_samples", HUGE): (
             ("--strategies", "bald"),
