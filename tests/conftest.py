@@ -8,6 +8,7 @@ import pytest
 
 import adval.loop
 from adval import nn
+from adval.attacks import AdversarialResult
 from adval.data import Dataset, SyntheticSpec, gen_blobs
 from adval.errors import InputError
 from adval.nn import (
@@ -20,7 +21,6 @@ from adval.nn import (
     ReLU,
     TrainConfig,
 )
-from adval.attacks import AdversarialResult
 from adval.nn.layers import _conv_windows
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
@@ -162,13 +162,14 @@ def _reference_boundary_step(diffs, grads, p):
 
 
 def _reference_result(perturbation, p, iterations, success, adversarial, original):
+    """An attack's result; ``success`` None marks a failed attack, scored +inf."""
     norm = float(np.linalg.norm(np.ravel(perturbation), ord=p)) if success is not None else float("inf")
     return AdversarialResult(perturbation, norm, iterations, bool(success), adversarial, original)
 
 
 @np.errstate(all="ignore")
 def reference_deepfool(net, x, cfg) -> AdversarialResult:
-    """DeepFool on one point, iterate by iterate: ``deepfool`` before its attacks ran in lockstep.
+    """Sequential one-point DeepFool, iterate by iterate: the reference for the lockstep groups.
 
     Each point is linearized on its own by ``reference_logits_and_jacobian``,
     which also forms the Jacobians the attack never reads.
