@@ -392,7 +392,7 @@ class TestJacobianMemory:
         # im2col columns 2.9 MB, and the layers below the Dense layers, run on
         # all 25 inputs' seeds at once, would peak at 24 MB.
         assert held < jacobians / 4
-        assert peaks[0] < 5 * jacobians
+        assert peaks[0] < 6 * jacobians
         assert peaks[1] < 1.15 * peaks[0]
 
 
