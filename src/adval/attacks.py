@@ -14,8 +14,10 @@ copies, and one Jacobian call for those that step from there. ``deepfool``
 is the same kernel on a group of one. Every candidate keeps the bits of its
 lone attack: ``np.matmul`` makes one product per point on the stack, each
 with the rows of a lone point's C copies; the attack's own arithmetic is
-element by element or row by row; and each step's norm is one BLAS ddot per
-candidate, as ``np.linalg.norm`` of that candidate's vector is.
+element by element or row by row; and each step's euclidean norm is one
+BLAS ddot per candidate, as ``np.linalg.norm`` of that candidate's vector
+is. The norms of the results that stop in one iteration come from one call
+of the same kind (``_lp_norms``).
 
 An attack forms the input Jacobian only at the points it steps from: the
 starting point and each iterate that has not flipped while iterations remain.
@@ -88,6 +90,15 @@ def _euclidean_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(w[:, None], w[:, :, None])).reshape(len(w))
 
 
+def _lp_norms(w: np.ndarray, p: float) -> np.ndarray:
+    """``lp_norm`` of each row of ``w`` (S, D), bit for bit, in one call for all rows.
+
+    For p = inf ``np.linalg.norm`` is ``abs(v).max()``, and a max is exact
+    whatever order it reduces in.
+    """
+    return np.abs(w).max(axis=1) if p == np.inf else _euclidean_norms(w)
+
+
 def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
     """Each candidate's smallest step across its nearest linearized boundary.
 
@@ -138,11 +149,11 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
     return _attack_group(net, np.asarray(x, dtype=DTYPE)[None], cfg)[0]
 
 
-def _result(perturbation, p, iterations, original_label, current=None):
+def _result(perturbation, iterations, original_label, current=None, norm=float("inf")):
     """The result of an attack that stopped at class ``current``, flipped or out of
-    iterations, or of a failed attack, scored +inf, when ``current`` is None."""
+    iterations, with ``norm`` its perturbation's ``lp_norm``, or of a failed attack,
+    scored +inf, when ``current`` is None."""
     success = current is not None and current != original_label
-    norm = float("inf") if current is None else lp_norm(perturbation, p)
     return AdversarialResult(
         perturbation, norm, iterations, success, current if success else None, original_label
     )
@@ -180,10 +191,12 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
         finite = np.isfinite(logits).all(axis=1)
         for i in active[~finite]:  # at x itself no class was ever predicted
             delta, label = (perturbation(i), int(orig[i])) if iterations else (np.zeros(shape), None)
-            results[i] = _result(delta, p, iterations, label)
+            results[i] = _result(delta, iterations, label)
         stop = finite & ((current != orig[active]) | (iterations == cfg.max_iter))
-        for i, label in zip(active[stop], current[stop]):
-            results[i] = _result(perturbation(i), p, iterations, int(orig[i]), int(label))
+        done = active[stop]
+        deltas = scale * r_total[done]
+        for i, label, delta, norm in zip(done, current[stop], deltas, _lp_norms(deltas, p)):
+            results[i] = _result(delta.reshape(shape), iterations, int(orig[i]), int(label), float(norm))
         rows = np.flatnonzero(finite & ~stop)  # the rows that step, in this linearization
         active = active[rows]
         if not active.size:
@@ -191,12 +204,12 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
         jac = jacobian(rows).reshape(len(rows), logits.shape[1], -1)
         finite = np.isfinite(jac).all(axis=(1, 2))
         for i in active[~finite]:  # at x itself no label, as for non-finite logits there
-            results[i] = _result(perturbation(i), p, iterations, int(orig[i]) if iterations else None)
+            results[i] = _result(perturbation(i), iterations, int(orig[i]) if iterations else None)
         active, rows, jac = active[finite], rows[finite], jac[finite]
         k, o, f = np.arange(len(rows)), orig[active], logits[rows]
         step, finite = _min_boundary_step(f - f[k, o][:, None], jac - jac[k, o][:, None], p)
         for i in active[~finite]:
-            results[i] = _result(perturbation(i), p, iterations, int(orig[i]))
+            results[i] = _result(perturbation(i), iterations, int(orig[i]))
         active = active[finite]
         r_total[active] += step[finite]
         iterations += 1

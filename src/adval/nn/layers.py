@@ -25,6 +25,14 @@ Conv2D then keeps the input's shape and not its im2col columns, and Dense
 keeps no input, which only parameter gradients read. The other layers'
 caches cost no extra work and come back either way.
 
+A pass with no cache may also run a ReLU and the MaxPool2D right after it
+as one kernel, ``relu_maxpool``: it pools the raw input and rectifies only
+the tile maxima, a quarter of the values under a 2×2 pool, with the bits of
+the two layers run one after the other. ReLU multiplies by its mask, so it
+maps -0.0 and negative values to -0.0, +0.0 to +0.0, NaN to itself and
+-inf to NaN (-inf · 0, with numpy's invalid-value warning); an input holding
+a NaN or -inf therefore runs the two layers.
+
 Conv2D's forward copies its receptive fields into im2col columns laid out
 (N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one
 batched product, whose (N, F, Ho·Wo) result is already NCHW. On arch-A's
@@ -80,7 +88,8 @@ class MaxPool2D:
     element's position; one without (``forward(..., cache=False)``) takes the
     tile max and re-picks only the tiles whose max is zero or NaN, where a
     -0.0/+0.0 tie or a NaN payload could leave other bits. Both routes give
-    the same output bits.
+    the same output bits. Right after a ReLU, a pass without a cache may run
+    both layers as one kernel, ``relu_maxpool``, same bits.
     """
 
     size: int
@@ -88,7 +97,9 @@ class MaxPool2D:
 
 @dataclass(frozen=True)
 class ReLU:
-    pass
+    """``x * (x > 0)``: a positive value keeps its bits, NaN stays NaN, -inf becomes
+    NaN, and every other value a zero of its own sign. A pass without a cache runs
+    a ReLU followed by a MaxPool2D as one kernel, ``relu_maxpool``, same bits."""
 
 
 @dataclass(frozen=True)
@@ -425,4 +436,25 @@ def _maxpool_output(x: np.ndarray, s: int) -> np.ndarray:
     if redo.size:
         values, picks = _tile_picks(x, s, redo)
         peak.reshape(-1)[redo] = values[np.arange(redo.size), picks]
+    return peak
+
+
+def relu_maxpool(x: np.ndarray, s: int) -> np.ndarray:
+    """``MaxPool2D(s)`` of ``ReLU`` of ``x`` with no cache, bit for bit, pooling first.
+
+    ReLU keeps a positive value's bits and sends every other value to a
+    zero, so a tile whose max is positive keeps that max, and a tile whose
+    max is negative gives -0.0 both ways: ``np.maximum(max, -0.0)`` is one
+    or the other. After ReLU a tile whose max is ±0 holds only zeros, all
+    tied, so ``np.argmax`` picks its first element: that element times 0.0.
+    An input holding a NaN or -inf runs the two layers, because ReLU maps
+    -inf to NaN (-inf · 0), which a max taken first would pass over.
+    """
+    if not x.min(initial=np.inf) > -np.inf:
+        return _maxpool_output(x * (x > 0), s)
+    peak = _tile_max(x, s)
+    zero = np.flatnonzero(peak == 0)
+    np.maximum(peak, -0.0, out=peak)
+    if zero.size:
+        peak.reshape(-1)[zero] = _tile_picks(x, s, zero)[0][:, 0] * 0.0
     return peak

@@ -14,7 +14,11 @@ such a sequence: each chunk is gathered as it is evaluated, with the bits of
 the same chunk of the gathered rows, so scoring a whole pool by index copies
 at most one chunk of its inputs. It runs no backward pass, so it builds no
 backward cache: MaxPool2D skips its pick and returns the same bits, and
-Conv2D keeps no im2col columns (see ``layers.forward``).
+Conv2D keeps no im2col columns (see ``layers.forward``). A ReLU directly
+followed by a MaxPool2D runs as one kernel, ``layers.relu_maxpool``, which
+pools first and rectifies a quarter of the values under arch-A's 2×2 pool,
+with the bits of the two layers. The passes that a backward pass follows
+(training, EGL, the Jacobians' caches) run every layer on its own.
 
 Within a chunk, the layers below the first Dense or Dropout layer run on
 blocks of ``_BLOCK`` rows, so Conv2D's im2col columns, the largest array of a
@@ -53,7 +57,7 @@ import numpy as np
 
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError, require_at_least
 from adval.nn import layers as L
-from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec
+from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec, MaxPool2D, ReLU
 
 _CHUNK = 256  # rows per chunk of a batched evaluation
 _BLOCK = 32  # rows per block of the layers below the first Dense or Dropout layer
@@ -152,10 +156,8 @@ def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarra
         h = below[: len(rows)]
         for b in range(0, len(rows), _BLOCK):
             block = rows[b : b + _BLOCK]
-            h[b : b + _BLOCK] = _forward_caches(state, block, stop=split, cache=False)[0]
-        out[lo : lo + _CHUNK] = _forward_caches(
-            state, h, start=split, stop=stop, rng=rng, cache=False
-        )[0]
+            h[b : b + _BLOCK] = _forward_free(state, block, 0, split)
+        out[lo : lo + _CHUNK] = _forward_free(state, h, split, stop, rng)
     return out
 
 
@@ -164,11 +166,27 @@ def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) ->
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
-def _forward_caches(state, x, *, start=0, stop=None, rng=None, cache=True):
-    """Output of ``layers[start:stop]`` plus each layer's cache for the backward pass.
+def _forward_free(state, x, start, stop, rng=None):
+    """Output of ``layers[start:stop]`` for a pass no backward pass follows.
 
-    ``cache=False`` is for a pass no backward pass follows; see ``layers.forward``.
+    Each layer runs with ``cache=False`` (see ``layers.forward``), and a ReLU
+    directly followed by a MaxPool2D runs as one kernel,
+    ``layers.relu_maxpool``, which pools before it rectifies, same bits.
     """
+    layers, params = state.spec.layers, state.params
+    i = start
+    while i < stop:
+        if isinstance(layers[i], ReLU) and i + 1 < stop and isinstance(layers[i + 1], MaxPool2D):
+            x = L.relu_maxpool(x, layers[i + 1].size)
+            i += 2
+        else:
+            x = L.forward(layers[i], params[i], x, rng=rng, cache=False)[0]
+            i += 1
+    return x
+
+
+def _forward_caches(state, x, *, start=0, stop=None, rng=None, cache=True):
+    """Output of ``layers[start:stop]`` plus each layer's cache for the backward pass."""
     caches = []
     for layer, params in zip(state.spec.layers[start:stop], state.params[start:stop]):
         x, c = L.forward(layer, params, x, rng=rng, cache=cache)

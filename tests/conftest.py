@@ -73,6 +73,18 @@ def reference_conv_forward(layer: Conv2D, params, x) -> np.ndarray:
     return y.transpose(0, 3, 1, 2) + params["b"][None, :, None, None]
 
 
+def reference_forward_free(state, x, stop=None, rng=None) -> np.ndarray:
+    """``layers[:stop]`` over all of ``x`` at once, one ``forward(..., cache=False)`` a layer.
+
+    No two layers run as one kernel and no rows are chunked or blocked: on at
+    most one evaluation chunk of rows, with ``rng`` seeded as the pass's
+    dropout seed, this is the batched evaluation's reference.
+    """
+    for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
+        x, _ = layer_forward(layer, params, x, rng=rng, cache=False)
+    return x
+
+
 def clone_params(params):
     """Independent copy of a state's per-layer parameter dicts."""
     return tuple(

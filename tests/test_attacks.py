@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -430,6 +431,17 @@ def test_step_norms_are_those_of_each_row_alone(dim):
     w = rng.standard_normal((70, dim)) * rng.uniform(1e-3, 1e3, size=(70, 1))
     want = np.array([np.linalg.norm(v) for v in w])
     assert _euclidean_norms(w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf], ids=["l2", "linf"])
+@pytest.mark.parametrize("arch", ["arch-A", "arch-B"])
+def test_result_norms_are_lp_norm_of_each_perturbation(arch, p):
+    # the norms of the candidates that stop in one iteration come from one call
+    net, xs = lockstep_case(arch)
+    results = [res for res in batch_deepfool(net, xs, AttackConfig(p=p)) if res.norm < np.inf]
+    assert max(Counter(res.iterations for res in results).values()) > 1
+    for res in results:
+        assert np.float64(res.norm).tobytes() == np.float64(lp_norm(res.perturbation, p)).tobytes()
 
 
 class TestAgainstSequentialReference:

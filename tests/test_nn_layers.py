@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import forward, reference_conv_forward
+from conftest import forward, reference_conv_forward, reference_forward_free
 
 from adval import nn
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError
@@ -18,11 +18,19 @@ from adval.nn import (
     NetworkSpec,
     ReLU,
 )
+from adval.nn import layers
 from adval.nn.layers import _conv_windows, grad_sq_norms
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
-from adval.nn.network import _CHUNK, _evaluate, _forward_caches
-from adval.strategies import CandidateSet
+from adval.nn.network import (
+    _CHUNK,
+    _evaluate,
+    _forward_caches,
+    logits_and_deferred_jacobian,
+    loss_and_param_grads,
+    probs_and_grad_sq_norms,
+)
+from adval.strategies import CandidateSet, bald_probability_samples
 
 
 def naive_layers(state, x, stop=None, dropout_seed=None, rows=None):
@@ -400,6 +408,171 @@ class TestMaxPoolReference:
         # the dense layers add a ±0.0 input's product to nonzero sums, so check the pool itself
         pooled = _forward_caches(state, x, stop=3)[0]
         assert _evaluate(state, x, stop=3).tobytes() == pooled.tobytes()
+
+
+def relu_then_pool(x, s):
+    """The two layers one after the other: ``forward(ReLU)``, then MaxPool2D's cache-free output."""
+    return layers._maxpool_output(layer_forward(ReLU(), None, x)[0], s)
+
+
+@pytest.fixture
+def two_layer_calls(monkeypatch):
+    """Counts the calls of ``relu_maxpool``'s two-layer route: ``_maxpool_output`` on ReLU's output."""
+    calls = []
+    original = layers._maxpool_output
+
+    def counted(x, s):
+        calls.append(s)
+        return original(x, s)
+
+    monkeypatch.setattr(layers, "_maxpool_output", counted)
+    return calls
+
+
+class TestPoolBeforeReLU:
+    """``relu_maxpool`` against ReLU then MaxPool2D, byte for byte."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_finite_tiles_pool_first(self, s, two_layer_calls):
+        rng = np.random.default_rng(40 + s)
+        x = rng.choice([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0], size=(3, 2, 4 * s, 3 * s))
+        # each tile's first element is set last, so that at s = 1 it is the tile
+        x[0, 0, :s, :s] = -1.0  # all negative
+        x[1, 0, :s, :s] = -2.0
+        x[1, 0, s - 1, s - 1] = 0.0
+        x[1, 0, 0, 0] = -0.0  # max zero, first element -0.0
+        x[1, 1, :s, :s] = -3.0
+        x[1, 1, s - 1, s - 1] = -0.0
+        x[1, 1, 0, 0] = 0.0  # max zero, first element +0.0
+        x[2, 0, :s, :s] = 0.0
+        x[2, 0, 0, 0] = -4.0  # max zero, first element negative
+        x[2, 1, :s, s : 2 * s] = 1.0
+        x[2, 1, 0, s] = np.inf
+        want = relu_then_pool(x, s)
+        two_layer_calls.clear()
+        assert layers.relu_maxpool(x, s).tobytes() == want.tobytes()
+        assert not two_layer_calls
+        assert want[1, 0, 0, 0].tobytes() == np.float64(-0.0).tobytes()
+        assert want[1, 1, 0, 0].tobytes() == np.float64(0.0).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_nan_or_negative_infinity_runs_the_two_layers(self, s, two_layer_calls):
+        rng = np.random.default_rng(50 + s)
+        x = rng.standard_normal((2, 3, 2 * s, 3 * s))
+        # quiet NaNs whose bits are not np.nan's: a sign bit and a payload
+        nans = np.array([0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0123], dtype=np.uint64)
+        for case in ("nan", "-inf"):
+            y = x.copy()
+            if case == "nan":
+                y[0, 1, 0, 0], y[1, 2, s - 1, s - 1] = nans.view(np.float64)
+            else:
+                tile = [5.0, -np.inf, 1.0, 2.0] + [1.0] * (s * s - 4) if s > 1 else [-np.inf]
+                y[1, 0, :s, :s] = np.reshape(tile, (s, s))
+            with np.errstate(invalid="ignore"):  # ReLU's -inf · 0
+                want = relu_then_pool(y, s)
+                two_layer_calls.clear()
+                got = layers.relu_maxpool(y, s)
+            assert got.tobytes() == want.tobytes()
+            assert two_layer_calls == [s]
+            if case == "-inf" and s > 1:
+                # pooled first, the tile's max would be 5.0
+                assert np.isnan(got[1, 0, 0, 0])
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_random_tiles(self, s):
+        rng = np.random.default_rng(60 + s)
+        nans = np.array([0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0002], dtype=np.uint64).view(np.float64)
+        finite = np.array([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0, np.inf])
+        special = np.concatenate([finite, [-np.inf], nans])
+        for i in range(300):
+            values = special if i % 3 == 0 else finite
+            x = rng.choice(values, size=(2, 2, s * int(rng.integers(1, 4)), s * int(rng.integers(1, 4))))
+            with np.errstate(invalid="ignore"):
+                assert layers.relu_maxpool(x, s).tobytes() == relu_then_pool(x, s).tobytes()
+
+
+class TestCacheFreeWalk:
+    """Batched evaluation, whose ReLU and MaxPool2D run as one kernel, against
+    ``conftest.reference_forward_free``, which runs every layer on its own."""
+
+    @pytest.fixture
+    def net_and_inputs(self):
+        # Zero biases and an exact-zero background: conv outputs there are
+        # +0.0 and ReLU turns negative ones into -0.0, so some pool tiles have
+        # max zero. Half the rows are uniform noise with no zero.
+        state = nn.init_network(nn.build_network("arch-A", (1, 28, 28), 10, seed=21))
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0.0, 1.0, size=(_CHUNK - 5, 1, 28, 28))
+        x[::2] = 0.0
+        x[::2, :, 7:21, 7:21] = rng.uniform(0.0, 1.0, size=(len(x[::2]), 1, 14, 14))
+        return state, x
+
+    @staticmethod
+    def record_layers(monkeypatch):
+        """The kinds of the layers that go through ``layers.forward``, in call order."""
+        kinds = []
+        forward = layers.forward
+
+        def recorded(layer, *args, **kwargs):
+            kinds.append(type(layer).__name__)
+            return forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "forward", recorded)
+        return kinds
+
+    def test_the_pair_runs_as_one_kernel(self, net_and_inputs, monkeypatch):
+        state, x = net_and_inputs
+        kernel, sizes = layers.relu_maxpool, []
+        monkeypatch.setattr(layers, "relu_maxpool", lambda x, s: sizes.append(s) or kernel(x, s))
+        kinds = self.record_layers(monkeypatch)
+        nn.forward_batch(state, x[:40])
+        assert sizes == [2, 2]  # one call per 32-row block
+        assert kinds == ["Conv2D", "Flatten"] * 2 + ["Dense", "ReLU", "Dropout", "Dense"]
+
+    def test_cached_walks_run_every_layer(self, net_and_inputs, monkeypatch):
+        state, x = net_and_inputs
+        _, jacobian = logits_and_deferred_jacobian(state, x[:3])
+        monkeypatch.setattr(layers, "relu_maxpool", lambda *a: pytest.fail("a cached walk paired layers"))
+        kinds = self.record_layers(monkeypatch)
+        loss_and_param_grads(state, x[:4], np.arange(4))
+        probs_and_grad_sq_norms(state, x[:4])
+        jacobian(np.arange(3))
+        # training and EGL run all 8 layers; the Jacobian reruns the 4 below the first Dense
+        assert kinds == [type(layer).__name__ for layer in state.spec.layers] * 2 + kinds[:4]
+        assert kinds[:4] == ["Conv2D", "ReLU", "MaxPool2D", "Flatten"]
+
+    def test_forward_batch(self, net_and_inputs):
+        state, x = net_and_inputs
+        assert self.pool_has_zero_tiles(state, x)
+        assert nn.forward_batch(state, x).tobytes() == reference_forward_free(state, x).tobytes()
+
+    def test_embed_batch(self, net_and_inputs):
+        state, x = net_and_inputs
+        stop = len(state.spec.layers) - 1
+        assert nn.embed_batch(state, x).tobytes() == reference_forward_free(state, x, stop=stop).tobytes()
+
+    def test_bald_dropout_passes(self, net_and_inputs):
+        state, x = net_and_inputs
+        got = bald_probability_samples(state, x, samples=2, seed=23)
+        for t in range(2):
+            mask_seed = int(np.random.SeedSequence((23, t)).generate_state(1)[0])
+            logits = reference_forward_free(state, x, rng=np.random.default_rng(mask_seed))
+            assert got[t].tobytes() == nn.softmax_probs(logits).tobytes()
+
+    def test_nonfinite_rows(self, net_and_inputs, two_layer_calls):
+        state, x = net_and_inputs
+        x = x[:40].copy()
+        x[3, 0, 10, 10] = -np.inf  # conv outputs of ±inf and NaN in the first block only
+        with np.errstate(invalid="ignore"):
+            want = reference_forward_free(state, x)
+            two_layer_calls.clear()
+            assert nn.forward_batch(state, x).tobytes() == want.tobytes()
+        assert two_layer_calls == [2]
+
+    @staticmethod
+    def pool_has_zero_tiles(state, x):
+        pooled = reference_forward_free(state, x, stop=3)
+        return bool((pooled == 0).any() and (pooled > 0).any())
 
 
 def naive_conv_backward(x, w, dy, stride):
