@@ -5,19 +5,9 @@ nearest class boundary of that linear model, and steps just across it. The
 loop stops as soon as the prediction (evaluated with the overshoot applied)
 differs from the prediction at the starting point.
 
-``batch_deepfool`` attacks its candidates in lockstep groups of
-``_CHUNK // C``, the block size of ``egl_scores``: the candidates of a group
-still attacking are all at the same iteration, so each iteration takes one
-``logits_and_deferred_jacobian`` call for all of their current points, whose
-forward pass runs the Dense layers on a (G, C, ...) stack of each point's C
-copies, and one Jacobian call for those that step from there. ``deepfool``
-is the same kernel on a group of one. Every candidate keeps the bits of its
-lone attack: ``np.matmul`` makes one product per point on the stack, each
-with the rows of a lone point's C copies; the attack's own arithmetic is
-element by element or row by row; and each step's euclidean norm is one
-BLAS ddot per candidate, as ``np.linalg.norm`` of that candidate's vector
-is. The norms of the results that stop in one iteration come from one call
-of the same kind (``_lp_norms``).
+``batch_deepfool`` attacks its candidates in lockstep groups, and every
+candidate keeps the bits of its lone attack (see ``_attack_group``).
+``deepfool`` is the same kernel on a group of one.
 
 An attack forms the input Jacobian only at the points it steps from: the
 starting point and each iterate that has not flipped while iterations remain.
@@ -76,10 +66,6 @@ class AdversarialResult:
         return self.norm if self.success else float("inf")
 
 
-def lp_norm(v: np.ndarray, p: float) -> float:
-    return float(np.linalg.norm(np.ravel(v), ord=p))
-
-
 def _euclidean_norms(w: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``w`` (S, D), bit for bit ``np.linalg.norm`` of that row.
 
@@ -91,7 +77,7 @@ def _euclidean_norms(w: np.ndarray) -> np.ndarray:
 
 
 def _lp_norms(w: np.ndarray, p: float) -> np.ndarray:
-    """``lp_norm`` of each row of ``w`` (S, D), bit for bit, in one call for all rows.
+    """``np.linalg.norm(row, ord=p)`` of each row of ``w`` (S, D), bit for bit, in one call.
 
     For p = inf ``np.linalg.norm`` is ``abs(v).max()``, and a max is exact
     whatever order it reduces in.
@@ -107,11 +93,9 @@ def _min_boundary_step(diffs: np.ndarray, grads: np.ndarray, p: float):
     class's own entries are exact zeros, so its zero dual norm puts it at
     distance +inf. Returns the (S, D) steps and whether each candidate's
     margin is finite: a candidate whose margin is not has no step. Ties in
-    the argmin resolve to the lowest class for determinism. Each step has
-    the bits of its candidate's lone computation: the dual norms reduce row
-    by row, and the step's euclidean norm is ``_euclidean_norms``. It runs
-    under ``_attack_group``'s error state, which silences the division by a
-    zero norm that ``np.where`` then masks.
+    the argmin resolve to the lowest class for determinism. It runs under
+    ``_attack_group``'s error state, which silences the division by a zero
+    norm that ``np.where`` then masks.
     """
     denom = np.linalg.norm(grads, ord=1 if p == np.inf else 2, axis=-1)  # the dual norm
     dist = np.where(denom > 0, np.abs(diffs) / denom, np.inf)
@@ -136,23 +120,20 @@ def deepfool(net: NetworkState, x: np.ndarray, cfg: AttackConfig = AttackConfig(
 
     The returned perturbation includes the (1 + overshoot) factor: when the
     attack succeeds, ``argmax f(x + perturbation)`` differs from
-    ``argmax f(x)``. Any non-finite value ends the attack as a failure with
-    norm=+inf, with no warning and no ``FloatingPointError``, whatever
-    numpy's error state: non-finite logits, a non-finite Jacobian at a point
-    the attack steps from, or a step that overflows. When that happens at
-    ``x`` itself ``original_label`` is None.
-    The Jacobian is formed only where a step is taken: ``iterations``
-    backward passes in all, none at the point where the attack stops. An
-    ``x`` that does not have the network's input shape raises InputError.
-    It is ``batch_deepfool``'s kernel run on a group of one.
+    ``argmax f(x)``. A non-finite value (logits, a Jacobian at a point the
+    attack steps from, or a step) ends the attack as a failure with
+    norm=+inf and no warning (see the module docstring); when that happens
+    at ``x`` itself ``original_label`` is None. ``iterations`` counts the
+    Jacobians formed.
+    An ``x`` that does not have the network's input shape raises InputError.
     """
     return _attack_group(net, np.asarray(x, dtype=DTYPE)[None], cfg)[0]
 
 
 def _result(perturbation, iterations, original_label, current=None, norm=float("inf")):
     """The result of an attack that stopped at class ``current``, flipped or out of
-    iterations, with ``norm`` its perturbation's ``lp_norm``, or of a failed attack,
-    scored +inf, when ``current`` is None."""
+    iterations, with ``norm`` its perturbation's ``np.linalg.norm``, or of a failed
+    attack, scored +inf, when ``current`` is None."""
     success = current is not None and current != original_label
     return AdversarialResult(
         perturbation, norm, iterations, success, current if success else None, original_label
@@ -167,8 +148,13 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
     linearization per iteration serves them all: the logits at each one's
     current point, then the Jacobians of those that step from it. A
     candidate leaves when it flips, fails or runs out of iterations, with
-    the result of its lone attack: each candidate's arithmetic is element by
-    element or runs on its own row, so it keeps its bits.
+    the bits of its lone attack. Its linearization has the bits of a lone
+    point's (see ``logits_and_deferred_jacobian``). The attack's own
+    arithmetic is element by element or row by row, and each step's
+    euclidean norm is one BLAS ddot per candidate, as ``np.linalg.norm`` of
+    that candidate's vector is (``_euclidean_norms``). The norms of the
+    results that stop in one iteration come from one call of the same kind
+    (``_lp_norms``).
     """
     p = float(cfg.p)
     scale = 1.0 + cfg.overshoot
@@ -226,14 +212,9 @@ def batch_deepfool(
     """Per-sample DeepFool over a sized sequence of inputs; order preserved.
 
     The inputs are attacked in lockstep groups of ``_CHUNK // C`` from row 0,
-    the block size of ``egl_scores``: each iteration runs one stacked
-    forward pass and one stacked Jacobian for a group's candidates still
-    attacking. Each element equals the single-call result exactly, bit for
-    bit: the attack is a pure function of (net, x, cfg) and its group does
-    not change its bits (see ``_attack_group`` and
-    ``logits_and_deferred_jacobian``), and a non-finite value fails that
-    element's attack alone, as in ``deepfool``. Any error, such as the
-    InputError of a wrongly shaped input, raises.
+    the block size of ``egl_scores``. Each element is ``deepfool``'s result
+    for its input, bit for bit (see ``_attack_group``). Any error, such as
+    the InputError of a wrongly shaped input, raises.
     """
     group = max(1, _CHUNK // net.spec.class_count)
     results = []

@@ -27,6 +27,7 @@ from adval.nn.layers import DTYPE
 
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
+_READ_BLOCK = 1 << 20  # bytes per read of an IDX payload
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,11 @@ def _read_idx(path, magic: int, what: str, dims: int) -> tuple[tuple[int, ...], 
             )
         sizes = _read_u32s(f, dims, path, 4)
         count = math.prod(sizes)
-        raw = f.read(count)
+        # bounded reads: a header may claim more bytes than the file holds or than
+        # memory can, so a short payload must end at the file's end, not in f.read
+        raw = bytearray()
+        while len(raw) < count and (block := f.read(min(count - len(raw), _READ_BLOCK))):
+            raw += block
     if len(raw) != count:
         raise FormatError(
             f"{path}: truncated payload at byte {4 + 4 * dims + len(raw)}, expected {count} bytes"

@@ -7,7 +7,11 @@ cache consumed by the matching backward kernel. A backward kernel computes
 only the gradients its caller requests: the gradient w.r.t. the layer input
 (``input_grad``) and, for parameterized layers, gradients shaped exactly like
 the parameters (``param_grads``). Whatever is not requested comes back as None
-and costs nothing.
+and costs nothing. A forward pass told ``param_grads=False`` keeps a smaller
+cache (see ``forward``). A pass that no backward pass follows drops each
+cache as it comes, so Conv2D's im2col columns are freed as soon as their
+product is done, and it may run a ReLU and the MaxPool2D right after it as
+one kernel, ``relu_maxpool``, with the bits of the two layers.
 
 The input gradient also takes an upstream gradient with extra leading axes in
 front of the cached batch, ``(*lead, N, ...)``: one backward pass then carries
@@ -15,23 +19,14 @@ several seeds per example at once (EGL seeds one per class). ``grad_sq_norms``
 reads such a gradient and returns each example's squared parameter-gradient
 norm without forming any per-example gradient of a Dense layer.
 
-A forward kernel builds its cache only on request (``cache=True``, the
-default). A caller that will run no backward pass, such as batched
-evaluation, passes ``cache=False``: MaxPool2D then skips the pick that only
-its backward pass reads, and MaxPool2D and Conv2D return None for the cache,
-with the same output bits. A caller whose backward pass forms input
-gradients only, such as DeepFool's Jacobians, passes ``cache="input_grad"``:
-Conv2D then keeps the input's shape and not its im2col columns, and Dense
-keeps no input, which only parameter gradients read. The other layers'
-caches cost no extra work and come back either way.
-
-A pass with no cache may also run a ReLU and the MaxPool2D right after it
-as one kernel, ``relu_maxpool``: it pools the raw input and rectifies only
-the tile maxima, a quarter of the values under a 2×2 pool, with the bits of
-the two layers run one after the other. ReLU multiplies by its mask, so it
-maps -0.0 and negative values to -0.0, +0.0 to +0.0, NaN to itself and
--inf to NaN (-inf · 0, with numpy's invalid-value warning); an input holding
-a NaN or -inf therefore runs the two layers.
+Row locality: every layer but Dense computes a row's bits from that row
+alone, so they do not depend on the rows run with it. ReLU, MaxPool2D,
+Flatten and inactive Dropout work element by element or only reshape;
+Conv2D's batched product runs one product per example, and its input
+gradient runs one example at a time, with that example's leading seeds as
+the batch of an ordinary call. A Dense layer's matrix product may round a row
+differently with another row count. This is what lets a network split,
+block and stack its rows with the bits of one pass.
 
 Conv2D's forward copies its receptive fields into im2col columns laid out
 (N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one
@@ -48,8 +43,7 @@ columns to (positions, C·k·k) rows: one transpose of a cached array, not a
 second gather from the input's windows. The rows are C-contiguous, as in a
 product over a fresh im2col, so the products keep their bits: a transposed
 operand would take another OpenBLAS path, whose small-matrix kernel on
-AVX-512 rounds differently. A pass without a cache keeps no columns, so each
-batch's columns are freed as soon as its product is done.
+AVX-512 rounds differently.
 """
 
 from __future__ import annotations
@@ -84,12 +78,7 @@ class MaxPool2D:
 
     Each output is the first maximal element of its tile in row-major order,
     as ``np.argmax`` picks it (a NaN counts as maximal), and the gradient
-    flows to that element alone. A forward pass with a cache records that
-    element's position; one without (``forward(..., cache=False)``) takes the
-    tile max and re-picks only the tiles whose max is zero or NaN, where a
-    -0.0/+0.0 tie or a NaN payload could leave other bits. Both routes give
-    the same output bits. Right after a ReLU, a pass without a cache may run
-    both layers as one kernel, ``relu_maxpool``, same bits.
+    flows to that element alone.
     """
 
     size: int
@@ -98,8 +87,7 @@ class MaxPool2D:
 @dataclass(frozen=True)
 class ReLU:
     """``x * (x > 0)``: a positive value keeps its bits, NaN stays NaN, -inf becomes
-    NaN, and every other value a zero of its own sign. A pass without a cache runs
-    a ReLU followed by a MaxPool2D as one kernel, ``relu_maxpool``, same bits."""
+    NaN, and every other value a zero of its own sign."""
 
 
 @dataclass(frozen=True)
@@ -208,23 +196,20 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return windows
 
 
-def forward(layer, params, x, *, rng=None, cache=True):
+def forward(layer, params, x, *, rng=None, param_grads=True):
     """Apply ``layer`` to batch ``x``; returns (output, cache).
 
     ``rng`` supplies dropout masks and switches dropout on; without it
     dropout is the identity (inverted-dropout scaling happens at train time,
     so deterministic inference needs no rescaling).
 
-    ``cache=False`` tells the layer that no backward pass will read its cache.
-    MaxPool2D then forms only its output, and it and Conv2D return None for
-    the cache; the other layers' caches are the input itself, a view of it or
-    a by-product of the output, and come back as usual. ``cache="input_grad"``
-    tells it that the backward pass will form no parameter gradient: Conv2D
-    then caches None for its columns, and Dense None for its input. The
-    output bits are the same.
+    ``param_grads=False`` tells the layer that its backward pass will form no
+    parameter gradient: Conv2D then caches None for its im2col columns, and
+    Dense None for its input, with the same output bits. The other layers'
+    caches cost no extra work and stay as they are.
     """
     if isinstance(layer, Dense):
-        return x @ params["W"] + params["b"], None if cache == "input_grad" else x
+        return x @ params["W"] + params["b"], x if param_grads else None
     if isinstance(layer, ReLU):
         mask = x > 0
         return x * mask, mask
@@ -245,10 +230,9 @@ def forward(layer, params, x, *, rng=None, cache=True):
         cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, ho * wo)
         y = np.matmul(params["W"].reshape(layer.filters, -1), cols)
         y += params["b"][:, None]
-        kept = None if cache == "input_grad" else cols
-        return y.reshape(n, layer.filters, ho, wo), (x.shape, kept) if cache else None
+        return y.reshape(n, layer.filters, ho, wo), (x.shape, cols if param_grads else None)
     if isinstance(layer, MaxPool2D):
-        return _maxpool(x, layer.size) if cache else (_maxpool_output(x, layer.size), None)
+        return _maxpool(x, layer.size)
     raise TypeError(f"unknown layer {layer!r}")
 
 
@@ -266,9 +250,8 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
     cached batch, ``(*lead, N, ...)``, and ``dx`` is then ``(*lead, *x.shape)``:
     each leading index gets the gradient an ordinary call would give it. Dense,
     ReLU and Dropout broadcast; Flatten and MaxPool2D place the leading axes
-    explicitly; Conv2D runs one example at a time, with that example's
-    leading seeds as the batch of an ordinary call, so each example's
-    products have the rows of a one-example call whatever the batch size.
+    explicitly; Conv2D runs one example at a time (see row locality in the
+    module docstring).
     """
     w_out, b_out = (None, None) if out is None else (out["W"], out["b"])
     if isinstance(layer, Dense):
@@ -423,35 +406,21 @@ def _maxpool(x: np.ndarray, s: int):
     return np.take(x, flat), (x.shape, flat)
 
 
-def _maxpool_output(x: np.ndarray, s: int) -> np.ndarray:
-    """``_maxpool``'s output, bit for bit, with no cache.
-
-    The tile max stands wherever it is nonzero and not NaN; the other tiles
-    take their element at ``np.argmax``'s pick, as ``_maxpool`` does.
-    """
-    peak = _tile_max(x, s)
-    redo = peak == 0
-    redo |= np.isnan(peak)
-    redo = np.flatnonzero(redo)
-    if redo.size:
-        values, picks = _tile_picks(x, s, redo)
-        peak.reshape(-1)[redo] = values[np.arange(redo.size), picks]
-    return peak
-
-
 def relu_maxpool(x: np.ndarray, s: int) -> np.ndarray:
     """``MaxPool2D(s)`` of ``ReLU`` of ``x`` with no cache, bit for bit, pooling first.
 
-    ReLU keeps a positive value's bits and sends every other value to a
+    Pooling first rectifies only the tile maxima, a quarter of the values
+    under a 2×2 pool. ReLU keeps a positive value's bits and sends every other value to a
     zero, so a tile whose max is positive keeps that max, and a tile whose
     max is negative gives -0.0 both ways: ``np.maximum(max, -0.0)`` is one
     or the other. After ReLU a tile whose max is ±0 holds only zeros, all
     tied, so ``np.argmax`` picks its first element: that element times 0.0.
     An input holding a NaN or -inf runs the two layers, because ReLU maps
-    -inf to NaN (-inf · 0), which a max taken first would pass over.
+    -inf to NaN (-inf · 0, with numpy's invalid-value warning), which a max
+    taken first would pass over.
     """
     if not x.min(initial=np.inf) > -np.inf:
-        return _maxpool_output(x * (x > 0), s)
+        return _maxpool(x * (x > 0), s)[0]
     peak = _tile_max(x, s)
     zero = np.flatnonzero(peak == 0)
     np.maximum(peak, -0.0, out=peak)

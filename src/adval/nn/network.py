@@ -12,22 +12,9 @@ any sized sequence of rows whose slices are arrays, and it slices one chunk
 at a time. A strategy's ``CandidateSet``, dataset rows picked by index, is
 such a sequence: each chunk is gathered as it is evaluated, with the bits of
 the same chunk of the gathered rows, so scoring a whole pool by index copies
-at most one chunk of its inputs. It runs no backward pass, so it builds no
-backward cache: MaxPool2D skips its pick and returns the same bits, and
-Conv2D keeps no im2col columns (see ``layers.forward``). A ReLU directly
-followed by a MaxPool2D runs as one kernel, ``layers.relu_maxpool``, which
-pools first and rectifies a quarter of the values under arch-A's 2×2 pool,
-with the bits of the two layers. The passes that a backward pass follows
-(training, EGL, the Jacobians' caches) run every layer on its own.
-
-Within a chunk, the layers below the first Dense or Dropout layer run on
-blocks of ``_BLOCK`` rows, so Conv2D's im2col columns, the largest array of a
-conv net's pass, stay the size of one block. The blocks' outputs fill one
-chunk-sized array, and the layers from the split up run on the whole chunk.
-The bits are those of an unblocked chunk: the layers below the split work row
-by row (the same argument as for ``logits_and_deferred_jacobian`` below), the
-Dense layers keep their chunk-sized products, and no block draws a dropout
-mask, so the mask stream is unchanged.
+at most one chunk of its inputs. Within a chunk, the layers below the first
+Dense or Dropout layer run on smaller blocks (see ``_evaluate``), and no
+layer keeps a cache (see ``_forward_free``).
 
 Each backward pass computes only what its caller reads: training gets
 parameter gradients and no gradient w.r.t. the network input, while the input
@@ -35,13 +22,8 @@ gradients and Jacobians used by DeepFool get no parameter gradients.
 ``probs_and_grad_sq_norms`` serves EGL with neither: its backward pass carries
 a leading class axis in front of the batch (see ``layers.backward``) and sums
 each example's squared parameter-gradient norm per class as it goes down.
-``logits_and_deferred_jacobian`` splits the Jacobians of a group of points
-into one forward pass, run at once, and a backward pass for the points the
-caller asks for, run only when it asks. Its forward pass runs the layers
-below the first Dense layer once on the group's rows and only the Dense
-layers and those above them on C copies of each point, stacked on a leading
-point axis; each point gets the bits of an all-C-row pass over it alone. Its
-backward pass runs below the first Dense layer on a few points at a time.
+``logits_and_deferred_jacobian`` gives a group of points' logits at once and
+their Jacobians only when its caller asks.
 
 The training loss comes from ``loss_and_param_grads``, out of the max-shifted
 exponentials ``e = exp(z)`` that also give the gradient's softmax ``e / sum(e)``
@@ -137,10 +119,13 @@ def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarra
 
     Each chunk first runs the layers below the first Dense or Dropout layer
     (Conv2D, ReLU, MaxPool2D and Flatten on arch-A) on ``_BLOCK`` rows at a
-    time, into one array of the chunk's rows. Those layers are row-local, so
-    a row's bits do not depend on its block, and they hold no dropout layer,
-    so the blocks draw nothing from the generator. The layers above then run
-    on the whole chunk, as an unblocked pass runs them.
+    time, into one array of the chunk's rows, so Conv2D's im2col columns, the
+    largest array of a conv net's pass, stay the size of one block. Those
+    layers are row-local (see the ``layers`` module docstring), so a row's
+    bits do not depend on its block, and they hold no dropout layer, so the
+    blocks draw nothing from the generator. The layers above then run on the
+    whole chunk, as an unblocked pass runs them, keeping the Dense layers'
+    chunk-sized products.
     """
     spec = state.spec
     if not len(x):
@@ -169,9 +154,8 @@ def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) ->
 def _forward_free(state, x, start, stop, rng=None):
     """Output of ``layers[start:stop]`` for a pass no backward pass follows.
 
-    Each layer runs with ``cache=False`` (see ``layers.forward``), and a ReLU
-    directly followed by a MaxPool2D runs as one kernel,
-    ``layers.relu_maxpool``, which pools before it rectifies, same bits.
+    Each layer's cache is dropped as it comes, and a ReLU directly followed
+    by a MaxPool2D runs as one kernel, ``layers.relu_maxpool``, same bits.
     """
     layers, params = state.spec.layers, state.params
     i = start
@@ -180,16 +164,16 @@ def _forward_free(state, x, start, stop, rng=None):
             x = L.relu_maxpool(x, layers[i + 1].size)
             i += 2
         else:
-            x = L.forward(layers[i], params[i], x, rng=rng, cache=False)[0]
+            x = L.forward(layers[i], params[i], x, rng=rng)[0]
             i += 1
     return x
 
 
-def _forward_caches(state, x, *, start=0, stop=None, rng=None, cache=True):
+def _forward_caches(state, x, *, start=0, stop=None, rng=None, param_grads=True):
     """Output of ``layers[start:stop]`` plus each layer's cache for the backward pass."""
     caches = []
     for layer, params in zip(state.spec.layers[start:stop], state.params[start:stop]):
-        x, c = L.forward(layer, params, x, rng=rng, cache=cache)
+        x, c = L.forward(layer, params, x, rng=rng, param_grads=param_grads)
         caches.append(c)
     return x, caches
 
@@ -307,23 +291,21 @@ def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
     ``layers.backward``). A caller that reads only the logits never pays for
     a backward pass, and one that needs some inputs' Jacobians pays for
     theirs alone. The caches are those of a backward pass that forms input
-    gradients only (``cache="input_grad"``): no Conv2D im2col columns and no
+    gradients only (``param_grads=False``): no Conv2D im2col columns and no
     Dense inputs, so a group holds little more than its masks.
 
     Each input's logits and Jacobian are bit for bit those of running every
     layer on C copies of that input alone. Below the first Dense layer a
-    row's bits do not depend on the rows run with it: ReLU, MaxPool2D,
-    Flatten and inactive Dropout work element by element or only reshape,
-    Conv2D's batched product runs one product per example, and its input
-    gradient runs one example at a time over that example's C seeds. A Dense
-    layer's matrix product may round a row differently with another row
-    count, so each input keeps its own C rows: on the (G, C, n) stack
-    ``np.matmul`` makes one (C, n) @ (n, m) product per input, the product
-    of that input's C copies alone, where one product over G·C rows would
-    round some rows differently. Above the first Dense layer every sample is
-    a vector, and Dense, ReLU and inactive Dropout broadcast over the leading
-    input axis; a Flatten there would flatten the copies together, and no
-    architecture has one. With no Dense layer every layer runs on the rows.
+    row's bits do not depend on the rows run with it (see the ``layers``
+    module docstring). A Dense layer's matrix product may round a row
+    differently with another row count, so each input keeps its own C rows:
+    on the (G, C, n) stack ``np.matmul`` makes one (C, n) @ (n, m) product
+    per input, the product of that input's C copies alone, where one product
+    over G·C rows would round some rows differently. Above the first Dense
+    layer every sample is a vector, and Dense, ReLU and inactive Dropout
+    broadcast over the leading input axis; a Flatten there would flatten the
+    copies together, and no architecture has one. With no Dense layer every
+    layer runs on the rows.
 
     Raises InputError when ``x`` is not a batch of the network's input shape.
     """
@@ -333,7 +315,7 @@ def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
     split = _first_index(spec, Dense)
     h = _evaluate(state, x, stop=split)
     copies = np.repeat(h[:, None], c, axis=1)
-    logits, above = _forward_caches(state, copies, start=split, cache="input_grad")
+    logits, above = _forward_caches(state, copies, start=split, param_grads=False)
 
     def jacobian(rows):
         caches = [cache if cache is None else cache[rows] for cache in above]
@@ -342,7 +324,7 @@ def logits_and_deferred_jacobian(state: NetworkState, x: np.ndarray):
         jac = np.empty((len(rows), c, *spec.input_shape), DTYPE)
         block = max(1, _BLOCK // c)  # inputs whose C seeds make one block of rows
         for lo in range(0, len(rows), block):
-            below = _forward_caches(state, x[rows[lo : lo + block]], stop=split, cache="input_grad")[1]
+            below = _forward_caches(state, x[rows[lo : lo + block]], stop=split, param_grads=False)[1]
             dx = _input_grad(state, below, dy[lo : lo + block].swapaxes(0, 1), stop=split)
             jac[lo : lo + block] = dx.swapaxes(0, 1)
         return jac

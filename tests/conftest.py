@@ -74,15 +74,20 @@ def reference_conv_forward(layer: Conv2D, params, x) -> np.ndarray:
 
 
 def reference_forward_free(state, x, stop=None, rng=None) -> np.ndarray:
-    """``layers[:stop]`` over all of ``x`` at once, one ``forward(..., cache=False)`` a layer.
+    """``layers[:stop]`` over all of ``x`` at once, one ``forward`` a layer, caches dropped.
 
     No two layers run as one kernel and no rows are chunked or blocked: on at
     most one evaluation chunk of rows, with ``rng`` seeded as the pass's
     dropout seed, this is the batched evaluation's reference.
     """
     for layer, params in zip(state.spec.layers[:stop], state.params[:stop]):
-        x, _ = layer_forward(layer, params, x, rng=rng, cache=False)
+        x, _ = layer_forward(layer, params, x, rng=rng)
     return x
+
+
+def lp_norm(v: np.ndarray, p: float) -> float:
+    """The L_p norm of ``v`` flattened, as ``np.linalg.norm`` gives it."""
+    return float(np.linalg.norm(np.ravel(v), ord=p))
 
 
 def clone_params(params):

@@ -1,6 +1,7 @@
 """Dataset loading, synthetic generation, splits, and the test suite's margin oracle."""
 
 import gzip
+import math
 import struct
 from dataclasses import replace
 
@@ -54,6 +55,24 @@ class TestIdx:
         _, lab = tiny_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         with pytest.raises(FormatError, match="truncated payload"):
             load_idx(img, lab)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize(
+        "header",
+        [(0x803, 2**31, 2**31, 4), (0x803, 2**20, 2**10, 2**10), (0x801, 2**32 - 1)],
+        ids=["images-beyond-the-index-range", "images-beyond-memory", "labels"],
+    )
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, header, packed):
+        # the payload is read in bounded blocks, so no claimed size reaches f.read
+        data = struct.pack(f">{len(header)}I", *header)
+        path = tmp_path / "claims.idx"
+        path.write_bytes(gzip.compress(data) if packed else data)
+        img, lab = tiny_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        pair = (path, lab) if header[0] == 0x803 else (img, path)
+        with pytest.raises(FormatError) as caught:
+            load_idx(*pair)
+        claimed = math.prod(header[1:])
+        assert str(caught.value) == f"{path}: truncated payload at byte {len(data)}, expected {claimed} bytes"
 
     def test_count_mismatch(self, tmp_path):
         img, _ = tiny_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1], "a_")
@@ -331,6 +350,17 @@ class TestConfigSources:
         config = tmp_path / "idx.ini"
         config.write_text(f"[data]\nkind = idx\n{lines}{QUICK_RUN}")
         return config
+
+    def test_idx_header_beyond_the_index_range_names_the_file(self, tmp_path):
+        config = self.idx_config(tmp_path)
+        images = tmp_path / "train_imgs.idx"
+        images.write_bytes(struct.pack(">4I", 0x803, 2**31, 2**31, 4))
+        args = ["timing", "--config", str(config), "--sizes", "6", "--out", str(tmp_path / "o")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [
+            f"E_FORMAT: {images}: truncated payload at byte 16, expected {2**64} bytes"
+        ]
 
     def test_csv_split_is_stratified_and_capped(self, tmp_path):
         config = self.csv_config(tmp_path, test_fraction=0.25, pool_cap=24, seed=4)

@@ -134,7 +134,7 @@ class TestConvAndPool:
         tracemalloc.start()
         try:
             for _ in range(30_000):
-                layer_forward(layer, params, x, cache=False)
+                layer_forward(layer, params, x)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -306,14 +306,6 @@ def naive_maxpool(x, dy, s):
     return y, flat, dx
 
 
-# Both forward routes of every case; the cached route keeps the plain size as its id.
-POOL_ROUTES = [
-    pytest.param(s, cached, id=str(s) if cached else f"{s}-no-cache")
-    for cached in (True, False)
-    for s in (2, 3)
-]
-
-
 class TestMaxPoolReference:
     """Strided-tap max pooling against a per-tile ``np.argmax`` loop, bit for bit."""
 
@@ -325,14 +317,11 @@ class TestMaxPoolReference:
         return h * (h > 0)
 
     @staticmethod
-    def assert_matches_naive(x, s, rng, cached):
-        y, cache = layer_forward(MaxPool2D(s), None, x, cache=cached)
+    def assert_matches_naive(x, s, rng):
+        y, cache = layer_forward(MaxPool2D(s), None, x)
         dy = rng.choice([-1.0, -0.0, 0.5, 3.0], size=y.shape)
         want_y, want_flat, want_dx = naive_maxpool(x, dy, s)
         assert y.tobytes() == want_y.tobytes()
-        if not cached:
-            assert cache is None
-            return
         dx, _ = layer_backward(MaxPool2D(s), None, cache, dy)
         np.testing.assert_array_equal(cache[1], want_flat)
         assert dx.tobytes() == want_dx.tobytes()
@@ -345,15 +334,15 @@ class TestMaxPoolReference:
         signs = np.signbit(tiles[tiles.max(axis=1) == 0])
         return bool((signs.any(axis=1) & ~signs.all(axis=1)).any())
 
-    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
-    def test_signed_zero_ties(self, s, cached):
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_signed_zero_ties(self, s):
         rng = np.random.default_rng(s)
         x = self.relu_input(rng, (3, 2, 4 * s, 3 * s))
         assert self.mixed_zero_tiles(x, s)
-        self.assert_matches_naive(x, s, rng, cached)
+        self.assert_matches_naive(x, s, rng)
 
-    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
-    def test_nan_tiles(self, s, cached):
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_nan_tiles(self, s):
         rng = np.random.default_rng(10 + s)
         x = rng.standard_normal((2, 3, 2 * s, 4 * s))
         x[0, 0, 1, 1] = np.nan  # NaN after a finite max
@@ -361,15 +350,15 @@ class TestMaxPoolReference:
         x[1, 2, s - 1, s - 1] = x[1, 2, 0, s - 1] = np.nan  # two NaNs in one tile
         x[1, 0, :s, :s] = np.inf
         x[1, 0, 0, 1] = np.nan  # NaN among infinities
-        self.assert_matches_naive(x, s, rng, cached)
+        self.assert_matches_naive(x, s, rng)
 
-    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
-    def test_random_input(self, s, cached):
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_random_input(self, s):
         rng = np.random.default_rng(20 + s)
-        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng, cached)
+        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng)
 
-    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
-    def test_repick_where_the_tile_max_loses_bits(self, s, cached, monkeypatch):
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_repick_where_the_tile_max_loses_bits(self, s, monkeypatch):
         # np.maximum may return any NaN of a tile, and either zero of a
         # -0.0/+0.0 tie. A tile max that always answers canonical NaN and +0.0
         # leaves the first maximal element's bits to the re-pick alone.
@@ -391,7 +380,7 @@ class TestMaxPoolReference:
         # quiet NaNs whose bits are not np.nan's: a sign bit and a payload
         nans = np.array([0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0123], dtype=np.uint64)
         x[1, 1, s, s], x[1, 2, 0, 1] = nans.view(np.float64)
-        self.assert_matches_naive(x, s, rng, cached)
+        self.assert_matches_naive(x, s, rng)
 
     def test_batched_evaluation_matches_cached_forward(self):
         # Zero biases and an exact-zero background: conv outputs there are
@@ -411,21 +400,23 @@ class TestMaxPoolReference:
 
 
 def relu_then_pool(x, s):
-    """The two layers one after the other: ``forward(ReLU)``, then MaxPool2D's cache-free output."""
-    return layers._maxpool_output(layer_forward(ReLU(), None, x)[0], s)
+    """The two layers one after the other: ``forward(ReLU)``, then ``naive_maxpool``'s loop."""
+    h = layer_forward(ReLU(), None, x)[0]
+    n, c, rows, cols = h.shape
+    return naive_maxpool(h, np.zeros((n, c, rows // s, cols // s)), s)[0]
 
 
 @pytest.fixture
 def two_layer_calls(monkeypatch):
-    """Counts the calls of ``relu_maxpool``'s two-layer route: ``_maxpool_output`` on ReLU's output."""
+    """Counts the calls of ``relu_maxpool``'s two-layer route: ``_maxpool`` on ReLU's output."""
     calls = []
-    original = layers._maxpool_output
+    original = layers._maxpool
 
     def counted(x, s):
         calls.append(s)
         return original(x, s)
 
-    monkeypatch.setattr(layers, "_maxpool_output", counted)
+    monkeypatch.setattr(layers, "_maxpool", counted)
     return calls
 
 
@@ -820,12 +811,6 @@ class TestBlockedEvaluation:
             tracemalloc.stop()
         # A whole chunk's im2col columns take 29.5 MB; a block's take 3.7 MB.
         assert peak < 12 * 2**20
-
-    def test_conv_without_cache_keeps_no_columns(self):
-        layer = Conv2D(filters=2, kernel=3)
-        params = {"W": np.ones((2, 1, 3, 3)), "b": np.zeros(2)}
-        _, cache = layer_forward(layer, params, np.ones((4, 1, 5, 5)), cache=False)
-        assert cache is None
 
 
 class TestRowsByIndex:
