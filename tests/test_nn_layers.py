@@ -306,6 +306,24 @@ def naive_maxpool(x, dy, s):
     return y, flat, dx
 
 
+# Both forward routes of every case: the layer's forward with its cache, and a
+# network's forward-only evaluation, which drops the cache. The cached route
+# keeps the plain size as its id.
+POOL_ROUTES = [
+    pytest.param(s, cached, id=str(s) if cached else f"{s}-no-cache")
+    for cached in (True, False)
+    for s in (2, 3)
+]
+
+
+def forward_only_maxpool(x, s):
+    """MaxPool2D(s) of ``x`` as the first layer of a network's batched, cache-free evaluation."""
+    n, c, h, w = x.shape
+    flat = c * (h // s) * (w // s)
+    spec = NetworkSpec(x.shape[1:], (MaxPool2D(s), Flatten(), Dense(flat, 2)), 2)
+    return _evaluate(nn.init_network(spec), x, stop=1)
+
+
 class TestMaxPoolReference:
     """Strided-tap max pooling against a per-tile ``np.argmax`` loop, bit for bit."""
 
@@ -317,7 +335,11 @@ class TestMaxPoolReference:
         return h * (h > 0)
 
     @staticmethod
-    def assert_matches_naive(x, s, rng):
+    def assert_matches_naive(x, s, rng, cached):
+        if not cached:
+            y = forward_only_maxpool(x, s)
+            assert y.tobytes() == naive_maxpool(x, np.zeros(y.shape), s)[0].tobytes()
+            return
         y, cache = layer_forward(MaxPool2D(s), None, x)
         dy = rng.choice([-1.0, -0.0, 0.5, 3.0], size=y.shape)
         want_y, want_flat, want_dx = naive_maxpool(x, dy, s)
@@ -334,15 +356,15 @@ class TestMaxPoolReference:
         signs = np.signbit(tiles[tiles.max(axis=1) == 0])
         return bool((signs.any(axis=1) & ~signs.all(axis=1)).any())
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_signed_zero_ties(self, s):
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_signed_zero_ties(self, s, cached):
         rng = np.random.default_rng(s)
         x = self.relu_input(rng, (3, 2, 4 * s, 3 * s))
         assert self.mixed_zero_tiles(x, s)
-        self.assert_matches_naive(x, s, rng)
+        self.assert_matches_naive(x, s, rng, cached)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_nan_tiles(self, s):
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_nan_tiles(self, s, cached):
         rng = np.random.default_rng(10 + s)
         x = rng.standard_normal((2, 3, 2 * s, 4 * s))
         x[0, 0, 1, 1] = np.nan  # NaN after a finite max
@@ -350,15 +372,15 @@ class TestMaxPoolReference:
         x[1, 2, s - 1, s - 1] = x[1, 2, 0, s - 1] = np.nan  # two NaNs in one tile
         x[1, 0, :s, :s] = np.inf
         x[1, 0, 0, 1] = np.nan  # NaN among infinities
-        self.assert_matches_naive(x, s, rng)
+        self.assert_matches_naive(x, s, rng, cached)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_random_input(self, s):
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_random_input(self, s, cached):
         rng = np.random.default_rng(20 + s)
-        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng)
+        self.assert_matches_naive(rng.standard_normal((4, 3, 3 * s, 2 * s)), s, rng, cached)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_repick_where_the_tile_max_loses_bits(self, s, monkeypatch):
+    @pytest.mark.parametrize("s, cached", POOL_ROUTES)
+    def test_repick_where_the_tile_max_loses_bits(self, s, cached, monkeypatch):
         # np.maximum may return any NaN of a tile, and either zero of a
         # -0.0/+0.0 tie. A tile max that always answers canonical NaN and +0.0
         # leaves the first maximal element's bits to the re-pick alone.
@@ -380,7 +402,7 @@ class TestMaxPoolReference:
         # quiet NaNs whose bits are not np.nan's: a sign bit and a payload
         nans = np.array([0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0123], dtype=np.uint64)
         x[1, 1, s, s], x[1, 2, 0, 1] = nans.view(np.float64)
-        self.assert_matches_naive(x, s, rng)
+        self.assert_matches_naive(x, s, rng, cached)
 
     def test_batched_evaluation_matches_cached_forward(self):
         # Zero biases and an exact-zero background: conv outputs there are
@@ -811,6 +833,15 @@ class TestBlockedEvaluation:
             tracemalloc.stop()
         # A whole chunk's im2col columns take 29.5 MB; a block's take 3.7 MB.
         assert peak < 12 * 2**20
+
+    def test_conv_without_cache_keeps_no_columns(self):
+        # a forward pass that forms no parameter gradient keeps no im2col columns
+        layer = Conv2D(filters=2, kernel=3)
+        params = {"W": np.ones((2, 1, 3, 3)), "b": np.zeros(2)}
+        x = np.ones((4, 1, 5, 5))
+        y, cache = layer_forward(layer, params, x, param_grads=False)
+        assert cache == (x.shape, None)
+        assert y.tobytes() == layer_forward(layer, params, x)[0].tobytes()
 
 
 class TestRowsByIndex:
