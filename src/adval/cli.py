@@ -15,19 +15,15 @@ strategy in ``experiment.strategies``.
 Failures exit nonzero with one machine-parsable line on stderr,
 ``E_<CODE>: human-readable message``, and it is the last stderr line. A
 warning the library logs may come before it, such as DFAL's "all N
-adversarial attacks failed; falling back to random selection". Data too
-large to allocate is ``E_MEMORY``. A subcommand line that click cannot parse
-(an option value of the wrong type, a missing required option, an unknown
-option or subcommand) exits the same way, with ``E_CONFIG: `` and click's own
-message, such as ``E_CONFIG: Invalid value for '--reps': 'abc' is not a valid
-integer.``. ``--help`` and bare ``adval`` still get click's usage text.
+adversarial attacks failed; falling back to random selection". ``_Commands``
+is the one place a failure becomes its ``E_`` line, a command line that click
+cannot parse included (``E_CONFIG: `` and click's own message).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import replace
-from functools import wraps
 from itertools import chain, islice
 from pathlib import Path
 from typing import NoReturn
@@ -83,19 +79,12 @@ def _exit_with(exc: Exception) -> NoReturn:
     sys.exit(2)
 
 
-def friendly_errors(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - single exit path for the CLI
-            _exit_with(exc)
-
-    return wrapper
-
-
 class _Commands(click.Group):
-    """The subcommands: a command line click cannot parse fails as ``E_CONFIG`` too."""
+    """The subcommands, and the one place a failure becomes its ``E_`` line (``_ERROR_CODES``).
+
+    A command line click cannot parse fails as ``E_CONFIG`` with click's own
+    message; ``--help`` and bare ``adval`` still get click's usage text.
+    """
 
     def parse_args(self, ctx, args):
         bare = not args  # read first: click's parser consumes ``args``
@@ -111,6 +100,10 @@ class _Commands(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:  # a bad option value, a missing option, an unknown subcommand
             _exit_with(ConfigError(exc.format_message()))
+        except click.exceptions.Exit:  # --help
+            raise
+        except Exception as exc:  # noqa: BLE001 - the single exit path
+            _exit_with(exc)
 
 
 def _out_dir(path) -> Path:
@@ -158,7 +151,6 @@ def main():
 @click.option("--out", "out_dir", default="runs", show_default=True, help="Output directory.")
 @click.option("--seeds", default=None, help="Override experiment.seeds (comma list).")
 @click.option("--strategies", default=None, help="Override experiment.strategies (comma list).")
-@friendly_errors
 def run(config_path, out_dir, seeds, strategies):
     """Run the strategy x seed grid and write metrics.csv."""
     cfg = _apply_overrides(load_experiment_config(config_path), seeds, strategies)
@@ -172,7 +164,6 @@ def run(config_path, out_dir, seeds, strategies):
 @click.option("--checkpoints", default="100,500,800,1000", show_default=True, help="Annotation counts.")
 @click.option("--target-accuracy", type=float, default=None, help="Report cost to first reach this accuracy.")
 @click.option("--out", "out_dir", default=None, help="Also write compare.csv here.")
-@friendly_errors
 def compare(metrics_path, checkpoints, target_accuracy, out_dir):
     """Summarize mean accuracy per strategy at annotation checkpoints."""
     cps = parse_int_list(checkpoints, "--checkpoints")
@@ -205,7 +196,6 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
 @click.option("--consumer", required=True, help="Architecture retrained on the selected data.")
 @click.option("--out", "out_dir", default="runs", show_default=True)
 @click.option("--seeds", default=None, help="Override experiment.seeds (comma list).")
-@friendly_errors
 def transfer(config_path, selector, consumer, out_dir, seeds):
     """Measure how queries chosen by one architecture train another."""
     for option, arch in (("--selector", selector), ("--consumer", consumer)):
@@ -222,7 +212,6 @@ def transfer(config_path, selector, consumer, out_dir, seeds):
 @click.option("--sizes", default="100,1000", show_default=True, help="Labeled-set sizes (strictly ascending).")
 @click.option("--reps", type=int, default=5, show_default=True, help="Selection repetitions per size.")
 @click.option("--out", "out_dir", default="runs", show_default=True)
-@friendly_errors
 def timing(config_path, sizes, reps, out_dir):
     """Time the query selection of each of experiment.strategies at several labeled-set sizes."""
     cfg = load_experiment_config(config_path)

@@ -57,8 +57,8 @@ from adval.attacks import AttackConfig
 from adval.data import (
     Dataset,
     SyntheticSpec,
-    blobs_indexable,
     gen_blobs,
+    indexable,
     load_csv,
     load_idx,
     read_lines,
@@ -110,7 +110,7 @@ class BlobsData:
     def __post_init__(self):
         require_at_least(self, classes=2, test_points_per_class=1)
         for spec, points in zip(self.specs(), ("points_per_class", "test_points_per_class")):
-            if not blobs_indexable(spec):
+            if not indexable(spec.class_count * spec.points_per_class, spec.dimension):
                 sizes = {"classes": self.classes, points: spec.points_per_class, "dimension": self.dimension}
                 name = max(sizes, key=sizes.get)
                 raise ConfigError(

@@ -6,6 +6,7 @@ IDX (big-endian binary):
     images: u32 magic 0x00000803, u32 count, u32 rows, u32 cols, then
             count*rows*cols unsigned bytes, row-major.
     labels: u32 magic 0x00000801, u32 count, then count unsigned bytes.
+    Nothing may follow the payload, and images need at least one pixel.
     Gzipped files are detected by magic and decompressed transparently.
     Pixels are scaled to [0, 1] by dividing by 255.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,11 +78,9 @@ class SyntheticSpec:
             raise ConfigError(f"cov_scale must be positive, got {self.cov_scale}")
 
 
-def blobs_indexable(spec: SyntheticSpec) -> bool:
-    """Whether numpy can index the one ``(class_count * points_per_class, dimension)``
-    array of ``DTYPE`` that ``gen_blobs`` fills for ``spec``."""
-    values = spec.class_count * spec.points_per_class * spec.dimension
-    return values <= np.iinfo(np.intp).max // np.dtype(DTYPE).itemsize
+def indexable(*dims: int) -> bool:
+    """Whether numpy can index an array of ``DTYPE`` shaped ``dims``."""
+    return math.prod(dims) <= np.iinfo(np.intp).max // np.dtype(DTYPE).itemsize
 
 
 def gen_blobs(spec: SyntheticSpec) -> Dataset:
@@ -123,30 +123,41 @@ def _read_u32s(f, count: int, path, offset: int) -> tuple[int, ...]:
 
 
 def _read_idx(path, magic: int, what: str, dims: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The ``dims`` sizes in an IDX header, and the unsigned-byte payload after it."""
-    with _open_maybe_gzip(path) as f:
-        (found,) = _read_u32s(f, 1, path, 0)
-        if found != magic:
-            raise FormatError(
-                f"{path}: bad {what} magic 0x{found:08x} at byte 0, expected 0x{magic:08x}"
-            )
-        sizes = _read_u32s(f, dims, path, 4)
-        count = math.prod(sizes)
-        # bounded reads: a header may claim more bytes than the file holds or than
-        # memory can, so a short payload must end at the file's end, not in f.read
-        raw = bytearray()
-        while len(raw) < count and (block := f.read(min(count - len(raw), _READ_BLOCK))):
-            raw += block
+    """The ``dims`` sizes in an IDX header, and the unsigned-byte payload after it.
+
+    The file must end with the payload. Reading past it also makes gzip check
+    its stream's CRC, which a read that stops at the payload's end skips.
+    """
+    try:
+        with _open_maybe_gzip(path) as f:
+            (found,) = _read_u32s(f, 1, path, 0)
+            if found != magic:
+                raise FormatError(
+                    f"{path}: bad {what} magic 0x{found:08x} at byte 0, expected 0x{magic:08x}"
+                )
+            sizes = _read_u32s(f, dims, path, 4)
+            count = math.prod(sizes)
+            # bounded reads: a header may claim more bytes than the file holds or than
+            # memory can, so a short payload must end at the file's end, not in f.read
+            raw = bytearray()
+            while len(raw) < count and (block := f.read(min(count - len(raw), _READ_BLOCK))):
+                raw += block
+            trailing = len(raw) == count and f.read(1)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
+    end = 4 + 4 * dims + len(raw)
     if len(raw) != count:
-        raise FormatError(
-            f"{path}: truncated payload at byte {4 + 4 * dims + len(raw)}, expected {count} bytes"
-        )
+        raise FormatError(f"{path}: truncated payload at byte {end}, expected {count} bytes")
+    if trailing:
+        raise FormatError(f"{path}: bytes after the {count}-byte payload, from byte {end}")
     return sizes, np.frombuffer(raw, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a dataset with pixels in [0, 1]."""
     (n, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, "image", 3)
+    if not rows or not cols:
+        raise FormatError(f"{images_path}: image size {rows}x{cols} holds no pixels")
     (n_labels,), labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, "label", 1)
     if n != n_labels:
         raise FormatError(

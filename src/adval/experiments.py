@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from adval.config import ExperimentConfig
-from adval.data import Dataset, read_lines
+from adval.data import Dataset, indexable, read_lines
 from adval.errors import ConfigError, FormatError, prefixed
 from adval.loop import (
     _STREAM_CONSUMER_INIT,
@@ -41,7 +41,6 @@ from adval.loop import (
 )
 from adval.nn.architectures import build_network
 from adval.nn.network import accuracy
-from adval.strategies import bald_indexable
 
 _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _SECONDS = (float, lambda v: 0.0 <= v < math.inf, "finite and non-negative")
@@ -134,12 +133,13 @@ def _load(
     ``sources`` maps each arch to the config key or option it came from,
     which prefixes the error of an arch the samples do not fit. Without
     ``test_set`` the test set is neither loaded nor checked, and comes back None.
-    When ``cfg`` runs BALD, its dropout samples of the most candidates a round
-    can draw must fit one array numpy can index.
+    When ``cfg`` runs BALD, numpy must be able to index the (samples, rows,
+    classes) array that ``bald_probability_samples`` fills for the most
+    candidates a round can draw.
     """
     train_ds, test_ds = cfg.data.load(test_set)
     samples, rows = cfg.active.bald_samples, min(cfg.active.candidates, len(train_ds))
-    if "bald" in cfg.strategies and not bald_indexable(samples, rows, train_ds.class_count):
+    if "bald" in cfg.strategies and not indexable(samples, rows, train_ds.class_count):
         raise ConfigError(
             f"experiment.bald_samples = {samples} is too large: {samples} dropout passes over "
             f"{rows} candidates of {train_ds.class_count} classes make an array numpy cannot index"

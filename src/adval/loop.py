@@ -10,10 +10,6 @@ Budget semantics: the budget counts oracle label requests. Adversarial twins
 are free, so a twin-producing run grows the training set by two items per
 annotation while charging one.
 
-Candidates, and core-set's labeled set, reach a strategy as a ``CandidateSet``
-of dataset rows by index (see ``adval.strategies``); ``candidate_pool`` builds
-one for a random subset and for the whole unlabeled pool alike.
-
 Round 0 is shared: its labeled set and training seed depend only on the run
 seed, so every strategy of a seed, and selection timing at the same labeled-set
 size, trains the same round-0 network. ``round0_pools`` and ``train_round`` are
@@ -304,8 +300,11 @@ def train_round(spec: NetworkSpec, examples, settings, seed: int, round_index: i
 
 @dataclass(frozen=True)
 class Strategy:
+    """A ``STRATEGIES`` entry. Every strategy id check in ``src`` reads that
+    mapping's keys, and ``adval.strategies.STRATEGY_IDS`` is their public tuple."""
+
     scores_subset: bool  # scores a random candidate subset, not the whole unlabeled pool
-    # (settings, net, pool, n_query, seed, labeled set) -> QueryBatch
+    # (settings, net, pool, n_query, seed, labeled set) -> QueryBatch; only core-set reads labeled
     select: Callable[..., QueryBatch]
 
 

@@ -7,17 +7,7 @@ cache consumed by the matching backward kernel. A backward kernel computes
 only the gradients its caller requests: the gradient w.r.t. the layer input
 (``input_grad``) and, for parameterized layers, gradients shaped exactly like
 the parameters (``param_grads``). Whatever is not requested comes back as None
-and costs nothing. A forward pass told ``param_grads=False`` keeps a smaller
-cache (see ``forward``). A pass that no backward pass follows drops each
-cache as it comes, so Conv2D's im2col columns are freed as soon as their
-product is done, and it may run a ReLU and the MaxPool2D right after it as
-one kernel, ``relu_maxpool``, with the bits of the two layers.
-
-The input gradient also takes an upstream gradient with extra leading axes in
-front of the cached batch, ``(*lead, N, ...)``: one backward pass then carries
-several seeds per example at once (EGL seeds one per class). ``grad_sq_norms``
-reads such a gradient and returns each example's squared parameter-gradient
-norm without forming any per-example gradient of a Dense layer.
+and costs nothing.
 
 Row locality: every layer but Dense computes a row's bits from that row
 alone, so they do not depend on the rows run with it. ReLU, MaxPool2D,

@@ -3,32 +3,6 @@
 A network is a sequence of layer descriptors applied to a fixed input shape.
 ``NetworkState`` couples a spec with concrete parameter arrays; states are
 treated as immutable once created.
-
-Batched evaluation (``forward_batch``, ``embed_batch``, ``predict_batch``)
-runs the layers over fixed chunks of ``_CHUNK`` rows from row 0: a batch
-evaluates the same way wherever it is scored from, and the peak memory of
-scoring a pool depends on the chunk size, not on the pool size. Its input is
-any sized sequence of rows whose slices are arrays, and it slices one chunk
-at a time. A strategy's ``CandidateSet``, dataset rows picked by index, is
-such a sequence: each chunk is gathered as it is evaluated, with the bits of
-the same chunk of the gathered rows, so scoring a whole pool by index copies
-at most one chunk of its inputs. Within a chunk, the layers below the first
-Dense or Dropout layer run on smaller blocks (see ``_evaluate``), and no
-layer keeps a cache (see ``_forward_free``).
-
-Each backward pass computes only what its caller reads: training gets
-parameter gradients and no gradient w.r.t. the network input, while the input
-gradients and Jacobians used by DeepFool get no parameter gradients.
-``probs_and_grad_sq_norms`` serves EGL with neither: its backward pass carries
-a leading class axis in front of the batch (see ``layers.backward``) and sums
-each example's squared parameter-gradient norm per class as it goes down.
-``logits_and_deferred_jacobian`` gives a group of points' logits at once and
-their Jacobians only when its caller asks.
-
-The training loss comes from ``loss_and_param_grads``, out of the max-shifted
-exponentials ``e = exp(z)`` that also give the gradient's softmax ``e / sum(e)``
-(bit for bit ``softmax_probs``): ``mean(log(sum(e)) - z[label])`` stays finite
-at saturated logits, where the log of an underflowed probability would not.
 """
 
 from __future__ import annotations
@@ -112,10 +86,15 @@ def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
 def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarray:
     """Activations after ``layers[:stop]``, evaluated ``_CHUNK`` rows at a time.
 
-    ``x`` is a sized sequence of rows, sliced one chunk at a time. Each chunk's
-    shape is checked before its layers run, and so is the empty slice of an
-    ``x`` with no rows. Dropout masks come chunk by chunk from one generator;
-    with a single dropout layer that is the mask stream of one unchunked pass.
+    The chunks are fixed from row 0, so a batch evaluates the same way
+    wherever it is scored from, and the peak memory of scoring a pool follows
+    the chunk size, not the pool size. ``x`` is a sized sequence of rows,
+    sliced one chunk at a time: a ``CandidateSet`` of dataset rows gathers
+    each chunk as it is evaluated, so scoring a pool by index copies at most
+    one chunk of its inputs. Each chunk's shape is checked before its layers
+    run, and so is the empty slice of an ``x`` with no rows. Dropout masks
+    come chunk by chunk from one generator; with a single dropout layer that
+    is the mask stream of one unchunked pass.
 
     Each chunk first runs the layers below the first Dense or Dropout layer
     (Conv2D, ReLU, MaxPool2D and Flatten on arch-A) on ``_BLOCK`` rows at a
@@ -154,7 +133,8 @@ def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) ->
 def _forward_free(state, x, start, stop, rng=None):
     """Output of ``layers[start:stop]`` for a pass no backward pass follows.
 
-    Each layer's cache is dropped as it comes, and a ReLU directly followed
+    Each layer's cache is dropped as it comes, so Conv2D's im2col columns
+    are freed as soon as their product is done, and a ReLU directly followed
     by a MaxPool2D runs as one kernel, ``layers.relu_maxpool``, same bits.
     """
     layers, params = state.spec.layers, state.params
@@ -218,7 +198,13 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_param_grads(state, x, labels, *, rng=None, out=None):
-    """Mean cross-entropy over the batch plus gradients for every parameter (into ``out``)."""
+    """Mean cross-entropy over the batch plus gradients for every parameter (into ``out``).
+
+    Loss and gradient come from the max-shifted exponentials ``e = exp(z)``,
+    the gradient's softmax being ``e / sum(e)`` (bit for bit ``softmax_probs``):
+    ``mean(log(sum(e)) - z[label])`` stays finite at saturated logits, where
+    the log of an underflowed probability would not.
+    """
     x = _check_batch(state.spec, x)
     logits, caches = _forward_caches(state, x, rng=rng)
     rows = np.arange(len(labels))

@@ -13,18 +13,7 @@ perturbation norm and pairs each queried sample with its perturbed twin; the
 twin's label is filled in from the same oracle call as its source when the
 batch is applied, so twins can never be mislabeled.
 
-``STRATEGIES`` in ``adval.loop`` registers each strategy: whether it scores a
-random candidate subset or the whole unlabeled pool, and an adapter that calls
-its select function; every id check in ``src`` reads its keys, and
-``STRATEGY_IDS`` is their public tuple. Every adapter takes ``(settings, net,
-pool, n_query, seed, labeled)``, where ``labeled`` is the labeled set as a
-``CandidateSet`` that only core-set reads. ``adval.loop.select_round`` draws the
-pool and calls the adapter, for the round loop and for selection timing alike.
-
-A pool is one type, ``CandidateSet``: the dataset's inputs and the indices of
-its rows, gathered only when the pool is indexed or sliced. Batched evaluation
-slices it a chunk at a time and DeepFool reads it a row at a time, so no
-strategy gathers its whole pool at once.
+``adval.loop.STRATEGIES`` registers each strategy; ``adval.loop.select_round`` calls it.
 """
 
 from __future__ import annotations
@@ -62,6 +51,8 @@ class CandidateSet:
     """The dataset rows ``indices`` of ``source``, gathered only when indexed or sliced.
 
     ``len(pool)`` is ``len(indices)`` and ``pool[key]`` is ``source[indices[key]]``.
+    Batched evaluation slices a pool a chunk at a time and DeepFool reads it a
+    group at a time, so no strategy gathers its whole pool at once.
     """
 
     source: np.ndarray  # (n_source, *input_shape), the dataset's inputs
@@ -155,12 +146,6 @@ def egl_scores(net: NetworkState, inputs: CandidateSet | np.ndarray) -> np.ndarr
         probs, sq = probs_and_grad_sq_norms(net, inputs[lo : lo + rows])
         scores[lo : lo + rows] = (probs * np.sqrt(sq)).sum(axis=1)
     return scores
-
-
-def bald_indexable(samples: int, rows: int, classes: int) -> bool:
-    """Whether numpy can index the ``(samples, rows, classes)`` array of ``DTYPE``
-    that ``bald_probability_samples`` fills for ``rows`` candidates."""
-    return samples * rows * classes <= np.iinfo(np.intp).max // np.dtype(DTYPE).itemsize
 
 
 def bald_probability_samples(

@@ -1,7 +1,9 @@
 """CLI commands, config parsing, and metrics files."""
 
 import csv
+import gzip
 import re
+import struct
 import warnings
 from dataclasses import replace
 from itertools import chain, product
@@ -1122,6 +1124,146 @@ class TestBadValueSweep:
         named = f"file does not exist: {Path(value)}" if option in self.FILE_OPTIONS else option
         assert len(err) == 1 and err[0].startswith("E_CONFIG: ") and named in err[0], err
         assert [p.name for p in tmp_path.rglob("*.csv")] == ["metrics.csv"]
+
+
+def _idx(magic, *sizes, payload=b""):
+    """IDX bytes: ``magic``, then ``sizes``, then ``payload``."""
+    return struct.pack(f">{1 + len(sizes)}I", magic, *sizes) + payload
+
+
+_PIXELS = bytes(range(256)) * 3 + bytes(range(192))  # 960 = 60 images of 4x4
+_IMAGES = _idx(0x803, 60, 4, 4, payload=_PIXELS)
+_LABELS = _idx(0x801, 60, payload=bytes(i % 3 for i in range(60)))
+_GOOD_CSV = b"0,1.0,2.0\n"  # a row that loads
+
+
+def _flip_crc(packed: bytes) -> bytes:
+    """A gzip stream whose stored CRC-32 (the trailer's first 4 bytes) has one bit flipped."""
+    return packed[:-8] + bytes([packed[-8] ^ 1]) + packed[-7:]
+
+
+class TestBadFileSweep:
+    """Every malformed data file ends in one ``E_`` line that names the file.
+
+    Beside ``TestBadValueSweep``, which sets config values, this sweep sets
+    the bytes of the file a value names: the csv file of a csv config, or the
+    training images or labels of an idx config (``TestBadValueSweep``'s
+    ``data_file_config``), through ``run`` and ``timing``. Each case exits 2
+    before any training with exactly one stderr line, which starts with the
+    case's code and message and names the file; none reads ``E_UNEXPECTED``
+    or an empty message.
+    """
+
+    # (id, data key, file bytes, the line's start; {path} is the file, {dir} the config's directory)
+    CASES = [
+        ("csv-empty", "path", b"", "E_FORMAT: {path}: empty file"),
+        ("csv-header-only", "path", b"label,x,y\n", "E_FORMAT: {path}: no data rows"),
+        *[
+            (f"csv-label-{label}", "path", _GOOD_CSV + label.encode() + b",1.0,2.0\n",
+             f"E_FORMAT: {{path}}: row 2 label {label} outside [0, 3)")
+            for label in ("1.5", "-1", "1e20", "nan")
+        ],
+        ("csv-ragged-row", "path", _GOOD_CSV + b"1,1.0\n",
+         "E_FORMAT: {path}: ragged row 2: expected 3 fields, got 2"),
+        ("csv-no-feature-columns", "path", b"0\n1\n", "E_FORMAT: {path}: row 1 has no feature columns"),
+        ("csv-inf-feature", "path", _GOOD_CSV + b"1,inf,2.0\n",
+         "E_FORMAT: {path}: non-finite feature value in row 2"),
+        ("csv-quoted-fields", "path", b'"0","1.0","2.0"\n"1","1.0","2.0"\n',
+         "E_FORMAT: {path}: non-numeric value in row 2"),
+        ("csv-semicolons", "path", b"0;1.0;2.0\n1;1.0;2.0\n",
+         "E_FORMAT: {path}: row 2 has no feature columns"),
+        ("csv-nul-byte", "path", _GOOD_CSV + b"1,1.0\x00,2.0\n", "E_FORMAT: {path}: non-numeric value in row 2"),
+        ("csv-latin-1", "path", _GOOD_CSV + "1,1.0,2.0 \u00e9\n".encode("latin-1"),
+         "E_FORMAT: {path}: not UTF-8 text ("),
+        ("idx-bad-image-magic", "train_images", _idx(0x801, 60, 4, 4, payload=_PIXELS),
+         "E_FORMAT: {path}: bad image magic 0x00000801 at byte 0, expected 0x00000803"),
+        ("idx-bad-label-magic", "train_labels", struct.pack(">I", 0x803) + _LABELS[4:],
+         "E_FORMAT: {path}: bad label magic 0x00000803 at byte 0, expected 0x00000801"),
+        ("idx-truncated-header", "train_images", _IMAGES[:10], "E_FORMAT: {path}: truncated header at byte 10"),
+        ("idx-truncated-payload", "train_images", _IMAGES[:100],
+         "E_FORMAT: {path}: truncated payload at byte 100, expected 960 bytes"),
+        ("idx-images-beyond-the-index-range", "train_images", _idx(0x803, 2**31, 2**31, 4),
+         f"E_FORMAT: {{path}}: truncated payload at byte 16, expected {2**64} bytes"),
+        ("idx-images-beyond-memory", "train_images", _idx(0x803, 2**20, 2**10, 2**10),
+         f"E_FORMAT: {{path}}: truncated payload at byte 16, expected {2**40} bytes"),
+        ("idx-gzip-images-beyond-the-index-range", "train_images", gzip.compress(_idx(0x803, 2**31, 2**31, 4)),
+         f"E_FORMAT: {{path}}: truncated payload at byte 16, expected {2**64} bytes"),
+        ("idx-labels-beyond-memory", "train_labels", _idx(0x801, 2**32 - 1),
+         f"E_FORMAT: {{path}}: truncated payload at byte 8, expected {2**32 - 1} bytes"),
+        ("idx-count-mismatch", "train_images", _idx(0x803, 59, 4, 4, payload=_PIXELS[:944]),
+         "E_FORMAT: count mismatch: {path} has 59 images but {dir}/train_labels.idx has 60 labels"),
+        # gzip's own errors, each named by its file
+        ("idx-gzip-truncated", "train_images", gzip.compress(_IMAGES)[:-12],
+         "E_FORMAT: {path}: corrupt gzip stream: Compressed file ended before the end-of-stream marker"),
+        ("idx-gzip-magic-only", "train_images", b"\x1f\x8b",
+         "E_FORMAT: {path}: corrupt gzip stream: Compressed file ended before the end-of-stream marker"),
+        ("idx-gzip-magic-then-garbage", "train_images", b"\x1f\x8bgarbage" * 4,
+         "E_FORMAT: {path}: corrupt gzip stream: Unknown compression method"),
+        ("idx-gzip-bad-deflate-data", "train_images", gzip.compress(b"")[:10] + b"\xff" * 20,
+         "E_FORMAT: {path}: corrupt gzip stream: Error -3 while decompressing data: invalid block type"),
+        ("idx-gzip-crc-flipped", "train_images", _flip_crc(gzip.compress(_IMAGES)),
+         "E_FORMAT: {path}: corrupt gzip stream: CRC check failed"),
+        ("idx-gzip-labels-truncated", "train_labels", gzip.compress(_LABELS)[:-12],
+         "E_FORMAT: {path}: corrupt gzip stream: Compressed file ended before the end-of-stream marker"),
+        # a header must cover the whole file
+        ("idx-byte-after-payload", "train_images", _IMAGES + b"\x00",
+         "E_FORMAT: {path}: bytes after the 960-byte payload, from byte 976"),
+        ("idx-gzip-byte-after-payload", "train_images", gzip.compress(_IMAGES + b"\x00"),
+         "E_FORMAT: {path}: bytes after the 960-byte payload, from byte 976"),
+        ("idx-header-understating-columns", "train_images", _idx(0x803, 60, 4, 3, payload=_PIXELS),
+         "E_FORMAT: {path}: bytes after the 720-byte payload, from byte 736"),
+        ("idx-labels-byte-after-payload", "train_labels", _LABELS + b"\x00",
+         "E_FORMAT: {path}: bytes after the 60-byte payload, from byte 68"),
+        ("idx-zero-rows", "train_images", _idx(0x803, 60, 0, 4), "E_FORMAT: {path}: image size 0x4 holds no pixels"),
+        ("idx-zero-columns", "train_images", _idx(0x803, 60, 4, 0),
+         "E_FORMAT: {path}: image size 4x0 holds no pixels"),
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "timing"])
+    @pytest.mark.parametrize("key, content, start", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_bad_file_fails_by_name(self, tmp_path, monkeypatch, command, key, content, start):
+        path = tmp_path / ("bad.csv" if key == "path" else "bad.idx")
+        path.write_bytes(content)
+        sweep = TestBadValueSweep()
+        config = sweep.data_file_config(tmp_path, "csv" if key == "path" else "idx", f"data.{key}", path.name)
+        out = tmp_path / "out"
+        result = sweep.invoke_until_training(
+            monkeypatch, [*sweep.COMMANDS[command], "--config", str(config), "--out", str(out)]
+        )
+        assert result is not None, "the file loaded"
+        assert result.exit_code == 2
+        err = result.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(start.format(path=path, dir=tmp_path)), err
+        assert str(path) in err[0]
+        assert not list(out.rglob("*.csv"))
+
+
+class TestSingleExitPath:
+    """An exception inside any command ends in the same one ``E_`` line, through ``_Commands``."""
+
+    # command -> the function it calls, and the options that reach it
+    CALLS = {
+        "run": ("run_grid", ["--config", "exp.ini", "--out", "out"]),
+        "compare": ("read_metrics", ["--metrics", "metrics.csv"]),
+        "transfer": ("run_transfer", ["--config", "exp.ini", "--selector", "arch-B", "--consumer", "arch-A",
+                                      "--out", "out"]),
+        "timing": ("run_timing", ["--config", "exp.ini", "--out", "out"]),
+    }
+
+    @pytest.mark.parametrize("error", [RuntimeError, EOFError])  # click's main makes EOFError "Aborted!"
+    @pytest.mark.parametrize("command", CALLS)
+    def test_unexpected_error_is_one_line(self, tmp_path, monkeypatch, command, error):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path)
+        name, options = self.CALLS[command]
+
+        def boom(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(adval.cli, name, boom)
+        result = CliRunner().invoke(main, [command, *options])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == ["E_UNEXPECTED: boom"]
 
 
 class TestUsageErrors:
