@@ -210,8 +210,9 @@ def compare_metrics(
 
     Each strategy's rows are grouped by round once, each group in ascending
     seed order, and every figure is a mean over one group. Rounds line up
-    across seeds: a group that repeats a seed, or whose seeds disagree on the
-    annotations, is a ``FormatError`` naming the strategy and the round. A
+    across seeds: a group that repeats a seed, lacks a seed some other round
+    of the strategy has, or whose seeds disagree on the annotations, is a
+    ``FormatError`` naming the strategy and the round. A
     checkpoint reads the last round whose annotations are at most the
     checkpoint; a checkpoint below the first round is reported as absent
     (None). With a target accuracy, also reports the annotations and
@@ -224,12 +225,19 @@ def compare_metrics(
         for r in sorted((r for r in rows if r["strategy"] == strategy), key=lambda r: r["seed"]):
             by_round.setdefault(r["round"], []).append(r)
         groups = [by_round[rnd] for rnd in sorted(by_round)]
+        seeds = {g["seed"] for group in groups for g in group}
         for group in groups:
             if len({g["seed"] for g in group}) < len(group) or len({g["annotations"] for g in group}) > 1:
                 pairs = [(g["seed"], g["annotations"]) for g in group]
                 raise FormatError(
                     f"strategy {strategy!r}, round {group[0]['round']}: each seed must appear once and "
                     f"all seeds must agree on the annotations, got (seed, annotations) {pairs}"
+                )
+            missing = sorted(seeds - {g["seed"] for g in group})
+            if missing:
+                raise FormatError(
+                    f"strategy {strategy!r}, round {group[0]['round']}: no row for seeds {missing}, "
+                    f"which other rounds of the strategy have"
                 )
 
         per_checkpoint = {}

@@ -9,6 +9,11 @@ only the gradients its caller requests: the gradient w.r.t. the layer input
 the parameters (``param_grads``). Whatever is not requested comes back as None
 and costs nothing.
 
+A ReLU directly followed by a MaxPool2D runs as one kernel that pools first,
+same bits: ``relu_maxpool`` keeps no cache, and ``relu_maxpool_cached`` gives
+MaxPool2D's cache a third item, ReLU's keep mask at the picks, and the ReLU a
+cache of None.
+
 Row locality: every layer but Dense computes a row's bits from that row
 alone, so they do not depend on the rows run with it. ReLU, MaxPool2D,
 Flatten and inactive Dropout work element by element or only reshape;
@@ -242,6 +247,10 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
     ReLU and Dropout broadcast; Flatten and MaxPool2D place the leading axes
     explicitly; Conv2D runs one example at a time (see row locality in the
     module docstring).
+
+    A MaxPool2D cache that carries ReLU's keep mask (``relu_maxpool_cached``)
+    gives the gradient through both layers, and a ReLU or Dropout cache of
+    None passes ``dy`` through.
     """
     w_out, b_out = (None, None) if out is None else (out["W"], out["b"])
     if isinstance(layer, Dense):
@@ -271,16 +280,14 @@ def backward(layer, params, cache, dy, *, input_grad=True, param_grads=True, out
         return dx, grads
     if not input_grad:
         return None, None
-    if isinstance(layer, ReLU):
-        return dy * cache, None
+    if isinstance(layer, (ReLU, Dropout)):
+        return (dy if cache is None else dy * cache), None
     if isinstance(layer, Flatten):
         return dy.reshape(*dy.shape[:-2], *cache), None
-    if isinstance(layer, Dropout):
-        if cache is None:
-            return dy, None
-        return dy * cache, None
     if isinstance(layer, MaxPool2D):
-        x_shape, flat = cache
+        x_shape, flat, keep = cache
+        if keep is not None:
+            dy = dy * keep
         dx = np.zeros((*dy.shape[: dy.ndim - len(x_shape)], *x_shape), dtype=dy.dtype)
         picks = flat.reshape(-1)
         # one 1-D scatter per leading index: a 2-D fancy index is about 1.6x slower
@@ -369,35 +376,48 @@ def _tile_picks(x: np.ndarray, s: int, tiles: np.ndarray) -> tuple[np.ndarray, n
     return values, values.argmax(axis=-1)
 
 
-def _maxpool(x: np.ndarray, s: int):
-    """Max over each s×s tile plus the cache: x's shape and each max's flat position in x.
+def _first_taps(x: np.ndarray, s: int, peak: np.ndarray) -> np.ndarray:
+    """Index ``i*s + j`` of each tile's first tap equal to ``peak``, s·s - 1 where none is.
 
-    Works on the s·s strided tap views of ``x`` (tap ``i*s + j`` holds the
-    tiles' elements at row i, column j): the first tap equal to the tile max
-    is ``np.argmax``'s pick. A tile holding NaN has no tap equal to its max
-    and takes ``np.argmax`` instead. The outputs are gathered from the picked
-    elements, so they carry the first maximal element's bits (see ``_tile_max``).
+    Tap ``i*s + j`` is the strided view of the tiles' elements at row i,
+    column j. The index accumulates in the smallest unsigned type that holds
+    it (uint8 up to 16×16 tiles), which makes the s·s passes cheaper.
     """
-    n, c, h, w = x.shape
-    taps = [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
-    peak = _tile_max(x, s)
-    first = np.zeros(peak.shape, dtype=np.intp)  # index of the first tap equal to the max
-    missed = taps[0] != peak  # no tap so far equals the max
-    for t in taps[1:]:
+    first = np.zeros(peak.shape, np.min_scalar_type(s * s))
+    missed = np.ones(peak.shape, bool)  # no tap so far equals the max
+    for k in range(s * s - 1):  # a tile that misses every earlier tap takes the last one
+        missed &= x[:, :, k // s :: s, k % s :: s] != peak
         first += missed
-        missed &= t != peak
+    return first
+
+
+def _flat_picks(shape: tuple, s: int, first: np.ndarray) -> np.ndarray:
+    """Flat position in an input of ``shape`` of each tile's tap ``first``."""
+    n, c, h, w = shape
+    # each tile's top-left element; a row counts (example, channel, tile row) together
+    corner = (s * w) * np.arange(n * c * (h // s))[:, None] + s * np.arange(w // s)
+    return corner.reshape(first.shape) + np.take(_tap_offsets(s, w), first)
+
+
+def _maxpool(x: np.ndarray, s: int):
+    """Max over each s×s tile plus the cache: x's shape, each max's flat position in x, and None.
+
+    The first tap equal to the tile max is ``np.argmax``'s pick. A tile
+    holding NaN has no tap equal to its max and takes ``np.argmax`` instead.
+    The outputs are gathered from the picked elements, so they carry the
+    first maximal element's bits (see ``_tile_max``).
+    """
+    peak = _tile_max(x, s)
+    first = _first_taps(x, s, peak)
     nan = np.flatnonzero(np.isnan(peak))
     if nan.size:
         first.reshape(-1)[nan] = _tile_picks(x, s, nan)[1]
-    # flat position in x of each tile's top-left element
-    corner = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (s * w) * np.arange(h // s)[:, None]
-    corner = corner + s * np.arange(w // s)
-    flat = corner + _tap_offsets(s, w)[first]
-    return np.take(x, flat), (x.shape, flat)
+    flat = _flat_picks(x.shape, s, first)
+    return np.take(x, flat), (x.shape, flat, None)
 
 
-def relu_maxpool(x: np.ndarray, s: int) -> np.ndarray:
-    """``MaxPool2D(s)`` of ``ReLU`` of ``x`` with no cache, bit for bit, pooling first.
+def _relu_pool(x: np.ndarray, s: int) -> np.ndarray | None:
+    """``MaxPool2D(s)`` of ``ReLU`` of ``x``, bit for bit, pooling first; None if ``x`` holds a NaN or -inf.
 
     Pooling first rectifies only the tile maxima, a quarter of the values
     under a 2×2 pool. ReLU keeps a positive value's bits and sends every other value to a
@@ -405,15 +425,39 @@ def relu_maxpool(x: np.ndarray, s: int) -> np.ndarray:
     max is negative gives -0.0 both ways: ``np.maximum(max, -0.0)`` is one
     or the other. After ReLU a tile whose max is ±0 holds only zeros, all
     tied, so ``np.argmax`` picks its first element: that element times 0.0.
-    An input holding a NaN or -inf runs the two layers, because ReLU maps
+    An input holding a NaN or -inf must run the two layers, because ReLU maps
     -inf to NaN (-inf · 0, with numpy's invalid-value warning), which a max
     taken first would pass over.
     """
     if not x.min(initial=np.inf) > -np.inf:
-        return _maxpool(x * (x > 0), s)[0]
+        return None
     peak = _tile_max(x, s)
     zero = np.flatnonzero(peak == 0)
     np.maximum(peak, -0.0, out=peak)
     if zero.size:
         peak.reshape(-1)[zero] = _tile_picks(x, s, zero)[0][:, 0] * 0.0
     return peak
+
+
+def relu_maxpool(x: np.ndarray, s: int) -> np.ndarray:
+    """``MaxPool2D(s)`` of ``ReLU`` of ``x`` with no cache, bit for bit (see ``_relu_pool``)."""
+    y = _relu_pool(x, s)
+    return _maxpool(x * (x > 0), s)[0] if y is None else y
+
+
+def relu_maxpool_cached(x: np.ndarray, s: int):
+    """``relu_maxpool`` plus a MaxPool2D cache whose third item is ReLU's keep mask at the picks.
+
+    After ReLU a tile whose max is positive picks its first tap equal to that
+    max, and any other tile holds only zeros, where ``np.argmax`` picks tap 0.
+    ReLU's mask at a pick is ``y > 0``, so MaxPool2D's backward scatters
+    ``dy * keep``: the gradient of the two layers, bit for bit.
+    """
+    y = _relu_pool(x, s)
+    if y is None:
+        y, (_, flat, _) = _maxpool(x * (x > 0), s)
+        return y, (x.shape, flat, y > 0)
+    keep = y > 0
+    first = _first_taps(x, s, y)
+    first *= keep
+    return y, (x.shape, _flat_picks(x.shape, s, first), keep)

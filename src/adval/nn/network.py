@@ -120,8 +120,8 @@ def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarra
         h = below[: len(rows)]
         for b in range(0, len(rows), _BLOCK):
             block = rows[b : b + _BLOCK]
-            h[b : b + _BLOCK] = _forward_free(state, block, 0, split)
-        out[lo : lo + _CHUNK] = _forward_free(state, h, split, stop, rng)
+            h[b : b + _BLOCK] = _forward(state, block, 0, split)
+        out[lo : lo + _CHUNK] = _forward(state, h, split, stop, rng)
     return out
 
 
@@ -130,21 +130,32 @@ def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) ->
     return _evaluate(state, x, dropout_seed=dropout_seed)
 
 
-def _forward_free(state, x, start, stop, rng=None):
-    """Output of ``layers[start:stop]`` for a pass no backward pass follows.
+def _forward(state, x, start=0, stop=None, rng=None, caches=None, param_grads=True):
+    """Output of ``layers[start:stop]``; with a ``caches`` list, each layer's cache is appended to it.
 
-    Each layer's cache is dropped as it comes, so Conv2D's im2col columns
-    are freed as soon as their product is done, and a ReLU directly followed
-    by a MaxPool2D runs as one kernel, ``layers.relu_maxpool``, same bits.
+    The one walk of the forward pass. A ReLU directly followed by a MaxPool2D
+    runs as one kernel, same bits: ``layers.relu_maxpool`` when no backward
+    pass follows, and otherwise ``layers.relu_maxpool_cached``, whose
+    MaxPool2D cache carries ReLU's keep mask and leaves the ReLU's slot None,
+    which its backward passes through. Without ``caches`` each layer's cache
+    is dropped as it comes, so Conv2D's im2col columns are freed as soon as
+    their product is done.
     """
     layers, params = state.spec.layers, state.params
+    stop = len(layers) if stop is None else stop
     i = start
     while i < stop:
         if isinstance(layers[i], ReLU) and i + 1 < stop and isinstance(layers[i + 1], MaxPool2D):
-            x = L.relu_maxpool(x, layers[i + 1].size)
+            if caches is None:
+                x = L.relu_maxpool(x, layers[i + 1].size)
+            else:
+                x, cache = L.relu_maxpool_cached(x, layers[i + 1].size)
+                caches += [None, cache]
             i += 2
         else:
-            x = L.forward(layers[i], params[i], x, rng=rng)[0]
+            x, cache = L.forward(layers[i], params[i], x, rng=rng, param_grads=param_grads)
+            if caches is not None:
+                caches.append(cache)
             i += 1
     return x
 
@@ -152,10 +163,7 @@ def _forward_free(state, x, start, stop, rng=None):
 def _forward_caches(state, x, *, start=0, stop=None, rng=None, param_grads=True):
     """Output of ``layers[start:stop]`` plus each layer's cache for the backward pass."""
     caches = []
-    for layer, params in zip(state.spec.layers[start:stop], state.params[start:stop]):
-        x, c = L.forward(layer, params, x, rng=rng, param_grads=param_grads)
-        caches.append(c)
-    return x, caches
+    return _forward(state, x, start, stop, rng, caches, param_grads), caches
 
 
 def _param_grads(state, caches, dlogits, out=None):

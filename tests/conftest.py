@@ -85,6 +85,16 @@ def reference_forward_free(state, x, stop=None, rng=None) -> np.ndarray:
     return x
 
 
+def reference_forward_caches(state, x, *, start=0, stop=None, rng=None, param_grads=True):
+    """``network._forward_caches`` with no two layers run as one kernel: one ``forward``
+    a layer, each layer's own cache kept."""
+    caches = []
+    for layer, params in zip(state.spec.layers[start:stop], state.params[start:stop]):
+        x, cache = layer_forward(layer, params, x, rng=rng, param_grads=param_grads)
+        caches.append(cache)
+    return x, caches
+
+
 def lp_norm(v: np.ndarray, p: float) -> float:
     """The L_p norm of ``v`` flattened, as ``np.linalg.norm`` gives it."""
     return float(np.linalg.norm(np.ravel(v), ord=p))

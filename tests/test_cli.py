@@ -1450,6 +1450,24 @@ class TestCompare:
         assert result.stderr.strip().splitlines() == [f"E_FORMAT: {path}: {want}"]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "dropped, round_, missing",
+        [((1, 2), 1, [0]), ((3,), 0, [1])],
+        ids=["seed-ends-early", "seed-starts-late"],
+    )
+    def test_round_without_every_seed_names_the_missing_seeds(self, tmp_path, dropped, round_, missing):
+        # a dfal seed with fewer rounds: its mean over the other seed alone once passed as a seed mean
+        rows = [r for i, r in enumerate(self.make_rows()) if i not in dropped]
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, rows)
+        want = f"strategy 'dfal', round {round_}: no row for seeds {missing}, which other rounds of the strategy have"
+        with pytest.raises(FormatError) as info:
+            compare_metrics(read_metrics(path), checkpoints=(16,))
+        assert str(info.value) == want
+        result = CliRunner().invoke(main, ["compare", "--metrics", str(path), "--checkpoints", "6,16"])
+        assert result.exit_code == 2
+        assert result.stderr.strip().splitlines() == [f"E_FORMAT: {path}: {want}"]
+        assert result.stdout == ""
+
     def test_malformed_train_seconds_rejected(self, tmp_path):
         rows = self.make_rows()
         rows[1] = (*rows[1][:7], "1.5s", rows[1][8])

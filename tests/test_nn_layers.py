@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import forward, reference_conv_forward, reference_forward_free
+from conftest import forward, reference_conv_forward, reference_forward_caches, reference_forward_free
 
 from adval import nn
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError
@@ -18,7 +18,7 @@ from adval.nn import (
     NetworkSpec,
     ReLU,
 )
-from adval.nn import layers
+from adval.nn import layers, network
 from adval.nn.layers import _conv_windows, grad_sq_norms
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
@@ -504,6 +504,119 @@ class TestPoolBeforeReLU:
                 assert layers.relu_maxpool(x, s).tobytes() == relu_then_pool(x, s).tobytes()
 
 
+def relu_then_pool_with_grad(x, s, dy):
+    """ReLU then MaxPool2D, layer by layer: the output and the input gradient of ``dy``."""
+    h, mask = layer_forward(ReLU(), None, x)
+    y, cache = layer_forward(MaxPool2D(s), None, h)
+    dh, _ = layer_backward(MaxPool2D(s), None, cache, dy, param_grads=False)
+    return y, layer_backward(ReLU(), None, mask, dh, param_grads=False)[0]
+
+
+class TestCachedPairKernel:
+    """``relu_maxpool_cached`` and MaxPool2D's backward over its cache against ReLU
+    then MaxPool2D run layer by layer, byte for byte, and the cached walks of a
+    network against ``conftest.reference_forward_caches``."""
+
+    @staticmethod
+    def assert_matches_two_layers(x, s, dy):
+        want_y, want_dx = relu_then_pool_with_grad(x, s, dy)
+        y, cache = layers.relu_maxpool_cached(x, s)
+        assert y.tobytes() == want_y.tobytes()
+        dx, _ = layer_backward(MaxPool2D(s), None, cache, dy, param_grads=False)
+        dx, _ = layer_backward(ReLU(), None, None, dx, param_grads=False)
+        assert dx.shape == want_dx.shape
+        assert dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (1,), (10,), (2, 3)], ids=str)
+    def test_finite_tiles(self, s, lead, two_layer_calls):
+        rng = np.random.default_rng(70 + s)
+        x = rng.choice([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0], size=(3, 2, 4 * s, 3 * s))
+        # each tile's first element is set last, so that at s = 1 it is the tile
+        x[0, 0, :s, :s] = -1.0  # all negative
+        x[1, 0, :s, :s] = -0.0
+        x[1, 0, s - 1, s - 1] = 0.0
+        x[1, 0, 0, 0] = -2.0  # a run of signed zeros after a negative first element
+        x[1, 1, :s, :s] = 2.0  # tied positive maxima
+        x[2, 0, :s, :s] = 1.0
+        x[2, 0, s - 1, s - 1] = np.inf
+        dy = rng.choice([-1.0, -0.0, 0.0, 0.5, np.inf], size=(*lead, 3, 2, 4, 3))
+        dy[..., 0, 0, 0, 0] = np.inf  # the gradient of an all-negative tile: inf · 0 is NaN
+        two_layer_calls.clear()
+        with np.errstate(invalid="ignore"):
+            self.assert_matches_two_layers(x, s, dy)
+        assert two_layer_calls == [s]  # the reference's own MaxPool2D, not the kernel's
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_nan_or_negative_infinity_runs_the_two_layers(self, s, two_layer_calls):
+        rng = np.random.default_rng(80 + s)
+        x = rng.standard_normal((2, 3, 2 * s, 3 * s))
+        nans = np.array([0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0123], dtype=np.uint64)
+        for case in ("nan", "-inf"):
+            y = x.copy()
+            if case == "nan":
+                y[0, 1, 0, 0], y[1, 2, s - 1, s - 1] = nans.view(np.float64)
+            else:
+                y[1, 0, :s, :s] = 5.0
+                y[1, 0, s - 1, s - 1] = -np.inf
+            dy = rng.choice([-1.0, -0.0, 0.5, np.inf], size=(4, 2, 3, 2, 3))
+            with np.errstate(invalid="ignore"):  # ReLU's -inf · 0 and the gradient's inf · 0
+                two_layer_calls.clear()
+                layers.relu_maxpool_cached(y, s)
+                assert two_layer_calls == [s]
+                self.assert_matches_two_layers(y, s, dy)
+                self.assert_matches_two_layers(y, s, dy[0])
+
+    def test_last_tap_of_a_tile_wider_than_16(self):
+        # a 17×17 tile counts its taps past 255, in a wider type than uint8
+        x = np.full((1, 2, 17, 17), -1.0)
+        x[0, 0, 16, 16] = 1.0
+        x[0, 1, 15, 2] = 1.0  # tap 257
+        self.assert_matches_two_layers(x, 17, np.full((3, 1, 2, 1, 1), 2.0))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_random_tiles(self, s):
+        rng = np.random.default_rng(90 + s)
+        nans = np.array([0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0002], dtype=np.uint64).view(np.float64)
+        pooled_first = np.array([-1.5, -0.5, -0.0, 0.0, 0.25, 2.0, np.inf])
+        any_value = np.concatenate([pooled_first, [-np.inf], nans])
+        for i in range(300):
+            values = any_value if i % 3 == 0 else pooled_first
+            rows, cols = s * int(rng.integers(1, 4)), s * int(rng.integers(1, 4))
+            x = rng.choice(values, size=(2, 2, rows, cols))
+            lead = tuple(int(n) for n in rng.integers(1, 11, size=int(rng.integers(0, 2))))
+            dy = rng.choice([-1.0, -0.0, 0.0, 0.5, 3.0, np.inf], size=(*lead, 2, 2, rows // s, cols // s))
+            with np.errstate(invalid="ignore"):
+                self.assert_matches_two_layers(x, s, dy)
+
+    @pytest.fixture
+    def net_and_inputs(self):
+        # an exact-zero background, as in TestCacheFreeWalk, so that some tiles have max zero
+        state = nn.init_network(nn.build_network("arch-A", (1, 28, 28), 10, seed=31))
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0.0, 1.0, size=(40, 1, 28, 28))
+        x[::2] = 0.0
+        x[::2, :, 7:21, 7:21] = rng.uniform(0.0, 1.0, size=(20, 1, 14, 14))
+        return state, x
+
+    @staticmethod
+    def walks(state, x):
+        """Training's loss and gradients, EGL's probabilities and squared norms, and Jacobians."""
+        labels = np.arange(len(x)) % 10
+        loss, grads = loss_and_param_grads(state, x, labels)
+        flat_grads = [g[k] for g in grads if g is not None for k in ("W", "b")]
+        _, jacobian = logits_and_deferred_jacobian(state, x[:7])
+        return [np.float64(loss), *flat_grads, *probs_and_grad_sq_norms(state, x), jacobian([0, 2, 3, 6])]
+
+    def test_cached_walks_equal_a_layer_by_layer_walk(self, net_and_inputs, monkeypatch):
+        state, x = net_and_inputs
+        assert (layers._tile_max(reference_forward_free(state, x, stop=1), 2) == 0).any()
+        got = self.walks(state, x)
+        monkeypatch.setattr(network, "_forward_caches", reference_forward_caches)
+        want = self.walks(state, x)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 class TestCacheFreeWalk:
     """Batched evaluation, whose ReLU and MaxPool2D run as one kernel, against
     ``conftest.reference_forward_free``, which runs every layer on its own."""
@@ -542,17 +655,20 @@ class TestCacheFreeWalk:
         assert sizes == [2, 2]  # one call per 32-row block
         assert kinds == ["Conv2D", "Flatten"] * 2 + ["Dense", "ReLU", "Dropout", "Dense"]
 
-    def test_cached_walks_run_every_layer(self, net_and_inputs, monkeypatch):
+    def test_cached_walks_run_the_pair_as_one_kernel(self, net_and_inputs, monkeypatch):
         state, x = net_and_inputs
         _, jacobian = logits_and_deferred_jacobian(state, x[:3])
-        monkeypatch.setattr(layers, "relu_maxpool", lambda *a: pytest.fail("a cached walk paired layers"))
+        kernel, rows = layers.relu_maxpool_cached, []
+        monkeypatch.setattr(layers, "relu_maxpool_cached", lambda h, s: rows.append(len(h)) or kernel(h, s))
+        monkeypatch.setattr(layers, "relu_maxpool", lambda *a: pytest.fail("a cached walk dropped its caches"))
         kinds = self.record_layers(monkeypatch)
         loss_and_param_grads(state, x[:4], np.arange(4))
         probs_and_grad_sq_norms(state, x[:4])
         jacobian(np.arange(3))
-        # training and EGL run all 8 layers; the Jacobian reruns the 4 below the first Dense
-        assert kinds == [type(layer).__name__ for layer in state.spec.layers] * 2 + kinds[:4]
-        assert kinds[:4] == ["Conv2D", "ReLU", "MaxPool2D", "Flatten"]
+        # training and EGL run the pair as one kernel on their batch; the Jacobian
+        # reruns the layers below the first Dense on its 3 inputs, the pair as one kernel
+        assert rows == [4, 4, 3]
+        assert kinds == ["Conv2D", "Flatten", "Dense", "ReLU", "Dropout", "Dense"] * 2 + ["Conv2D", "Flatten"]
 
     def test_forward_batch(self, net_and_inputs):
         state, x = net_and_inputs
