@@ -175,9 +175,8 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
             orig = logits.argmax(axis=1)
         current = logits.argmax(axis=1)
         finite = np.isfinite(logits).all(axis=1)
-        for i in active[~finite]:  # at x itself no class was ever predicted
-            delta, label = (perturbation(i), int(orig[i])) if iterations else (np.zeros(shape), None)
-            results[i] = _result(delta, iterations, label)
+        for i in active[~finite]:  # at x itself no class was ever predicted: no label
+            results[i] = _result(perturbation(i), iterations, int(orig[i]) if iterations else None)
         stop = finite & ((current != orig[active]) | (iterations == cfg.max_iter))
         done = active[stop]
         deltas = scale * r_total[done]

@@ -311,23 +311,22 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
 
     settings, seed = cfg.active, cfg.seeds[0]
     network = cfg.network(train_ds, seed)
-    trained = {}
+    pools = {}  # every size is drawn, and so checked, before any network trains
     for size in labeled_sizes:
         if size >= len(train_ds):
             raise ConfigError(f"--sizes {size}: must be below the pool's {len(train_ds)} samples")
         with prefixed(ConfigError, f"--sizes {size}: "):
-            pools = round0_pools(train_ds, size, seed)
-        net = train_round(network, training_examples(pools, train_ds), settings, seed, 0)
-        trained[size] = pools, net
+            pools[size] = round0_pools(train_ds, size, seed)
+    nets = {size: train_round(network, training_examples(p, train_ds), settings, seed, 0)
+            for size, p in pools.items()}
 
     rows = []
     for strategy in cfg.strategies:
         for size in labeled_sizes:
-            pools, net = trained[size]
             elapsed = []
             for rep in range(repetitions):
                 t0 = time.monotonic()
-                select_round(strategy, settings, net, pools, train_ds, settings.n_query, seed, rep)
+                select_round(strategy, settings, nets[size], pools[size], train_ds, settings.n_query, seed, rep)
                 elapsed.append(time.monotonic() - t0)
             rows.append((strategy, size, repetitions, float(np.mean(elapsed))))
     return rows

@@ -12,7 +12,9 @@ and costs nothing.
 A ReLU directly followed by a MaxPool2D runs as one kernel that pools first,
 same bits: ``relu_maxpool`` keeps no cache, and ``relu_maxpool_cached`` gives
 MaxPool2D's cache a third item, ReLU's keep mask at the picks, and the ReLU a
-cache of None.
+cache of None. Every MaxPool2D pick, fused or not, is ``_first_taps``'s: a
+tile's first tap equal to its max, as ``np.argmax`` picks. A tile holding NaN
+picks its first NaN, and after ReLU a ±0-max tile holds tied zeros: tap 0.
 
 Row locality: every layer but Dense computes a row's bits from that row
 alone, so they do not depend on the rows run with it. ReLU, MaxPool2D,
@@ -360,22 +362,6 @@ def _tile_max(x: np.ndarray, s: int) -> np.ndarray:
     return peak
 
 
-def _tap_offsets(s: int, w: int) -> np.ndarray:
-    """Flat offset of each tile element from the tile's top-left, in rows ``w`` wide."""
-    return np.array([i * w + j for i in range(s) for j in range(s)])
-
-
-def _tile_picks(x: np.ndarray, s: int, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elements (K, s·s) of the K tiles at flat output positions ``tiles``, and argmax's picks.
-
-    Element ``i*s + j`` of a tile is the one at its row i, column j.
-    """
-    w = x.shape[-1]
-    row, col = np.divmod(tiles, w // s)  # row counts (example, channel, tile row) together
-    values = np.take(x, (row * (s * w) + s * col)[:, None] + _tap_offsets(s, w))
-    return values, values.argmax(axis=-1)
-
-
 def _first_taps(x: np.ndarray, s: int, peak: np.ndarray) -> np.ndarray:
     """Index ``i*s + j`` of each tile's first tap equal to ``peak``, s·s - 1 where none is.
 
@@ -396,22 +382,23 @@ def _flat_picks(shape: tuple, s: int, first: np.ndarray) -> np.ndarray:
     n, c, h, w = shape
     # each tile's top-left element; a row counts (example, channel, tile row) together
     corner = (s * w) * np.arange(n * c * (h // s))[:, None] + s * np.arange(w // s)
-    return corner.reshape(first.shape) + np.take(_tap_offsets(s, w), first)
+    taps = np.array([i * w + j for i in range(s) for j in range(s)])  # offsets from the top-left
+    return corner.reshape(first.shape) + np.take(taps, first)
 
 
 def _maxpool(x: np.ndarray, s: int):
     """Max over each s×s tile plus the cache: x's shape, each max's flat position in x, and None.
 
-    The first tap equal to the tile max is ``np.argmax``'s pick. A tile
-    holding NaN has no tap equal to its max and takes ``np.argmax`` instead.
-    The outputs are gathered from the picked elements, so they carry the
-    first maximal element's bits (see ``_tile_max``).
+    Each tile picks its first tap equal to its max, ``np.argmax``'s pick; a
+    tile holding NaN, which no tap equals, picks its first NaN. The outputs
+    are gathered from the picked elements, so they carry the first maximal
+    element's bits (see ``_tile_max``).
     """
     peak = _tile_max(x, s)
     first = _first_taps(x, s, peak)
-    nan = np.flatnonzero(np.isnan(peak))
-    if nan.size:
-        first.reshape(-1)[nan] = _tile_picks(x, s, nan)[1]
+    nan = np.isnan(peak)
+    if nan.any():
+        first[nan] = _first_taps(np.isnan(x), s, nan)[nan]
     flat = _flat_picks(x.shape, s, first)
     return np.take(x, flat), (x.shape, flat, None)
 
@@ -424,7 +411,7 @@ def _relu_pool(x: np.ndarray, s: int) -> np.ndarray | None:
     zero, so a tile whose max is positive keeps that max, and a tile whose
     max is negative gives -0.0 both ways: ``np.maximum(max, -0.0)`` is one
     or the other. After ReLU a tile whose max is ±0 holds only zeros, all
-    tied, so ``np.argmax`` picks its first element: that element times 0.0.
+    tied, so its first tap equal to the max is tap 0: that element times 0.0.
     An input holding a NaN or -inf must run the two layers, because ReLU maps
     -inf to NaN (-inf · 0, with numpy's invalid-value warning), which a max
     taken first would pass over.
@@ -432,10 +419,10 @@ def _relu_pool(x: np.ndarray, s: int) -> np.ndarray | None:
     if not x.min(initial=np.inf) > -np.inf:
         return None
     peak = _tile_max(x, s)
-    zero = np.flatnonzero(peak == 0)
+    zero = peak == 0
     np.maximum(peak, -0.0, out=peak)
-    if zero.size:
-        peak.reshape(-1)[zero] = _tile_picks(x, s, zero)[0][:, 0] * 0.0
+    if zero.any():
+        np.multiply(x[:, :, ::s, ::s], 0.0, out=peak, where=zero)
     return peak
 
 

@@ -1814,6 +1814,17 @@ class TestTiming:
         assert result.exit_code == 2
         assert "ascending" in result.stderr
 
+    def test_size_beyond_the_pool_fails_before_any_training(self, tmp_path, monkeypatch):
+        trained = []
+        train_round = adval.experiments.train_round
+        monkeypatch.setattr(
+            adval.experiments, "train_round", lambda *args: trained.append(args) or train_round(*args)
+        )
+        cfg = load_experiment_config(write_config(tmp_path))
+        with pytest.raises(ConfigError, match=r"^--sizes 1000: must be below the pool's 120 samples$"):
+            run_timing(cfg, [6, 1000], repetitions=1)
+        assert trained == []
+
     def test_labeled_size_below_class_count_names_option(self, tmp_path):
         config = write_config(tmp_path)
         result = CliRunner().invoke(

@@ -417,7 +417,7 @@ class TestMaxPoolReference:
         want = _forward_caches(state, x, stop=stop)[0]
         assert nn.embed_batch(state, x).tobytes() == want.tobytes()
         # the dense layers add a ±0.0 input's product to nonzero sums, so check the pool itself
-        pooled = _forward_caches(state, x, stop=3)[0]
+        pooled = reference_forward_caches(state, x, stop=3)[0]
         assert _evaluate(state, x, stop=3).tobytes() == pooled.tobytes()
 
 
@@ -907,10 +907,10 @@ class TestChunkedEvaluation:
 
 
 def per_chunk(state, x, stop=None, dropout_seed=None):
-    """``layers[:stop]`` by ``_forward_caches`` on each ``_CHUNK``-row slice, one mask stream."""
+    """``layers[:stop]`` layer by layer on each ``_CHUNK``-row slice, one mask stream."""
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     chunks = [x[lo : lo + _CHUNK] for lo in range(0, len(x), _CHUNK)]
-    return np.concatenate([_forward_caches(state, c, stop=stop, rng=rng)[0] for c in chunks])
+    return np.concatenate([reference_forward_caches(state, c, stop=stop, rng=rng)[0] for c in chunks])
 
 
 class TestBlockedEvaluation:
