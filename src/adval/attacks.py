@@ -59,7 +59,7 @@ class AdversarialResult:
     iterations: int
     success: bool
     adversarial_label: int | None
-    original_label: int | None  # None when the starting point's logits are non-finite
+    original_label: int | None  # None when the attack fails at the starting point itself
 
     def score(self) -> float:
         """Selection score: perturbation size, +inf for failed attacks."""
@@ -154,7 +154,8 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
     euclidean norm is one BLAS ddot per candidate, as ``np.linalg.norm`` of
     that candidate's vector is (``_euclidean_norms``). The norms of the
     results that stop in one iteration come from one call of the same kind
-    (``_lp_norms``).
+    (``_lp_norms``). Rows with a non-finite Jacobian step with the rest, as
+    steps are row-local, and one mask, ``ok``, marks every failed candidate.
     """
     p = float(cfg.p)
     scale = 1.0 + cfg.overshoot
@@ -162,10 +163,6 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
     x0 = x0.reshape(len(x0), -1)
     r_total = np.zeros_like(x0)
     results = [None] * len(x0)
-
-    def perturbation(i):
-        return (scale * r_total[i]).reshape(shape)
-
     active = np.arange(len(x0))  # the candidates still attacking, by position in the group
     point = x0
     iterations = 0
@@ -174,29 +171,23 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
         if not iterations:
             orig = logits.argmax(axis=1)
         current = logits.argmax(axis=1)
-        finite = np.isfinite(logits).all(axis=1)
-        for i in active[~finite]:  # at x itself no class was ever predicted: no label
-            results[i] = _result(perturbation(i), iterations, int(orig[i]) if iterations else None)
-        stop = finite & ((current != orig[active]) | (iterations == cfg.max_iter))
+        ok = np.isfinite(logits).all(axis=1)
+        stop = ok & ((current != orig[active]) | (iterations == cfg.max_iter))
+        rows = np.flatnonzero(ok & ~stop)  # the rows that step, in this linearization
+        jac = jacobian(rows).reshape(len(rows), logits.shape[1], x0.shape[1])
+        k, o, f = np.arange(len(rows)), orig[active[rows]], logits[rows]
+        step, finite = _min_boundary_step(f - f[k, o][:, None], jac - jac[k, o][:, None], p)
+        ok[rows] = np.isfinite(jac).all(axis=(1, 2)) & finite
+        for i in active[~ok]:  # an attack that fails at x itself reports no label
+            label = int(orig[i]) if iterations else None
+            results[i] = _result((scale * r_total[i]).reshape(shape), iterations, label)
         done = active[stop]
         deltas = scale * r_total[done]
         for i, label, delta, norm in zip(done, current[stop], deltas, _lp_norms(deltas, p)):
             results[i] = _result(delta.reshape(shape), iterations, int(orig[i]), int(label), float(norm))
-        rows = np.flatnonzero(finite & ~stop)  # the rows that step, in this linearization
-        active = active[rows]
-        if not active.size:
-            break
-        jac = jacobian(rows).reshape(len(rows), logits.shape[1], -1)
-        finite = np.isfinite(jac).all(axis=(1, 2))
-        for i in active[~finite]:  # at x itself no label, as for non-finite logits there
-            results[i] = _result(perturbation(i), iterations, int(orig[i]) if iterations else None)
-        active, rows, jac = active[finite], rows[finite], jac[finite]
-        k, o, f = np.arange(len(rows)), orig[active], logits[rows]
-        step, finite = _min_boundary_step(f - f[k, o][:, None], jac - jac[k, o][:, None], p)
-        for i in active[~finite]:
-            results[i] = _result(perturbation(i), iterations, int(orig[i]))
-        active = active[finite]
-        r_total[active] += step[finite]
+        stepped = ok[rows]
+        active = active[rows[stepped]]
+        r_total[active] += step[stepped]
         iterations += 1
         # The overshot point doubles as flip probe and next linearization point.
         point = x0[active] + scale * r_total[active]

@@ -74,7 +74,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         require_at_least(self, class_count=2, seed=0, points_per_class=1, dimension=1)
-        if self.cov_scale <= 0:
+        if not self.cov_scale > 0:
             raise ConfigError(f"cov_scale must be positive, got {self.cov_scale}")
 
 

@@ -48,7 +48,7 @@ def require_at_least(obj, **minimums) -> None:
     """
     for name, minimum in minimums.items():
         value = getattr(obj, name)
-        if value is not None and value < minimum:
+        if value is not None and not value >= minimum:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 

@@ -159,22 +159,20 @@ def init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> PoolState:
         raise ConfigError(f"{initial_labeled} labels exceed the pool's {len(dataset)} samples")
     rng = np.random.default_rng(seed)
     per_class = initial_labeled // c
-    chosen: list[int] = []
+    chosen: list[np.ndarray] = []
     leftover: list[np.ndarray] = []
     for cls in range(c):
         members = rng.permutation(np.flatnonzero(dataset.labels == cls))
         if len(members) < per_class:
             raise ConfigError(f"class {cls} has only {len(members)} samples, need {per_class}")
-        chosen.extend(int(i) for i in members[:per_class])
+        chosen.append(members[:per_class])
         leftover.append(members[per_class:])
-    rest = np.concatenate(leftover)
     extra = initial_labeled - per_class * c
     if extra:
-        chosen.extend(int(i) for i in rng.choice(rest, size=extra, replace=False))
-    chosen_sorted = sorted(chosen)
-    labeled = tuple((i, int(dataset.labels[i])) for i in chosen_sorted)
-    chosen_set = set(chosen_sorted)
-    unlabeled = tuple(i for i in range(len(dataset)) if i not in chosen_set)
+        chosen.append(rng.choice(np.concatenate(leftover), size=extra, replace=False))
+    picked = np.sort(np.concatenate(chosen))
+    labeled = tuple(zip(picked.tolist(), dataset.labels[picked].tolist()))
+    unlabeled = tuple(np.setdiff1d(np.arange(len(dataset)), picked).tolist())
     return PoolState(labeled=labeled, unlabeled=unlabeled, synthetic=())
 
 

@@ -166,24 +166,6 @@ def _forward_caches(state, x, *, start=0, stop=None, rng=None, param_grads=True)
     return _forward(state, x, start, stop, rng, caches, param_grads), caches
 
 
-def _param_grads(state, caches, dlogits, out=None):
-    """Per-layer parameter gradients; None for parameterless layers.
-
-    Backpropagation stops at the lowest layer that has parameters, so the
-    gradient w.r.t. that layer's input (which nothing reads) is never formed.
-    ``out`` (per-layer arrays shaped like ``state.params``) receives the gradients.
-    """
-    layers = state.spec.layers
-    lowest = _first_index(state.spec, L.PARAM_KINDS)
-    grads = list(out or [None] * len(layers))
-    dy = dlogits
-    for i in range(len(layers) - 1, lowest - 1, -1):
-        dy, grads[i] = L.backward(
-            layers[i], state.params[i], caches[i], dy, input_grad=i > lowest, out=grads[i]
-        )
-    return tuple(grads)
-
-
 def _input_grad(state, caches, dy, start=0, stop=None):
     """Gradient w.r.t. the input of ``layers[start:stop]``, with no parameter gradients formed.
 
@@ -206,12 +188,15 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_param_grads(state, x, labels, *, rng=None, out=None):
-    """Mean cross-entropy over the batch plus gradients for every parameter (into ``out``).
+    """Mean cross-entropy over the batch plus per-layer parameter gradients, None for
+    parameterless layers, into ``out`` (per-layer arrays shaped like ``state.params``).
 
     Loss and gradient come from the max-shifted exponentials ``e = exp(z)``,
     the gradient's softmax being ``e / sum(e)`` (bit for bit ``softmax_probs``):
     ``mean(log(sum(e)) - z[label])`` stays finite at saturated logits, where
-    the log of an underflowed probability would not.
+    the log of an underflowed probability would not. Backpropagation stops at
+    the lowest layer that has parameters, so the gradient w.r.t. that layer's
+    input (which nothing reads) is never formed.
     """
     x = _check_batch(state.spec, x)
     logits, caches = _forward_caches(state, x, rng=rng)
@@ -220,10 +205,15 @@ def loss_and_param_grads(state, x, labels, *, rng=None, out=None):
     e = np.exp(z)
     s = e.sum(axis=-1, keepdims=True)
     loss = float((np.log(s[:, 0]) - z[rows, labels]).sum() / len(labels))  # np.mean's bits
-    dlogits = np.divide(e, s, out=e)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= len(labels)
-    return loss, _param_grads(state, caches, dlogits, out)
+    dy = np.divide(e, s, out=e)
+    dy[rows, labels] -= 1.0
+    dy /= len(labels)
+    layers, params = state.spec.layers, state.params
+    lowest = _first_index(state.spec, L.PARAM_KINDS)
+    grads = list(out or [None] * len(layers))
+    for i in range(len(layers) - 1, lowest - 1, -1):
+        dy, grads[i] = L.backward(layers[i], params[i], caches[i], dy, input_grad=i > lowest, out=grads[i])
+    return loss, tuple(grads)
 
 
 def _check_label(spec: NetworkSpec, label: int) -> int:

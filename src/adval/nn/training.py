@@ -43,9 +43,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         require_at_least(self, batch_size=1, epochs=1)
         for name in ("beta1", "beta2"):

@@ -158,7 +158,7 @@ def bald_probability_samples(
     """
     if not net.spec.has_dropout():
         raise UnsupportedArchitectureError("BALD needs a dropout layer in the network")
-    if samples < 2:
+    if not samples >= 2:
         raise ConfigError(f"BALD needs at least 2 dropout samples, got {samples}")
     out = np.empty((samples, len(inputs), net.spec.class_count), dtype=DTYPE)
     for t in range(samples):
@@ -225,7 +225,7 @@ def select_ceal(
     training set under their predicted class without charging an annotation.
     Those labels can be wrong; corruption is tracked downstream, not prevented.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ConfigError(f"confidence threshold must be >= 0, got {delta}")
     probs = softmax_probs(forward_batch(net, pool))
     scores = prediction_entropy(probs)

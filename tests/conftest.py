@@ -10,7 +10,7 @@ import adval.loop
 from adval import nn
 from adval.attacks import AdversarialResult
 from adval.data import Dataset, SyntheticSpec, gen_blobs
-from adval.errors import InputError
+from adval.errors import ConfigError, InputError
 from adval.nn import (
     Conv2D,
     Dense,
@@ -217,7 +217,7 @@ def reference_deepfool(net, x, cfg) -> AdversarialResult:
             return _reference_result(scale * r_total, p, iterations, None, None, orig if iterations else None)
         step = _reference_boundary_step(logits[others] - logits[orig], jac[others] - jac[orig], p)
         if step is None:
-            return _reference_result(scale * r_total, p, iterations, None, None, orig)
+            return _reference_result(scale * r_total, p, iterations, None, None, orig if iterations else None)
         r_total = r_total + step
         iterations += 1
         logits, jac = reference_logits_and_jacobian(net, x0 + scale * r_total)
@@ -243,6 +243,34 @@ def reference_egl_scores(state, inputs) -> np.ndarray:
             total += probs[i, c] * np.sqrt(sq)
         scores[i] = total
     return scores
+
+
+def reference_init_pools(dataset: Dataset, initial_labeled: int, seed: int) -> adval.loop.PoolState:
+    """The stratified round-0 pools drawn index by index, with a set scan for the unlabeled rows."""
+    c = dataset.class_count
+    if initial_labeled < c:
+        raise ConfigError(f"{initial_labeled} labels cannot cover {c} classes")
+    if initial_labeled > len(dataset):
+        raise ConfigError(f"{initial_labeled} labels exceed the pool's {len(dataset)} samples")
+    rng = np.random.default_rng(seed)
+    per_class = initial_labeled // c
+    chosen: list[int] = []
+    leftover: list[np.ndarray] = []
+    for cls in range(c):
+        members = rng.permutation(np.flatnonzero(dataset.labels == cls))
+        if len(members) < per_class:
+            raise ConfigError(f"class {cls} has only {len(members)} samples, need {per_class}")
+        chosen.extend(int(i) for i in members[:per_class])
+        leftover.append(members[per_class:])
+    rest = np.concatenate(leftover)
+    extra = initial_labeled - per_class * c
+    if extra:
+        chosen.extend(int(i) for i in rng.choice(rest, size=extra, replace=False))
+    chosen_sorted = sorted(chosen)
+    labeled = tuple((i, int(dataset.labels[i])) for i in chosen_sorted)
+    chosen_set = set(chosen_sorted)
+    unlabeled = tuple(i for i in range(len(dataset)) if i not in chosen_set)
+    return adval.loop.PoolState(labeled=labeled, unlabeled=unlabeled, synthetic=())
 
 
 def _unit_directions(dimension: int, count: int) -> np.ndarray:

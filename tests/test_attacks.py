@@ -487,6 +487,15 @@ class TestAgainstSequentialReference:
         results = self.assert_matches_reference(state, xs, AttackConfig())
         assert results[0].success and results[0].norm < 1e-3
 
+    @pytest.mark.parametrize("p", [2.0, np.inf], ids=["l2", "linf"])
+    def test_no_boundary_fails_at_x_with_no_label(self, p):
+        # equal weight columns: f_1 - f_0 = 1 at every input, so no step has a finite margin
+        state = linear_state(np.array([[1.0, -2.0], [1.0, -2.0]]), np.array([0.0, 1.0]))
+        xs = np.array([[0.0, 0.0], [3.0, 1.0], [-1.0, 5.0]])
+        for res in self.assert_matches_reference(state, xs, AttackConfig(p=p)):
+            assert (res.success, res.norm, res.iterations, res.original_label) == (False, np.inf, 0, None)
+            assert res.perturbation.tobytes() == np.zeros(2).tobytes()
+
     def test_empty_batch(self):
         net, _ = lockstep_case("arch-B")
         assert batch_deepfool(net, np.empty((0, 2))) == []

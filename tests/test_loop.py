@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import count_calls
+from conftest import count_calls, reference_init_pools
 
 import adval.loop
 from adval.attacks import AttackConfig
@@ -105,6 +105,28 @@ class TestInitPools:
         pools = init_pools(ds, 9, seed=3)
         for i, label in pools.labeled:
             assert label == ds.labels[i]
+
+    def test_matches_the_index_by_index_reference(self):
+        # random class counts, pool sizes and label counts; the cases that raise must raise alike
+        rng = np.random.default_rng(11)
+        equal = raised = 0
+        for _ in range(300):
+            c = int(rng.integers(2, 7))
+            labels = rng.integers(0, c, size=int(rng.integers(c, 80)))
+            ds = Dataset(np.zeros((len(labels), 1)), labels, c)
+            count, seed = int(rng.integers(c - 1, len(labels) + 2)), int(rng.integers(2**32))
+            try:
+                want = reference_init_pools(ds, count, seed)
+            except ConfigError as error:
+                with pytest.raises(ConfigError) as got:
+                    init_pools(ds, count, seed)
+                assert str(got.value) == str(error)
+                raised += 1
+                continue
+            pools = init_pools(ds, count, seed)
+            assert pools == want and repr(pools) == repr(want)
+            equal += 1
+        assert equal > 150 and raised > 30
 
 
 class TestSampleCandidates:
@@ -400,6 +422,24 @@ class TestConfigValidation:
             ActiveConfig(network=net, strategy="dfal", initial_labeled=2)
         with pytest.raises(ConfigError):
             ActiveConfig(network=net, strategy="dfal", budget=5, initial_labeled=10)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (AttackConfig, "overshoot"),
+            (AttackConfig, "max_iter"),
+            (TrainConfig, "learning_rate"),
+            (TrainConfig, "epsilon"),
+            (SyntheticSpec, "cov_scale"),
+            (ActiveSettings, "ceal_delta"),
+            (ActiveSettings, "base_steps"),
+        ],
+    )
+    def test_nan_bound_is_rejected_by_name(self, kind, field):
+        # NaN compares false with every minimum, so a bound written as `value < minimum` let it through
+        required = {"class_count": 3, "points_per_class": 5} if kind is SyntheticSpec else {}
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            kind(**required, **{field: float("nan")})
 
 
 FULL_POOL = tuple(sid for sid in STRATEGY_IDS if not STRATEGIES[sid].scores_subset)

@@ -296,6 +296,10 @@ class TestCeal:
         with pytest.raises(ConfigError):
             select_ceal(trained3, pool_of(blobs3, 5), 1, delta=-1.0)
 
+    def test_nan_delta_rejected(self, trained3, blobs3):
+        with pytest.raises(ConfigError, match="^confidence threshold must be >= 0, got nan$"):
+            select_ceal(trained3, pool_of(blobs3, 5), 1, delta=float("nan"))
+
 
 def egl_net(name):
     """A network whose EGL scores are checked against the per-class reference."""
@@ -420,6 +424,11 @@ class TestBald:
         spec = NetworkSpec((2,), (Dense(2, 4), Dropout(0.2), Dense(4, 3)), 3)
         with pytest.raises(ConfigError):
             bald_scores(nn.init_network(spec), blobs3.inputs[:3], samples=1)
+
+    def test_nan_samples_rejected(self, blobs3):
+        spec = NetworkSpec((2,), (Dense(2, 4), Dropout(0.2), Dense(4, 3)), 3)
+        with pytest.raises(ConfigError, match="^BALD needs at least 2 dropout samples, got nan$"):
+            bald_scores(nn.init_network(spec), blobs3.inputs[:3], samples=float("nan"))
 
     def test_deterministic_given_seed(self, blobs3):
         spec = NetworkSpec((2,), (Dense(2, 8), ReLU(), Dropout(0.5), Dense(8, 3)), 3, 5)
