@@ -30,7 +30,7 @@ import numpy as np
 
 from adval.errors import ConfigError, require_at_least
 from adval.nn.layers import DTYPE
-from adval.nn.network import _CHUNK, NetworkState, logits_and_deferred_jacobian
+from adval.nn.network import _CHUNK, NetworkState, _has_conv_head, _in_order, logits_and_deferred_jacobian
 # Re-exported for perfbench, whose tracer wraps adval.attacks.logits_and_input_jacobian.
 from adval.nn.network import logits_and_input_jacobian  # noqa: F401
 
@@ -172,7 +172,7 @@ def _attack_group(net: NetworkState, x0: np.ndarray, cfg: AttackConfig) -> list[
             orig = logits.argmax(axis=1)
         current = logits.argmax(axis=1)
         ok = np.isfinite(logits).all(axis=1)
-        stop = ok & ((current != orig[active]) | (iterations == cfg.max_iter))
+        stop = ok & ((current != orig[active]) | (iterations >= cfg.max_iter))
         rows = np.flatnonzero(ok & ~stop)  # the rows that step, in this linearization
         jac = jacobian(rows).reshape(len(rows), logits.shape[1], x0.shape[1])
         k, o, f = np.arange(len(rows)), orig[active[rows]], logits[rows]
@@ -204,10 +204,20 @@ def batch_deepfool(
     The inputs are attacked in lockstep groups of ``_CHUNK // C`` from row 0,
     the block size of ``egl_scores``. Each element is ``deepfool``'s result
     for its input, bit for bit (see ``_attack_group``). Any error, such as
-    the InputError of a wrongly shaped input, raises.
+    the InputError of a wrongly shaped input, raises, the first failing
+    group's first.
+
+    With a Conv2D below the first Dense layer, each group is one item of
+    ``network._in_order``: up to ``_CPUS`` groups are attacked at a time on
+    threads, so the peak memory follows ``_CPUS`` groups, and the results
+    are joined in group order. Other networks attack one group at a time.
     """
     group = max(1, _CHUNK // net.spec.class_count)
+
+    def attack(lo):
+        return _attack_group(net, np.asarray(xs[lo : lo + group], dtype=DTYPE), cfg)
+
     results = []
-    for lo in range(0, len(xs), group):
-        results += _attack_group(net, np.asarray(xs[lo : lo + group], dtype=DTYPE), cfg)
+    for part in _in_order(attack, range(0, len(xs), group), _has_conv_head(net.spec)):
+        results += part
     return results

@@ -165,7 +165,7 @@ def run(config_path, out_dir, seeds, strategies):
 @click.option("--target-accuracy", type=float, default=None, help="Report cost to first reach this accuracy.")
 @click.option("--out", "out_dir", default=None, help="Also write compare.csv here.")
 def compare(metrics_path, checkpoints, target_accuracy, out_dir):
-    """Summarize mean accuracy per strategy at annotation checkpoints."""
+    """Summarize mean accuracy, with its seed sd, per strategy at annotation checkpoints."""
     cps = parse_int_list(checkpoints, "--checkpoints")
     if target_accuracy is not None and not 0.0 <= target_accuracy <= 1.0:  # NaN fails too
         raise ConfigError(f"--target-accuracy must be in [0, 1], got {target_accuracy}")
@@ -173,19 +173,28 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
     with prefixed(FormatError, f"{metrics_path}: "):  # rounds that do not line up across seeds
         summaries = compare_metrics(rows, cps, target_accuracy)
 
-    header = ["strategy", *[f"acc@{cp}" for cp in cps]]
+    target_header = []
     if target_accuracy is not None:
-        header += [f"annotations_to_{target_accuracy}", f"labeled_data_to_{target_accuracy}"]
-    click.echo("  ".join(f"{h:>18}" for h in header))
+        target_header = [f"annotations_to_{target_accuracy}", f"labeled_data_to_{target_accuracy}"]
+    # stdout shows each mean with its seed sd beside it; compare.csv gives the sd a column
+    click.echo("  ".join(f"{h:>18}" for h in ["strategy", *[f"acc@{cp}" for cp in cps], *target_header]))
     out_rows = []
     for s in summaries:
-        values = (s.checkpoint_accuracy[cp] for cp in cps)
-        cells = [s.strategy, *("absent" if v is None else f"{v:.4f}" for v in values)]
+        pairs = []
+        for cp in cps:
+            mean, sd = s.checkpoint_accuracy[cp], s.checkpoint_sd[cp]
+            if mean is None:
+                pairs.append(("absent", "absent"))
+            else:
+                pairs.append((f"{mean:.4f}", "-" if sd is None else f"{sd:.4f}"))
+        target = []
         if target_accuracy is not None:
             prefix = "" if s.target_reached else ">="
-            cells += [f"{prefix}{s.target_annotations}", f"{prefix}{s.target_labeled_data:.1f}"]
-        click.echo("  ".join(f"{c:>18}" for c in cells))
-        out_rows.append(cells)
+            target = [f"{prefix}{s.target_annotations}", f"{prefix}{s.target_labeled_data:.1f}"]
+        shown = [mean if sd == "absent" else f"{mean} ± {sd}" for mean, sd in pairs]
+        click.echo("  ".join(f"{c:>18}" for c in [s.strategy, *shown, *target]))
+        out_rows.append([s.strategy, *(c for pair in pairs for c in pair), *target])
+    header = ["strategy", *(f"{h}@{cp}" for cp in cps for h in ("acc", "sd")), *target_header]
     if out_dir is not None:
         click.echo(f"wrote {write_table(_out_dir(out_dir) / 'compare.csv', header, out_rows)}")
 

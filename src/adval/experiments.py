@@ -194,6 +194,7 @@ def run_grid(cfg: ExperimentConfig) -> Iterator[list]:
 class CheckpointSummary:
     strategy: str
     checkpoint_accuracy: dict  # checkpoint -> mean accuracy over seeds, or None
+    checkpoint_sd: dict  # checkpoint -> sample sd (ddof=1) over seeds, or None: absent or one seed
     target_annotations: int | None = None
     target_labeled_data: float | None = None
     target_reached: bool = True
@@ -203,13 +204,18 @@ def _mean(group: list[dict], column: str) -> float:
     return float(np.mean([g[column] for g in group]))
 
 
+def _sd(group: list[dict], column: str) -> float | None:
+    return float(np.std([g[column] for g in group], ddof=1)) if len(group) > 1 else None
+
+
 def compare_metrics(
     rows: list[dict], checkpoints, target_accuracy: float | None = None
 ) -> list[CheckpointSummary]:
-    """Per strategy: mean accuracy over seeds at each annotation checkpoint.
+    """Per strategy: mean and sample sd of accuracy over seeds at each annotation checkpoint.
 
     Each strategy's rows are grouped by round once, each group in ascending
-    seed order, and every figure is a mean over one group. Rounds line up
+    seed order, and every figure is a mean over one group, or at a checkpoint
+    also its sample standard deviation (ddof=1; None for one seed). Rounds line up
     across seeds: a group that repeats a seed, lacks a seed some other round
     of the strategy has, or whose seeds disagree on the annotations, is a
     ``FormatError`` naming the strategy and the round. A
@@ -240,16 +246,17 @@ def compare_metrics(
                     f"which other rounds of the strategy have"
                 )
 
-        per_checkpoint = {}
+        means, sds = {}, {}
         for cp in checkpoints:
             below = [g for g in groups if g[0]["annotations"] <= cp]
-            per_checkpoint[cp] = _mean(below[-1], "test_accuracy") if below else None
+            means[cp] = _mean(below[-1], "test_accuracy") if below else None
+            sds[cp] = _sd(below[-1], "test_accuracy") if below else None
         target = ()
         if target_accuracy is not None:
             reached = next((g for g in groups if _mean(g, "test_accuracy") >= target_accuracy), None)
             group = reached or groups[-1]
             target = group[0]["annotations"], _mean(group, "labeled_data"), reached is not None
-        summaries.append(CheckpointSummary(strategy, per_checkpoint, *target))
+        summaries.append(CheckpointSummary(strategy, means, sds, *target))
     return summaries
 
 

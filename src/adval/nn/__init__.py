@@ -6,8 +6,14 @@ freed heap is kept for reuse. glibc raises the thresholds only when it frees
 an mmapped array larger than the current one, so left alone, the speed of a
 training step depends on what the process happened to free before it. An
 arch-A step on 32 rows of 28×28 whose temporaries go back to the system and
-fault in again each time takes about 6.5 ms instead of 3.6 ms. Other C
-libraries are left alone.
+fault in again each time takes about 6.5 ms instead of 3.6 ms.
+
+It also caps glibc at one malloc arena, so the threads that score pools and
+attack DeepFool groups (``network._in_order``) allocate from the main heap and
+reuse what training freed. Left alone, glibc gives each thread an arena of its
+own, and the peak RSS of perfbench's images-dfal run went from 71.5 to 92.4 MB
+on a 2-CPU host; with one arena it reads 73.7 MB. Other C libraries are left
+alone.
 """
 
 import ctypes
@@ -37,8 +43,10 @@ def _fix_malloc_thresholds() -> None:
         return
     if libc.startswith("glibc"):
         mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _fix_malloc_thresholds()

@@ -23,7 +23,9 @@ Conv2D's batched product runs one product per example, and its input
 gradient runs one example at a time, with that example's leading seeds as
 the batch of an ordinary call. A Dense layer's matrix product may round a row
 differently with another row count. This is what lets a network split,
-block and stack its rows with the bits of one pass.
+block and stack its rows with the bits of one pass, and run them on threads:
+a kernel reads only its arguments, so where and beside which other rows a
+row runs does not change its bits.
 
 Conv2D's forward copies its receptive fields into im2col columns laid out
 (N, C·k·k, Ho·Wo) and multiplies them by the (F, C·k·k) kernel matrix in one

@@ -7,16 +7,23 @@ treated as immutable once created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import contextvars
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 import numpy as np
 
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError, require_at_least
 from adval.nn import layers as L
-from adval.nn.layers import DTYPE, Dense, Dropout, LayerSpec, MaxPool2D, ReLU
+from adval.nn.layers import DTYPE, Conv2D, Dense, Dropout, LayerSpec, MaxPool2D, ReLU
 
 _CHUNK = 256  # rows per chunk of a batched evaluation
 _BLOCK = 32  # rows per block of the layers below the first Dense or Dropout layer
+# CPUs this process may run on: the threads of ``_in_order`` and its items in flight
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,14 @@ def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarra
     blocks draw nothing from the generator. The layers above then run on the
     whole chunk, as an unblocked pass runs them, keeping the Dense layers'
     chunk-sized products.
+
+    With a Conv2D below the first Dense layer (arch-A), each chunk's head, its
+    gather, shape check and blocks, is one item of ``_in_order``: up to
+    ``_CPUS`` heads run ahead on threads, and the calling thread runs the
+    layers above in chunk order, drawing every dropout mask from its one
+    generator. The bytes are those of the inline pass, which the other
+    networks keep, and the peak memory follows ``_CPUS`` chunks. A chunk that
+    fails its shape check raises after the chunks before it, as inline.
     """
     spec = state.spec
     if not len(x):
@@ -113,16 +128,78 @@ def _evaluate(state: NetworkState, x, stop=None, dropout_seed=None) -> np.ndarra
     stop = len(spec.layers) if stop is None else stop
     split = min(stop, _first_index(spec, (Dense, Dropout)))
     shapes = spec.shape_chain()
-    out = np.empty((len(x), *shapes[stop]), DTYPE)
-    below = np.empty((min(len(x), _CHUNK), *shapes[split]), DTYPE)
-    for lo in range(0, len(x), _CHUNK):
+
+    def head(lo):
         rows = _check_batch(spec, x[lo : lo + _CHUNK])
-        h = below[: len(rows)]
+        h = np.empty((len(rows), *shapes[split]), DTYPE)
         for b in range(0, len(rows), _BLOCK):
-            block = rows[b : b + _BLOCK]
-            h[b : b + _BLOCK] = _forward(state, block, 0, split)
-        out[lo : lo + _CHUNK] = _forward(state, h, split, stop, rng)
+            h[b : b + _BLOCK] = _forward(state, rows[b : b + _BLOCK], 0, split)
+        return h
+
+    out = np.empty((len(x), *shapes[stop]), DTYPE)
+    chunks = range(0, len(x), _CHUNK)
+    heads = _in_order(head, chunks, _has_conv_head(spec))
+    for lo in chunks:  # no name holds a head while the next one runs
+        out[lo : lo + _CHUNK] = _forward(state, next(heads), split, stop, rng)
     return out
+
+
+_pool = None  # the threads of ``_in_order``, created at its first threaded call
+_pool_lock = threading.Lock()
+_worker = threading.local()  # ``_worker.busy`` is set in the pool's own threads
+
+
+def _mark_worker():
+    _worker.busy = True
+
+
+def _drop_pool():
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _in_order(fn, items, threaded):
+    """Yield ``fn(item)`` for each of the sized ``items``, in item order.
+
+    Threaded, up to ``_CPUS`` items are computed ahead on one process-wide
+    pool of threads, so at most ``_CPUS`` results wait or run at a time. Each
+    task runs in a copy of the caller's ``contextvars`` context, where numpy
+    keeps ``np.errstate``, and the first failing item's exception is raised
+    in order, once the items still running have ended. It runs inline, as
+    ``map`` does, when not ``threaded``, on one CPU, for at most one item,
+    and when called from a task of the pool, so that no task waits on the
+    pool it runs on.
+    """
+    global _pool
+    if not threaded or _CPUS < 2 or len(items) < 2 or getattr(_worker, "busy", False):
+        yield from map(fn, items)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_CPUS, "adval", initializer=_mark_worker)
+        pool = _pool
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == _CPUS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+def _has_conv_head(spec: NetworkSpec) -> bool:
+    """Whether a Conv2D runs below the first Dense layer: the passes worth threading."""
+    return any(isinstance(l, Conv2D) for l in spec.layers[: _first_index(spec, Dense)])
 
 
 def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) -> np.ndarray:

@@ -20,11 +20,29 @@ from adval.nn import (
     NetworkSpec,
     ReLU,
     TrainConfig,
+    network,
 )
 from adval.nn.layers import _conv_windows
 from adval.nn.layers import backward as layer_backward
 from adval.nn.layers import forward as layer_forward
 from adval.nn.network import _check_batch, _check_label, _forward_caches, _input_grad
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``network._in_order`` run as on n CPUs, on a pool of its own for the test."""
+    monkeypatch.setattr(network, "_pool", None)
+    yield lambda n: monkeypatch.setattr(network, "_CPUS", n)
+    if network._pool is not None:
+        network._pool.shutdown(wait=False)  # a deadlocked task must fail its test, not hang it
+
+
+def inline_and_threaded(cpus, fn, threads=3):
+    """``fn()`` run inline, as on one CPU, and then on ``threads`` CPUs."""
+    cpus(1)
+    inline = fn()
+    cpus(threads)
+    return inline, fn()
 
 
 def random_dense_spec(rng: np.random.Generator, with_dropout: bool = False) -> NetworkSpec:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import forward, lp_norm, random_conv_spec, reference_deepfool
+from conftest import forward, inline_and_threaded, lp_norm, random_conv_spec, reference_deepfool
 
 from adval import nn
 from adval.attacks import AdversarialResult, AttackConfig, batch_deepfool, deepfool
@@ -371,18 +371,21 @@ class TestJacobianMemory:
         assert all(cols is None for _, cols in conv[1:])
         assert all(cache is None for layer, cache in kept if isinstance(layer, Dense))
 
-    def test_peak_is_about_one_group(self):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_peak_is_about_one_group(self, cpus, n_cpus):
+        cpus(n_cpus)  # groups attacked at a time
         net, xs = lockstep_case("arch-A")
-        xs = np.concatenate([xs] * 4)[:100]  # four groups of 25
+        xs = np.concatenate([xs] * 8)[:200]  # eight groups of 25
         jacobians = 25 * 10 * 28 * 28 * 8  # bytes of one group's Jacobians
-        batch_deepfool(net, xs[:1])
+        result = 28 * 28 * 8 + 700  # bytes of a result that is kept: its perturbation and fields
+        batch_deepfool(net, xs[:50])
         tracemalloc.start()
         try:
             linearized = logits_and_deferred_jacobian(net, xs[:25])
             held = tracemalloc.get_traced_memory()[0]
             del linearized
             peaks = []
-            for n in (25, 100):
+            for n in (25, 50, 200):  # one group, which runs inline, then two sizes of two or more
                 tracemalloc.reset_peak()
                 batch_deepfool(net, xs[:n])
                 peaks.append(tracemalloc.get_traced_memory()[1])
@@ -392,8 +395,11 @@ class TestJacobianMemory:
         # im2col columns 2.9 MB, and the layers below the Dense layers, run on
         # all 25 inputs' seeds at once, would peak at 24 MB.
         assert held < jacobians / 4
-        assert peaks[0] < 6 * jacobians
-        assert peaks[1] < 1.15 * peaks[0]
+        one = peaks[0]
+        assert one < 6 * jacobians
+        # n_cpus groups at a time, each about one group's peak, plus the results kept so far
+        for n, peak in zip((50, 200), peaks[1:]):
+            assert peak < 1.1 * n_cpus * one + n * result
 
 
 def assert_same_result(got, want):
@@ -500,6 +506,32 @@ class TestAgainstSequentialReference:
         net, _ = lockstep_case("arch-B")
         assert batch_deepfool(net, np.empty((0, 2))) == []
         assert batch_deepfool(net, []) == []
+
+
+@pytest.mark.parametrize("config", sorted(TestAgainstSequentialReference.CONFIGS))
+def test_threaded_groups_are_byte_equal(cpus, config):
+    # 7 groups of 25, the last one partial: two or more for each of 3 threads
+    net = nn.init_network(build_network("arch-A", (1, 12, 12), 10, seed=3))
+    xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(6 * 25 + 7, 1, 12, 12))
+    cfg = TestAgainstSequentialReference.CONFIGS[config]
+    inline, threaded = inline_and_threaded(cpus, lambda: batch_deepfool(net, xs, cfg))
+    assert len(threaded) == len(inline) == len(xs)
+    for got, want in zip(threaded, inline):
+        assert_same_result(got, want)
+
+
+class TestFractionalMaxIter:
+    """A Python-built fractional ``max_iter`` caps the attack at its ceiling."""
+
+    def test_attack_stops_after_the_ceiling(self, blobs3):
+        # an untrained net zigzags: some of its attacks flip only after many iterations
+        net = nn.init_network(build_network("arch-B", blobs3.input_shape, blobs3.class_count, seed=0))
+        results = batch_deepfool(net, blobs3.inputs)
+        x = blobs3.inputs[max(range(len(results)), key=lambda i: results[i].iterations)]
+        assert deepfool(net, x).iterations > 2 and deepfool(net, x).success
+        capped = deepfool(net, x, AttackConfig(max_iter=1.5))
+        assert (capped.iterations, capped.success) == (2, False)
+        assert_same_result(capped, deepfool(net, x, AttackConfig(max_iter=2)))
 
 
 class TestAgainstMarginOracle:

@@ -1395,6 +1395,10 @@ class TestCompare:
         assert dfal.checkpoint_accuracy[5] is None  # below the first round
         assert abs(dfal.checkpoint_accuracy[11] - 0.605) < 1e-9
         assert abs(dfal.checkpoint_accuracy[100] - 0.705) < 1e-9
+        # the sample sd (ddof=1) of the seeds' 0.60 and 0.61, and of 0.70 and 0.71
+        assert dfal.checkpoint_sd[5] is None
+        assert abs(dfal.checkpoint_sd[11] - 0.01 / np.sqrt(2)) < 1e-12
+        assert abs(dfal.checkpoint_sd[100] - 0.01 / np.sqrt(2)) < 1e-12
 
     def test_target_accuracy_first_reach(self, tmp_path):
         rows = read_metrics(
@@ -1412,6 +1416,7 @@ class TestCompare:
         path = write_table(tmp_path / "m.csv", METRICS_HEADER, rows)
         summaries = compare_metrics(read_metrics(path), checkpoints=(16,))
         assert abs(summaries[0].checkpoint_accuracy[16] - 0.7) < 1e-9
+        assert summaries[0].checkpoint_sd[16] is None  # one seed has no sample sd
 
     def test_seed_order_in_the_table_does_not_matter(self, tmp_path):
         # seeds listed 2,0,1, as `adval run` writes them for `seeds = 2,0,1`
@@ -1519,9 +1524,38 @@ class TestCompare:
             ["compare", "--metrics", str(path), "--checkpoints", "11,16", "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
-        assert "dfal" in result.output
-        saved = read_rows(tmp_path / "compare.csv")
-        assert saved[0][0] == "strategy"
+        assert result.stdout.splitlines() == [
+            "  ".join(f"{c:>18}" for c in row)
+            for row in (
+                ("strategy", "acc@11", "acc@16"),
+                ("dfal", "0.6050 ± 0.0071", "0.7050 ± 0.0071"),
+                ("random", "0.5050 ± 0.0071", "0.6050 ± 0.0071"),
+            )
+        ] + [f"wrote {tmp_path / 'compare.csv'}"]
+        assert read_rows(tmp_path / "compare.csv") == [
+            ["strategy", "acc@11", "sd@11", "acc@16", "sd@16"],
+            ["dfal", "0.6050", "0.0071", "0.7050", "0.0071"],
+            ["random", "0.5050", "0.0071", "0.6050", "0.0071"],
+        ]
+
+    def test_cli_one_seed_and_absent_checkpoint(self, tmp_path):
+        rows = [r for r in self.make_rows() if r[1] == 0]
+        path = write_table(tmp_path / "metrics.csv", METRICS_HEADER, rows)
+        args = ["compare", "--metrics", str(path), "--checkpoints", "5,16", "--target-accuracy", "0.65"]
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines()[1:3] == [
+            "  ".join(f"{c:>18}" for c in row)
+            for row in (
+                ("dfal", "absent", "0.7000 ± -", "16", "26.0"),
+                ("random", "absent", "0.6000 ± -", ">=16", ">=16.0"),
+            )
+        ]
+        assert read_rows(tmp_path / "compare.csv") == [
+            ["strategy", "acc@5", "sd@5", "acc@16", "sd@16", "annotations_to_0.65", "labeled_data_to_0.65"],
+            ["dfal", "absent", "absent", "0.7000", "-", "16", "26.0"],
+            ["random", "absent", "absent", "0.6000", "-", ">=16", ">=16.0"],
+        ]
 
     @pytest.mark.parametrize("target", ["nan", "7", "-0.1", "inf"])
     def test_target_accuracy_outside_unit_interval_rejected(self, tmp_path, target):

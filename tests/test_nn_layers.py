@@ -1,11 +1,24 @@
 """Layer contracts: shapes, identity cases, conv/pool against naive loops, backward requests."""
 
+import contextvars
+import os
 import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import forward, reference_conv_forward, reference_forward_caches, reference_forward_free
+from conftest import (
+    forward,
+    inline_and_threaded,
+    reference_conv_forward,
+    reference_forward_caches,
+    reference_forward_free,
+)
 
 from adval import nn
 from adval.errors import ConfigError, InputError, UnsupportedArchitectureError
@@ -26,6 +39,7 @@ from adval.nn.network import (
     _CHUNK,
     _evaluate,
     _forward_caches,
+    _in_order,
     logits_and_deferred_jacobian,
     loss_and_param_grads,
     probs_and_grad_sq_norms,
@@ -958,6 +972,229 @@ class TestBlockedEvaluation:
         y, cache = layer_forward(layer, params, x, param_grads=False)
         assert cache == (x.shape, None)
         assert y.tobytes() == layer_forward(layer, params, x)[0].tobytes()
+
+
+class TestThreadedEvaluation:
+    """Chunk heads run on threads with the bytes of the inline pass."""
+
+    ROWS = 6 * _CHUNK + 37  # two chunks or more for each of 3 threads, the last one partial
+
+    @pytest.fixture
+    def state(self):
+        return nn.init_network(nn.build_network("arch-A", (1, 12, 12), 10, seed=21))
+
+    @pytest.fixture
+    def x(self):
+        return np.random.default_rng(22).uniform(0.0, 1.0, size=(self.ROWS, 1, 12, 12))
+
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    @pytest.mark.parametrize("dropout_seed", [None, 9])
+    def test_forward_batch_same_bytes(self, cpus, state, x, view, dropout_seed):
+        rows = np.random.default_rng(23).permutation(len(x))
+        pool = CandidateSet(x, rows) if view else x[rows]
+        def score():
+            return nn.forward_batch(state, pool, dropout_seed=dropout_seed)
+
+        inline, threaded = inline_and_threaded(cpus, score)
+        assert threaded.tobytes() == inline.tobytes()
+
+    def test_embed_batch_same_bytes(self, cpus, state, x):
+        inline, threaded = inline_and_threaded(cpus, lambda: nn.embed_batch(state, x))
+        assert threaded.tobytes() == inline.tobytes()
+
+    def test_heads_run_on_the_pool_above_layers_in_the_caller(self, cpus, state, x, monkeypatch):
+        # the layers above the split, with dropout's one generator, stay in the calling thread
+        seen = []
+        check = network._check_batch
+        forward_layer = layers.forward
+
+        def checked(spec, rows):
+            seen.append(("head", threading.current_thread()))
+            return check(spec, rows)
+
+        def recorded(layer, *args, **kwargs):
+            if isinstance(layer, Dense):
+                seen.append(("above", threading.current_thread()))
+            return forward_layer(layer, *args, **kwargs)
+
+        monkeypatch.setattr(network, "_check_batch", checked)
+        monkeypatch.setattr(layers, "forward", recorded)
+        cpus(3)
+        nn.forward_batch(state, x, dropout_seed=1)
+        heads = [t for where, t in seen if where == "head"]
+        assert len(heads) == 7 and threading.current_thread() not in heads
+        assert {t for where, t in seen if where == "above"} == {threading.current_thread()}
+
+    def test_dense_head_runs_inline(self, cpus, state, x, monkeypatch):
+        # arch-B has no Conv2D below its first Dense layer, so it never reaches the pool
+        class NoPool:
+            def submit(self, *args):
+                pytest.fail("a task reached the pool")
+
+            def shutdown(self, wait=True):
+                pass
+
+        net = nn.init_network(nn.build_network("arch-B", (1, 12, 12), 10, seed=21))
+        monkeypatch.setattr(network, "_pool", NoPool())
+        cpus(3)
+        assert nn.forward_batch(net, x).shape == (len(x), 10)
+        assert nn.embed_batch(net, x).shape == (len(x), 64)
+
+    def test_third_chunk_error_raises_as_inline(self, cpus, state, x):
+        class ThirdChunkBad:
+            def __len__(self):
+                return len(x)
+
+            def __getitem__(self, key):
+                return x[key][:, :, :10] if key.start == 2 * _CHUNK else x[key]
+
+        errors = []
+        for n in (1, 3):
+            cpus(n)
+            with pytest.raises(InputError) as info:
+                nn.forward_batch(state, ThirdChunkBad())
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "input shape (1, 10, 12) does not match network input (1, 12, 12)"
+
+    def overflowing(self, state, x):
+        """A state whose Conv2D sums 25 taps of 1e308 to inf in every chunk from the third on."""
+        params = [None if p is None else {k: v.copy() for k, v in p.items()} for p in state.params]
+        params[0]["W"][:] = 1.0
+        x = x.copy()
+        x[2 * _CHUNK :] = 1e308
+        return nn.NetworkState(state.spec, tuple(params)), x
+
+    def test_callers_error_state_raises_in_a_worker(self, cpus, state, x):
+        broken, x = self.overflowing(state, x)
+        cpus(3)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            nn.forward_batch(broken, x)
+
+    def test_callers_error_state_silences_a_worker(self, cpus, state, x):
+        broken, x = self.overflowing(state, x)
+        cpus(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                logits = nn.forward_batch(broken, x)
+        assert np.isfinite(logits[: 2 * _CHUNK]).all() and not np.isfinite(logits[-1]).any()
+
+    def test_concurrent_callers_share_the_pool(self, cpus, state, x):
+        # 4 callers start on a process with no pool yet, 4 threads for 2 or fewer cores
+        cpus(1)
+        want = nn.forward_batch(state, x, dropout_seed=5).tobytes()
+        cpus(4)
+        got = []
+        callers = [
+            threading.Thread(target=lambda: got.append(nn.forward_batch(state, x, dropout_seed=5).tobytes()))
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want] * 4
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_can_score(self, cpus, state, x):
+        cpus(3)
+        want = nn.forward_batch(state, x)  # the pool now runs
+        assert network._pool is not None
+        with warnings.catch_warnings():  # Python 3.12 warns about forking a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)  # a hang ends the child, with a nonzero status
+                code = 0 if nn.forward_batch(state, x).tobytes() == want.tobytes() else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+class TestInOrder:
+    """``network._in_order``: results in item order, on at most ``_CPUS`` threads at a time."""
+
+    def test_results_in_item_order(self, cpus):
+        cpus(3)
+
+        def slow_first(i):
+            time.sleep(0.05 if i == 0 else 0)
+            return i * i
+
+        assert list(_in_order(slow_first, range(10), True)) == [i * i for i in range(10)]
+
+    @pytest.mark.parametrize(
+        "n, items, threaded", [(1, range(5), True), (3, range(1), True), (3, range(5), False)],
+        ids=["one-cpu", "one-item", "not-threaded"],
+    )
+    def test_runs_inline(self, cpus, n, items, threaded):
+        cpus(n)
+        ran = list(_in_order(lambda i: threading.current_thread(), items, threaded))
+        assert ran == [threading.current_thread()] * len(items)
+
+    def test_nested_call_runs_inline_and_finishes(self, cpus):
+        cpus(2)
+
+        def outer(i):
+            inner = _in_order(lambda j: (threading.current_thread(), j), range(4), True)
+            return threading.current_thread(), list(inner)
+
+        got = []
+        caller = threading.Thread(target=lambda: got.extend(_in_order(outer, range(4), True)), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a nested call waited on the pool it runs on"
+        assert [[j for _, j in inner] for _, inner in got] == [list(range(4))] * 4
+        assert all({t for t, _ in inner} == {worker} for worker, inner in got)
+
+    def test_first_failing_item_raises(self, cpus):
+        cpus(3)
+
+        def fail(i):
+            if i == 2:
+                time.sleep(0.1)  # item 4 fails first in time
+                raise KeyError(2)
+            if i == 4:
+                raise ValueError(4)
+            return i
+
+        got = []
+        with pytest.raises(KeyError):
+            got.extend(_in_order(fail, range(6), True))
+        assert got == [0, 1]
+
+    def test_at_most_cpus_items_in_flight(self, cpus):
+        cpus(3)
+        started, consumed, in_flight = [0], 0, []
+        lock = threading.Lock()
+
+        def work(i):
+            with lock:
+                started[0] += 1
+            time.sleep(0.002)
+            return i
+
+        for _ in _in_order(work, range(30), True):
+            time.sleep(0.005)  # a slow consumer: the items ahead must wait for it
+            with lock:
+                in_flight.append(started[0] - consumed)
+            consumed += 1
+        assert 1 < max(in_flight) <= 3
+
+    def test_tasks_see_the_callers_context(self, cpus):
+        var = contextvars.ContextVar("var", default="unset")
+        cpus(3)
+        var.set("caller")
+        assert list(_in_order(lambda i: var.get(), range(6), True)) == ["caller"] * 6
 
 
 class TestRowsByIndex:
