@@ -178,15 +178,14 @@ def compare(metrics_path, checkpoints, target_accuracy, out_dir):
         target_header = [f"annotations_to_{target_accuracy}", f"labeled_data_to_{target_accuracy}"]
     # stdout shows each mean with its seed sd beside it; compare.csv gives the sd a column
     click.echo("  ".join(f"{h:>18}" for h in ["strategy", *[f"acc@{cp}" for cp in cps], *target_header]))
+    def cells(mean, sd):
+        if mean is None:
+            return "absent", "absent"
+        return f"{mean:.4f}", "-" if sd is None else f"{sd:.4f}"
+
     out_rows = []
     for s in summaries:
-        pairs = []
-        for cp in cps:
-            mean, sd = s.checkpoint_accuracy[cp], s.checkpoint_sd[cp]
-            if mean is None:
-                pairs.append(("absent", "absent"))
-            else:
-                pairs.append((f"{mean:.4f}", "-" if sd is None else f"{sd:.4f}"))
+        pairs = [cells(s.checkpoint_accuracy[cp], s.checkpoint_sd[cp]) for cp in cps]
         target = []
         if target_accuracy is not None:
             prefix = "" if s.target_reached else ">="

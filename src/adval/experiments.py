@@ -214,12 +214,12 @@ def compare_metrics(
     """Per strategy: mean and sample sd of accuracy over seeds at each annotation checkpoint.
 
     Each strategy's rows are grouped by round once, each group in ascending
-    seed order, and every figure is a mean over one group, or at a checkpoint
-    also its sample standard deviation (ddof=1; None for one seed). Rounds line up
-    across seeds: a group that repeats a seed, lacks a seed some other round
-    of the strategy has, or whose seeds disagree on the annotations, is a
-    ``FormatError`` naming the strategy and the round. A
-    checkpoint reads the last round whose annotations are at most the
+    seed order, and every figure is a mean over one group, or at a
+    checkpoint also its sample standard deviation (ddof=1; None for one
+    seed). Rounds line up across seeds: a group that repeats a seed, lacks a
+    seed some other round of the strategy has, or whose seeds disagree on
+    the annotations, is a ``FormatError`` naming the strategy and the round.
+    A checkpoint reads the last round whose annotations are at most the
     checkpoint; a checkpoint below the first round is reported as absent
     (None). With a target accuracy, also reports the annotations and
     labeled-data counts of the first round whose seed-mean accuracy reaches

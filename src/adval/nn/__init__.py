@@ -11,9 +11,9 @@ fault in again each time takes about 6.5 ms instead of 3.6 ms.
 It also caps glibc at one malloc arena, so the threads that score pools and
 attack DeepFool groups (``network._in_order``) allocate from the main heap and
 reuse what training freed. Left alone, glibc gives each thread an arena of its
-own, and the peak RSS of perfbench's images-dfal run went from 71.5 to 92.4 MB
-on a 2-CPU host; with one arena it reads 73.7 MB. Other C libraries are left
-alone.
+own: on a 2-CPU host the peak RSS of perfbench's images-dfal run, 71.4 MB
+single-threaded, read 91–92 MB with threads, and reads 73.8 MB with threads
+and one arena. Other C libraries are left alone.
 """
 
 import ctypes

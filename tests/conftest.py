@@ -37,11 +37,11 @@ def cpus(monkeypatch):
         network._pool.shutdown(wait=False)  # a deadlocked task must fail its test, not hang it
 
 
-def inline_and_threaded(cpus, fn, threads=3):
-    """``fn()`` run inline, as on one CPU, and then on ``threads`` CPUs."""
+def inline_and_threaded(cpus, fn):
+    """``fn()`` run inline, as on one CPU, and then on 3 CPUs."""
     cpus(1)
     inline = fn()
-    cpus(threads)
+    cpus(3)
     return inline, fn()
 
 
