@@ -74,6 +74,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         require_at_least(self, class_count=2, seed=0, points_per_class=1, dimension=1)
+        for name in ("center_radius", "cov_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.cov_scale > 0:
             raise ConfigError(f"cov_scale must be positive, got {self.cov_scale}")
 

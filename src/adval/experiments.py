@@ -40,7 +40,7 @@ from adval.loop import (
     training_examples,
 )
 from adval.nn.architectures import build_network
-from adval.nn.network import accuracy
+from adval.nn.network import NetworkState, accuracy
 
 _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _SECONDS = (float, lambda v: 0.0 <= v < math.inf, "finite and non-negative")
@@ -306,7 +306,9 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
     and ``train_round`` and shared through the round-0 memo. Training happens once per
     size and is excluded from the timed region. A repetition times what the
     loop's ``selection_seconds`` times: a fresh candidate draw and the
-    selection, through ``select_round``. Repetition ``r`` takes the seeds of
+    selection, through ``select_round``, on an unshared view of the network,
+    which carries no logits memo, so that each repetition computes every
+    score and none reads another's logits. Repetition ``r`` takes the seeds of
     round ``r`` under the first experiment seed. Timing reads only the pool,
     so the test set is neither loaded nor checked.
     """
@@ -332,8 +334,9 @@ def run_timing(cfg: ExperimentConfig, labeled_sizes, repetitions: int) -> list[t
         for size in labeled_sizes:
             elapsed = []
             for rep in range(repetitions):
+                net = NetworkState(nets[size].spec, nets[size].params)
                 t0 = time.monotonic()
-                select_round(strategy, settings, nets[size], pools[size], train_ds, settings.n_query, seed, rep)
+                select_round(strategy, settings, net, pools[size], train_ds, settings.n_query, seed, rep)
                 elapsed.append(time.monotonic() - t0)
             rows.append((strategy, size, repetitions, float(np.mean(elapsed))))
     return rows

@@ -18,6 +18,10 @@ loop and for timing alike. ``train_fresh`` keeps round-0 networks in a memo
 keyed by content (the network spec, ``base_steps``, the train settings, the
 seed and a digest of the training examples) and hands later runs the same
 read-only ``NetworkState``; their round 0's ``train_seconds`` is the lookup's.
+Each shared network also carries a memo of its own logits (see
+``adval.nn.network.NetworkState``), so later runs that score unchanged inputs
+with it, its test set and its full unlabeled pool, read the logits the first
+run computed, byte for byte.
 The memo admits networks until it holds ``_MEMO_SIZE`` and never evicts: the
 commands loop over strategies outside and seeds inside, so in a grid of more
 networks, least-recently-used eviction would drop each entry just before its
@@ -27,7 +31,6 @@ networks reuses only the first ones.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -38,7 +41,7 @@ from adval.attacks import AttackConfig
 from adval.data import Dataset
 from adval.errors import ConfigError, PoolInvariantError, TrainingError, prefixed, require_at_least
 from adval.nn.layers import DTYPE
-from adval.nn.network import NetworkSpec, NetworkState, accuracy, init_network
+from adval.nn.network import NetworkSpec, NetworkState, _rows_sha256, accuracy, init_network
 from adval.nn.training import TrainConfig, epochs_for_budget, train
 from adval.strategies import (
     ADVERSARIAL_TWIN,
@@ -248,20 +251,18 @@ _round0_memo: dict[tuple, NetworkState] = {}
 
 
 def _examples_digest(examples) -> str:
-    """sha256 over the inputs as ``train`` stacks them (shape and bytes) and the labels."""
-    x = np.asarray([row for row, _ in examples], dtype=DTYPE)
-    y = np.asarray([int(label) for _, label in examples], dtype=np.int64)
-    digest = hashlib.sha256(repr(x.shape).encode())
-    digest.update(x.tobytes())
-    digest.update(y.tobytes())
+    """sha256 over the inputs as ``train`` stacks them, by the rows' rule, then the labels."""
+    digest = _rows_sha256(np.asarray([row for row, _ in examples], dtype=DTYPE))
+    digest.update(np.asarray([int(label) for _, label in examples], dtype=np.int64))
     return digest.hexdigest()
 
 
 def _read_only(net: NetworkState) -> NetworkState:
+    """A state of ``net``'s parameters, made read-only, with a logits memo of its own."""
     for p in net.params:
         for v in (p or {}).values():
             v.flags.writeable = False
-    return net
+    return NetworkState(net.spec, net.params, {})
 
 
 def train_fresh(
@@ -272,6 +273,9 @@ def train_fresh(
     For round 0 the network comes from the memo when an equal training ran
     before; otherwise it enters the memo, read-only since later runs share it,
     unless the memo is full (see the module docstring for why it never evicts).
+    A network in the memo also shares its logits on unchanged inputs (see
+    ``adval.nn.network.NetworkState``), and every caller, the first one too,
+    gets the memo's own object.
     A diverged training (see ``adval.nn.training``) raises ``TrainingError``
     with ``round N: `` in front (through ``adval.errors.prefixed``), and never
     enters the memo. It names no config key: a large learning rate, a small
@@ -286,7 +290,7 @@ def train_fresh(
     with prefixed(TrainingError, f"round {round_index}: "):
         net = train(init_network(spec), examples, replace(settings.train, epochs=epochs, seed=seed))
     if key is not None and len(_round0_memo) < _MEMO_SIZE:
-        _round0_memo[key] = _read_only(net)
+        net = _round0_memo[key] = _read_only(net)
     return net
 
 

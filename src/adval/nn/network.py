@@ -2,17 +2,19 @@
 
 A network is a sequence of layer descriptors applied to a fixed input shape.
 ``NetworkState`` couples a spec with concrete parameter arrays; states are
-treated as immutable once created.
+treated as immutable once created. A shared state may carry a memo of its
+logits (see ``NetworkState``), which changes no result.
 """
 
 from __future__ import annotations
 
 import contextvars
+import hashlib
 import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from adval.nn.layers import DTYPE, Conv2D, Dense, Dropout, LayerSpec, MaxPool2D,
 
 _CHUNK = 256  # rows per chunk of a batched evaluation
 _BLOCK = 32  # rows per block of the layers below the first Dense or Dropout layer
+# inputs a logits memo keeps: the loop scores a round-0 network's test set and its full pool
+_LOGITS_KEPT = 2
 # CPUs this process may run on: the threads of ``_in_order`` and its items in flight
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -67,8 +71,23 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class NetworkState:
+    """A spec with its parameter arrays.
+
+    ``_logits`` is None but on a shared, read-only network, where it is that
+    network's memo of logits (``adval.loop.train_fresh`` attaches one at round
+    0). ``forward_batch`` without ``dropout_seed`` keys it by ``_rows_sha256``
+    of its input, the rows as ``_evaluate`` reads them: an equal input with
+    other indices or in another array hits, a row changed in place misses.
+    Each call gets a fresh copy of the stored logits, so no caller can change
+    them, and the memo keeps the last ``_LOGITS_KEPT`` inputs it computed,
+    dropping the oldest first. Dropout passes, ``embed_batch``, the gradient
+    passes and DeepFool's passes never read or write it. It is neither
+    compared nor shown.
+    """
+
     spec: NetworkSpec
     params: tuple  # per-layer dict of arrays, or None for parameterless layers
+    _logits: dict | None = field(default=None, compare=False, repr=False)
 
 
 def init_network(spec: NetworkSpec) -> NetworkState:
@@ -202,9 +221,37 @@ def _has_conv_head(spec: NetworkSpec) -> bool:
     return any(isinstance(l, Conv2D) for l in spec.layers[: _first_index(spec, Dense)])
 
 
+def _rows_sha256(x):
+    """sha256 of the rows of ``x`` as ``_evaluate`` reads them: each ``_CHUNK``-row
+    slice, gathered, as ``DTYPE``, with its shape, then the row count."""
+    digest = hashlib.sha256()
+    for lo in range(0, len(x), _CHUNK):
+        rows = np.ascontiguousarray(x[lo : lo + _CHUNK], dtype=DTYPE)
+        digest.update(repr(rows.shape).encode())
+        digest.update(rows)
+    digest.update(repr(len(x)).encode())
+    return digest
+
+
 def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) -> np.ndarray:
-    """Logits (N, class_count). Dropout is identity unless ``dropout_seed`` is given."""
-    return _evaluate(state, x, dropout_seed=dropout_seed)
+    """Logits (N, class_count). Dropout is identity unless ``dropout_seed`` is given.
+
+    On a state with a logits memo (see ``NetworkState``), a pass without
+    dropout over one row or more computes each distinct input once and
+    returns a fresh copy of its logits on every call.
+    """
+    memo = state._logits
+    if memo is None or dropout_seed is not None or not len(x):
+        return _evaluate(state, x, dropout_seed=dropout_seed)
+    # Only the calling thread reads or writes the memo: ``_in_order`` tasks never
+    # call ``forward_batch``, so the memo needs no lock.
+    key = _rows_sha256(x).digest()
+    if key not in memo:
+        logits = _evaluate(state, x)
+        if len(memo) == _LOGITS_KEPT:
+            del memo[next(iter(memo))]
+        memo[key] = logits
+    return memo[key].copy()
 
 
 def _forward(state, x, start=0, stop=None, rng=None, caches=None, param_grads=True):

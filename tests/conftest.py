@@ -402,6 +402,19 @@ def count_calls(monkeypatch, *names) -> Counter:
     return calls
 
 
+def evaluated_rows(monkeypatch) -> list[int]:
+    """The row count of each ``network._evaluate`` call from here on, in call order."""
+    rows = []
+    evaluate = network._evaluate
+
+    def counted(state, x, *args, **kwargs):
+        rows.append(len(x))
+        return evaluate(state, x, *args, **kwargs)
+
+    monkeypatch.setattr(network, "_evaluate", counted)
+    return rows
+
+
 @pytest.fixture(autouse=True)
 def cold_round0_memo():
     """Every test starts with an empty round-0 memo, so each round 0 it runs trains."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import count_calls, tiny_idx_pair
+from conftest import count_calls, evaluated_rows, tiny_idx_pair
 
 import adval.cli
 import adval.config
@@ -1740,6 +1740,15 @@ class TestRound0Reuse:
         rows = run_timing(cfg, [cfg.active.initial_labeled], 1)
         assert [r[:3] for r in rows] == [("dfal", 6, 1), ("coreset", 6, 1)]
         assert trainings["train"] == 0
+
+    def test_timing_computes_every_repetition(self, tmp_path, monkeypatch):
+        # the run leaves the full pool's logits in the shared network's memo; timing reads none
+        cfg = load_experiment_config(write_config(tmp_path, strategies="uncertainty"))
+        list(run_grid(cfg))
+        evaluated = evaluated_rows(monkeypatch)
+        rows = run_timing(cfg, [cfg.active.initial_labeled], 3)
+        assert [r[:3] for r in rows] == [("uncertainty", 6, 3)]
+        assert evaluated.count(120 - 6) == 3
 
 
 class TestProgressLines:

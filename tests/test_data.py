@@ -204,6 +204,12 @@ class TestBlobs:
         with pytest.raises(ConfigError, match="^seed"):
             SyntheticSpec(class_count=2, points_per_class=5, seed=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["center_radius", "cov_scale"])
+    def test_non_finite_scale_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+            SyntheticSpec(3, 5, **{name: value})
+
 
 class TestSplits:
     def test_cap_equals_size_is_identity(self):

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import count_calls, reference_init_pools
+from conftest import count_calls, evaluated_rows, reference_init_pools
 
 import adval.loop
-from adval.attacks import AttackConfig
+import adval.strategies
+from adval.attacks import AttackConfig, batch_deepfool
 from adval.data import Dataset, SyntheticSpec, gen_blobs
 from adval.errors import ConfigError, PoolInvariantError, TrainingError
 from adval.loop import (
@@ -26,8 +27,19 @@ from adval.loop import (
     train_fresh,
     training_examples,
 )
-from adval.nn import Dense, Dropout, NetworkSpec, ReLU, TrainConfig, build_network, init_network
-from adval.nn.network import _CHUNK, embed_batch
+from adval.nn import (
+    Dense,
+    Dropout,
+    NetworkSpec,
+    NetworkState,
+    ReLU,
+    TrainConfig,
+    build_network,
+    init_network,
+    network,
+    train,
+)
+from adval.nn.network import _CHUNK, embed_batch, forward_batch
 from adval.strategies import (
     ADVERSARIAL_TWIN,
     CEAL_PSEUDO,
@@ -35,6 +47,8 @@ from adval.strategies import (
     CandidateSet,
     QueryBatch,
     SyntheticAddition,
+    bald_probability_samples,
+    egl_scores,
     entropy_scores,
     select_coreset_greedy,
 )
@@ -659,3 +673,133 @@ class TestRound0Memo:
         with pytest.raises(TrainingError, match=r"^round 0: training diverged: [^;]*$"):
             train_fresh(*args, 0)
         assert not adval.loop._round0_memo
+
+
+class TestRound0Logits:
+    """A round-0 network computes the logits of each distinct input once, same bytes."""
+
+    ROWS = 3 * _CHUNK + 37  # four chunks, the last one partial
+
+    @pytest.fixture(params=["arch-A", "arch-B"])
+    def arch(self, request):
+        return request.param
+
+    @pytest.fixture(params=[1, 3], ids=["inline", "threaded"])
+    def n_cpus(self, request, cpus):
+        cpus(request.param)
+        return request.param
+
+    @pytest.fixture
+    def net(self, arch):
+        return adval.loop._read_only(init_network(build_network(arch, (1, 12, 12), 10, seed=21)))
+
+    @pytest.fixture
+    def x(self):
+        return np.random.default_rng(22).uniform(0.0, 1.0, size=(self.ROWS, 1, 12, 12))
+
+    @staticmethod
+    def unshared(net):
+        return NetworkState(net.spec, net.params)
+
+    def test_equal_rows_hit_with_other_indices(self, monkeypatch, n_cpus, net, x):
+        rows = np.random.default_rng(23).permutation(len(x))
+        reversed_copy = x[::-1].copy()
+        evaluated = evaluated_rows(monkeypatch)
+        first = forward_batch(net, CandidateSet(x, rows))
+        assert evaluated == [self.ROWS]
+        repeat = forward_batch(net, CandidateSet(reversed_copy, len(x) - 1 - rows))
+        assert evaluated == [self.ROWS]
+        want = forward_batch(self.unshared(net), x[rows]).tobytes()
+        assert first.tobytes() == repeat.tobytes() == want
+
+    def test_row_changed_in_place_misses(self, monkeypatch, n_cpus, net, x):
+        pool = CandidateSet(x, np.arange(len(x)))
+        forward_batch(net, pool)
+        x[2 * _CHUNK + 5, 0, 3, 4] += 0.25  # a row of the third chunk
+        evaluated = evaluated_rows(monkeypatch)
+        changed = forward_batch(net, pool)
+        assert evaluated == [self.ROWS]
+        assert changed.tobytes() == forward_batch(self.unshared(net), x).tobytes()
+
+    def test_returned_arrays_are_copies(self, monkeypatch, n_cpus, net, x):
+        want = forward_batch(self.unshared(net), x).tobytes()
+        for _ in range(2):  # a miss, then a hit
+            out = forward_batch(net, x)
+            assert out.tobytes() == want
+            out[...] = 0.0
+        evaluated = evaluated_rows(monkeypatch)
+        assert forward_batch(net, x).tobytes() == want
+        assert evaluated == []
+
+    def test_stochastic_and_gradient_passes_bypass_the_memo(self, monkeypatch, n_cpus, net, x):
+        evaluated = evaluated_rows(monkeypatch)
+        egl_calls = count_strategy_calls(monkeypatch, "probs_and_grad_sq_norms")
+        attack = AttackConfig(max_iter=3)
+        passes = {
+            "bald": lambda n: bald_probability_samples(n, x, 3, seed=4),
+            "embed": lambda n: embed_batch(n, x),
+            "egl": lambda n: egl_scores(n, x[:40]),
+            "deepfool": lambda n: [r.perturbation for r in batch_deepfool(n, x[:6], attack)],
+        }
+        for name, run in passes.items():
+            got, counts = [], []
+            for n in (net, net, self.unshared(net)):  # twice shared, then the reference
+                before = len(evaluated) + egl_calls["probs_and_grad_sq_norms"]
+                got.append(np.asarray(run(n)).tobytes())
+                counts.append(len(evaluated) + egl_calls["probs_and_grad_sq_norms"] - before)
+            assert got[0] == got[1] == got[2], name
+            assert counts[0] == counts[1] == counts[2] > 0, (name, counts)
+        assert net._logits == {}
+
+    def test_third_input_drops_the_oldest(self, monkeypatch, n_cpus, net, x):
+        inputs = [x[:-1], x[1:], x[:-2]]
+        for rows in inputs:
+            forward_batch(net, rows)
+        assert len(net._logits) == 2
+        evaluated = evaluated_rows(monkeypatch)
+        for rows in inputs[1:]:
+            forward_batch(net, rows)
+        assert evaluated == []
+        assert forward_batch(net, inputs[0]).tobytes() == forward_batch(self.unshared(net), inputs[0]).tobytes()
+        assert evaluated == [self.ROWS - 1, self.ROWS - 1]
+
+    def test_train_fresh_returns_the_memo_object(self):
+        args = (small_net_spec(), round0_examples(), TestRound0Memo.SETTINGS, 5)
+        first = train_fresh(*args, 0)
+        assert list(adval.loop._round0_memo.values()) == [first]
+        assert next(iter(adval.loop._round0_memo.values())) is first
+        assert train_fresh(*args, 0) is first
+        assert first._logits == {}
+        assert train_fresh(*args, 1)._logits is None
+
+    def test_training_a_shared_state_gives_an_unshared_network(self, net, x):
+        forward_batch(net, x)
+        trained = train(net, [(x[i], i % 10) for i in range(8)], TrainConfig(seed=3))
+        assert trained._logits is None
+
+    def test_ceal_after_uncertainty_records_equal_a_cold_ceal(self, monkeypatch):
+        train_ds, test_ds = blob_pair(points=300)
+        cfg = quick_config("ceal", budget=16, initial_labeled=6)
+        cold = run_active_learning(cfg, train_ds, test_ds)
+        adval.loop._round0_memo.clear()
+        run_active_learning(replace(cfg, strategy="uncertainty"), train_ds, test_ds)
+        evaluated = evaluated_rows(monkeypatch)
+        warm = run_active_learning(cfg, train_ds, test_ds)
+        # round 0 reads the test set and the full pool from the memo; every later round computes
+        assert len(train_ds) - 6 not in evaluated and len(train_ds) - 11 in evaluated
+        untimed = lambda r: replace(r, train_seconds=0.0, selection_seconds=0.0)  # noqa: E731
+        assert [untimed(r) for r in warm] == [untimed(r) for r in cold]
+
+
+def count_strategy_calls(monkeypatch, *names):
+    """Counts the calls to each of ``names``, made through ``adval.strategies``'s attributes."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(adval.strategies, name)
+
+        def call(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(adval.strategies, name, call)
+    return calls
