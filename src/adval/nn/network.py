@@ -241,6 +241,7 @@ def forward_batch(state: NetworkState, x, *, dropout_seed: int | None = None) ->
     returns a fresh copy of its logits on every call.
     """
     memo = state._logits
+    # an empty input's digest holds no row shape, so it would hit whatever shape came first
     if memo is None or dropout_seed is not None or not len(x):
         return _evaluate(state, x, dropout_seed=dropout_seed)
     # Only the calling thread reads or writes the memo: ``_in_order`` tasks never

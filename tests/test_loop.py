@@ -11,7 +11,7 @@ import adval.loop
 import adval.strategies
 from adval.attacks import AttackConfig, batch_deepfool
 from adval.data import Dataset, SyntheticSpec, gen_blobs
-from adval.errors import ConfigError, PoolInvariantError, TrainingError
+from adval.errors import ConfigError, InputError, PoolInvariantError, TrainingError
 from adval.loop import (
     STRATEGIES,
     ActiveConfig,
@@ -733,7 +733,10 @@ class TestRound0Logits:
 
     def test_stochastic_and_gradient_passes_bypass_the_memo(self, monkeypatch, n_cpus, net, x):
         evaluated = evaluated_rows(monkeypatch)
-        egl_calls = count_strategy_calls(monkeypatch, "probs_and_grad_sq_norms")
+        egl_pass = adval.strategies.probs_and_grad_sq_norms
+        monkeypatch.setattr(
+            adval.strategies, "probs_and_grad_sq_norms", lambda n, x: evaluated.append(len(x)) or egl_pass(n, x)
+        )
         attack = AttackConfig(max_iter=3)
         passes = {
             "bald": lambda n: bald_probability_samples(n, x, 3, seed=4),
@@ -744,9 +747,9 @@ class TestRound0Logits:
         for name, run in passes.items():
             got, counts = [], []
             for n in (net, net, self.unshared(net)):  # twice shared, then the reference
-                before = len(evaluated) + egl_calls["probs_and_grad_sq_norms"]
+                before = len(evaluated)
                 got.append(np.asarray(run(n)).tobytes())
-                counts.append(len(evaluated) + egl_calls["probs_and_grad_sq_norms"] - before)
+                counts.append(len(evaluated) - before)
             assert got[0] == got[1] == got[2], name
             assert counts[0] == counts[1] == counts[2] > 0, (name, counts)
         assert net._logits == {}
@@ -762,6 +765,12 @@ class TestRound0Logits:
         assert evaluated == []
         assert forward_batch(net, inputs[0]).tobytes() == forward_batch(self.unshared(net), inputs[0]).tobytes()
         assert evaluated == [self.ROWS - 1, self.ROWS - 1]
+
+    def test_empty_input_is_checked_every_time(self, net, x):
+        assert forward_batch(net, x[:0]).shape == (0, 10)
+        with pytest.raises(InputError, match="does not match network input"):
+            forward_batch(net, x[:0, :, :5])
+        assert net._logits == {}
 
     def test_train_fresh_returns_the_memo_object(self):
         args = (small_net_spec(), round0_examples(), TestRound0Memo.SETTINGS, 5)
@@ -787,19 +796,7 @@ class TestRound0Logits:
         warm = run_active_learning(cfg, train_ds, test_ds)
         # round 0 reads the test set and the full pool from the memo; every later round computes
         assert len(train_ds) - 6 not in evaluated and len(train_ds) - 11 in evaluated
+        assert evaluated.count(len(test_ds)) == len(warm) - 1
         untimed = lambda r: replace(r, train_seconds=0.0, selection_seconds=0.0)  # noqa: E731
         assert [untimed(r) for r in warm] == [untimed(r) for r in cold]
 
-
-def count_strategy_calls(monkeypatch, *names):
-    """Counts the calls to each of ``names``, made through ``adval.strategies``'s attributes."""
-    calls = {name: 0 for name in names}
-    for name in names:
-        original = getattr(adval.strategies, name)
-
-        def call(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(adval.strategies, name, call)
-    return calls
